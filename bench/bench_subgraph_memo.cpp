@@ -5,31 +5,34 @@
 // one heavy enstrophy subtree (three grad3d stencils plus the curl
 // arithmetic) but diverge at the final consumer — the dashboard pattern
 // where every panel renders a different view of the same expensive
-// intermediate. A seeded Zipf trace (shard::generate_trace) replays the
+// intermediate. A seeded Zipf trace (generate_trace below) replays the
 // catalog through two EvalServices on identical GPU-class devices: one
 // with memoization enabled, one with it off. The memoizing service should
 // materialize the enstrophy subtree once, then serve every later request
 // from the device cache and only pay for the cheap per-panel tail.
 //
-// Gates: every request completes, every result is bit-identical to a
-// single-Engine reference for its expression, the memoizing run records
-// nonzero cache hits and bytes saved, the memo-off run records zero hits
-// but still counts near-miss candidates, and total simulated device time
-// improves by at least 1.5x end to end.
+// Gates: the trace generator replays bit-identically from its seed, every
+// request completes, every result is bit-identical to a single-Engine
+// reference for its expression, the memoizing run records nonzero cache
+// hits and bytes saved, the memo-off run records zero hits but still
+// counts near-miss candidates, and total simulated device time improves
+// by at least 1.5x end to end.
 //
 // Results land in BENCH_memo.json in the working directory. DFGEN_SMOKE=1
 // shrinks the grid and the trace; every gate still applies (the simulated
 // clock is deterministic, so the speedup threshold is scale-free).
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "service/service.hpp"
-#include "shard/traffic.hpp"
 
 namespace {
 
@@ -38,6 +41,116 @@ using dfg::service::Request;
 using dfg::service::RequestStatus;
 using dfg::service::ServiceOptions;
 using dfg::service::Ticket;
+
+// --- Seeded heavy-tailed traffic ------------------------------------------
+//
+// Derived-field traffic is not uniform: a handful of expressions dominate,
+// arrivals come in bursts (a timestep lands and every dashboard refreshes),
+// and consumers span priority classes from a human waiting on a plot to
+// speculative prefetch. The generator models all three — Zipf expression
+// popularity, a two-state bursty arrival process, and a priority mix — as
+// a pure function of its seed, so a trace replays bit-for-bit.
+
+enum class PriorityClass { interactive = 0, batch = 1, speculative = 2 };
+
+struct TrafficOptions {
+  std::uint64_t seed = 1;
+  std::size_t requests = 1000;
+  std::size_t sessions = 16;
+  /// Zipf exponent over the expression catalog (rank r drawn with weight
+  /// 1/r^s): larger = more skew toward the most popular expression.
+  double zipf_exponent = 1.1;
+  /// Mean inter-arrival gap outside bursts (exponential).
+  double mean_interarrival_seconds = 0.0005;
+  /// Arrival-rate multiplier while inside a burst.
+  double burst_factor = 8.0;
+  /// Mean dwell time of the burst / quiet states.
+  double mean_burst_seconds = 0.02;
+  double mean_quiet_seconds = 0.05;
+  /// Priority mix; the remainder after interactive + batch is speculative.
+  double interactive_fraction = 0.6;
+  double batch_fraction = 0.3;
+};
+
+struct TrafficEvent {
+  double at_seconds = 0.0;
+  /// Index into the caller's expression catalog (Zipf rank order: 0 is
+  /// the most popular).
+  std::size_t expression = 0;
+  std::size_t session = 0;
+  PriorityClass priority = PriorityClass::batch;
+
+  bool operator==(const TrafficEvent&) const = default;
+};
+
+/// Deterministic trace of `options.requests` events sorted by arrival
+/// time. `catalog_size` bounds the expression index (must be >= 1).
+std::vector<TrafficEvent> generate_trace(const TrafficOptions& options,
+                                         std::size_t catalog_size) {
+  if (catalog_size == 0) catalog_size = 1;
+  std::mt19937_64 rng(options.seed);
+
+  // Zipf CDF over the catalog.
+  std::vector<double> cdf(catalog_size);
+  double total = 0.0;
+  for (std::size_t r = 0; r < catalog_size; ++r) {
+    total += 1.0 / std::pow(static_cast<double>(r + 1),
+                            options.zipf_exponent);
+    cdf[r] = total;
+  }
+  for (double& c : cdf) c /= total;
+
+  std::uniform_real_distribution<double> uniform(0.0, 1.0);
+  auto exponential = [&](double mean) {
+    // Inverse-CDF sampling; clamp the uniform away from 0 so log() is
+    // finite. Mean 0 degenerates to simultaneous arrivals.
+    if (mean <= 0.0) return 0.0;
+    return -mean * std::log(std::max(uniform(rng), 1e-12));
+  };
+
+  std::vector<TrafficEvent> trace;
+  trace.reserve(options.requests);
+  double now = 0.0;
+  bool bursting = false;
+  double state_ends = exponential(options.mean_quiet_seconds);
+  const double burst_rate_scale =
+      options.burst_factor > 0.0 ? 1.0 / options.burst_factor : 1.0;
+  for (std::size_t i = 0; i < options.requests; ++i) {
+    const double gap = exponential(options.mean_interarrival_seconds) *
+                       (bursting ? burst_rate_scale : 1.0);
+    now += gap;
+    while (now >= state_ends) {
+      bursting = !bursting;
+      state_ends += exponential(bursting ? options.mean_burst_seconds
+                                         : options.mean_quiet_seconds);
+    }
+
+    TrafficEvent event;
+    event.at_seconds = now;
+    const double zipf_draw = uniform(rng);
+    event.expression = static_cast<std::size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), zipf_draw) - cdf.begin());
+    if (event.expression >= catalog_size) event.expression = catalog_size - 1;
+    event.session = static_cast<std::size_t>(
+        uniform(rng) * static_cast<double>(std::max<std::size_t>(
+                           options.sessions, 1)));
+    if (event.session >= options.sessions && options.sessions > 0) {
+      event.session = options.sessions - 1;
+    }
+    const double p = uniform(rng);
+    if (p < options.interactive_fraction) {
+      event.priority = PriorityClass::interactive;
+    } else if (p < options.interactive_fraction + options.batch_fraction) {
+      event.priority = PriorityClass::batch;
+    } else {
+      event.priority = PriorityClass::speculative;
+    }
+    trace.push_back(event);
+  }
+  return trace;
+}
+
+// --- Workload ---------------------------------------------------------------
 
 // Every catalog entry shares this enstrophy prelude; only the final
 // consumer statement differs, so cross-request memoization can serve the
@@ -83,7 +196,7 @@ struct TraceResult {
 
 /// Replays `trace` through one service in waves (a wave models one
 /// timestep's dashboard refresh: submit the burst, drain, next step).
-TraceResult run_trace(const std::vector<dfg::shard::TrafficEvent>& trace,
+TraceResult run_trace(const std::vector<TrafficEvent>& trace,
                       const std::vector<std::string>& exprs,
                       const dfg::mesh::RectilinearMesh& mesh,
                       const dfg::mesh::VectorField& field,
@@ -211,11 +324,14 @@ int main() {
     }
   }
 
-  dfg::shard::TrafficOptions traffic;
+  TrafficOptions traffic;
   traffic.seed = 42;
   traffic.requests = smoke ? 36 : 240;
   traffic.sessions = 8;
-  const auto trace = dfg::shard::generate_trace(traffic, exprs.size());
+  const auto trace = generate_trace(traffic, exprs.size());
+  // Both services must replay the same trace: generation is a pure
+  // function of the seed.
+  const bool trace_replays = generate_trace(traffic, exprs.size()) == trace;
   const std::size_t wave = 12;
 
   const TraceResult off =
@@ -238,6 +354,12 @@ int main() {
   write_json(on, off, smoke, mesh.cell_count());
 
   bool ok = true;
+  if (!trace_replays) {
+    std::fprintf(stderr,
+                 "FAIL: two traces generated from seed %llu differ\n",
+                 static_cast<unsigned long long>(traffic.seed));
+    ok = false;
+  }
   if (!on.all_completed || !off.all_completed) {
     std::fprintf(stderr, "FAIL: a request was rejected or failed\n");
     ok = false;

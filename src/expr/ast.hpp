@@ -7,6 +7,7 @@
 // translate it into a "decompose" filter.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,13 +43,16 @@ struct Node;
 using NodePtr = std::unique_ptr<Node>;
 
 struct Node {
-  explicit Node(NodeKind k, int line_ = 0, int column_ = 0)
-      : kind(k), line(line_), column(column_) {}
+  explicit Node(NodeKind k, int line_ = 0, int column_ = 0, int height_ = 1)
+      : kind(k), line(line_), column(column_), height(height_) {}
   virtual ~Node() = default;
 
   NodeKind kind;
   int line = 0;
   int column = 0;
+  /// Levels in the subtree rooted here (a leaf is 1). Every pass over the
+  /// tree recurses once per level; the parser bounds it.
+  int height = 1;
 };
 
 struct NumberNode final : Node {
@@ -65,16 +69,24 @@ struct IdentifierNode final : Node {
 
 struct CallNode final : Node {
   CallNode(std::string c, std::vector<NodePtr> a, int line, int column)
-      : Node(NodeKind::call, line, column),
+      : Node(NodeKind::call, line, column, 1 + tallest(a)),
         callee(std::move(c)),
         args(std::move(a)) {}
   std::string callee;
   std::vector<NodePtr> args;
+
+ private:
+  static int tallest(const std::vector<NodePtr>& nodes) {
+    int height = 0;
+    for (const NodePtr& node : nodes) height = std::max(height, node->height);
+    return height;
+  }
 };
 
 struct BinaryNode final : Node {
   BinaryNode(BinaryOp o, NodePtr l, NodePtr r, int line, int column)
-      : Node(NodeKind::binary, line, column),
+      : Node(NodeKind::binary, line, column,
+             1 + std::max(l->height, r->height)),
         op(o),
         lhs(std::move(l)),
         rhs(std::move(r)) {}
@@ -85,13 +97,14 @@ struct BinaryNode final : Node {
 
 struct UnaryMinusNode final : Node {
   UnaryMinusNode(NodePtr o, int line, int column)
-      : Node(NodeKind::unary_minus, line, column), operand(std::move(o)) {}
+      : Node(NodeKind::unary_minus, line, column, 1 + o->height),
+        operand(std::move(o)) {}
   NodePtr operand;
 };
 
 struct IndexNode final : Node {
   IndexNode(NodePtr b, int comp, int line, int column)
-      : Node(NodeKind::index, line, column),
+      : Node(NodeKind::index, line, column, 1 + b->height),
         base(std::move(b)),
         component(comp) {}
   NodePtr base;
@@ -100,7 +113,8 @@ struct IndexNode final : Node {
 
 struct ConditionalNode final : Node {
   ConditionalNode(NodePtr c, NodePtr t, NodePtr e, int line, int column)
-      : Node(NodeKind::conditional, line, column),
+      : Node(NodeKind::conditional, line, column,
+             1 + std::max({c->height, t->height, e->height})),
         condition(std::move(c)),
         then_value(std::move(t)),
         else_value(std::move(e)) {}

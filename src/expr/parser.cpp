@@ -1,6 +1,7 @@
 #include "expr/parser.hpp"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "expr/lexer.hpp"
@@ -45,6 +46,39 @@ class Parser {
     }
     return false;
   }
+  /// Rejects a tree taller than kMaxSyntaxDepth at its root's position.
+  /// A long left-associative chain (`u+u+...`) grows the tree without
+  /// deepening the parser's recursion, so nesting alone misses it.
+  NodePtr bounded(NodePtr node) const {
+    if (node->height > kMaxSyntaxDepth) {
+      throw too_deep(node->line, node->column);
+    }
+    return node;
+  }
+
+  static ParseError too_deep(int line, int column) {
+    return ParseError("expression nests deeper than " +
+                          std::to_string(kMaxSyntaxDepth) + " levels",
+                      line, column);
+  }
+
+  /// Bounds the recursive descent itself: parentheses add no tree level,
+  /// so `((((u))))` is only caught here.
+  class Nesting {
+   public:
+    explicit Nesting(Parser& parser) : parser_(parser) {
+      if (++parser_.nesting_ > kMaxSyntaxDepth) {
+        throw too_deep(parser_.peek().line, parser_.peek().column);
+      }
+    }
+    ~Nesting() { --parser_.nesting_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   Token expect(TokenKind kind, const char* context) {
     if (!at(kind)) {
       const Token& t = peek();
@@ -66,7 +100,10 @@ class Parser {
     return stmt;
   }
 
-  NodePtr parse_expr() { return parse_comparison(); }
+  NodePtr parse_expr() {
+    const Nesting nesting(*this);
+    return parse_comparison();
+  }
 
   NodePtr parse_comparison() {
     NodePtr lhs = parse_additive();
@@ -95,8 +132,8 @@ class Parser {
     }
     const Token tok = consume();
     NodePtr rhs = parse_additive();
-    return std::make_unique<BinaryNode>(op, std::move(lhs), std::move(rhs),
-                                        tok.line, tok.column);
+    return bounded(std::make_unique<BinaryNode>(
+        op, std::move(lhs), std::move(rhs), tok.line, tok.column));
   }
 
   NodePtr parse_additive() {
@@ -106,8 +143,8 @@ class Parser {
       const BinaryOp op =
           tok.kind == TokenKind::plus ? BinaryOp::add : BinaryOp::sub;
       NodePtr rhs = parse_multiplicative();
-      lhs = std::make_unique<BinaryNode>(op, std::move(lhs), std::move(rhs),
-                                         tok.line, tok.column);
+      lhs = bounded(std::make_unique<BinaryNode>(
+          op, std::move(lhs), std::move(rhs), tok.line, tok.column));
     }
     return lhs;
   }
@@ -119,14 +156,15 @@ class Parser {
       const BinaryOp op =
           tok.kind == TokenKind::star ? BinaryOp::mul : BinaryOp::div;
       NodePtr rhs = parse_unary();
-      lhs = std::make_unique<BinaryNode>(op, std::move(lhs), std::move(rhs),
-                                         tok.line, tok.column);
+      lhs = bounded(std::make_unique<BinaryNode>(
+          op, std::move(lhs), std::move(rhs), tok.line, tok.column));
     }
     return lhs;
   }
 
   NodePtr parse_unary() {
     if (at(TokenKind::minus)) {
+      const Nesting nesting(*this);
       const Token tok = consume();
       NodePtr operand = parse_unary();
       // Fold a literal negation so "-c" is a constant, not a neg filter.
@@ -134,8 +172,8 @@ class Parser {
         auto& num = static_cast<NumberNode&>(*operand);
         return std::make_unique<NumberNode>(-num.value, tok.line, tok.column);
       }
-      return std::make_unique<UnaryMinusNode>(std::move(operand), tok.line,
-                                              tok.column);
+      return bounded(std::make_unique<UnaryMinusNode>(std::move(operand),
+                                                      tok.line, tok.column));
     }
     return parse_postfix();
   }
@@ -151,9 +189,9 @@ class Parser {
                          index.line, index.column);
       }
       expect(TokenKind::rbracket, "after component index");
-      base = std::make_unique<IndexNode>(
+      base = bounded(std::make_unique<IndexNode>(
           std::move(base), static_cast<int>(index.value), tok.line,
-          tok.column);
+          tok.column));
     }
     return base;
   }
@@ -174,8 +212,8 @@ class Parser {
             while (accept(TokenKind::comma)) args.push_back(parse_expr());
           }
           expect(TokenKind::rparen, "to close argument list");
-          return std::make_unique<CallNode>(tok.text, std::move(args),
-                                            tok.line, tok.column);
+          return bounded(std::make_unique<CallNode>(
+              tok.text, std::move(args), tok.line, tok.column));
         }
         return std::make_unique<IdentifierNode>(tok.text, tok.line,
                                                 tok.column);
@@ -199,9 +237,9 @@ class Parser {
         expect(TokenKind::lparen, "after 'else'");
         NodePtr else_value = parse_expr();
         expect(TokenKind::rparen, "to close 'else' expression");
-        return std::make_unique<ConditionalNode>(
+        return bounded(std::make_unique<ConditionalNode>(
             std::move(cond), std::move(then_value), std::move(else_value),
-            tok.line, tok.column);
+            tok.line, tok.column));
       }
       default:
         throw ParseError(std::string("expected an expression, found ") +
@@ -213,6 +251,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int nesting_ = 0;
 };
 
 }  // namespace

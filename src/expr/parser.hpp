@@ -17,6 +17,10 @@
 // Semantic checks that need the filter registry or field bindings (unknown
 // filters, arity, component shapes) are deferred to the network builder so
 // the parser stays purely syntactic.
+//
+// Depth is bounded: a tree taller than kMaxSyntaxDepth, or input nested
+// deeper than that (parentheses, calls, unary minus), is a ParseError, not
+// a stack overflow in the parser or in any later pass over the tree.
 #pragma once
 
 #include <string_view>
@@ -25,8 +29,16 @@
 
 namespace dfg::expr {
 
+/// Deepest nesting and tallest syntax tree the parser accepts. Real
+/// derived-field expressions stay within a few dozen levels. The bound
+/// leaves wide stack headroom even unoptimized under AddressSanitizer,
+/// where one parenthesised level of the descent costs about 8 KB and one
+/// tree level of network building about 2 KB.
+inline constexpr int kMaxSyntaxDepth = 256;
+
 /// Parses a full expression script (one or more assignment statements).
-/// Throws ParseError with source positions on syntax errors.
+/// Throws ParseError with source positions on syntax errors, including
+/// input deeper than kMaxSyntaxDepth.
 Script parse(std::string_view source);
 
 /// Parses a single expression (no assignment); used by tests and by hosts

@@ -250,27 +250,6 @@ std::uint64_t MetricsRegistry::histogram_count(MetricId id) const {
   return merged_slot(id);
 }
 
-std::uint64_t MetricsRegistry::histogram_quantile(MetricId id,
-                                                  double q) const {
-  q = std::min(1.0, std::max(q, 1e-9));
-  std::scoped_lock lock(mutex_);
-  const std::uint64_t count = merged_slot(id);
-  if (count == 0) return 0;
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(count)));
-  std::uint64_t cumulative = 0;
-  for (std::uint32_t b = 0; b < kHistogramBuckets; ++b) {
-    cumulative += merged_slot(id + 2 + b);
-    if (cumulative >= target) {
-      // Bucket b spans [2^b, 2^(b+1)) except bucket 0, which starts at 0;
-      // the last bucket is open-ended, so its "edge" saturates.
-      if (b + 1 >= 64) return ~std::uint64_t{0};
-      return (std::uint64_t{1} << (b + 1)) - 1;
-    }
-  }
-  return ~std::uint64_t{0};
-}
-
 std::uint64_t MetricsRegistry::thread_counter_value(MetricId id) const {
   const auto* slot = this_thread_shard().slot(id, false);
   return slot == nullptr ? 0 : slot->load(std::memory_order_relaxed);

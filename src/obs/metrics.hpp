@@ -19,11 +19,7 @@
 // totals — and therefore the JSON snapshot — are byte-identical regardless
 // of how work was split across threads or in which order shards merge.
 // Wall-clock durations never enter the registry; the only clock in a
-// snapshot is the simulated one. One documented exception: the shard
-// router's end-to-end request-latency histograms (src/shard) are
-// wall-clock by design — they measure real queueing, rerouting and
-// scheduling behaviour, which the simulated device clock cannot see. Those
-// series never appear in golden snapshots.
+// snapshot is the simulated one.
 //
 // Environment knobs (registered in support/env):
 //   DFGEN_METRICS=0        — disable the optional layers: gauges, histograms
@@ -105,11 +101,6 @@ class MetricsRegistry {
   std::uint64_t gauge_value(MetricId id) const;
   /// Merged observation count of a histogram.
   std::uint64_t histogram_count(MetricId id) const;
-  /// Quantile estimate from the merged log2 buckets: the inclusive upper
-  /// edge (2^(b+1) − 1 ns) of the first bucket at which the cumulative
-  /// count reaches ceil(q × count) — an upper bound within 2× of the true
-  /// quantile. Returns 0 for an empty histogram; q is clamped to (0, 1].
-  std::uint64_t histogram_quantile(MetricId id, double q) const;
 
   /// DFGEN_METRICS gate for gauges, histograms and spans (counters always
   /// run; see the header comment).

@@ -95,12 +95,14 @@ std::size_t quota_chunk_cells(const dataflow::Network& network,
 // ---------------------------------------------------------------------------
 // Ticket
 
-const ServiceReport& Ticket::wait() const {
+const ServiceReport& Ticket::wait() const& {
   if (state_ == nullptr) throw Error("wait() on an empty Ticket");
   std::unique_lock lock(state_->mutex);
   state_->cv.wait(lock, [&] { return state_->done; });
   return state_->report;
 }
+
+ServiceReport Ticket::wait() const&& { return wait(); }
 
 bool Ticket::ready() const {
   if (state_ == nullptr) return false;
@@ -146,7 +148,8 @@ EvalService::EvalService(std::vector<vcl::Device*> devices,
     : devices_(std::move(devices)), options_(options),
       svc_(std::to_string(
           g_next_service.fetch_add(1, std::memory_order_relaxed))),
-      paused_(options.start_paused), device_logs_(devices_.size()) {
+      paused_(options.start_paused), live_(devices_.size(), true),
+      live_count_(devices_.size()), device_logs_(devices_.size()) {
   if (devices_.empty()) {
     throw Error("EvalService requires at least one device");
   }
@@ -339,15 +342,21 @@ Ticket EvalService::submit(Request request) {
     }
 
     std::string reject_reason;
-    if (queued_count_ >= options_.max_queue_depth) {
+    if (live_count_ == 0) {
+      reg.add(rejects_counter(svc_, "no_device"));
+      reject_reason = "no device: all " + std::to_string(devices_.size()) +
+                      " of this service's devices were lost";
+    } else if (queued_count_ >= options_.max_queue_depth) {
       reg.add(rejects_counter(svc_, "queue_full"));
       reject_reason = "queue full: " + std::to_string(queued_count_) +
                       " requests queued (limit " +
                       std::to_string(options_.max_queue_depth) + ")";
     } else if (floor != kNoFloor) {
       std::size_t best_capacity = 0;
-      for (const vcl::Device* device : devices_) {
-        best_capacity = std::max(best_capacity, device->memory().capacity());
+      for (std::size_t i = 0; i < devices_.size(); ++i) {
+        if (!live_[i]) continue;
+        best_capacity =
+            std::max(best_capacity, devices_[i]->memory().capacity());
       }
       const std::size_t quota = session.config.quota_bytes;
       if (floor > best_capacity) {
@@ -494,16 +503,73 @@ void EvalService::worker(std::size_t device_index) {
     // More queued work may remain for the other workers.
     work_cv_.notify_one();
 
-    execute_batch(device_index, std::move(batch));
+    bool lost = false;
+    try {
+      execute_batch(device_index, batch);
+    } catch (const DeviceLost& error) {
+      // A lost device never comes back: retire it and let the surviving
+      // workers re-run the whole batch. The batch stays in flight until
+      // any orphaned tickets are resolved, so drain() cannot return early.
+      lost = true;
+      lock.lock();
+      const std::vector<std::shared_ptr<Pending>> orphans =
+          retire_device_locked(device_index, batch);
+      lock.unlock();
+      work_cv_.notify_all();
+      for (const std::shared_ptr<Pending>& pending : orphans) {
+        ServiceReport report;
+        report.session = pending->request.session;
+        report.queue_wait_seconds = seconds_since(pending->admitted_at);
+        report.status = RequestStatus::failed;
+        report.error = error.what();
+        resolve(pending, std::move(report));
+      }
+    }
 
     lock.lock();
     --in_flight_;
     if (queued_count_ == 0 && in_flight_ == 0) drain_cv_.notify_all();
+    if (lost) return;
   }
 }
 
-void EvalService::execute_batch(std::size_t device_index,
-                                std::vector<std::shared_ptr<Pending>> batch) {
+std::vector<std::shared_ptr<EvalService::Pending>>
+EvalService::retire_device_locked(
+    std::size_t device_index,
+    const std::vector<std::shared_ptr<Pending>>& batch) {
+  obs::MetricsRegistry& reg = obs::metrics();
+  reg.add(svc_counter(svc_, "dfgen_svc_devices_lost_total"));
+  live_[device_index] = false;
+  --live_count_;
+  // Back to the head of each session's queue, in batch order: the leader
+  // and its coalesced followers are re-dispatched like fresh arrivals.
+  for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
+    sessions_.at((*it)->request.session).queue.push_front(*it);
+    ++queued_count_;
+    backlog_bytes_ += (*it)->floor_bytes;
+  }
+  std::vector<std::shared_ptr<Pending>> orphans;
+  if (live_count_ > 0) {
+    reg.add(svc_counter(svc_, "dfgen_svc_redispatched_batches_total"));
+  } else {
+    for (auto& [id, session] : sessions_) {
+      for (std::shared_ptr<Pending>& pending : session.queue) {
+        reg.add(requests_counter(svc_, "failed"));
+        ++snapshot_.sessions[id].failed;
+        orphans.push_back(std::move(pending));
+      }
+      session.queue.clear();
+    }
+    queued_count_ = 0;
+    backlog_bytes_ = 0;
+  }
+  note_queue_depth_locked();
+  return orphans;
+}
+
+void EvalService::execute_batch(
+    std::size_t device_index,
+    const std::vector<std::shared_ptr<Pending>>& batch) {
   const std::shared_ptr<Pending>& leader = batch.front();
   const std::string& session_id = leader->request.session;
 
@@ -585,6 +651,13 @@ void EvalService::execute_batch(std::size_t device_index,
             engine.evaluate_network(*leader->network, leader->elements));
         merged_log.append(engine.log());
       }
+    } catch (const DeviceLost&) {
+      // The worker retires the device and re-queues the batch; keep the
+      // loss on this device's trace timeline.
+      merged_log.append(engine.log());
+      std::scoped_lock lock(mutex_);
+      device_logs_[device_index].append(merged_log);
+      throw;
     } catch (const std::exception& e) {
       error = e.what();
       // The failing evaluation's partial log still carries its device
@@ -682,6 +755,10 @@ ServiceSnapshot EvalService::snapshot() const {
   copy.rejected_queue_full = value(rejects_counter(svc_, "queue_full"));
   copy.rejected_projection = value(rejects_counter(svc_, "projection"));
   copy.rejected_quota = value(rejects_counter(svc_, "quota"));
+  copy.rejected_no_device = value(rejects_counter(svc_, "no_device"));
+  copy.devices_lost = value(svc_counter(svc_, "dfgen_svc_devices_lost_total"));
+  copy.redispatched_batches =
+      value(svc_counter(svc_, "dfgen_svc_redispatched_batches_total"));
   copy.executed_evaluations =
       value(svc_counter(svc_, "dfgen_svc_evaluations_total"));
   copy.degradations = value(svc_counter(svc_, "dfgen_svc_degradations_total"));

@@ -126,6 +126,12 @@ struct ServiceSnapshot {
   std::size_t rejected_queue_full = 0;
   std::size_t rejected_projection = 0;
   std::size_t rejected_quota = 0;
+  /// Rejected because every device had been lost.
+  std::size_t rejected_no_device = 0;
+  /// Devices retired after a DeviceLost, and the batches they handed back
+  /// to the surviving devices (re-run from scratch, tickets unresolved).
+  std::size_t devices_lost = 0;
+  std::size_t redispatched_batches = 0;
   /// Batches executed (each ran exactly one Engine::evaluate).
   std::size_t executed_evaluations = 0;
   std::size_t completed_requests = 0;

@@ -21,6 +21,10 @@
 //     down the fallback ladder, and per-request deadlines arm the device
 //     watchdog so a slow tenant times out and degrades instead of
 //     starving the queue.
+//   * Device loss — a worker whose device throws DeviceLost retires it and
+//     hands its batch back, whole, to the head of the queues, so the
+//     surviving devices re-run it from scratch; once every device is gone,
+//     queued tickets fail and submit() rejects.
 //   * Observability — every ticket resolves to a ServiceReport (shared
 //     EvaluationReport + queue wait, fan-out, dispatch order), snapshot()
 //     aggregates service-wide counters, and chrome_trace() merges every
@@ -73,7 +77,10 @@ class Ticket {
   Ticket() = default;
 
   /// Blocks until the request is rejected, completed or failed.
-  const ServiceReport& wait() const;
+  const ServiceReport& wait() const&;
+  /// On a temporary ticket (`svc.submit(r).wait()`) the shared state dies
+  /// with the full expression, so the report is returned by value.
+  ServiceReport wait() const&&;
   /// Non-blocking: true once wait() would return immediately.
   bool ready() const;
 
@@ -100,7 +107,8 @@ class EvalService {
   /// Admits or rejects `request`. Never blocks on device work: admission
   /// (parse, projection, quota check) runs on the caller's thread and the
   /// returned ticket resolves asynchronously. A rejected request's ticket
-  /// is already resolved with status == rejected.
+  /// is already resolved with status == rejected; once every device has
+  /// been lost, every request is rejected.
   Ticket submit(Request request);
 
   /// Sets a session's scheduler weight and quota. Sessions appear on first
@@ -167,8 +175,18 @@ class EvalService {
   void reject(const std::shared_ptr<detail::TicketState>& ticket,
               std::string reason);
   void worker(std::size_t device_index);
+  /// Runs one batch and resolves its tickets. DeviceLost propagates with
+  /// nothing resolved, so the worker can hand the batch back.
   void execute_batch(std::size_t device_index,
-                     std::vector<std::shared_ptr<Pending>> batch);
+                     const std::vector<std::shared_ptr<Pending>>& batch);
+  /// Retires device `device_index` after a DeviceLost: puts `batch` back
+  /// at the head of its sessions' queues for the surviving workers. When
+  /// no device survives, empties every queue instead and returns the
+  /// requests, already counted as failed, for the caller to resolve
+  /// outside the lock.
+  std::vector<std::shared_ptr<Pending>> retire_device_locked(
+      std::size_t device_index,
+      const std::vector<std::shared_ptr<Pending>>& batch);
   void resolve(const std::shared_ptr<Pending>& pending, ServiceReport report);
 
   std::vector<vcl::Device*> devices_;
@@ -188,6 +206,9 @@ class EvalService {
   std::size_t backlog_bytes_ = 0;
   std::size_t in_flight_ = 0;
   std::size_t dispatch_counter_ = 0;
+  /// Devices whose worker has not retired after a DeviceLost.
+  std::vector<bool> live_;
+  std::size_t live_count_ = 0;
   /// Per-session stats, queue-depth high-water and wall-clock waits. The
   /// service-wide monotonic scalars are *not* accumulated here: they live
   /// in the metrics registry (the `svc=<N>` series) and snapshot() reads

@@ -38,9 +38,6 @@ std::set<std::string>& known_registry() {
       "DFGEN_SERVICE_BACKLOG_MB",
       "DFGEN_SERVICE_COALESCE",
       "DFGEN_SERVICE_RESIDENT_POOL",
-      "DFGEN_SHARDS",
-      "DFGEN_SHARD_QUEUE_DEPTH",
-      "DFGEN_SHED_POLICY",
       "DFGEN_RESIDENT_POOL",
       "DFGEN_NO_RESIDENT_POOL",
       "DFGEN_RESIDENT_WATERMARK",

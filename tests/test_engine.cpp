@@ -2,6 +2,8 @@
 // time steps, element-count inference and error behaviour.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/engine.hpp"
 #include "core/expressions.hpp"
 #include "mesh/generators.hpp"
@@ -131,6 +133,10 @@ TEST(Engine, ParseErrorsPropagateWithPositions) {
   EngineFixture fx;
   Engine engine = fx.make();
   EXPECT_THROW(engine.evaluate("v_mag = sqrt(u*u +"), ParseError);
+  // Too deep to build a network from without overflowing the stack.
+  std::string sum = "q = u";
+  for (int i = 1; i < 100000; ++i) sum += "+u";
+  EXPECT_THROW(engine.evaluate(sum), ParseError);
 }
 
 TEST(Engine, OutputNameIsLastAssignment) {

@@ -80,19 +80,6 @@ TEST(Env, CanonicalVariablesAreKnown) {
   }
 }
 
-TEST(Env, ShardVariablesAreKnown) {
-  ScopedEnv a("DFGEN_SHARDS", "4");
-  ScopedEnv b("DFGEN_SHARD_QUEUE_DEPTH", "32");
-  ScopedEnv c("DFGEN_SHED_POLICY", "priority");
-  const auto unknowns = env::unknown_variables();
-  for (const char* name :
-       {"DFGEN_SHARDS", "DFGEN_SHARD_QUEUE_DEPTH", "DFGEN_SHED_POLICY"}) {
-    EXPECT_EQ(std::find(unknowns.begin(), unknowns.end(), name),
-              unknowns.end())
-        << name << " must be pre-registered";
-  }
-}
-
 TEST(Env, BackendVariablesAreKnown) {
   ScopedEnv a("DFGEN_BACKEND", "jit");
   ScopedEnv b("DFGEN_JIT_CC", "cc");
@@ -133,16 +120,18 @@ TEST(Env, BackendTypoSuggestionsNameTheNearestKnob) {
 }
 
 TEST(Env, TypoSuggestionsNameTheNearestKnob) {
-  EXPECT_EQ(env::suggestion_for("DFGEN_SHARD_QUEUE_DEPT"),
-            "DFGEN_SHARD_QUEUE_DEPTH");
-  EXPECT_EQ(env::suggestion_for("DFGEN_SHRDS"), "DFGEN_SHARDS");
-  EXPECT_EQ(env::suggestion_for("DFGEN_SHED_POLICI"), "DFGEN_SHED_POLICY");
+  EXPECT_EQ(env::suggestion_for("DFGEN_SERVICE_QUEUE_DEPT"),
+            "DFGEN_SERVICE_QUEUE_DEPTH");
+  EXPECT_EQ(env::suggestion_for("DFGEN_SERVCE_QUOTA_MB"),
+            "DFGEN_SERVICE_QUOTA_MB");
+  EXPECT_EQ(env::suggestion_for("DFGEN_SERVICE_COALESCING"),
+            "DFGEN_SERVICE_COALESCE");
   EXPECT_EQ(env::suggestion_for("DFGEN_COMPLETELY_UNRELATED_NAME"), "")
       << "nothing within edit distance 3 -> no suggestion";
 
   // The warn path reports the typo (with its suggestion) instead of
   // silently ignoring the knob.
-  ScopedEnv typo("DFGEN_SHARD_QUEUE_DEPT", "8");
+  ScopedEnv typo("DFGEN_SERVICE_QUEUE_DEPT", "8");
   EXPECT_GE(env::warn_unknown_variables(), 1u);
 }
 

@@ -2,6 +2,8 @@
 // error reporting.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "expr/ast.hpp"
 #include "expr/parser.hpp"
 #include "support/error.hpp"
@@ -147,6 +149,50 @@ q = 0.5 * (w_norm - s_norm)
   EXPECT_EQ(script.statements[1].target, "s_1");
   EXPECT_EQ(to_string(*script.statements[1].value),
             "(0.5 * (du[1] + dv[0]))");
+}
+
+// Inputs deep enough to overflow the stack — in the parser's own
+// recursion, or in a later pass over a tree one level per term — must be
+// rejected as syntax errors.
+std::string nested_parens(int depth) {
+  return "q = " + std::string(depth, '(') + "u" + std::string(depth, ')');
+}
+
+std::string chained_negation(int depth) {
+  return "q = " + std::string(depth, '-') + "u";
+}
+
+std::string long_sum(int terms) {
+  std::string source = "q = u";
+  for (int i = 1; i < terms; ++i) source += "+u";
+  return source;
+}
+
+void expect_too_deep(const std::string& source) {
+  try {
+    parse(source);
+    FAIL() << "expected ParseError";
+  } catch (const dfg::ParseError& err) {
+    EXPECT_NE(std::string(err.what()).find("deeper than"), std::string::npos)
+        << err.what();
+    EXPECT_EQ(err.line(), 1);
+  }
+}
+
+TEST(Parser, TooDeepInputThrowsParseError) {
+  expect_too_deep(nested_parens(30000));
+  expect_too_deep(chained_negation(30000));
+  expect_too_deep(long_sum(100000));
+}
+
+TEST(Parser, DepthCapCountsTreeHeightExactly) {
+  // A sum of n terms is a tree n levels tall.
+  EXPECT_EQ(parse(long_sum(kMaxSyntaxDepth)).statements[0].value->height,
+            kMaxSyntaxDepth);
+  expect_too_deep(long_sum(kMaxSyntaxDepth + 1));
+  // The statement's expression is one level of nesting, each '(' another.
+  EXPECT_NO_THROW(parse(nested_parens(kMaxSyntaxDepth - 1)));
+  expect_too_deep(nested_parens(kMaxSyntaxDepth));
 }
 
 TEST(Parser, PositionsPropagateToNodes) {

@@ -13,6 +13,8 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -505,11 +507,191 @@ TEST(Service, MalformedExpressionFailsTheTicketWithoutDispatch) {
   Fixture fx;
   vcl::Device device(vcl::xeon_x5660_scaled());
   EvalService svc({&device}, ServiceOptions{});
-  Ticket ticket = svc.submit(fx.request("result = ((("));
-  const ServiceReport& report = ticket.wait();
-  EXPECT_EQ(report.status, RequestStatus::failed);
-  EXPECT_FALSE(report.error.empty());
+  // submit() parses on the caller's thread: input nested too deep for the
+  // parser must fail the ticket, not overflow this thread's stack.
+  const std::string too_deep =
+      "q = " + std::string(30000, '(') + "u" + std::string(30000, ')');
+  for (const std::string& script : {std::string("result = ((("), too_deep}) {
+    Ticket ticket = svc.submit(fx.request(script));
+    const ServiceReport& report = ticket.wait();
+    EXPECT_EQ(report.status, RequestStatus::failed);
+    EXPECT_FALSE(report.error.empty());
+  }
   EXPECT_EQ(svc.snapshot().executed_evaluations, 0u);
+}
+
+TEST(Service, WaitOnATemporaryTicketReturnsAnOwnedReport) {
+  static_assert(std::is_same_v<decltype(std::declval<Ticket>().wait()),
+                               ServiceReport>);
+  static_assert(std::is_same_v<decltype(std::declval<const Ticket&>().wait()),
+                               const ServiceReport&>);
+  Fixture fx;
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  EvalService svc({&device}, ServiceOptions{});
+  // The temporary ticket is the last owner of its shared state once the
+  // service resolves it; the bound report must outlive it.
+  const auto& done =
+      svc.submit(fx.request(expressions::kVelocityMagnitude)).wait();
+  ASSERT_EQ(done.status, RequestStatus::completed) << done.error;
+  expect_bitwise_equal(done.evaluation->values,
+                       fx.reference(expressions::kVelocityMagnitude));
+  const auto& failed = svc.submit(fx.request("result = (((")).wait();
+  EXPECT_EQ(failed.status, RequestStatus::failed);
+  EXPECT_NE(failed.error.find("expected"), std::string::npos)
+      << failed.error;
+}
+
+// Device loss: a worker whose device throws DeviceLost retires it and
+// hands its batch back; the surviving devices finish every request.
+vcl::FaultPlan loses_device_after(std::size_t commands) {
+  vcl::FaultPlan plan;
+  plan.seed = 2026;
+  plan.lose_device_after = commands;
+  return plan;
+}
+
+/// Runs `scenario` against a fresh service on {doomed, healthy} until the
+/// doomed device has been lost. Which worker wakes first is up to the OS,
+/// so a run can end before the doomed worker takes a batch; every run must
+/// still complete every request. Returns the snapshot of the last run.
+template <class Scenario>
+ServiceSnapshot run_until_device_lost(const vcl::FaultPlan& plan,
+                                      const ServiceOptions& options,
+                                      Scenario scenario) {
+  ServiceSnapshot snap;
+  for (int attempt = 0; attempt < 20 && snap.devices_lost == 0; ++attempt) {
+    vcl::Device doomed(vcl::xeon_x5660_scaled());
+    vcl::Device healthy(vcl::xeon_x5660_scaled());
+    doomed.fault().arm(plan);
+    EvalService svc({&doomed, &healthy}, options);
+    scenario(svc);
+    snap = svc.snapshot();
+  }
+  return snap;
+}
+
+TEST(Service, LostDeviceMidTraceFailsNoRequest) {
+  Fixture fx;
+  std::vector<std::string> scripts;
+  std::vector<std::vector<float>> want;
+  for (int i = 0; i < 60; ++i) {
+    const std::string k = std::to_string(i) + ".0";
+    scripts.push_back(i % 3 == 2 ? "e = u*v + w*" + k : "e = u*v + " + k);
+    want.push_back(fx.reference(scripts.back()));
+  }
+  ServiceOptions options;
+  options.coalescing = false;
+  options.start_paused = true;
+  // Two-input requests run four commands (two writes, kernel, read) and
+  // survive; the first three-input one the doomed device picks up dies
+  // after its fourth command.
+  const ServiceSnapshot snap = run_until_device_lost(
+      loses_device_after(4), options, [&](EvalService& svc) {
+        std::vector<Ticket> tickets;
+        for (std::size_t i = 0; i < scripts.size(); ++i) {
+          tickets.push_back(svc.submit(
+              fx.request(scripts[i], "s" + std::to_string(i % 4))));
+        }
+        svc.resume();
+        svc.drain();
+        for (std::size_t i = 0; i < tickets.size(); ++i) {
+          const ServiceReport& report = tickets[i].wait();
+          ASSERT_EQ(report.status, RequestStatus::completed)
+              << "request " << i << ": " << report.error;
+          expect_bitwise_equal(report.evaluation->values, want[i]);
+        }
+      });
+  EXPECT_EQ(snap.devices_lost, 1u);
+  EXPECT_EQ(snap.redispatched_batches, 1u);
+  EXPECT_EQ(snap.completed_requests, 60u);
+  EXPECT_EQ(snap.failed_requests, 0u);
+  EXPECT_EQ(snap.executed_evaluations, 60u)
+      << "the lost attempt is not an evaluation";
+}
+
+TEST(Service, LossInsideACoalescedBatchCompletesEveryFanOutTicket) {
+  Fixture fx;
+  const std::vector<std::string> scripts = {expressions::kQCriterion,
+                                            expressions::kVorticityMagnitude,
+                                            expressions::kHelicity};
+  std::vector<std::vector<float>> want;
+  for (const std::string& script : scripts) {
+    want.push_back(fx.reference(script));
+  }
+  constexpr std::size_t kFanout = 4;
+  ServiceOptions options;
+  options.start_paused = true;
+  // Every evaluation runs more than two commands: whichever batch the
+  // doomed device takes first, the loss lands inside it.
+  const ServiceSnapshot snap = run_until_device_lost(
+      loses_device_after(2), options, [&](EvalService& svc) {
+        std::vector<std::pair<Ticket, std::size_t>> tickets;
+        for (std::size_t s = 0; s < scripts.size(); ++s) {
+          for (std::size_t t = 0; t < kFanout; ++t) {
+            tickets.emplace_back(
+                svc.submit(
+                    fx.request(scripts[s], "tenant-" + std::to_string(t))),
+                s);
+          }
+        }
+        svc.resume();
+        svc.drain();
+        std::vector<std::size_t> leaders(scripts.size(), 0);
+        for (const auto& [ticket, s] : tickets) {
+          const ServiceReport& report = ticket.wait();
+          ASSERT_EQ(report.status, RequestStatus::completed) << report.error;
+          EXPECT_EQ(report.coalesced_fanout, kFanout);
+          EXPECT_EQ(report.device_index, 1)
+              << "only the survivor completes work";
+          leaders[s] += report.coalesce_leader ? 1 : 0;
+          expect_bitwise_equal(report.evaluation->values, want[s]);
+        }
+        EXPECT_EQ(leaders, std::vector<std::size_t>(scripts.size(), 1));
+      });
+  EXPECT_EQ(snap.devices_lost, 1u);
+  EXPECT_EQ(snap.redispatched_batches, 1u);
+  EXPECT_EQ(snap.executed_evaluations, scripts.size());
+  EXPECT_EQ(snap.coalesced_requests, scripts.size() * (kFanout - 1));
+  EXPECT_EQ(snap.completed_requests, scripts.size() * kFanout);
+  EXPECT_EQ(snap.failed_requests, 0u);
+}
+
+TEST(Service, LosingEveryDeviceFailsQueuedTicketsAndRejectsNewWork) {
+  Fixture fx;
+  vcl::Device dev_a(vcl::xeon_x5660_scaled());
+  vcl::Device dev_b(vcl::xeon_x5660_scaled());
+  dev_a.fault().arm(loses_device_after(1));
+  dev_b.fault().arm(loses_device_after(1));
+  ServiceOptions options;
+  options.coalescing = false;
+  options.start_paused = true;
+  EvalService svc({&dev_a, &dev_b}, options);
+
+  std::vector<Ticket> tickets;
+  for (int i = 0; i < 6; ++i) {
+    tickets.push_back(svc.submit(
+        fx.request("e = u*v + " + std::to_string(i) + ".0")));
+  }
+  svc.drain();  // must return: no ticket may hang
+
+  for (const Ticket& ticket : tickets) {
+    ASSERT_TRUE(ticket.ready());
+    const ServiceReport& report = ticket.wait();
+    EXPECT_EQ(report.status, RequestStatus::failed);
+    EXPECT_NE(report.error.find("lost"), std::string::npos) << report.error;
+  }
+  const ServiceReport late =
+      svc.submit(fx.request(expressions::kVelocityMagnitude)).wait();
+  EXPECT_EQ(late.status, RequestStatus::rejected);
+  EXPECT_NE(late.reject_reason.find("no device"), std::string::npos)
+      << late.reject_reason;
+
+  const ServiceSnapshot snap = svc.snapshot();
+  EXPECT_EQ(snap.devices_lost, 2u);
+  EXPECT_EQ(snap.failed_requests, tickets.size());
+  EXPECT_EQ(snap.completed_requests, 0u);
+  EXPECT_EQ(snap.rejected_no_device, 1u);
+  EXPECT_EQ(snap.executed_evaluations, 0u);
 }
 
 }  // namespace
