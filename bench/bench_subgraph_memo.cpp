@@ -26,7 +26,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -295,10 +294,6 @@ void write_json(const TraceResult& on, const TraceResult& off, bool smoke,
 }  // namespace
 
 int main() {
-  // The bench pins its own memo configuration per service; a stray
-  // environment override would silently collapse the A/B comparison.
-  ::unsetenv("DFGEN_MEMO");
-  ::unsetenv("DFGEN_NO_MEMO");
   const bool smoke = dfg::support::env::get_flag("DFGEN_SMOKE");
   dfgbench::check_environment();
 

@@ -10,7 +10,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "runtime/planner.hpp"
-#include "support/env.hpp"
 #include "support/error.hpp"
 #include "vcl/event.hpp"
 #include "vcl/resident_pool.hpp"
@@ -84,15 +83,6 @@ struct ReportCounters {
   }
 };
 
-/// Resolves EngineOptions::resident_pool against the env overrides
-/// (DFGEN_RESIDENT_POOL forces on, DFGEN_NO_RESIDENT_POOL forces off —
-/// the latter wins, and is the differential tests' kill switch).
-bool resident_pool_enabled(const EngineOptions& options) {
-  if (support::env::get_flag("DFGEN_NO_RESIDENT_POOL", false)) return false;
-  return options.resident_pool ||
-         support::env::get_flag("DFGEN_RESIDENT_POOL", false);
-}
-
 }  // namespace
 
 Engine::Engine(vcl::Device& device, EngineOptions options)
@@ -131,11 +121,8 @@ EvaluationReport Engine::evaluate_network(const dataflow::Network& network,
     throw Error("evaluate requires a positive element count");
   }
 
-  // Arm (or disarm) the device's resident pool for this evaluation. The
-  // env overrides are read per evaluate so a differential harness can flip
-  // DFGEN_NO_RESIDENT_POOL between otherwise identical runs.
-  const bool pool_on = resident_pool_enabled(options_);
-  device_->resident().set_enabled(pool_on);
+  // Arm (or disarm) the device's resident pool for this evaluation.
+  device_->resident().set_enabled(options_.resident_pool);
 
   // Arm the execution backend. The option pins it; otherwise the device
   // re-resolves DFGEN_BACKEND per evaluation (a differential harness can
@@ -220,12 +207,9 @@ EvaluationReport Engine::evaluate_network(const dataflow::Network& network,
   report.pipeline_cache_misses =
       (cache_after.pipeline_misses - cache_before.pipeline_misses) +
       (cache_after.standalone_misses - cache_before.standalone_misses);
-  if (outcome.executed == runtime::StrategyKind::fusion ||
-      outcome.executed == runtime::StrategyKind::streamed) {
-    // The source dump reuses the cached pipeline the strategy just ran.
-    const std::shared_ptr<const kernels::FusedPipeline> pipeline =
-        kernels::ProgramCache::instance().fused_pipeline(network);
-    for (const kernels::FusedPipeline::Stage& stage : pipeline->stages) {
+  if (outcome.pipeline != nullptr) {
+    for (const kernels::FusedPipeline::Stage& stage :
+         outcome.pipeline->stages) {
       if (!report.kernel_source.empty()) report.kernel_source += "\n";
       report.kernel_source += kernels::to_opencl_source(stage.program);
     }

@@ -44,8 +44,7 @@ struct EngineOptions {
   /// their host-to-device transfers. Off by default — the cold path is
   /// byte-identical to previous releases. Callers that mutate a bound
   /// array between evaluations must call Engine::invalidate (or
-  /// vcl::note_host_mutation). Env overrides, read per evaluation:
-  /// DFGEN_RESIDENT_POOL=1 forces on, DFGEN_NO_RESIDENT_POOL=1 forces off.
+  /// vcl::note_host_mutation).
   bool resident_pool = false;
   /// Pick the strategy per evaluation with
   /// runtime::select_fastest_strategy, using the device's current
@@ -121,8 +120,8 @@ struct EvaluationReport {
 
   /// The network-definition script (inspectable, per the paper's §III-B1).
   std::string network_script;
-  /// Generated OpenCL-like source of the fused kernel (fusion strategy
-  /// only; empty otherwise).
+  /// Generated OpenCL-like source of the fused kernels the fusion or
+  /// streamed strategy ran (empty for the other strategies).
   std::string kernel_source;
 };
 

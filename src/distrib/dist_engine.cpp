@@ -94,15 +94,6 @@ struct ResidentCounters {
   }
 };
 
-/// ClusterConfig::resident_pool with the env overrides applied
-/// (DFGEN_NO_RESIDENT_POOL wins, then DFGEN_RESIDENT_POOL forces on) —
-/// the same resolution the single-device engine uses.
-bool resident_pool_enabled(const ClusterConfig& config) {
-  if (support::env::get_flag("DFGEN_NO_RESIDENT_POOL", false)) return false;
-  return config.resident_pool ||
-         support::env::get_flag("DFGEN_RESIDENT_POOL", false);
-}
-
 /// One simulated MPI task: its device, accumulated log, and health.
 struct RankState {
   std::unique_ptr<vcl::Device> device;
@@ -166,13 +157,12 @@ DistributedReport DistributedEngine::evaluate(
   const std::size_t blocks = decomposition_.block_count();
 
   // One virtual device and accumulated profiling log per MPI task.
-  const bool pool_on = resident_pool_enabled(config_);
   const std::shared_ptr<kernels::ExecutionBackend> backend =
       config_.backend ? kernels::backend_for(*config_.backend) : nullptr;
   std::vector<RankState> states(ranks);
   for (RankState& state : states) {
     state.device = std::make_unique<vcl::Device>(config_.device_spec);
-    state.device->resident().set_enabled(pool_on);
+    state.device->resident().set_enabled(config_.resident_pool);
     if (backend) state.device->set_backend(backend);
   }
   if (config_.fault_plan.armed() && ranks > 0) {
@@ -276,7 +266,7 @@ DistributedReport DistributedEngine::evaluate(
         // re-acquire a context) and re-run the block from cold uploads.
         // The replacement starts with no fault plan armed.
         state.device = std::make_unique<vcl::Device>(config_.device_spec);
-        state.device->resident().set_enabled(pool_on);
+        state.device->resident().set_enabled(config_.resident_pool);
         if (backend) state.device->set_backend(backend);
         state.device->fault().set_sink(&block_log);
         ++report.device_losses;

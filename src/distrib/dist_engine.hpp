@@ -77,9 +77,7 @@ struct ClusterConfig {
   /// Keep each rank's field uploads resident on its device across the
   /// blocks it executes (vcl::ResidentPool). A rank that re-runs a block
   /// (straggler speculation, corruption retry) skips the re-upload; a lost
-  /// or quarantined device drops its residents. Same env overrides as the
-  /// single-device engine: DFGEN_RESIDENT_POOL forces on,
-  /// DFGEN_NO_RESIDENT_POOL forces off (and wins).
+  /// or quarantined device drops its residents.
   bool resident_pool = false;
   /// Execution backend armed on every rank's device (and replacement
   /// devices). Unset defers to DFGEN_BACKEND. The straggler budget prices

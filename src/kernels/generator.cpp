@@ -196,22 +196,18 @@ Program generate_fused(const dataflow::Network& network,
 }
 
 FusedPipeline generate_fused_pipeline(const dataflow::Network& network,
-                                      const std::string& kernel_name,
-                                      bool optimize) {
-  if (optimize) {
-    // Pre-codegen rewrite pass: algebraic, bit-exact simplifications on
-    // the network itself, shared by every backend the generated programs
-    // later run under. Node ids are preserved, so stage resolution and
-    // materialised-parameter naming downstream are unaffected; the
-    // recursion terminates because a rewritten spec rewrites to zero
-    // further edge moves.
-    NetworkRewriteStats rewrites;
-    dataflow::NetworkSpec rewritten =
-        rewrite_network(network.spec(), &rewrites);
-    if (rewrites.total() > 0) {
-      return generate_fused_pipeline(dataflow::Network(std::move(rewritten)),
-                                     kernel_name, optimize);
-    }
+                                      const std::string& kernel_name) {
+  // Pre-codegen rewrite pass: algebraic, bit-exact simplifications on the
+  // network itself, shared by every backend the generated programs later
+  // run under. Node ids are preserved, so stage resolution and
+  // materialised-parameter naming downstream are unaffected; the recursion
+  // terminates because a rewritten spec rewrites to zero further edge
+  // moves.
+  NetworkRewriteStats rewrites;
+  dataflow::NetworkSpec rewritten = rewrite_network(network.spec(), &rewrites);
+  if (rewrites.total() > 0) {
+    return generate_fused_pipeline(dataflow::Network(std::move(rewritten)),
+                                   kernel_name);
   }
   const std::set<int> barriers = materialization_barriers(network);
   FusedPipeline pipeline;
@@ -248,8 +244,7 @@ FusedPipeline generate_fused_pipeline(const dataflow::Network& network,
     pipeline.stages.push_back(FusedPipeline::Stage{
         network.output_id(), emitter.run_whole_network(covered)});
   }
-  if (optimize) pipeline = optimize_pipeline(std::move(pipeline));
-  return pipeline;
+  return optimize_pipeline(std::move(pipeline));
 }
 
 }  // namespace dfg::kernels

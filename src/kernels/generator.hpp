@@ -61,12 +61,12 @@ struct FusedPipeline {
 };
 
 /// Generates the (possibly single-stage) fused pipeline for a network.
-/// When `optimize` is true (the default) every stage is run through the
-/// bytecode optimizer (optimizer.hpp) — a bit-exact transformation.
-/// generate_fused is left untouched by design: it exposes the raw generator
-/// output for inspection and tests.
+/// The network is first rewritten (rewrites.hpp) and every stage is then
+/// run through the bytecode optimizer (optimizer.hpp) — both bit-exact
+/// transformations. generate_fused is left untouched by design: it exposes
+/// the raw generator output for inspection and tests.
 FusedPipeline generate_fused_pipeline(
     const dataflow::Network& network,
-    const std::string& kernel_name = "fused_expression", bool optimize = true);
+    const std::string& kernel_name = "fused_expression");
 
 }  // namespace dfg::kernels

@@ -1,6 +1,5 @@
 #include "kernels/program_cache.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <utility>
@@ -9,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "support/checksum.hpp"
-#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace dfg::kernels {
@@ -49,12 +47,6 @@ void count_jit(const char* name, std::uint64_t delta = 1) {
 
 }  // namespace
 
-ProgramCache::ProgramCache()
-    : jit_capacity_(static_cast<std::size_t>(
-          std::max(0, support::env::get_int("DFGEN_JIT_CACHE_CAP", 64)))),
-      caching_enabled_(!support::env::get_flag("DFGEN_NO_PROGRAM_CACHE")),
-      optimizer_enabled_(!support::env::get_flag("DFGEN_NO_VM_OPTIMIZER")) {}
-
 ProgramCache& ProgramCache::instance() {
   static ProgramCache cache;
   return cache;
@@ -63,15 +55,12 @@ ProgramCache& ProgramCache::instance() {
 std::shared_ptr<const FusedPipeline> ProgramCache::fused_pipeline(
     const dataflow::Network& network, const std::string& kernel_name) {
   std::unique_lock lock(mutex_);
-  const bool optimize = optimizer_enabled_;
-  const PipelineKey key{network.fingerprint(), kernel_name, optimize};
-  if (caching_enabled_) {
-    const auto it = pipelines_.find(key);
-    if (it != pipelines_.end()) {
-      ++stats_.pipeline_hits;
-      count_request("pipeline", "hit");
-      return it->second;
-    }
+  const PipelineKey key{network.fingerprint(), kernel_name};
+  const auto it = pipelines_.find(key);
+  if (it != pipelines_.end()) {
+    ++stats_.pipeline_hits;
+    count_request("pipeline", "hit");
+    return it->second;
   }
   ++stats_.pipeline_misses;
   count_request("pipeline", "miss");
@@ -79,13 +68,13 @@ std::shared_ptr<const FusedPipeline> ProgramCache::fused_pipeline(
   // generate the same pipeline — both results are identical, last wins).
   lock.unlock();
   auto pipeline = std::make_shared<const FusedPipeline>(
-      generate_fused_pipeline(network, kernel_name, optimize));
+      generate_fused_pipeline(network, kernel_name));
   lock.lock();
-  if (caching_enabled_) pipelines_[key] = pipeline;
+  pipelines_[key] = pipeline;
   return pipeline;
 }
 
-std::shared_ptr<const Program> ProgramCache::fused_single(
+std::shared_ptr<const FusedPipeline> ProgramCache::fused_single(
     const dataflow::Network& network, const std::string& kernel_name) {
   std::shared_ptr<const FusedPipeline> pipeline =
       fused_pipeline(network, kernel_name);
@@ -98,23 +87,18 @@ std::shared_ptr<const Program> ProgramCache::fused_single(
         "generate_fused_pipeline (the fusion strategy does this "
         "automatically)");
   }
-  // Aliasing shared_ptr: shares ownership of the pipeline, points at its
-  // only stage's program.
-  return std::shared_ptr<const Program>(pipeline,
-                                        &pipeline->stages.front().program);
+  return pipeline;
 }
 
 std::shared_ptr<const Program> ProgramCache::standalone(
     const std::string& kind, int component, float value) {
   std::unique_lock lock(mutex_);
   const StandaloneKey key{kind, component, std::bit_cast<std::uint32_t>(value)};
-  if (caching_enabled_) {
-    const auto it = standalones_.find(key);
-    if (it != standalones_.end()) {
-      ++stats_.standalone_hits;
-      count_request("standalone", "hit");
-      return it->second;
-    }
+  const auto it = standalones_.find(key);
+  if (it != standalones_.end()) {
+    ++stats_.standalone_hits;
+    count_request("standalone", "hit");
+    return it->second;
   }
   ++stats_.standalone_misses;
   count_request("standalone", "miss");
@@ -122,7 +106,7 @@ std::shared_ptr<const Program> ProgramCache::standalone(
   auto program = std::make_shared<const Program>(
       make_standalone_program(kind, component, value));
   lock.lock();
-  if (caching_enabled_) standalones_[key] = program;
+  standalones_[key] = program;
   return program;
 }
 
@@ -278,22 +262,6 @@ void ProgramCache::clear() {
   }
   jit_stats_.evictions += dropped;
   count_jit("dfgen_jit_cache_evictions_total", dropped);
-}
-
-void ProgramCache::set_caching_enabled(bool enabled) {
-  std::scoped_lock lock(mutex_);
-  caching_enabled_ = enabled;
-  if (!enabled) {
-    count_evictions("pipeline", pipelines_.size());
-    count_evictions("standalone", standalones_.size());
-    pipelines_.clear();
-    standalones_.clear();
-  }
-}
-
-void ProgramCache::set_optimizer_enabled(bool enabled) {
-  std::scoped_lock lock(mutex_);
-  optimizer_enabled_ = enabled;
 }
 
 }  // namespace dfg::kernels

@@ -12,12 +12,8 @@
 // The cache also owns the process's compiled jit modules (jit_module):
 // shared objects are expensive to produce (a full toolchain invocation),
 // so they are memoised by program fingerprint + compiler command with LRU
-// eviction over a bounded capacity — compile-once, run-many.
-//
-// Environment knobs (read once at first use):
-//   DFGEN_NO_PROGRAM_CACHE=1  — generate fresh programs on every request
-//   DFGEN_NO_VM_OPTIMIZER=1   — cache raw (unoptimized) pipelines
-//   DFGEN_JIT_CACHE_CAP=N     — max resident jit modules (default 64)
+// eviction over a bounded capacity (64 modules; set_jit_capacity changes
+// it) — compile-once, run-many.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +33,7 @@
 namespace dfg::kernels {
 
 /// Monotonic hit/miss counters (a "miss" is any request that ran the
-/// generator, including requests served while caching is disabled).
+/// generator).
 struct ProgramCacheStats {
   std::uint64_t pipeline_hits = 0;
   std::uint64_t pipeline_misses = 0;
@@ -70,11 +66,11 @@ class ProgramCache {
       const dataflow::Network& network,
       const std::string& kernel_name = "fused_expression");
 
-  /// The single fused kernel for a non-partitioned network — the cached
-  /// pipeline's only stage. Throws KernelError with generate_fused's
-  /// guidance when the network requires partitioning (the streamed and
-  /// multi-device paths cannot execute pipelines).
-  std::shared_ptr<const Program> fused_single(
+  /// fused_pipeline for a non-partitioned network: its only stage is the
+  /// single fused kernel. Throws KernelError with generate_fused's guidance
+  /// when the network requires partitioning (the streamed and multi-device
+  /// paths cannot execute pipelines).
+  std::shared_ptr<const FusedPipeline> fused_single(
       const dataflow::Network& network,
       const std::string& kernel_name = "fused_expression");
 
@@ -127,15 +123,10 @@ class ProgramCache {
   /// Drops all cached entries (outstanding shared_ptrs stay valid).
   void clear();
 
-  bool caching_enabled() const { return caching_enabled_; }
-  bool optimizer_enabled() const { return optimizer_enabled_; }
-  void set_caching_enabled(bool enabled);
-  void set_optimizer_enabled(bool enabled);
-
  private:
-  ProgramCache();
+  ProgramCache() = default;
 
-  using PipelineKey = std::tuple<std::uint64_t, std::string, bool>;
+  using PipelineKey = std::tuple<std::uint64_t, std::string>;
   using StandaloneKey = std::tuple<std::string, int, std::uint32_t>;
 
   /// One jit cache slot. `ready` resolves to the module (nullptr for a
@@ -162,8 +153,6 @@ class ProgramCache {
   bool jit_reaped_ = false;
   ProgramCacheStats stats_;
   JitCacheStats jit_stats_;
-  bool caching_enabled_ = true;
-  bool optimizer_enabled_ = true;
 };
 
 }  // namespace dfg::kernels

@@ -74,6 +74,7 @@ FallbackOutcome execute_with_fallback(const dataflow::Network& network,
       outcome.values =
           strategy->execute(network, bindings, elements, device, log);
       outcome.executed = kind;
+      outcome.pipeline = strategy->executed_pipeline();
       finish_attempt("ok");
       return outcome;
     } catch (const DeviceOutOfMemory& err) {
@@ -86,7 +87,7 @@ FallbackOutcome execute_with_fallback(const dataflow::Network& network,
       // DeviceTimeout derives from Error, not DeviceError; the watchdog's
       // bounded retries are already spent. A lower rung moves less data
       // per command, so a marginal device may still finish it.
-      if (!policy.enabled || !policy.degrade_on_timeout || last_rung) {
+      if (!policy.enabled || last_rung) {
         finish_attempt("error");
         throw;
       }
@@ -94,7 +95,7 @@ FallbackOutcome execute_with_fallback(const dataflow::Network& network,
     } catch (const DeviceError& err) {
       // The queue's bounded retries are already spent by the time the
       // error reaches this layer.
-      if (!policy.enabled || !policy.degrade_on_transient || last_rung) {
+      if (!policy.enabled || last_rung) {
         finish_attempt("error");
         throw;
       }

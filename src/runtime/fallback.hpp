@@ -41,10 +41,12 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "dataflow/network.hpp"
+#include "kernels/generator.hpp"
 #include "runtime/bindings.hpp"
 #include "runtime/strategy.hpp"
 #include "vcl/device.hpp"
@@ -59,17 +61,10 @@ struct FallbackPolicy {
   /// the paper's abort-at-capacity semantics (benchmarks chart the failed
   /// cells). The DistributedEngine defaults it on.
   bool enabled = false;
-  /// Degrade to the next rung when a transient fault survives the command
-  /// retries; disable to make transient exhaustion fatal.
-  bool degrade_on_transient = true;
-  /// Degrade to the next rung when a command timeout survives the
-  /// watchdog's retries; disable to make timeouts fatal immediately.
-  bool degrade_on_timeout = true;
   /// Watchdog deadline: a command charged more than this many times its
   /// cost-model estimate is abandoned with DeviceTimeout. Installed on the
   /// device at execution time (vcl::Device::set_watchdog_factor); <= 0
-  /// disables slowdown detection (hangs still time out). Benches override
-  /// it from DFGEN_DEADLINE_FACTOR.
+  /// disables slowdown detection (hangs still time out).
   double deadline_factor = 8.0;
   /// Command-level retry behaviour, installed on the device at execution
   /// time and applied by the CommandQueue.
@@ -94,6 +89,9 @@ struct FallbackOutcome {
   std::vector<float> values;
   /// The rung that actually produced `values`.
   StrategyKind executed{};
+  /// The fused pipeline that rung ran (fusion and streamed; null for the
+  /// per-primitive rungs).
+  std::shared_ptr<const kernels::FusedPipeline> pipeline;
   std::vector<DegradationRecord> degradations;
 };
 

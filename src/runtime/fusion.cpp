@@ -50,6 +50,7 @@ std::vector<float> FusionStrategy::execute(const dataflow::Network& network,
   vcl::CommandQueue queue(device, log);
   const std::shared_ptr<const kernels::FusedPipeline> pipeline =
       kernels::ProgramCache::instance().fused_pipeline(network);
+  executed_pipeline_ = pipeline;
 
   // Resolve every buffer name (fields, materialised intermediates, the
   // output) to a slot index.

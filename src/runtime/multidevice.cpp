@@ -21,9 +21,9 @@ MultiDeviceReport execute_multi_device_fusion(
     throw NetworkError("multi-device execution needs one log per device");
   }
 
-  const std::shared_ptr<const kernels::Program> program_ptr =
+  const std::shared_ptr<const kernels::FusedPipeline> pipeline =
       kernels::ProgramCache::instance().fused_single(network);
-  const kernels::Program& program = *program_ptr;
+  const kernels::Program& program = pipeline->stages.front().program;
   const SlabPlan plan = make_slab_plan(program, bindings, elements);
   const std::vector<SlabParam> params =
       resolve_slab_params(program, bindings);

@@ -156,9 +156,9 @@ std::size_t streamed_high_water(const dataflow::Network& network,
                                 const FieldBindings& bindings,
                                 std::size_t elements,
                                 std::size_t chunk_cells) {
-  const std::shared_ptr<const kernels::Program> program_ptr =
+  const std::shared_ptr<const kernels::FusedPipeline> pipeline =
       kernels::ProgramCache::instance().fused_single(network);
-  const kernels::Program& program = *program_ptr;
+  const kernels::Program& program = pipeline->stages.front().program;
   const SlabPlan plan = make_slab_plan(program, bindings, elements);
 
   const std::size_t chunk_planes = planes_for_chunk(plan, chunk_cells);
@@ -308,9 +308,9 @@ std::vector<vcl::ChunkCost> streamed_chunk_costs(
     std::size_t elements, const vcl::DeviceSpec& spec,
     std::size_t chunk_cells, double compute_efficiency) {
   const double efficiency = resolve_efficiency(compute_efficiency);
-  const std::shared_ptr<const kernels::Program> program_ptr =
+  const std::shared_ptr<const kernels::FusedPipeline> pipeline =
       kernels::ProgramCache::instance().fused_single(network);
-  const kernels::Program& program = *program_ptr;
+  const kernels::Program& program = pipeline->stages.front().program;
   const SlabPlan plan = make_slab_plan(program, bindings, elements);
   const std::size_t chunk_planes = planes_for_chunk(plan, chunk_cells);
   const std::size_t dims_params =

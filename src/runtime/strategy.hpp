@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "dataflow/network.hpp"
+#include "kernels/generator.hpp"
 #include "kernels/program.hpp"
 #include "kernels/vm.hpp"
 #include "runtime/bindings.hpp"
@@ -62,6 +63,17 @@ class Strategy {
                                      const FieldBindings& bindings,
                                      std::size_t elements, vcl::Device& device,
                                      vcl::ProfilingLog& log) const = 0;
+
+  /// The fused pipeline the last execute() ran: set by the fusion and
+  /// streamed strategies, null for the others. Lets the engine render the
+  /// kernel source without a second program-cache request.
+  const std::shared_ptr<const kernels::FusedPipeline>& executed_pipeline()
+      const {
+    return executed_pipeline_;
+  }
+
+ protected:
+  mutable std::shared_ptr<const kernels::FusedPipeline> executed_pipeline_;
 };
 
 /// `streamed_chunk_cells` applies to the streamed strategy only: the

@@ -53,9 +53,10 @@ std::size_t StreamedFusionStrategy::pick_chunk_planes(
 std::vector<float> StreamedFusionStrategy::execute(
     const dataflow::Network& network, const FieldBindings& bindings,
     std::size_t elements, vcl::Device& device, vcl::ProfilingLog& log) const {
-  const std::shared_ptr<const kernels::Program> program_ptr =
+  const std::shared_ptr<const kernels::FusedPipeline> pipeline =
       kernels::ProgramCache::instance().fused_single(network);
-  const kernels::Program& program = *program_ptr;
+  executed_pipeline_ = pipeline;
+  const kernels::Program& program = pipeline->stages.front().program;
   const SlabPlan plan = make_slab_plan(program, bindings, elements);
   const std::vector<SlabParam> params =
       resolve_slab_params(program, bindings);

@@ -7,9 +7,7 @@
 //     execute — fits at least one device's hard capacity (a request no
 //     rung can ever run is refused up front, not after queueing), and
 //   * that floor fits the session's quota (a request the quota guard would
-//     inevitably veto on every rung is refused up front), and
-//   * the summed projected floors of all queued requests stay under the
-//     backlog byte limit (when configured).
+//     inevitably veto on every rung is refused up front).
 // The projections reuse runtime::estimate_high_water, which is bit-exact
 // against the memory tracker, so admission never refuses a request that
 // would in fact have fit, and never admits one that cannot.

@@ -10,7 +10,6 @@
 #include "obs/span.hpp"
 #include "runtime/planner.hpp"
 #include "service/admission.hpp"
-#include "support/env.hpp"
 #include "support/error.hpp"
 #include "vcl/trace.hpp"
 
@@ -43,14 +42,6 @@ obs::MetricId rejects_counter(const std::string& svc, const char* reason) {
 obs::MetricId incidents_counter(const std::string& svc, const char* kind) {
   return svc_counter(svc, "dfgen_svc_device_incidents_total",
                      {{"kind", kind}});
-}
-
-/// Resolves ServiceOptions::memo against the env overrides per batch
-/// (DFGEN_MEMO forces on, DFGEN_NO_MEMO forces off — the latter wins, and
-/// is the differential tests' kill switch), mirroring the resident pool.
-bool memo_enabled(const ServiceOptions& options) {
-  if (support::env::get_flag("DFGEN_NO_MEMO", false)) return false;
-  return options.memo || support::env::get_flag("DFGEN_MEMO", false);
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -111,36 +102,6 @@ bool Ticket::ready() const {
 }
 
 // ---------------------------------------------------------------------------
-// ServiceOptions
-
-ServiceOptions ServiceOptions::from_env() {
-  ServiceOptions options;
-  options.max_queue_depth = static_cast<std::size_t>(
-      std::max(1, support::env::get_int("DFGEN_SERVICE_QUEUE_DEPTH",
-                                        static_cast<int>(
-                                            options.max_queue_depth))));
-  const int quota_mb = support::env::get_int("DFGEN_SERVICE_QUOTA_MB", 0);
-  if (quota_mb > 0) {
-    options.default_session_quota_bytes = static_cast<std::size_t>(quota_mb)
-                                          << 20;
-  }
-  const int backlog_mb = support::env::get_int("DFGEN_SERVICE_BACKLOG_MB", 0);
-  if (backlog_mb > 0) {
-    options.max_backlog_bytes = static_cast<std::size_t>(backlog_mb) << 20;
-  }
-  options.coalescing =
-      support::env::get_flag("DFGEN_SERVICE_COALESCE", options.coalescing);
-  options.resident_pool = support::env::get_flag(
-      "DFGEN_SERVICE_RESIDENT_POOL", options.resident_pool);
-  options.memo = support::env::get_flag("DFGEN_MEMO", options.memo);
-  const int memo_cap_mb = support::env::get_int("DFGEN_MEMO_CAP", 0);
-  if (memo_cap_mb > 0) {
-    options.memo_cap_bytes = static_cast<std::size_t>(memo_cap_mb) << 20;
-  }
-  return options;
-}
-
-// ---------------------------------------------------------------------------
 // EvalService
 
 EvalService::EvalService(std::vector<vcl::Device*> devices,
@@ -164,10 +125,6 @@ EvalService::EvalService(std::vector<vcl::Device*> devices,
   memo::Memoizer::Options memo_options;
   memo_options.svc = svc_;
   std::size_t memo_cap = options_.memo_cap_bytes;
-  if (memo_cap == 0) {
-    const int cap_mb = support::env::get_int("DFGEN_MEMO_CAP", 0);
-    if (cap_mb > 0) memo_cap = static_cast<std::size_t>(cap_mb) << 20;
-  }
   if (memo_cap == 0) {
     // Default: a quarter of the largest device's memory, so cached
     // intermediates never crowd out the working set the MemoryTracker and
@@ -372,13 +329,6 @@ Ticket EvalService::submit(Request request) {
                         request.session + "' quota of " +
                         std::to_string(quota) + " bytes on every "
                         "permissible strategy rung";
-      } else if (options_.max_backlog_bytes > 0 &&
-                 backlog_bytes_ + floor > options_.max_backlog_bytes) {
-        reg.add(rejects_counter(svc_, "projection"));
-        reject_reason = "projected backlog of " +
-                        std::to_string(backlog_bytes_ + floor) +
-                        " bytes exceeds the limit of " +
-                        std::to_string(options_.max_backlog_bytes) + " bytes";
       }
     }
     if (!reject_reason.empty()) {
@@ -396,12 +346,10 @@ Ticket EvalService::submit(Request request) {
     pending->network = network;
     pending->request = std::move(request);
     pending->elements = elements;
-    pending->floor_bytes = floor == kNoFloor ? 0 : floor;
     pending->ticket = state;
     pending->admitted_at = std::chrono::steady_clock::now();
     session.queue.push_back(std::move(pending));
     ++queued_count_;
-    backlog_bytes_ += floor == kNoFloor ? 0 : floor;
     reg.add(requests_counter(svc_, "admitted"));
     snapshot_.max_queue_depth_seen =
         std::max(snapshot_.max_queue_depth_seen, queued_count_);
@@ -456,7 +404,6 @@ std::shared_ptr<EvalService::Pending> EvalService::pop_locked(
   std::shared_ptr<Pending> pending = *best;
   session.queue.erase(best);
   --queued_count_;
-  backlog_bytes_ -= std::min(backlog_bytes_, pending->floor_bytes);
   note_queue_depth_locked();
   return pending;
 }
@@ -489,8 +436,6 @@ void EvalService::worker(std::size_t device_index) {
             batch.push_back(*it);
             it = session.queue.erase(it);
             --queued_count_;
-            backlog_bytes_ -=
-                std::min(backlog_bytes_, batch.back()->floor_bytes);
           } else {
             ++it;
           }
@@ -546,7 +491,6 @@ EvalService::retire_device_locked(
   for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
     sessions_.at((*it)->request.session).queue.push_front(*it);
     ++queued_count_;
-    backlog_bytes_ += (*it)->floor_bytes;
   }
   std::vector<std::shared_ptr<Pending>> orphans;
   if (live_count_ > 0) {
@@ -561,7 +505,6 @@ EvalService::retire_device_locked(
       session.queue.clear();
     }
     queued_count_ = 0;
-    backlog_bytes_ = 0;
   }
   note_queue_depth_locked();
   return orphans;
@@ -594,9 +537,9 @@ void EvalService::execute_batch(
   engine_options.resident_pool = options_.resident_pool;
   engine_options.backend = options_.backend;
   engine_options.fallback = options_.fallback;
-  engine_options.fallback.deadline_factor =
-      leader->request.deadline_factor > 0.0 ? leader->request.deadline_factor
-                                            : options_.default_deadline_factor;
+  if (leader->request.deadline_factor > 0.0) {
+    engine_options.fallback.deadline_factor = leader->request.deadline_factor;
+  }
   if (quota_bytes > 0) {
     // Size streamed chunks to the quota, not the device's free memory.
     try {
@@ -634,7 +577,7 @@ void EvalService::execute_batch(
     SessionQuotaGuard guard(session_id, quota_bytes, *usage);
     ScopedAllocationHook scoped(device.memory(), &guard);
     try {
-      if (memo_enabled(options_)) {
+      if (options_.memo) {
         memo::EvalContext ctx;
         ctx.network = leader->network.get();
         ctx.mesh = leader->request.mesh;

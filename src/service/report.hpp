@@ -54,7 +54,7 @@ struct Request {
   /// Per-request watchdog deadline: a command charged more than this many
   /// times its cost-model estimate is abandoned (vcl::Device watchdog), so
   /// a slow tenant degrades down the fallback ladder instead of starving
-  /// the queue. 0 = the service default.
+  /// the queue. 0 = ServiceOptions::fallback.deadline_factor.
   double deadline_factor = 0.0;
 };
 
@@ -174,23 +174,19 @@ struct ServiceSnapshot {
   std::map<std::string, SessionStats> sessions;
 };
 
-/// Service-level knobs. from_env() overlays the DFGEN_SERVICE_* variables
-/// (registered with support::env so typos are caught).
+/// Service-level knobs.
 struct ServiceOptions {
   /// Admission: total queued requests across all sessions.
   std::size_t max_queue_depth = 64;
-  /// Admission: sum of queued requests' projected device-memory floors may
-  /// not exceed this (0 = no backlog limit).
-  std::size_t max_backlog_bytes = 0;
   /// Default quota for sessions not configured explicitly (0 = unlimited).
   std::size_t default_session_quota_bytes = 0;
   /// Batch key-equal concurrent requests into one evaluation.
   bool coalescing = true;
-  /// Watchdog deadline factor applied when a request does not set one.
-  double default_deadline_factor = 8.0;
   /// Degradation policy for every evaluation; resilient() by default so a
   /// quota-capped or slow tenant lands on a cheaper rung instead of
   /// failing (strict single-caller semantics stay available by disabling).
+  /// Its deadline_factor is the watchdog deadline for requests that do not
+  /// set their own.
   runtime::FallbackPolicy fallback = runtime::FallbackPolicy::resilient();
   /// Construct with dispatch suspended; resume() starts the workers. Lets
   /// callers submit a burst atomically — the coalescer then sees the whole
@@ -201,8 +197,7 @@ struct ServiceOptions {
   /// same bound arrays skips their uploads, and dispatch prefers queued
   /// requests whose arrays are already warm on the picking worker's
   /// device. Off by default. Tenants that mutate a bound array between
-  /// submissions must bump its tag (vcl::note_host_mutation). The per-
-  /// evaluation env overrides still apply (DFGEN_NO_RESIDENT_POOL wins).
+  /// submissions must bump its tag (vcl::note_host_mutation).
   bool resident_pool = false;
   /// Execution backend for every worker engine's device. Unset defers to
   /// DFGEN_BACKEND (resolved per evaluation).
@@ -211,18 +206,11 @@ struct ServiceOptions {
   /// leaders' plans are rewritten to serve repeated subtrees from a
   /// device-resident materialized-intermediate cache (memo::Memoizer).
   /// Off by default — the off path is byte-identical to previous
-  /// releases. Env overrides, read per batch: DFGEN_MEMO=1 forces on,
-  /// DFGEN_NO_MEMO=1 forces off (and wins).
+  /// releases.
   bool memo = false;
-  /// Materialized-intermediate cache capacity in bytes. 0 = DFGEN_MEMO_CAP
-  /// (megabytes) when set, else a quarter of the largest device's memory.
+  /// Materialized-intermediate cache capacity in bytes. 0 = a quarter of
+  /// the largest device's memory.
   std::size_t memo_cap_bytes = 0;
-
-  /// Defaults overlaid with DFGEN_SERVICE_QUEUE_DEPTH,
-  /// DFGEN_SERVICE_QUOTA_MB, DFGEN_SERVICE_BACKLOG_MB,
-  /// DFGEN_SERVICE_COALESCE, DFGEN_SERVICE_RESIDENT_POOL and DFGEN_MEMO /
-  /// DFGEN_MEMO_CAP.
-  static ServiceOptions from_env();
 };
 
 }  // namespace dfg::service

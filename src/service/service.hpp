@@ -6,9 +6,8 @@
 //
 //   * Admission control — submit() either admits a request into a bounded
 //     queue or rejects it immediately with a reason: queue depth exceeded,
-//     projected backlog bytes exceeded, no device can ever fit the
-//     request's planner-projected memory floor, or the session's quota
-//     cannot fit it on any permissible ladder rung. Rejection is
+//     no device can ever fit the request's planner-projected memory floor,
+//     or the session's quota cannot fit it on any permissible ladder rung. Rejection is
 //     backpressure the tenant can act on, instead of unbounded queueing.
 //   * Request coalescing — concurrently-queued requests with equal
 //     CoalesceKeys (same network fingerprint, mesh, element count, bound
@@ -150,8 +149,6 @@ class EvalService {
     std::shared_ptr<const dataflow::Network> network;
     std::size_t elements = 0;
     CoalesceKey key;
-    /// Planner-projected memory floor, for backlog accounting.
-    std::size_t floor_bytes = 0;
     std::shared_ptr<detail::TicketState> ticket;
     std::chrono::steady_clock::time_point admitted_at{};
   };
@@ -203,7 +200,6 @@ class EvalService {
   std::map<std::string, Session> sessions_;
   WeightedRoundRobin scheduler_;
   std::size_t queued_count_ = 0;
-  std::size_t backlog_bytes_ = 0;
   std::size_t in_flight_ = 0;
   std::size_t dispatch_counter_ = 0;
   /// Devices whose worker has not retired after a DeviceLost.
@@ -222,7 +218,7 @@ class EvalService {
   /// Cross-request subgraph memoizer (memo/). Constructed always — its
   /// SubgraphIndex feeds the near-miss counter even with memoization off —
   /// but execute_batch only routes evaluations through it when
-  /// ServiceOptions::memo (or DFGEN_MEMO, minus DFGEN_NO_MEMO) says so.
+  /// ServiceOptions::memo says so.
   std::unique_ptr<memo::Memoizer> memo_;
 
   std::vector<std::thread> workers_;

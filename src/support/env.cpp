@@ -25,25 +25,11 @@ std::set<std::string>& known_registry() {
       "DFGEN_RUNS",
       "DFGEN_FALLBACK",
       "DFGEN_DEADLINE_FACTOR",
+      "DFGEN_SMOKE",
       "DFGEN_CHECKPOINT_DIR",
       "DFGEN_TRACE_DIR",
-      "DFGEN_SMOKE",
-      "DFGEN_NO_PROGRAM_CACHE",
-      "DFGEN_NO_VM_OPTIMIZER",
       "DFGEN_BACKEND",
       "DFGEN_JIT_CC",
-      "DFGEN_JIT_CACHE_CAP",
-      "DFGEN_SERVICE_QUEUE_DEPTH",
-      "DFGEN_SERVICE_QUOTA_MB",
-      "DFGEN_SERVICE_BACKLOG_MB",
-      "DFGEN_SERVICE_COALESCE",
-      "DFGEN_SERVICE_RESIDENT_POOL",
-      "DFGEN_RESIDENT_POOL",
-      "DFGEN_NO_RESIDENT_POOL",
-      "DFGEN_RESIDENT_WATERMARK",
-      "DFGEN_MEMO",
-      "DFGEN_NO_MEMO",
-      "DFGEN_MEMO_CAP",
       "DFGEN_METRICS",
       "DFGEN_METRICS_OUT",
       "DFGEN_FUZZ_SEED",

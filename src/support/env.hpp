@@ -32,8 +32,8 @@ std::vector<std::string> unknown_variables();
 
 /// The registered variable closest to `name` by edit distance, when close
 /// enough to be a plausible typo (distance ≤ 3); empty string otherwise.
-/// This is what turns "unknown DFGEN_SERVICE_QUEUE_DEPT" into an
-/// actionable "did you mean DFGEN_SERVICE_QUEUE_DEPTH?".
+/// This is what turns "unknown DFGEN_CHECKPOINT_DRI" into an
+/// actionable "did you mean DFGEN_CHECKPOINT_DIR?".
 std::string suggestion_for(const std::string& name);
 
 /// Prints one warning line per unknown DFGEN_* variable to stderr, with a

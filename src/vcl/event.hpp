@@ -54,7 +54,8 @@ struct Event {
   /// Duration attributed by the device cost model (seconds). This is the
   /// quantity the runtime study (Figure 5) reports.
   double sim_seconds = 0.0;
-  /// Real host wall-clock duration of the virtual operation (seconds).
+  /// Real host wall-clock duration of the virtual operation (seconds),
+  /// including a transfer's source and destination checksums.
   double wall_seconds = 0.0;
 };
 

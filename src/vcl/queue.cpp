@@ -106,34 +106,34 @@ void CommandQueue::run_command(
       continue;
     }
 
+    // The wall time covers the integrity work too: both checksums are host
+    // time the command costs.
+    support::Stopwatch watch;
     const std::uint64_t expected =
         source_checksum ? source_checksum() : 0;
-    support::Stopwatch watch;
     const std::span<float> destination = execute();
-    const double wall = watch.seconds();
-
     if (armed && perturbation.corrupt && !destination.empty()) {
       fault.corrupt_word(site, label, destination);
     }
-    if (source_checksum) {
+    const bool intact =
+        !source_checksum ||
+        support::checksum_floats(destination, integrity_seed_) == expected;
+    const double wall = watch.seconds();
+
+    if (!intact) {
       // End-to-end integrity: the destination must mirror the source bit
       // for bit. A mismatch re-executes the transfer (charged — the
       // corrupted transfer consumed device time) until the retry budget is
       // spent, then escalates as DataCorruption.
-      const std::uint64_t actual =
-          support::checksum_floats(destination, integrity_seed_);
-      if (actual != expected) {
-        log_->record(Event{EventKind::integrity,
-                           "checksum:" + std::string(site_name) + ":" +
-                               label,
-                           bytes, 0, charged, wall});
-        count_event(device_name, EventKind::integrity, bytes, 0, charged);
-        span.add_sim_seconds(charged);
-        if (attempt >= policy.max_attempts) {
-          throw DataCorruption(device_->spec().name, site_name, label);
-        }
-        continue;
+      log_->record(Event{EventKind::integrity,
+                         "checksum:" + std::string(site_name) + ":" + label,
+                         bytes, 0, charged, wall});
+      count_event(device_name, EventKind::integrity, bytes, 0, charged);
+      span.add_sim_seconds(charged);
+      if (attempt >= policy.max_attempts) {
+        throw DataCorruption(device_->spec().name, site_name, label);
       }
+      continue;
     }
 
     log_->record(Event{site, label, bytes, flops, charged, wall});

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
-#include "support/env.hpp"
 #include "support/error.hpp"
 #include "vcl/device.hpp"
 #include "vcl/queue.hpp"
@@ -46,10 +45,7 @@ ResidentPool::PinScope::PinScope(ResidentPool& pool) : pool_(&pool) {
 
 ResidentPool::PinScope::~PinScope() { pool_->end_scope(*this); }
 
-ResidentPool::ResidentPool(Device& device) : device_(&device) {
-  set_watermark_fraction(support::env::get_double(
-      "DFGEN_RESIDENT_WATERMARK", watermark_fraction_));
-}
+ResidentPool::ResidentPool(Device& device) : device_(&device) {}
 
 ResidentPool::~ResidentPool() {
   // Device teardown: every scope is gone, so force-drop even entries a

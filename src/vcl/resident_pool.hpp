@@ -130,7 +130,7 @@ class ResidentPool {
   }
 
   /// Fraction of device capacity the pool may occupy (LRU-evicted back
-  /// under it on insert). Clamped to [0, 1].
+  /// under it on insert; 0.5 by default). Clamped to [0, 1].
   void set_watermark_fraction(double fraction);
   double watermark_fraction() const;
 

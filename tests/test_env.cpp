@@ -64,16 +64,10 @@ TEST(Env, CanonicalVariablesAreKnown) {
   ScopedEnv c("DFGEN_DEADLINE_FACTOR", "8");
   ScopedEnv d("DFGEN_CHECKPOINT_DIR", "/tmp/j");
   ScopedEnv e("DFGEN_TRACE_DIR", "/tmp/t");
-  ScopedEnv f("DFGEN_SERVICE_QUEUE_DEPTH", "16");
-  ScopedEnv g("DFGEN_SERVICE_QUOTA_MB", "64");
-  ScopedEnv h("DFGEN_SERVICE_BACKLOG_MB", "256");
-  ScopedEnv i("DFGEN_SERVICE_COALESCE", "1");
   const auto unknowns = env::unknown_variables();
   for (const char* name :
        {"DFGEN_RUNS", "DFGEN_FALLBACK", "DFGEN_DEADLINE_FACTOR",
-        "DFGEN_CHECKPOINT_DIR", "DFGEN_TRACE_DIR",
-        "DFGEN_SERVICE_QUEUE_DEPTH", "DFGEN_SERVICE_QUOTA_MB",
-        "DFGEN_SERVICE_BACKLOG_MB", "DFGEN_SERVICE_COALESCE"}) {
+        "DFGEN_CHECKPOINT_DIR", "DFGEN_TRACE_DIR"}) {
     EXPECT_EQ(std::find(unknowns.begin(), unknowns.end(), name),
               unknowns.end())
         << name << " must be pre-registered";
@@ -83,55 +77,52 @@ TEST(Env, CanonicalVariablesAreKnown) {
 TEST(Env, BackendVariablesAreKnown) {
   ScopedEnv a("DFGEN_BACKEND", "jit");
   ScopedEnv b("DFGEN_JIT_CC", "cc");
-  ScopedEnv c("DFGEN_JIT_CACHE_CAP", "8");
   const auto unknowns = env::unknown_variables();
-  for (const char* name :
-       {"DFGEN_BACKEND", "DFGEN_JIT_CC", "DFGEN_JIT_CACHE_CAP"}) {
+  for (const char* name : {"DFGEN_BACKEND", "DFGEN_JIT_CC"}) {
     EXPECT_EQ(std::find(unknowns.begin(), unknowns.end(), name),
               unknowns.end())
         << name << " must be pre-registered";
   }
 }
 
-TEST(Env, MemoVariablesAreKnown) {
-  ScopedEnv a("DFGEN_MEMO", "1");
-  ScopedEnv b("DFGEN_NO_MEMO", "1");
-  ScopedEnv c("DFGEN_MEMO_CAP", "64");
+TEST(Env, RemovedKnobsAreReportedAsUnknown) {
+  // These settings no longer exist (their option fields or built-in
+  // defaults decide): a user still exporting one must be warned, not
+  // silently ignored.
+  const char* removed[] = {
+      "DFGEN_RESIDENT_POOL",       "DFGEN_NO_RESIDENT_POOL",
+      "DFGEN_SERVICE_RESIDENT_POOL", "DFGEN_MEMO",
+      "DFGEN_NO_MEMO",             "DFGEN_MEMO_CAP",
+      "DFGEN_SERVICE_QUEUE_DEPTH", "DFGEN_SERVICE_QUOTA_MB",
+      "DFGEN_SERVICE_BACKLOG_MB",  "DFGEN_SERVICE_COALESCE",
+      "DFGEN_RESIDENT_WATERMARK",  "DFGEN_JIT_CACHE_CAP",
+      "DFGEN_NO_PROGRAM_CACHE",    "DFGEN_NO_VM_OPTIMIZER"};
+  for (const char* name : removed) ::setenv(name, "1", 1);
   const auto unknowns = env::unknown_variables();
-  for (const char* name :
-       {"DFGEN_MEMO", "DFGEN_NO_MEMO", "DFGEN_MEMO_CAP"}) {
-    EXPECT_EQ(std::find(unknowns.begin(), unknowns.end(), name),
+  for (const char* name : removed) ::unsetenv(name);
+  for (const char* name : removed) {
+    EXPECT_NE(std::find(unknowns.begin(), unknowns.end(), name),
               unknowns.end())
-        << name << " must be pre-registered";
+        << name << " must be reported as unknown";
   }
-}
-
-TEST(Env, MemoTypoSuggestionsNameTheNearestKnob) {
-  EXPECT_EQ(env::suggestion_for("DFGEN_MEMMO"), "DFGEN_MEMO");
-  EXPECT_EQ(env::suggestion_for("DFGEN_NO_MEM"), "DFGEN_NO_MEMO");
-  EXPECT_EQ(env::suggestion_for("DFGEN_MEMO_CAPS"), "DFGEN_MEMO_CAP");
 }
 
 TEST(Env, BackendTypoSuggestionsNameTheNearestKnob) {
   EXPECT_EQ(env::suggestion_for("DFGEN_BACKEN"), "DFGEN_BACKEND");
   EXPECT_EQ(env::suggestion_for("DFGEN_JIT_CCC"), "DFGEN_JIT_CC");
-  EXPECT_EQ(env::suggestion_for("DFGEN_JIT_CACHECAP"),
-            "DFGEN_JIT_CACHE_CAP");
 }
 
 TEST(Env, TypoSuggestionsNameTheNearestKnob) {
-  EXPECT_EQ(env::suggestion_for("DFGEN_SERVICE_QUEUE_DEPT"),
-            "DFGEN_SERVICE_QUEUE_DEPTH");
-  EXPECT_EQ(env::suggestion_for("DFGEN_SERVCE_QUOTA_MB"),
-            "DFGEN_SERVICE_QUOTA_MB");
-  EXPECT_EQ(env::suggestion_for("DFGEN_SERVICE_COALESCING"),
-            "DFGEN_SERVICE_COALESCE");
+  EXPECT_EQ(env::suggestion_for("DFGEN_CHECKPOINT_DRI"),
+            "DFGEN_CHECKPOINT_DIR");
+  EXPECT_EQ(env::suggestion_for("DFGEN_METRIC_OUT"), "DFGEN_METRICS_OUT");
+  EXPECT_EQ(env::suggestion_for("DFGEN_FUZZ_SEEDS"), "DFGEN_FUZZ_SEED");
   EXPECT_EQ(env::suggestion_for("DFGEN_COMPLETELY_UNRELATED_NAME"), "")
       << "nothing within edit distance 3 -> no suggestion";
 
   // The warn path reports the typo (with its suggestion) instead of
   // silently ignoring the knob.
-  ScopedEnv typo("DFGEN_SERVICE_QUEUE_DEPT", "8");
+  ScopedEnv typo("DFGEN_CHECKPOINT_DRI", "/tmp/j");
   EXPECT_GE(env::warn_unknown_variables(), 1u);
 }
 

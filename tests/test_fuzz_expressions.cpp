@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <random>
@@ -663,14 +662,6 @@ TEST(FuzzExpressions, HarnessAcceptsFullGrammar) {
 
 // ----- overlapping-request schedules (cross-request memoization) -----
 
-struct ScopedEnv {
-  std::string name;
-  ScopedEnv(const std::string& n, const std::string& value) : name(n) {
-    ::setenv(name.c_str(), value.c_str(), 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name.c_str()); }
-};
-
 /// Submits K scripts that share a common prelude through an EvalService —
 /// two rounds, so round one can materialize shared subtrees and round two
 /// can serve them from the intermediate cache — and requires every
@@ -761,9 +752,8 @@ TEST(FuzzExpressions, OverlappingRequestsMatchUnderMemo) {
 
     std::string failure = check_overlapping(scripts, fx, true);
     if (failure.empty()) {
-      // The kill switch must reproduce plain service behaviour bit-for-bit.
-      ScopedEnv off("DFGEN_NO_MEMO", "1");
-      failure = check_overlapping(scripts, fx, true);
+      // Plain service behaviour must match the same references bit-for-bit.
+      failure = check_overlapping(scripts, fx, false);
     }
     if (failure.empty()) continue;
 
@@ -781,7 +771,7 @@ TEST(FuzzExpressions, OverlappingRequestsMatchUnderMemo) {
 
 // Deterministic guard that the overlapping harness works end to end: two
 // networks over a shared heavy subtree must hit the intermediate cache
-// while staying bit-exact, and the kill switch must pass the same check.
+// while staying bit-exact, and memo off must pass the same check.
 TEST(FuzzExpressions, HarnessAcceptsOverlappingSchedules) {
   Fixture fx(13);
   const std::vector<std::string> scripts = {
@@ -791,8 +781,7 @@ TEST(FuzzExpressions, HarnessAcceptsOverlappingSchedules) {
   std::size_t hits = 0;
   EXPECT_EQ(check_overlapping(scripts, fx, true, &hits), "");
   EXPECT_GE(hits, 1u);
-  ScopedEnv off("DFGEN_NO_MEMO", "1");
-  EXPECT_EQ(check_overlapping(scripts, fx, true, &hits), "");
+  EXPECT_EQ(check_overlapping(scripts, fx, false, &hits), "");
   EXPECT_EQ(hits, 0u);
 }
 

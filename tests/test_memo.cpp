@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,14 +31,6 @@ using service::ServiceOptions;
 using service::ServiceReport;
 using service::ServiceSnapshot;
 using service::Ticket;
-
-struct ScopedEnv {
-  std::string name;
-  ScopedEnv(const std::string& n, const std::string& value) : name(n) {
-    ::setenv(name.c_str(), value.c_str(), 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name.c_str()); }
-};
 
 void expect_bitwise_equal(const std::vector<float>& got,
                           const std::vector<float>& want) {
@@ -327,13 +318,12 @@ TEST(MemoService, OverlappingRequestsHitBitExactly) {
   EXPECT_GE(snap.memo_candidate_requests, 1u);
 }
 
-TEST(MemoService, NoMemoKillSwitchWins) {
-  ScopedEnv no_memo("DFGEN_NO_MEMO", "1");
+TEST(MemoService, MemoOffIsBitExactAndStillCountsNearMisses) {
   ServiceFixture fx;
   vcl::Device device(vcl::xeon_x5660_scaled());
   ServiceOptions options;
   options.start_paused = true;
-  options.memo = true;  // env must override the option
+  options.memo = false;
   EvalService svc({&device}, options);
   const Ticket ta = svc.submit(fx.request(fx.expr_a, "alice"));
   const Ticket tb = svc.submit(fx.request(fx.expr_b, "bob"));

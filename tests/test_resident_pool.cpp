@@ -10,11 +10,10 @@
 // transfers really were eliminated), and note_host_mutation / invalidate
 // must restore freshness. The seeded property test drives random
 // evaluate / mutate / evict / fault schedules through all four strategies
-// against a DFGEN_NO_RESIDENT_POOL=1 twin.
+// against a resident_pool = false twin.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <random>
 #include <thread>
 #include <string>
@@ -340,25 +339,8 @@ TEST(ResidentEngine, UnannouncedMutationServesStaleBitsUntilInvalidated) {
                           "post-invalidate re-upload");
 }
 
-TEST(ResidentEngine, EnvKillSwitchBeatsTheOption) {
-  Workload wl;
-  EngineOptions options;
-  options.resident_pool = true;
-  vcl::Device device(vcl::xeon_x5660_scaled());
-  Engine engine(device, options);
-  wl.bind(engine);
-
-  ASSERT_EQ(setenv("DFGEN_NO_RESIDENT_POOL", "1", 1), 0);
-  const EvaluationReport off = engine.evaluate(expressions::kVelocityMagnitude);
-  ASSERT_EQ(unsetenv("DFGEN_NO_RESIDENT_POOL"), 0);
-  EXPECT_EQ(off.resident_hits + off.resident_misses, 0u);
-
-  const EvaluationReport on = engine.evaluate(expressions::kVelocityMagnitude);
-  EXPECT_GT(on.resident_misses, 0u);
-}
-
 // ---------------------------------------------------------------------------
-// Differential property test: seeded schedules vs DFGEN_NO_RESIDENT_POOL=1
+// Differential property test: seeded schedules vs resident_pool = false
 
 constexpr StrategyKind kAllStrategies[] = {
     StrategyKind::roundtrip, StrategyKind::staged, StrategyKind::fusion,
@@ -368,7 +350,8 @@ constexpr StrategyKind kAllStrategies[] = {
 /// steps and returns every evaluation's values. All randomness comes from
 /// the seed, and mutations are sign flips, so two arms replay identically.
 std::vector<std::vector<float>> run_schedule(std::uint64_t seed,
-                                             StrategyKind kind) {
+                                             StrategyKind kind,
+                                             bool resident_pool) {
   std::mt19937_64 rng(seed);
   Workload wl;
   // Small enough that LRU eviction happens mid-schedule: capacity 8x one
@@ -376,7 +359,7 @@ std::vector<std::vector<float>> run_schedule(std::uint64_t seed,
   vcl::Device device(pool_spec(8 * 512));
   EngineOptions options;
   options.strategy = kind;
-  options.resident_pool = true;
+  options.resident_pool = resident_pool;
   options.fallback = runtime::FallbackPolicy::resilient();
   Engine engine(device, options);
   wl.bind(engine);
@@ -425,13 +408,10 @@ TEST(ResidentDifferential, SeededSchedulesMatchPoolDisabledBitwise) {
   for (const StrategyKind kind : kAllStrategies) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       const std::vector<std::vector<float>> with_pool =
-          run_schedule(seed, kind);
-
-      // The kill switch forces the identical schedule down the cold path.
-      ASSERT_EQ(setenv("DFGEN_NO_RESIDENT_POOL", "1", 1), 0);
+          run_schedule(seed, kind, true);
+      // The identical schedule down the cold path.
       const std::vector<std::vector<float>> without_pool =
-          run_schedule(seed, kind);
-      ASSERT_EQ(unsetenv("DFGEN_NO_RESIDENT_POOL"), 0);
+          run_schedule(seed, kind, false);
 
       ASSERT_EQ(with_pool.size(), without_pool.size());
       for (std::size_t i = 0; i < with_pool.size(); ++i) {

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <thread>
@@ -363,6 +362,28 @@ TEST(Service, PerRequestDeadlineArmsTheWatchdog) {
       << "the tight deadline must abandon the slowed commands";
 }
 
+// A request without its own deadline runs under the service's fallback
+// policy: turning that policy's watchdog off lets crawling commands finish
+// (the service analogue of Watchdog.DisabledWatchdogLetsSlowCommandsFinish).
+TEST(Service, FallbackDeadlineFactorAppliesWhenTheRequestSetsNone) {
+  Fixture fx;
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  vcl::FaultPlan plan;
+  plan.slow_command_index = 1;
+  plan.slowdown_factor = 50.0;
+  device.fault().arm(plan);
+  ServiceOptions options;
+  options.fallback.deadline_factor = 0.0;  // watchdog off
+  EvalService svc({&device}, options);
+
+  Ticket ticket = svc.submit(fx.request(expressions::kQCriterion));
+  const ServiceReport& report = ticket.wait();
+  ASSERT_EQ(report.status, RequestStatus::completed) << report.error;
+  EXPECT_EQ(report.evaluation->command_timeouts, 0u);
+  expect_bitwise_equal(report.evaluation->values,
+                       fx.reference(expressions::kQCriterion));
+}
+
 // The acceptance property: N concurrent sessions submitting the paper's
 // expressions produce results bit-identical to N serialized
 // Engine::evaluate calls, across strategies, with a seeded FaultPlan armed.
@@ -485,22 +506,6 @@ TEST(Service, ChromeTraceMergesAllDeviceTimelines) {
   // Well-formed: as many opening as closing braces.
   EXPECT_EQ(std::count(trace.begin(), trace.end(), '{'),
             std::count(trace.begin(), trace.end(), '}'));
-}
-
-TEST(Service, OptionsFromEnvReadServiceKnobs) {
-  ::setenv("DFGEN_SERVICE_QUEUE_DEPTH", "17", 1);
-  ::setenv("DFGEN_SERVICE_QUOTA_MB", "3", 1);
-  ::setenv("DFGEN_SERVICE_BACKLOG_MB", "9", 1);
-  ::setenv("DFGEN_SERVICE_COALESCE", "0", 1);
-  const ServiceOptions options = ServiceOptions::from_env();
-  ::unsetenv("DFGEN_SERVICE_QUEUE_DEPTH");
-  ::unsetenv("DFGEN_SERVICE_QUOTA_MB");
-  ::unsetenv("DFGEN_SERVICE_BACKLOG_MB");
-  ::unsetenv("DFGEN_SERVICE_COALESCE");
-  EXPECT_EQ(options.max_queue_depth, 17u);
-  EXPECT_EQ(options.default_session_quota_bytes, 3u << 20);
-  EXPECT_EQ(options.max_backlog_bytes, 9u << 20);
-  EXPECT_FALSE(options.coalescing);
 }
 
 TEST(Service, MalformedExpressionFailsTheTicketWithoutDispatch) {

@@ -2,8 +2,13 @@
 // queues, profiling events and the cost model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "support/checksum.hpp"
+#include "support/stopwatch.hpp"
 #include "vcl/buffer.hpp"
 #include "vcl/catalog.hpp"
 #include "vcl/cost_model.hpp"
@@ -181,6 +186,31 @@ TEST(CommandQueue, WriteReadRoundTripRecordsEvents) {
   EXPECT_EQ(log.count(EventKind::device_to_host), 1u);
   EXPECT_EQ(log.bytes(EventKind::host_to_device), 16u);
   EXPECT_GT(log.total_sim_seconds(), 0.0);
+}
+
+TEST(CommandQueue, WriteWallTimeCoversTheIntegrityChecksums) {
+  // 16 MB: one checksum pass dwarfs the timer resolution.
+  constexpr std::size_t kCount = std::size_t{1} << 22;
+  Device device(tiny_device(2 * kCount * sizeof(float)));
+  ProfilingLog log;
+  CommandQueue queue(device, log);
+  Buffer buffer = device.allocate(kCount);
+  std::vector<float> host(kCount);
+  for (std::size_t i = 0; i < kCount; ++i) host[i] = static_cast<float>(i);
+  queue.write(buffer, host, "in");
+  ASSERT_EQ(log.events().size(), 1u);
+  const double recorded = log.events().front().wall_seconds;
+
+  // Best of three, so scheduling noise cannot inflate the reference.
+  double one_checksum = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 3; ++i) {
+    dfg::support::Stopwatch watch;
+    volatile std::uint64_t sink = dfg::support::checksum_floats(host);
+    (void)sink;
+    one_checksum = std::min(one_checksum, watch.seconds());
+  }
+  // The write checksums its source and its destination.
+  EXPECT_GE(recorded, one_checksum);
 }
 
 TEST(CommandQueue, OversizedWriteThrows) {

@@ -475,6 +475,50 @@ TEST(ProgramCacheTest, CacheHitReplaysIdenticalEventStream) {
                     "cache-hit values");
 }
 
+// Every cache request an evaluation makes is charged to its report: summed
+// over N evaluations the report counts equal the cache's own delta, and a
+// fused evaluation (its kernel-source dump included) requests its pipeline
+// exactly once.
+TEST(ProgramCacheTest, ReportCountsMatchTheCacheDelta) {
+  const dfg::mesh::RectilinearMesh mesh =
+      dfg::mesh::RectilinearMesh::uniform({8, 8, 8});
+  const dfg::mesh::VectorField field = dfg::mesh::rayleigh_taylor_flow(mesh);
+  constexpr std::size_t kEvaluations = 10;
+  for (const auto kind : {dfg::runtime::StrategyKind::fusion,
+                          dfg::runtime::StrategyKind::streamed}) {
+    dfg::vcl::Device device(dfg::vcl::xeon_x5660_scaled());
+    dfg::EngineOptions options;
+    options.strategy = kind;
+    dfg::Engine engine(device, options);
+    engine.bind_mesh(mesh);
+    engine.bind("u", field.u);
+    engine.bind("v", field.v);
+    engine.bind("w", field.w);
+
+    const ProgramCacheStats before = ProgramCache::instance().thread_stats();
+    std::size_t hits = 0;
+    std::size_t misses = 0;
+    for (std::size_t i = 0; i < kEvaluations; ++i) {
+      const dfg::EvaluationReport report =
+          engine.evaluate(dfg::expressions::kQCriterion);
+      EXPECT_FALSE(report.kernel_source.empty());
+      hits += report.pipeline_cache_hits;
+      misses += report.pipeline_cache_misses;
+    }
+    const ProgramCacheStats after = ProgramCache::instance().thread_stats();
+
+    const char* name = dfg::runtime::strategy_name(kind);
+    EXPECT_EQ(hits, (after.pipeline_hits - before.pipeline_hits) +
+                        (after.standalone_hits - before.standalone_hits))
+        << name;
+    EXPECT_EQ(misses,
+              (after.pipeline_misses - before.pipeline_misses) +
+                  (after.standalone_misses - before.standalone_misses))
+        << name;
+    EXPECT_EQ(hits + misses, kEvaluations) << name;
+  }
+}
+
 // ----- parallel_for grain -----
 
 TEST(ParallelForGrain, ChunksAreGrainAlignedAndCoverTheRange) {
