@@ -42,8 +42,6 @@ inline bool fallback_enabled() {
 inline void check_environment() {
   run_count();
   fallback_enabled();
-  dfg::support::env::get_double("DFGEN_DEADLINE_FACTOR", 8.0);
-  dfg::support::env::get_string("DFGEN_CHECKPOINT_DIR", "");
   dfg::support::env::get_string("DFGEN_TRACE_DIR", "");
   dfg::support::env::warn_unknown_variables();
 }

@@ -9,21 +9,12 @@
 // profiling log, so the report can state per-rank and critical-path
 // simulated times alongside the exchange traffic.
 //
-// On top of the block loop sit three resilience mechanisms:
-//   * straggler mitigation — every block runs against a simulated-time
-//     budget derived from the planner's cost estimate; a block that blows
-//     its budget (a device running slow, but under the command watchdog's
-//     deadline) is speculatively re-executed on the least-loaded healthy
-//     rank, the faster result wins, and the loser's time stays charged to
-//     its rank (as real speculative execution pays for its duplicates);
-//   * quarantine — a rank whose device times out through the whole
-//     fallback ladder, or corrupts data twice, is marked unhealthy and
-//     receives no further blocks; its in-flight block is re-executed on a
-//     healthy rank;
-//   * checkpointed restart — with a checkpoint directory configured, each
-//     completed block's output slab is journaled atomically; a re-run of
-//     the same evaluation loads journaled blocks instead of re-executing
-//     them, so a crash at block k of n costs n-k blocks, not n.
+// Resilience is one mechanism: each block runs through the shared
+// fallback ladder (runtime::execute_with_fallback), and a rank whose
+// device is lost gets a fresh device on which the block re-runs. Any
+// other error that escapes the ladder (a persistent DeviceTimeout or
+// DataCorruption) fails the evaluation with that typed error, as it does
+// from Engine; it never yields an assembled field.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +31,6 @@
 #include "mesh/mesh.hpp"
 #include "runtime/fallback.hpp"
 #include "runtime/strategy.hpp"
-#include "support/env.hpp"
 #include "vcl/device.hpp"
 #include "vcl/fault.hpp"
 
@@ -56,33 +46,12 @@ struct ClusterConfig {
   /// replaced) instead of failing the whole run — one bad allocation must
   /// not kill a 27-billion-cell evaluation.
   runtime::FallbackPolicy fallback = runtime::FallbackPolicy::resilient();
-  /// Deterministic fault schedule armed on `fault_rank`'s device before
+  /// Deterministic fault schedule armed on rank 0's device before
   /// execution (empty = no injection). Indices count across the whole
   /// evaluation, so a scheduled fault hits exactly one block.
   vcl::FaultPlan fault_plan;
-  std::size_t fault_rank = 0;
-  /// Straggler budget: a block whose measured simulated duration exceeds
-  /// this many times the reference duration (the planner estimate for the
-  /// executed strategy, or the fastest clean block seen so far if larger)
-  /// is speculatively re-executed on the least-loaded healthy rank.
-  /// <= 0 disables speculation.
-  double straggler_budget_factor = 4.0;
-  /// Checkpoint journal directory; empty disables journaling. Defaults
-  /// from DFGEN_CHECKPOINT_DIR.
-  std::string checkpoint_dir =
-      support::env::get_string("DFGEN_CHECKPOINT_DIR", "");
-  /// Crash-injection hook for restart tests: abort the evaluation (with
-  /// Error) after this many blocks have been journaled. 0 = never.
-  std::size_t abort_after_blocks = 0;
-  /// Keep each rank's field uploads resident on its device across the
-  /// blocks it executes (vcl::ResidentPool). A rank that re-runs a block
-  /// (straggler speculation, corruption retry) skips the re-upload; a lost
-  /// or quarantined device drops its residents.
-  bool resident_pool = false;
   /// Execution backend armed on every rank's device (and replacement
-  /// devices). Unset defers to DFGEN_BACKEND. The straggler budget prices
-  /// its reference estimate at the same backend's compute efficiency, so a
-  /// uniformly jit cluster does not flag every block as slow or fast.
+  /// devices). Unset defers to DFGEN_BACKEND.
   std::optional<kernels::BackendKind> backend;
 };
 
@@ -116,33 +85,11 @@ struct DistributedReport {
   /// Transfers whose destination checksum disagreed with the source
   /// (Chksum events); each was re-executed before any value propagated.
   std::size_t checksum_mismatches = 0;
-  /// Blocks that completed but blew their simulated-time budget.
-  std::size_t straggler_blocks = 0;
-  /// Speculative duplicate executions launched for stragglers.
-  std::size_t speculative_executions = 0;
-  /// Speculations that beat the original execution (their result won).
-  std::size_t speculations_won = 0;
-  /// Ranks marked unhealthy (ladder-wide timeout, or repeat corruption)
-  /// and excluded from further scheduling.
-  std::size_t quarantined_devices = 0;
-  /// Blocks loaded from the checkpoint journal instead of executing.
-  std::size_t resumed_blocks = 0;
-  /// Valid journal entries on disk when the evaluation finished.
-  std::size_t journaled_blocks = 0;
   /// Fused-program cache traffic across the whole run. Every block of a
   /// distributed evaluation shares one pipeline, so misses stay O(1) while
   /// hits grow with the block count.
   std::size_t pipeline_cache_hits = 0;
   std::size_t pipeline_cache_misses = 0;
-  /// Resident-buffer pool traffic summed across all rank devices (zeros
-  /// while ClusterConfig::resident_pool is off). Measured as thread-shard
-  /// deltas over the dfgen_resident_* registry series — ranks execute on
-  /// the evaluating thread, so the delta is exactly this evaluation's.
-  std::size_t resident_hits = 0;
-  std::size_t resident_misses = 0;
-  std::size_t resident_evictions = 0;
-  std::size_t resident_invalidations = 0;
-  std::size_t resident_upload_bytes_saved = 0;
 };
 
 class DistributedEngine {

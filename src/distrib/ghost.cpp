@@ -17,7 +17,7 @@ GhostExchanger::GhostExchanger(const GridDecomposition& decomposition,
 }
 
 std::vector<std::vector<float>> GhostExchanger::scatter(
-    std::vector<float> const& global_values) const {
+    std::span<const float> global_values) const {
   const mesh::Dims g = decomposition_->global_dims();
   if (global_values.size() < g.cell_count()) {
     throw Error("global array smaller than the global grid");

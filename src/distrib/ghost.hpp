@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "distrib/decomposition.hpp"
@@ -39,7 +40,7 @@ class GhostExchanger {
   /// Splits one global cell-centered array into per-block interiors (the
   /// per-rank data a simulation would own).
   std::vector<std::vector<float>> scatter(
-      std::vector<float> const& global_values) const;
+      std::span<const float> global_values) const;
 
   /// Assembles padded blocks from interiors, exchanging face ghost layers
   /// between neighbouring blocks. Edge/corner ghost slots (never read by

@@ -6,7 +6,7 @@
 // a consumer binds the entry's host array like any other field, so the
 // per-device ResidentPool keeps it resident with its usual content-
 // identity discipline, pin scopes, watermark and quota cooperation — and
-// drops it on device loss/quarantine like every other resident. What the
+// drops it on device loss like every other resident. What the
 // cache adds is the cross-device canonical value plus the policies the
 // pool cannot provide:
 //
@@ -101,7 +101,7 @@ class IntermediateCache {
   /// bytes immediately).
   void invalidate_dependents(const void* ptr);
 
-  /// Drops everything (teardown, device quarantine).
+  /// Drops everything (teardown, tests).
   void clear();
 
   std::size_t resident_bytes() const;

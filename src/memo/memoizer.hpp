@@ -72,9 +72,6 @@ class Memoizer {
   EvaluationReport evaluate(Engine& engine, const EvalContext& ctx,
                             vcl::ProfilingLog* merged);
 
-  /// Drops every cached intermediate (device quarantine, tests).
-  void clear() { cache_.clear(); }
-
   const IntermediateCache& cache() const { return cache_; }
 
  private:

@@ -24,14 +24,11 @@
 //     escapes, degrade.
 //   * DeviceTimeout — the queue's watchdog abandoned the command at its
 //     deadline and already retried it; if it still escapes (a persistent
-//     slowdown), degrade. The DistributedEngine additionally quarantines
-//     the device and re-executes the block elsewhere when the whole
-//     ladder times out.
+//     slowdown), degrade. A timeout on the last rung propagates.
 //   * DataCorruption — propagates. The queue already re-executed the
 //     corrupted transfer within its retry budget; corruption that
-//     persists is a device problem no cheaper strategy fixes, so the
-//     caller (the DistributedEngine) re-runs the block and quarantines
-//     the device on repeat.
+//     persists is a device problem no cheaper strategy fixes, so it
+//     reaches the caller as a typed error.
 //   * KernelError on a rung we degraded *into* — the rung is structurally
 //     unsupported (e.g. streamed cannot execute gradients of computed
 //     values); skip to the next rung. On the rung the caller requested the

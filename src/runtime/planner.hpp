@@ -79,13 +79,10 @@ std::vector<vcl::ChunkCost> streamed_chunk_costs(
 /// Predicted simulated duration (seconds) of executing `network` over
 /// `elements` cells under `kind` on a device described by `spec` —
 /// obtained by replaying the strategy's command stream against the cost
-/// model, without executing anything. The distributed engine derives its
-/// per-block straggler budgets from this: a block whose measured simulated
-/// time exceeds a multiple of the estimate is declared straggling and
-/// speculatively re-executed on a healthy device. For the streamed
-/// strategy on a network it cannot execute, the fusion estimate is
-/// returned (the rung the fallback ladder would skip to is close enough
-/// for budgeting).
+/// model, without executing anything. The memo layer prices subtrees with
+/// this. For the streamed strategy on a network it cannot execute, the
+/// fusion estimate is returned (the rung the fallback ladder would skip
+/// to).
 double estimate_sim_seconds(const dataflow::Network& network,
                             const FieldBindings& bindings,
                             std::size_t elements, const vcl::DeviceSpec& spec,

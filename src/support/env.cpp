@@ -19,14 +19,12 @@ std::mutex& registry_mutex() {
 
 std::set<std::string>& known_registry() {
   // Seeded with the canonical knob set so a variable is "known" even in a
-  // process that never happens to read it (e.g. DFGEN_CHECKPOINT_DIR in a
-  // single-device bench).
+  // process that never happens to read it (e.g. DFGEN_FUZZ_SEED in a
+  // bench).
   static std::set<std::string> known = {
       "DFGEN_RUNS",
       "DFGEN_FALLBACK",
-      "DFGEN_DEADLINE_FACTOR",
       "DFGEN_SMOKE",
-      "DFGEN_CHECKPOINT_DIR",
       "DFGEN_TRACE_DIR",
       "DFGEN_BACKEND",
       "DFGEN_JIT_CC",
@@ -86,18 +84,6 @@ int get_int(const std::string& name, int fallback) {
     return fallback;
   }
   return static_cast<int>(parsed);
-}
-
-double get_double(const std::string& name, double fallback) {
-  const auto value = raw(name);
-  if (!value) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0') {
-    report_malformed(name, value->c_str(), "a number");
-    return fallback;
-  }
-  return parsed;
 }
 
 bool get_flag(const std::string& name, bool fallback) {

@@ -21,7 +21,6 @@ std::optional<std::string> raw(const std::string& name);
 /// Typed accessors: return `fallback` when the variable is unset or fails
 /// to parse (a malformed value is reported to stderr, never fatal).
 int get_int(const std::string& name, int fallback);
-double get_double(const std::string& name, double fallback);
 /// Truthy = non-zero integer ("1", "2"); "0", "" and unset are false.
 bool get_flag(const std::string& name, bool fallback = false);
 std::string get_string(const std::string& name, std::string fallback);
@@ -32,8 +31,8 @@ std::vector<std::string> unknown_variables();
 
 /// The registered variable closest to `name` by edit distance, when close
 /// enough to be a plausible typo (distance ≤ 3); empty string otherwise.
-/// This is what turns "unknown DFGEN_CHECKPOINT_DRI" into an
-/// actionable "did you mean DFGEN_CHECKPOINT_DIR?".
+/// This is what turns "unknown DFGEN_TRACE_DRI" into an actionable
+/// "did you mean DFGEN_TRACE_DIR?".
 std::string suggestion_for(const std::string& name);
 
 /// Prints one warning line per unknown DFGEN_* variable to stderr, with a

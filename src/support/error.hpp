@@ -75,9 +75,9 @@ class DeviceError : public Error {
 /// duration exceeds `deadline_factor` times its cost-model estimate — the
 /// virtual analogue of a wedged kernel or a device running far off its
 /// performance envelope. Retryable (a hang is usually one command); if it
-/// survives the retry budget the fallback layer degrades the strategy, and
-/// the distributed engine quarantines the device and re-executes the block
-/// elsewhere.
+/// survives the retry budget the fallback layer degrades the strategy; a
+/// timeout on the last rung reaches the caller (Engine, EvalService or
+/// DistributedEngine) as this error.
 class DeviceTimeout : public Error {
  public:
   DeviceTimeout(std::string device, std::string site, std::string label,
@@ -109,8 +109,8 @@ class DeviceTimeout : public Error {
 /// Thrown when a transfer's destination checksum does not match its source
 /// — silent corruption made loud. The queue re-executes the transfer a
 /// bounded number of times first; a corruption that persists past the
-/// retry budget reaches the distributed engine, which re-executes the
-/// block and, on repeat, quarantines the device.
+/// retry budget reaches the caller as this error (no strategy rung can fix
+/// a corrupting device).
 class DataCorruption : public Error {
  public:
   DataCorruption(std::string device, std::string site, std::string label)

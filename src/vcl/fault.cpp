@@ -44,9 +44,9 @@ void FaultInjector::begin_run() {
 
 void FaultInjector::record(const std::string& label) {
   ++run_faults_;
-  // Counted here, not at the sink: the injector survives device
-  // replacement (the distributed engine swaps quarantined devices), so the
-  // registry total tracks every injection even when the sink changes.
+  // Counted here, not at the sink: the sink changes (the distributed
+  // engine points it at each block's log), so the registry total tracks
+  // every injection whichever log records it.
   obs::MetricsRegistry& reg = obs::metrics();
   reg.add(reg.counter("dfgen_vcl_faults_injected_total",
                       {{"device", device_name_}}));

@@ -21,8 +21,7 @@ class ProfilingLog {
   void record(Event event);
 
   /// Appends every event of `other` (the distributed engine executes each
-  /// block into a private log and merges it into the owning rank's log —
-  /// or discards it, when a straggler's attempt is abandoned).
+  /// block into a private log and merges it into the owning rank's log).
   void append(const ProfilingLog& other);
 
   /// Number of events of one kind (e.g. Dev-W count for Table II).

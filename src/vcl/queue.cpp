@@ -97,8 +97,7 @@ void CommandQueue::run_command(
       // and is absorbed by the retry budget. An over-deadline slowdown is
       // a device-wide condition — the deadline charge already proved the
       // device slow, so re-probing would only burn another deadline;
-      // escalate immediately and let the fallback ladder (or the
-      // distributed engine's quarantine) move the work.
+      // escalate immediately and let the fallback ladder move the work.
       if (!perturbation.hang || attempt >= policy.max_attempts) {
         throw DeviceTimeout(device_->spec().name, site_name, label,
                             estimate_seconds, deadline);

@@ -155,7 +155,7 @@ class ResidentPool {
   /// Drops every entry whose host pointer is `ptr` (all lengths).
   void invalidate(const void* ptr);
 
-  /// Drops everything (device quarantine, teardown).
+  /// Drops every entry.
   void clear();
 
   /// Evicts the least-recently-used unpinned entry; returns the bytes

@@ -28,7 +28,7 @@ string(REPLACE "\"" "" seeded "${seeded}")
 # The names each file reads: accessor calls whose first argument is a
 # DFGEN_ literal, possibly on the next line.
 set(call_regex
-    "(get_flag|get_int|get_double|get_string|raw|register_known)\\([ \t\r\n]*\"DFGEN_[A-Z0-9_]+\"")
+    "(get_flag|get_int|get_string|raw|register_known)\\([ \t\r\n]*\"DFGEN_[A-Z0-9_]+\"")
 function(names_read out)
   set(names "")
   foreach(path IN LISTS ARGN)

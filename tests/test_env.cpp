@@ -28,12 +28,8 @@ TEST(Env, TypedAccessorsParseAndFallBack) {
   EXPECT_EQ(env::get_int("DFGEN_RUNS", 1), 1);  // unset -> fallback
 
   {
-    ScopedEnv factor("DFGEN_DEADLINE_FACTOR", "12.5");
-    EXPECT_DOUBLE_EQ(env::get_double("DFGEN_DEADLINE_FACTOR", 8.0), 12.5);
-  }
-  {
-    ScopedEnv factor("DFGEN_DEADLINE_FACTOR", "banana");
-    EXPECT_DOUBLE_EQ(env::get_double("DFGEN_DEADLINE_FACTOR", 8.0), 8.0)
+    ScopedEnv runs("DFGEN_RUNS", "banana");
+    EXPECT_EQ(env::get_int("DFGEN_RUNS", 1), 1)
         << "malformed values fall back, never crash";
   }
   {
@@ -45,8 +41,8 @@ TEST(Env, TypedAccessorsParseAndFallBack) {
     EXPECT_FALSE(env::get_flag("DFGEN_FALLBACK"));
   }
   {
-    ScopedEnv dir("DFGEN_CHECKPOINT_DIR", "/tmp/j");
-    EXPECT_EQ(env::get_string("DFGEN_CHECKPOINT_DIR", ""), "/tmp/j");
+    ScopedEnv dir("DFGEN_TRACE_DIR", "/tmp/t");
+    EXPECT_EQ(env::get_string("DFGEN_TRACE_DIR", ""), "/tmp/t");
   }
 }
 
@@ -61,13 +57,12 @@ TEST(Env, CanonicalVariablesAreKnown) {
   // The canonical set is pre-registered: none of these may be flagged.
   ScopedEnv a("DFGEN_RUNS", "1");
   ScopedEnv b("DFGEN_FALLBACK", "0");
-  ScopedEnv c("DFGEN_DEADLINE_FACTOR", "8");
-  ScopedEnv d("DFGEN_CHECKPOINT_DIR", "/tmp/j");
+  ScopedEnv c("DFGEN_SMOKE", "1");
+  ScopedEnv d("DFGEN_METRICS_OUT", "/tmp/m.json");
   ScopedEnv e("DFGEN_TRACE_DIR", "/tmp/t");
   const auto unknowns = env::unknown_variables();
-  for (const char* name :
-       {"DFGEN_RUNS", "DFGEN_FALLBACK", "DFGEN_DEADLINE_FACTOR",
-        "DFGEN_CHECKPOINT_DIR", "DFGEN_TRACE_DIR"}) {
+  for (const char* name : {"DFGEN_RUNS", "DFGEN_FALLBACK", "DFGEN_SMOKE",
+                           "DFGEN_METRICS_OUT", "DFGEN_TRACE_DIR"}) {
     EXPECT_EQ(std::find(unknowns.begin(), unknowns.end(), name),
               unknowns.end())
         << name << " must be pre-registered";
@@ -96,7 +91,8 @@ TEST(Env, RemovedKnobsAreReportedAsUnknown) {
       "DFGEN_SERVICE_QUEUE_DEPTH", "DFGEN_SERVICE_QUOTA_MB",
       "DFGEN_SERVICE_BACKLOG_MB",  "DFGEN_SERVICE_COALESCE",
       "DFGEN_RESIDENT_WATERMARK",  "DFGEN_JIT_CACHE_CAP",
-      "DFGEN_NO_PROGRAM_CACHE",    "DFGEN_NO_VM_OPTIMIZER"};
+      "DFGEN_NO_PROGRAM_CACHE",    "DFGEN_NO_VM_OPTIMIZER",
+      "DFGEN_CHECKPOINT_DIR",      "DFGEN_DEADLINE_FACTOR"};
   for (const char* name : removed) ::setenv(name, "1", 1);
   const auto unknowns = env::unknown_variables();
   for (const char* name : removed) ::unsetenv(name);
@@ -113,8 +109,7 @@ TEST(Env, BackendTypoSuggestionsNameTheNearestKnob) {
 }
 
 TEST(Env, TypoSuggestionsNameTheNearestKnob) {
-  EXPECT_EQ(env::suggestion_for("DFGEN_CHECKPOINT_DRI"),
-            "DFGEN_CHECKPOINT_DIR");
+  EXPECT_EQ(env::suggestion_for("DFGEN_TRACE_DRI"), "DFGEN_TRACE_DIR");
   EXPECT_EQ(env::suggestion_for("DFGEN_METRIC_OUT"), "DFGEN_METRICS_OUT");
   EXPECT_EQ(env::suggestion_for("DFGEN_FUZZ_SEEDS"), "DFGEN_FUZZ_SEED");
   EXPECT_EQ(env::suggestion_for("DFGEN_COMPLETELY_UNRELATED_NAME"), "")
@@ -122,7 +117,7 @@ TEST(Env, TypoSuggestionsNameTheNearestKnob) {
 
   // The warn path reports the typo (with its suggestion) instead of
   // silently ignoring the knob.
-  ScopedEnv typo("DFGEN_CHECKPOINT_DRI", "/tmp/j");
+  ScopedEnv typo("DFGEN_TRACE_DRI", "/tmp/t");
   EXPECT_GE(env::warn_unknown_variables(), 1u);
 }
 

@@ -4,8 +4,11 @@
 // kernel fault, whole-device loss — and must react exactly as the
 // FallbackPolicy prescribes: retry transients with bounded backoff, degrade
 // one rung per unrecoverable failure, propagate device loss, and always
-// produce a field bit-identical to a fault-free run. Injected faults must
-// be observable in the profiling log and the Chrome trace.
+// produce a field bit-identical to a fault-free run. On the distributed
+// engine a lost device is replaced and its block re-run; corruption or
+// timeouts no rung can fix fail the evaluation with their typed error.
+// Injected faults must be observable in the profiling log and the Chrome
+// trace.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -318,7 +321,6 @@ TEST(DistFault, SingleBlockDegradesInsteadOfFailingTheRun) {
 
   distrib::ClusterConfig cfg = fx.config();
   cfg.fault_plan.fail_alloc_index = 1;  // rank 0's first allocation
-  cfg.fault_rank = 0;
   const distrib::DistributedReport report = fx.run(cfg);
 
   EXPECT_EQ(report.degraded_blocks, 1u);
@@ -335,7 +337,6 @@ TEST(DistFault, LostDeviceIsReplacedAndTheBlockReRun) {
 
   distrib::ClusterConfig cfg = fx.config();
   cfg.fault_plan.lose_device_after = 2;
-  cfg.fault_rank = 0;
   const distrib::DistributedReport report = fx.run(cfg);
 
   EXPECT_EQ(report.device_losses, 1u);
@@ -348,6 +349,39 @@ TEST(DistFault, StrictClusterPropagatesTheLoss) {
   cfg.fallback.enabled = false;
   cfg.fault_plan.lose_device_after = 2;
   EXPECT_THROW(fx.run(cfg), DeviceLost);
+}
+
+TEST(DistFault, BitFlipIsDetectedAndNeverPropagates) {
+  DistFaultFixture fx;
+  const distrib::DistributedReport baseline = fx.run(fx.config());
+
+  distrib::ClusterConfig cfg = fx.config();
+  cfg.fault_plan.corrupt_write_index = 1;  // one upload corrupted once
+  const distrib::DistributedReport report = fx.run(cfg);
+
+  EXPECT_EQ(report.checksum_mismatches, 1u);
+  EXPECT_EQ(report.values, baseline.values)
+      << "a detected flip must be invisible in the assembled field";
+}
+
+TEST(DistFault, PersistentCorruptionFailsWithDataCorruption) {
+  DistFaultFixture fx;
+  distrib::ClusterConfig cfg = fx.config();
+  cfg.fault_plan.corrupt_write_index = 1;
+  cfg.fault_plan.corrupt_count = 1 << 20;  // every transfer, forever
+  // The queue's retries fail and no rung fixes a corrupting device: the
+  // typed error escapes instead of an assembled field.
+  EXPECT_THROW(fx.run(cfg), DataCorruption);
+}
+
+TEST(DistFault, LadderWideTimeoutFailsWithDeviceTimeout) {
+  DistFaultFixture fx;
+  distrib::ClusterConfig cfg = fx.config();
+  cfg.fault_plan.slow_command_index = 1;
+  cfg.fault_plan.slowdown_factor = 50.0;  // far past the 8x deadline
+  // Every rung on the slowed device times out; the last rung's
+  // DeviceTimeout fails the evaluation.
+  EXPECT_THROW(fx.run(cfg), DeviceTimeout);
 }
 
 }  // namespace

@@ -23,8 +23,6 @@
 #include "core/expressions.hpp"
 #include "dataflow/builder.hpp"
 #include "dataflow/network.hpp"
-#include "distrib/decomposition.hpp"
-#include "distrib/dist_engine.hpp"
 #include "mesh/generators.hpp"
 #include "mesh/mesh.hpp"
 #include "runtime/bindings.hpp"
@@ -588,56 +586,6 @@ TEST(ResidentPlanner, AutoStrategyEngineStaysBitExactAcrossWarmRuns) {
   test::expect_bits_equal(second.values, baseline.values, "auto warm");
   EXPECT_GT(second.resident_hits, 0u);
   EXPECT_LT(second.sim_seconds, first.sim_seconds);
-}
-
-// ---------------------------------------------------------------------------
-// Distributed engine: loss and quarantine invalidate residency
-
-distrib::DistributedReport run_distributed(const vcl::FaultPlan& plan,
-                                           bool pool) {
-  mesh::RectilinearMesh mesh = mesh::RectilinearMesh::uniform({8, 8, 8});
-  mesh::VectorField field = mesh::rayleigh_taylor_flow(mesh);
-  distrib::ClusterConfig config;
-  config.nodes = 1;
-  config.devices_per_node = 2;
-  config.device_spec = vcl::tesla_m2050_scaled();
-  config.checkpoint_dir.clear();
-  config.fault_plan = plan;
-  config.fault_rank = 0;
-  config.resident_pool = pool;
-  distrib::DistributedEngine engine(
-      mesh, distrib::GridDecomposition(mesh.dims(), 2, 2, 2), config);
-  engine.bind_global("u", field.u);
-  engine.bind_global("v", field.v);
-  engine.bind_global("w", field.w);
-  return engine.evaluate(expressions::kQCriterion, StrategyKind::fusion);
-}
-
-TEST(ResidentDistrib, DeviceLossDropsResidentsAndRecoversBitExactly) {
-  vcl::FaultPlan plan;
-  plan.lose_device_after = 12;
-  const distrib::DistributedReport cold = run_distributed(plan, false);
-  const distrib::DistributedReport pooled = run_distributed(plan, true);
-
-  EXPECT_GE(pooled.device_losses, 1u);
-  EXPECT_GT(pooled.resident_misses, 0u);
-  EXPECT_EQ(cold.resident_hits + cold.resident_misses, 0u);
-  test::expect_bits_equal(pooled.values, cold.values,
-                          "distributed values after device loss");
-}
-
-TEST(ResidentDistrib, QuarantineDropsResidentsAndRecoversBitExactly) {
-  vcl::FaultPlan plan;
-  plan.corrupt_read_index = 1;  // every readback on rank 0 is corrupted
-  plan.corrupt_count = 1000;
-  const distrib::DistributedReport cold = run_distributed(plan, false);
-  const distrib::DistributedReport pooled = run_distributed(plan, true);
-
-  EXPECT_GE(pooled.quarantined_devices, 1u);
-  // quarantine() cleared the rank's residents; clear() counts each drop.
-  EXPECT_GT(pooled.resident_invalidations, 0u);
-  test::expect_bits_equal(pooled.values, cold.values,
-                          "distributed values after quarantine");
 }
 
 // ---------------------------------------------------------------------------

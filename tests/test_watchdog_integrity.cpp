@@ -232,8 +232,7 @@ TEST(Integrity, PersistentCorruptionEscalatesAsDataCorruption) {
   Engine engine = fx.make(device, fx.resilient());
 
   // Degrading cannot fix a corrupting link, so the fallback policy must
-  // not mask it: the error reaches the caller (the distributed engine
-  // re-runs the block and quarantines on repeat).
+  // not mask it: the typed error reaches the caller.
   EXPECT_THROW(engine.evaluate(expressions::kQCriterion), DataCorruption);
   EXPECT_EQ(engine.log().count(vcl::EventKind::integrity), 3u);
 }
