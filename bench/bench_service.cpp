@@ -1,23 +1,16 @@
-// Evaluation-service study: what admission control, request coalescing and
-// fair-share scheduling buy when many tenants want derived fields from the
-// same simulation state at once.
+// Evaluation-service study: what request coalescing buys when many callers
+// want the same derived field from the same simulation state at once.
 //
-// Section 1 — coalescing throughput: 8 concurrent sessions each submit the
-// same Q-criterion request (same mesh, same bound arrays). The coalescer
-// must execute exactly ONE evaluation per burst and fan the result out;
-// the gates require the results bit-identical to back-to-back serialized
+// Coalescing throughput: 8 concurrent sessions each submit the same
+// Q-criterion request (same mesh, same bound arrays). The coalescer must
+// execute exactly ONE evaluation per burst and fan the result out; the
+// gates require the results bit-identical to back-to-back serialized
 // Engine::evaluate calls and, in a full run, service throughput at least
 // 3x the serialized baseline.
 //
-// Section 2 — multi-tenant fairness and quotas: a weight-3 and a weight-1
-// session flood the queue with distinct requests (coalescing off) and the
-// dispatch order must interleave at the weight ratio; a quota-capped
-// session must degrade to the streamed rung (chunks sized to its quota)
-// instead of failing, bit-exact against the unconstrained reference.
-//
 // Results land in BENCH_service.json in the working directory.
 // DFGEN_SMOKE=1 shrinks the grid and skips the throughput threshold;
-// correctness gates (coalescing count, bit-exactness, degradation) always
+// correctness gates (coalescing count, fan-out, bit-exactness) always
 // apply.
 #include <algorithm>
 #include <bit>
@@ -25,14 +18,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "dataflow/builder.hpp"
-#include "dataflow/network.hpp"
-#include "runtime/planner.hpp"
 #include "service/service.hpp"
 
 namespace {
@@ -151,116 +140,7 @@ CoalesceResult run_coalescing_study(const dfg::mesh::RectilinearMesh& mesh,
   return result;
 }
 
-struct FairnessResult {
-  std::size_t heavy_requests = 0;
-  std::size_t light_requests = 0;
-  int heavy_weight = 3;
-  int light_weight = 1;
-  /// Heavy dispatches among the first (heavy+light)/2 dispatch slots — the
-  /// window where both sessions are backlogged and WRR ratios are visible.
-  std::size_t heavy_in_first_half = 0;
-  std::size_t first_half = 0;
-};
-
-FairnessResult run_fairness_study(const dfg::mesh::RectilinearMesh& mesh,
-                                  const dfg::mesh::VectorField& field) {
-  FairnessResult result;
-  result.heavy_requests = 9;
-  result.light_requests = 9;
-
-  dfg::vcl::Device device(dfgbench::scaled_cpu());
-  ServiceOptions options;
-  options.start_paused = true;
-  options.coalescing = false;
-  EvalService service({&device}, options);
-  service.configure_session("heavy", {result.heavy_weight, 0});
-  service.configure_session("light", {result.light_weight, 0});
-
-  std::vector<Ticket> heavy;
-  std::vector<Ticket> light;
-  for (std::size_t i = 0; i < result.heavy_requests; ++i) {
-    heavy.push_back(service.submit(
-        make_request(mesh, field, dfg::expressions::kDivergence, "heavy")));
-  }
-  for (std::size_t i = 0; i < result.light_requests; ++i) {
-    light.push_back(service.submit(
-        make_request(mesh, field, dfg::expressions::kHelicity, "light")));
-  }
-  service.resume();
-  service.drain();
-
-  // While both queues are backlogged (the first 12 dispatches: 9 heavy
-  // turns arrive within them), heavy must hold a ~3:1 share.
-  result.first_half = (result.heavy_requests + result.light_requests) / 2;
-  for (const Ticket& ticket : heavy) {
-    const ServiceReport& report = ticket.wait();
-    if (report.status != RequestStatus::completed) {
-      std::fprintf(stderr, "FAIL: fairness request failed: %s\n",
-                   report.error.c_str());
-      std::exit(1);
-    }
-    if (report.dispatch_index <= result.first_half) ++result.heavy_in_first_half;
-  }
-  for (const Ticket& ticket : light) ticket.wait();
-  return result;
-}
-
-struct QuotaResult {
-  std::size_t quota_bytes = 0;
-  std::string landed_strategy;
-  std::size_t degradations = 0;
-  std::size_t quota_high_water = 0;
-  bool bit_exact = false;
-};
-
-QuotaResult run_quota_study(const dfg::mesh::RectilinearMesh& mesh,
-                            const dfg::mesh::VectorField& field) {
-  QuotaResult result;
-  const char* script = dfg::expressions::kQCriterion;
-  const std::size_t cells = mesh.cell_count();
-
-  dfg::dataflow::Network network(dfg::dataflow::build_network(script));
-  dfg::runtime::FieldBindings bindings;
-  bindings.bind_mesh(mesh);
-  bindings.bind("u", field.u);
-  bindings.bind("v", field.v);
-  bindings.bind("w", field.w);
-  const std::size_t fusion_bytes = dfg::runtime::estimate_high_water(
-      network, bindings, cells, dfg::runtime::StrategyKind::fusion);
-  result.quota_bytes = fusion_bytes - sizeof(float);
-
-  std::vector<float> reference;
-  {
-    dfg::vcl::Device device(dfgbench::scaled_cpu());
-    dfg::Engine engine(device, {});
-    engine.bind_mesh(mesh);
-    engine.bind("u", field.u);
-    engine.bind("v", field.v);
-    engine.bind("w", field.w);
-    reference = engine.evaluate(script).values;
-  }
-
-  dfg::vcl::Device device(dfgbench::scaled_cpu());
-  EvalService service({&device}, ServiceOptions{});
-  service.configure_session("capped", {1, result.quota_bytes});
-  Ticket ticket =
-      service.submit(make_request(mesh, field, script, "capped"));
-  const ServiceReport& report = ticket.wait();
-  if (report.status != RequestStatus::completed) {
-    std::fprintf(stderr, "FAIL: quota-capped request failed: %s\n",
-                 report.error.c_str());
-    std::exit(1);
-  }
-  result.landed_strategy = report.evaluation->strategy;
-  result.degradations = report.evaluation->degradations.size();
-  result.bit_exact = bits_equal(report.evaluation->values, reference);
-  result.quota_high_water =
-      service.snapshot().sessions.at("capped").quota_high_water_bytes;
-  return result;
-}
-
-void write_json(const CoalesceResult& c, const FairnessResult& f,
-                const QuotaResult& q, bool smoke) {
+void write_json(const CoalesceResult& c, bool smoke) {
   std::FILE* out = std::fopen("BENCH_service.json", "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open BENCH_service.json for writing\n");
@@ -274,26 +154,10 @@ void write_json(const CoalesceResult& c, const FairnessResult& f,
       "    \"serialized_seconds\": %.6f, \"service_seconds\": %.6f,\n"
       "    \"speedup\": %.2f,\n"
       "    \"evaluations_per_round\": %zu, \"coalesced_fanout\": %zu,\n"
-      "    \"bit_exact\": %s\n  },\n",
+      "    \"bit_exact\": %s\n  }\n}\n",
       smoke ? "true" : "false", c.sessions, c.rounds, c.serialized_seconds,
       c.service_seconds, c.speedup(), c.evaluations_per_round,
       c.coalesced_fanout, c.bit_exact ? "true" : "false");
-  std::fprintf(
-      out,
-      "  \"fairness\": {\n"
-      "    \"weights\": {\"heavy\": %d, \"light\": %d},\n"
-      "    \"requests\": {\"heavy\": %zu, \"light\": %zu},\n"
-      "    \"heavy_in_first_half\": %zu, \"first_half\": %zu\n  },\n",
-      f.heavy_weight, f.light_weight, f.heavy_requests, f.light_requests,
-      f.heavy_in_first_half, f.first_half);
-  std::fprintf(
-      out,
-      "  \"quota\": {\n"
-      "    \"quota_bytes\": %zu, \"landed_strategy\": \"%s\",\n"
-      "    \"degradations\": %zu, \"quota_high_water_bytes\": %zu,\n"
-      "    \"bit_exact\": %s\n  }\n}\n",
-      q.quota_bytes, q.landed_strategy.c_str(), q.degradations,
-      q.quota_high_water, q.bit_exact ? "true" : "false");
   std::fclose(out);
 }
 
@@ -318,20 +182,7 @@ int main() {
       coalesce.evaluations_per_round, coalesce.coalesced_fanout,
       coalesce.bit_exact ? "yes" : "NO");
 
-  const FairnessResult fairness = run_fairness_study(mesh, field);
-  std::printf("fairness: heavy held %zu of the first %zu dispatch slots "
-              "(weights %d:%d)\n",
-              fairness.heavy_in_first_half, fairness.first_half,
-              fairness.heavy_weight, fairness.light_weight);
-
-  const QuotaResult quota = run_quota_study(mesh, field);
-  std::printf("quota: capped at %zu bytes -> landed on %s after %zu "
-              "degradation(s), high-water %zu, bit-exact %s\n",
-              quota.quota_bytes, quota.landed_strategy.c_str(),
-              quota.degradations, quota.quota_high_water,
-              quota.bit_exact ? "yes" : "NO");
-
-  write_json(coalesce, fairness, quota, smoke);
+  write_json(coalesce, smoke);
   std::printf("\nwrote BENCH_service.json\n");
 
   // Gates. Correctness always; the throughput threshold only in full runs.
@@ -347,35 +198,10 @@ int main() {
                  coalesce.coalesced_fanout, coalesce.sessions);
     return 1;
   }
-  if (!coalesce.bit_exact || !quota.bit_exact) {
+  if (!coalesce.bit_exact) {
     std::fprintf(stderr,
                  "FAIL: service results not bit-identical to the serialized "
                  "reference\n");
-    return 1;
-  }
-  // Weight 3:1 → heavy owns 3/4 of contended slots; allow one slot of
-  // slack for the rotation boundary.
-  const std::size_t expected_heavy = fairness.first_half * 3 / 4;
-  if (fairness.heavy_in_first_half + 1 < expected_heavy) {
-    std::fprintf(stderr,
-                 "FAIL: weight-3 session held only %zu of the first %zu "
-                 "slots (want ~%zu)\n",
-                 fairness.heavy_in_first_half, fairness.first_half,
-                 expected_heavy);
-    return 1;
-  }
-  if (quota.degradations < 1 ||
-      quota.landed_strategy !=
-          dfg::runtime::strategy_name(dfg::runtime::StrategyKind::streamed)) {
-    std::fprintf(stderr,
-                 "FAIL: quota-capped tenant landed on %s after %zu "
-                 "degradations (want streamed after >= 1)\n",
-                 quota.landed_strategy.c_str(), quota.degradations);
-    return 1;
-  }
-  if (quota.quota_high_water > quota.quota_bytes) {
-    std::fprintf(stderr, "FAIL: session exceeded its quota (%zu > %zu)\n",
-                 quota.quota_high_water, quota.quota_bytes);
     return 1;
   }
   if (!smoke && coalesce.speedup() < 3.0) {

@@ -44,13 +44,10 @@ using dfg::service::Ticket;
 // --- Seeded heavy-tailed traffic ------------------------------------------
 //
 // Derived-field traffic is not uniform: a handful of expressions dominate,
-// arrivals come in bursts (a timestep lands and every dashboard refreshes),
-// and consumers span priority classes from a human waiting on a plot to
-// speculative prefetch. The generator models all three — Zipf expression
-// popularity, a two-state bursty arrival process, and a priority mix — as
-// a pure function of its seed, so a trace replays bit-for-bit.
-
-enum class PriorityClass { interactive = 0, batch = 1, speculative = 2 };
+// and arrivals come in bursts (a timestep lands and every dashboard
+// refreshes). The generator models both — Zipf expression popularity and
+// a two-state bursty arrival process — as a pure function of its seed, so
+// a trace replays bit-for-bit.
 
 struct TrafficOptions {
   std::uint64_t seed = 1;
@@ -66,9 +63,6 @@ struct TrafficOptions {
   /// Mean dwell time of the burst / quiet states.
   double mean_burst_seconds = 0.02;
   double mean_quiet_seconds = 0.05;
-  /// Priority mix; the remainder after interactive + batch is speculative.
-  double interactive_fraction = 0.6;
-  double batch_fraction = 0.3;
 };
 
 struct TrafficEvent {
@@ -77,7 +71,6 @@ struct TrafficEvent {
   /// the most popular).
   std::size_t expression = 0;
   std::size_t session = 0;
-  PriorityClass priority = PriorityClass::batch;
 
   bool operator==(const TrafficEvent&) const = default;
 };
@@ -136,14 +129,7 @@ std::vector<TrafficEvent> generate_trace(const TrafficOptions& options,
     if (event.session >= options.sessions && options.sessions > 0) {
       event.session = options.sessions - 1;
     }
-    const double p = uniform(rng);
-    if (p < options.interactive_fraction) {
-      event.priority = PriorityClass::interactive;
-    } else if (p < options.interactive_fraction + options.batch_fraction) {
-      event.priority = PriorityClass::batch;
-    } else {
-      event.priority = PriorityClass::speculative;
-    }
+    uniform(rng);  // was the priority draw; kept so the trace is unchanged
     trace.push_back(event);
   }
   return trace;
@@ -221,7 +207,6 @@ TraceResult run_trace(const std::vector<TrafficEvent>& trace,
     std::string session = "s";
     session += std::to_string(event.session);
     request.session = std::move(session);
-    request.priority = 2 - static_cast<int>(event.priority);
     tickets.emplace_back(service.submit(std::move(request)),
                          event.expression);
     if ((i + 1) % wave == 0 || i + 1 == trace.size()) {

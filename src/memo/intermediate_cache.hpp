@@ -5,10 +5,9 @@
 // bound-array content identity). Device residency is not duplicated here:
 // a consumer binds the entry's host array like any other field, so the
 // per-device ResidentPool keeps it resident with its usual content-
-// identity discipline, pin scopes, watermark and quota cooperation — and
-// drops it on device loss like every other resident. What the
-// cache adds is the cross-device canonical value plus the policies the
-// pool cannot provide:
+// identity discipline, pin scopes and watermark — and drops it on device
+// loss like every other resident. What the cache adds is the cross-device
+// canonical value plus the policies the pool cannot provide:
 //
 //   * Coherence: each entry records the generation tag of every host
 //     array its value derives from (vcl::host_generation at

@@ -1,13 +1,11 @@
 // Service layer: admission control.
 //
 // Backpressure with a reason attached. A request is admitted only when
-//   * the bounded queue has room (max_queue_depth),
+//   * the bounded queue has room (max_queue_depth), and
 //   * the projected device-memory *floor* of the request — the smallest
 //     planner-estimated high-water over the rungs the fallback policy may
 //     execute — fits at least one device's hard capacity (a request no
-//     rung can ever run is refused up front, not after queueing), and
-//   * that floor fits the session's quota (a request the quota guard would
-//     inevitably veto on every rung is refused up front).
+//     rung can ever run is refused up front, not after queueing).
 // The projections reuse runtime::estimate_high_water, which is bit-exact
 // against the memory tracker, so admission never refuses a request that
 // would in fact have fit, and never admits one that cannot.

@@ -13,9 +13,9 @@
 //     different storage do not coalesce, which is conservative but never
 //     wrong), and
 //   * they request the same strategy.
-// Priority, session and deadline are deliberately NOT part of the key: the
-// batch dispatches under its leader's session, priority and deadline, and
-// followers simply receive the shared result.
+// The session label is deliberately NOT part of the key: the batch's span
+// carries its leader's session, and followers simply receive the shared
+// result.
 #pragma once
 
 #include <cstddef>

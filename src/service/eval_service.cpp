@@ -8,7 +8,6 @@
 #include "dataflow/builder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "runtime/planner.hpp"
 #include "service/admission.hpp"
 #include "support/error.hpp"
 #include "vcl/trace.hpp"
@@ -50,35 +49,12 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Largest streamed chunk (cells) whose planned high-water fits `budget`,
-/// or 0 when even the minimal chunk does not (the quota guard then vetoes
-/// the rung and the ladder moves on). The streamed strategy auto-sizes its
-/// chunks from the device's *free memory*, which a session quota does not
-/// shrink — so the service must pick the chunk explicitly or a quota-capped
-/// tenant would be vetoed on a rung that could have fit. The planner's
-/// estimates are bit-exact against the tracker, so the largest fitting
-/// chunk is decidable by binary search.
-std::size_t quota_chunk_cells(const dataflow::Network& network,
-                              const runtime::FieldBindings& bindings,
-                              std::size_t elements, std::size_t budget) {
-  const auto fits = [&](std::size_t chunk) {
-    return runtime::estimate_high_water(network, bindings, elements,
-                                        runtime::StrategyKind::streamed,
-                                        chunk) <= budget;
-  };
-  try {
-    if (!fits(1)) return 0;
-    std::size_t lo = 1;  // fits
-    std::size_t hi = elements;
-    if (fits(hi)) return hi;
-    while (hi - lo > 1) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      (fits(mid) ? lo : hi) = mid;
-    }
-    return lo;
-  } catch (const KernelError&) {
-    return 0;  // streamed cannot execute this network at all
-  }
+/// Publishes `report` on `ticket` and wakes its waiters.
+void resolve(detail::TicketState& ticket, ServiceReport report) {
+  std::scoped_lock lock(ticket.mutex);
+  ticket.report = std::move(report);
+  ticket.done = true;
+  ticket.cv.notify_all();
 }
 
 }  // namespace
@@ -124,18 +100,14 @@ EvalService::EvalService(std::vector<vcl::Device*> devices,
   // dfgen_memo_* series schema-stable.
   memo::Memoizer::Options memo_options;
   memo_options.svc = svc_;
-  std::size_t memo_cap = options_.memo_cap_bytes;
-  if (memo_cap == 0) {
-    // Default: a quarter of the largest device's memory, so cached
-    // intermediates never crowd out the working set the MemoryTracker and
-    // ResidentPool watermarks are sized for.
-    std::size_t best_capacity = 0;
-    for (const vcl::Device* device : devices_) {
-      best_capacity = std::max(best_capacity, device->memory().capacity());
-    }
-    memo_cap = best_capacity / 4;
+  // A quarter of the largest device's memory, so cached intermediates never
+  // crowd out the working set the MemoryTracker and ResidentPool watermarks
+  // are sized for.
+  memo_options.capacity_bytes = 0;
+  for (const vcl::Device* device : devices_) {
+    memo_options.capacity_bytes = std::max(memo_options.capacity_bytes,
+                                           device->memory().capacity() / 4);
   }
-  memo_options.capacity_bytes = memo_cap;
   memo_ = std::make_unique<memo::Memoizer>(std::move(memo_options));
   workers_.reserve(devices_.size());
   for (std::size_t i = 0; i < devices_.size(); ++i) {
@@ -168,7 +140,7 @@ void EvalService::drain() {
     paused_ = false;
     work_cv_.notify_all();
   }
-  drain_cv_.wait(lock, [&] { return queued_count_ == 0 && in_flight_ == 0; });
+  drain_cv_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
 }
 
 void EvalService::note_host_mutation(const void* ptr) {
@@ -179,46 +151,8 @@ void EvalService::note_host_mutation(const void* ptr) {
   for (vcl::Device* device : devices_) device->resident().invalidate(ptr);
 }
 
-void EvalService::configure_session(const std::string& id,
-                                    SessionConfig config) {
-  std::scoped_lock lock(mutex_);
-  Session& session = session_locked(id);
-  config.weight = std::max(config.weight, 1);
-  session.config = config;
-  scheduler_.add_session(id, config.weight);
-}
-
-EvalService::Session& EvalService::session_locked(const std::string& id) {
-  auto [it, inserted] = sessions_.try_emplace(id);
-  if (inserted) {
-    it->second.config.weight = 1;
-    it->second.config.quota_bytes = options_.default_session_quota_bytes;
-    scheduler_.add_session(id, 1);
-  }
-  return it->second;
-}
-
-void EvalService::reject(const std::shared_ptr<detail::TicketState>& ticket,
-                         std::string reason) {
-  std::scoped_lock lock(ticket->mutex);
-  ticket->report.status = RequestStatus::rejected;
-  ticket->report.reject_reason = std::move(reason);
-  ticket->done = true;
-  ticket->cv.notify_all();
-}
-
-void EvalService::resolve(const std::shared_ptr<Pending>& pending,
-                          ServiceReport report) {
-  const std::shared_ptr<detail::TicketState>& ticket = pending->ticket;
-  std::scoped_lock lock(ticket->mutex);
-  ticket->report = std::move(report);
-  ticket->done = true;
-  ticket->cv.notify_all();
-}
-
 Ticket EvalService::submit(Request request) {
   auto state = std::make_shared<detail::TicketState>();
-  state->report.session = request.session;
   Ticket ticket(state);
 
   // Parse and resolve outside the service lock: admission work scales with
@@ -279,33 +213,21 @@ Ticket EvalService::submit(Request request) {
     }
   }
 
-  std::vector<std::shared_ptr<Pending>> batch_to_notify;
   {
     std::scoped_lock lock(mutex_);
     obs::MetricsRegistry& reg = obs::metrics();
     reg.add(requests_counter(svc_, "submitted"));
-    Session& session = session_locked(request.session);
-    ++snapshot_.sessions[request.session].submitted;
-
-    if (!failure.empty()) {
-      reg.add(requests_counter(svc_, "failed"));
-      ++snapshot_.sessions[request.session].failed;
-      std::scoped_lock ticket_lock(state->mutex);
-      state->report.status = RequestStatus::failed;
-      state->report.error = failure;
-      state->done = true;
-      state->cv.notify_all();
-      return ticket;
-    }
 
     std::string reject_reason;
-    if (live_count_ == 0) {
+    if (!failure.empty()) {
+      reg.add(requests_counter(svc_, "failed"));
+    } else if (live_count_ == 0) {
       reg.add(rejects_counter(svc_, "no_device"));
       reject_reason = "no device: all " + std::to_string(devices_.size()) +
                       " of this service's devices were lost";
-    } else if (queued_count_ >= options_.max_queue_depth) {
+    } else if (queue_.size() >= options_.max_queue_depth) {
       reg.add(rejects_counter(svc_, "queue_full"));
-      reject_reason = "queue full: " + std::to_string(queued_count_) +
+      reject_reason = "queue full: " + std::to_string(queue_.size()) +
                       " requests queued (limit " +
                       std::to_string(options_.max_queue_depth) + ")";
     } else if (floor != kNoFloor) {
@@ -315,29 +237,22 @@ Ticket EvalService::submit(Request request) {
         best_capacity =
             std::max(best_capacity, devices_[i]->memory().capacity());
       }
-      const std::size_t quota = session.config.quota_bytes;
       if (floor > best_capacity) {
         reg.add(rejects_counter(svc_, "projection"));
         reject_reason = "projected device-memory floor of " +
                         std::to_string(floor) + " bytes exceeds every "
                         "device's capacity (largest " +
                         std::to_string(best_capacity) + " bytes)";
-      } else if (quota > 0 && floor > quota) {
-        reg.add(rejects_counter(svc_, "quota"));
-        reject_reason = "projected device-memory floor of " +
-                        std::to_string(floor) + " bytes exceeds session '" +
-                        request.session + "' quota of " +
-                        std::to_string(quota) + " bytes on every "
-                        "permissible strategy rung";
       }
     }
-    if (!reject_reason.empty()) {
-      ++snapshot_.sessions[request.session].rejected;
-      std::scoped_lock ticket_lock(state->mutex);
-      state->report.status = RequestStatus::rejected;
-      state->report.reject_reason = std::move(reject_reason);
-      state->done = true;
-      state->cv.notify_all();
+    if (!failure.empty() || !reject_reason.empty()) {
+      ServiceReport report;
+      report.status = failure.empty() ? RequestStatus::rejected
+                                      : RequestStatus::failed;
+      report.session = request.session;
+      report.error = std::move(failure);
+      report.reject_reason = std::move(reject_reason);
+      resolve(*state, std::move(report));
       return ticket;
     }
 
@@ -348,11 +263,10 @@ Ticket EvalService::submit(Request request) {
     pending->elements = elements;
     pending->ticket = state;
     pending->admitted_at = std::chrono::steady_clock::now();
-    session.queue.push_back(std::move(pending));
-    ++queued_count_;
+    queue_.push_back(std::move(pending));
     reg.add(requests_counter(svc_, "admitted"));
     snapshot_.max_queue_depth_seen =
-        std::max(snapshot_.max_queue_depth_seen, queued_count_);
+        std::max(snapshot_.max_queue_depth_seen, queue_.size());
     note_queue_depth_locked();
   }
   // Feed the memoizer's subgraph index outside the lock (it is internally
@@ -367,44 +281,32 @@ Ticket EvalService::submit(Request request) {
 void EvalService::note_queue_depth_locked() {
   obs::MetricsRegistry& reg = obs::metrics();
   const obs::Labels labels{{"svc", svc_}};
-  reg.gauge_set(reg.gauge("dfgen_svc_queue_depth", labels), queued_count_);
+  reg.gauge_set(reg.gauge("dfgen_svc_queue_depth", labels), queue_.size());
   reg.gauge_max(reg.gauge("dfgen_svc_queue_depth_high_water", labels),
-                queued_count_);
+                queue_.size());
 }
 
 std::shared_ptr<EvalService::Pending> EvalService::pop_locked(
-    Session& session, const vcl::Device& device) {
-  // Highest priority first; FIFO among equals — except that with the
-  // resident pool active, a request whose bound arrays are all warm on
-  // this worker's device beats colder equals (the would_hit probe is safe
-  // here: the worker owns its idle device while it holds the service
-  // lock). Priority strictly dominates affinity, so a hot-array tenant
-  // can never starve a higher-priority one.
-  const auto warm_on_device = [&](const Pending& pending) {
-    if (!device.resident().enabled() || pending.request.fields.empty()) {
-      return false;
-    }
-    for (const FieldRef& field : pending.request.fields) {
+    const vcl::Device& device) {
+  // FIFO, except that with the resident pool active the oldest request
+  // whose bound arrays are all warm on this worker's device goes first (the
+  // would_hit probe is safe here: the worker owns its idle device while it
+  // holds the service lock).
+  const auto warm_on_device = [&](const std::shared_ptr<Pending>& pending) {
+    if (pending->request.fields.empty()) return false;
+    for (const FieldRef& field : pending->request.fields) {
       if (!device.resident().would_hit(field.values)) return false;
     }
     return true;
   };
-  auto best = session.queue.begin();
-  bool best_warm = warm_on_device(**best);
-  for (auto it = session.queue.begin(); it != session.queue.end(); ++it) {
-    if ((*it)->request.priority > (*best)->request.priority) {
-      best = it;
-      best_warm = warm_on_device(**best);
-    } else if ((*it)->request.priority == (*best)->request.priority &&
-               !best_warm && warm_on_device(**it)) {
-      best = it;
-      best_warm = true;
-    }
+  auto pick = queue_.begin();
+  if (device.resident().enabled()) {
+    const auto warm =
+        std::find_if(queue_.begin(), queue_.end(), warm_on_device);
+    if (warm != queue_.end()) pick = warm;
   }
-  std::shared_ptr<Pending> pending = *best;
-  session.queue.erase(best);
-  --queued_count_;
-  note_queue_depth_locked();
+  std::shared_ptr<Pending> pending = std::move(*pick);
+  queue_.erase(pick);
   return pending;
 }
 
@@ -412,37 +314,27 @@ void EvalService::worker(std::size_t device_index) {
   std::unique_lock lock(mutex_);
   while (true) {
     work_cv_.wait(lock, [&] {
-      return stopping_ || (!paused_ && queued_count_ > 0);
+      return stopping_ || (!paused_ && !queue_.empty());
     });
-    if (queued_count_ == 0) {
+    if (queue_.empty()) {
       if (stopping_) return;
       continue;
     }
 
-    const std::string picked = scheduler_.pick([&](const std::string& id) {
-      auto it = sessions_.find(id);
-      return it != sessions_.end() && !it->second.queue.empty();
-    });
-    if (picked.empty()) continue;
-
     std::vector<std::shared_ptr<Pending>> batch;
-    batch.push_back(
-        pop_locked(sessions_.at(picked), *devices_[device_index]));
+    batch.push_back(pop_locked(*devices_[device_index]));
     if (options_.coalescing) {
       const CoalesceKey& key = batch.front()->key;
-      for (auto& [id, session] : sessions_) {
-        for (auto it = session.queue.begin(); it != session.queue.end();) {
-          if ((*it)->key == key) {
-            batch.push_back(*it);
-            it = session.queue.erase(it);
-            --queued_count_;
-          } else {
-            ++it;
-          }
+      for (auto it = queue_.begin(); it != queue_.end();) {
+        if ((*it)->key == key) {
+          batch.push_back(std::move(*it));
+          it = queue_.erase(it);
+        } else {
+          ++it;
         }
       }
-      note_queue_depth_locked();
     }
+    note_queue_depth_locked();
     ++in_flight_;
     lock.unlock();
     // More queued work may remain for the other workers.
@@ -467,13 +359,13 @@ void EvalService::worker(std::size_t device_index) {
         report.queue_wait_seconds = seconds_since(pending->admitted_at);
         report.status = RequestStatus::failed;
         report.error = error.what();
-        resolve(pending, std::move(report));
+        resolve(*pending->ticket, std::move(report));
       }
     }
 
     lock.lock();
     --in_flight_;
-    if (queued_count_ == 0 && in_flight_ == 0) drain_cv_.notify_all();
+    if (queue_.empty() && in_flight_ == 0) drain_cv_.notify_all();
     if (lost) return;
   }
 }
@@ -486,25 +378,17 @@ EvalService::retire_device_locked(
   reg.add(svc_counter(svc_, "dfgen_svc_devices_lost_total"));
   live_[device_index] = false;
   --live_count_;
-  // Back to the head of each session's queue, in batch order: the leader
-  // and its coalesced followers are re-dispatched like fresh arrivals.
-  for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
-    sessions_.at((*it)->request.session).queue.push_front(*it);
-    ++queued_count_;
-  }
+  // Back to the head of the queue, in batch order: the leader and its
+  // coalesced followers are re-dispatched like fresh arrivals.
+  queue_.insert(queue_.begin(), batch.begin(), batch.end());
   std::vector<std::shared_ptr<Pending>> orphans;
   if (live_count_ > 0) {
     reg.add(svc_counter(svc_, "dfgen_svc_redispatched_batches_total"));
   } else {
-    for (auto& [id, session] : sessions_) {
-      for (std::shared_ptr<Pending>& pending : session.queue) {
-        reg.add(requests_counter(svc_, "failed"));
-        ++snapshot_.sessions[id].failed;
-        orphans.push_back(std::move(pending));
-      }
-      session.queue.clear();
-    }
-    queued_count_ = 0;
+    reg.add(requests_counter(svc_, "failed"), queue_.size());
+    orphans.assign(std::make_move_iterator(queue_.begin()),
+                   std::make_move_iterator(queue_.end()));
+    queue_.clear();
   }
   note_queue_depth_locked();
   return orphans;
@@ -514,46 +398,24 @@ void EvalService::execute_batch(
     std::size_t device_index,
     const std::vector<std::shared_ptr<Pending>>& batch) {
   const std::shared_ptr<Pending>& leader = batch.front();
-  const std::string& session_id = leader->request.session;
 
   // Parent of the Engine's "evaluate:" request span (and everything below
   // it) for this dispatch.
-  obs::Span batch_span("dispatch:" + session_id, "batch");
+  obs::Span batch_span("dispatch:" + leader->request.session, "batch");
 
   std::size_t dispatch_index = 0;
-  std::size_t quota_bytes = 0;
-  SessionUsage* usage = nullptr;
   {
     std::scoped_lock lock(mutex_);
     dispatch_index = ++dispatch_counter_;
-    Session& session = session_locked(session_id);
-    quota_bytes = session.config.quota_bytes;
-    usage = &session.usage;
   }
 
-  // The batch runs under its leader's strategy, session and deadline.
+  // The batch runs under its leader's strategy (the strategy is part of
+  // the coalesce key, so every member asked for it).
   EngineOptions engine_options;
   engine_options.strategy = leader->request.strategy;
   engine_options.resident_pool = options_.resident_pool;
   engine_options.backend = options_.backend;
   engine_options.fallback = options_.fallback;
-  if (leader->request.deadline_factor > 0.0) {
-    engine_options.fallback.deadline_factor = leader->request.deadline_factor;
-  }
-  if (quota_bytes > 0) {
-    // Size streamed chunks to the quota, not the device's free memory.
-    try {
-      runtime::FieldBindings probe;
-      if (leader->request.mesh != nullptr) probe.bind_mesh(*leader->request.mesh);
-      for (const FieldRef& field : leader->request.fields) {
-        probe.bind(field.name, field.values);
-      }
-      engine_options.streamed_chunk_cells = quota_chunk_cells(
-          *leader->network, probe, leader->elements, quota_bytes);
-    } catch (const std::exception&) {
-      // Planning is advisory: fall through to auto-sizing on any failure.
-    }
-  }
 
   vcl::Device& device = *devices_[device_index];
   Engine engine(device, engine_options);
@@ -570,43 +432,36 @@ void EvalService::execute_batch(
   // its single evaluation's log, so its content is byte-identical to
   // engine.log().
   vcl::ProfilingLog merged_log;
-  {
-    // Every device byte this batch reserves is charged to the leading
-    // session; a veto surfaces as DeviceOutOfMemory inside evaluate and
-    // degrades the strategy via the fallback ladder.
-    SessionQuotaGuard guard(session_id, quota_bytes, *usage);
-    ScopedAllocationHook scoped(device.memory(), &guard);
-    try {
-      if (options_.memo) {
-        memo::EvalContext ctx;
-        ctx.network = leader->network.get();
-        ctx.mesh = leader->request.mesh;
-        ctx.elements = leader->elements;
-        ctx.fields.reserve(leader->request.fields.size());
-        for (const FieldRef& field : leader->request.fields) {
-          ctx.fields.push_back(
-              {field.name, field.values.data(), field.values.size()});
-        }
-        evaluation = std::make_shared<const EvaluationReport>(
-            memo_->evaluate(engine, ctx, &merged_log));
-      } else {
-        evaluation = std::make_shared<const EvaluationReport>(
-            engine.evaluate_network(*leader->network, leader->elements));
-        merged_log.append(engine.log());
+  try {
+    if (options_.memo) {
+      memo::EvalContext ctx;
+      ctx.network = leader->network.get();
+      ctx.mesh = leader->request.mesh;
+      ctx.elements = leader->elements;
+      ctx.fields.reserve(leader->request.fields.size());
+      for (const FieldRef& field : leader->request.fields) {
+        ctx.fields.push_back(
+            {field.name, field.values.data(), field.values.size()});
       }
-    } catch (const DeviceLost&) {
-      // The worker retires the device and re-queues the batch; keep the
-      // loss on this device's trace timeline.
-      merged_log.append(engine.log());
-      std::scoped_lock lock(mutex_);
-      device_logs_[device_index].append(merged_log);
-      throw;
-    } catch (const std::exception& e) {
-      error = e.what();
-      // The failing evaluation's partial log still carries its device
-      // events (timeouts, faults) for the incident counters below.
+      evaluation = std::make_shared<const EvaluationReport>(
+          memo_->evaluate(engine, ctx, &merged_log));
+    } else {
+      evaluation = std::make_shared<const EvaluationReport>(
+          engine.evaluate_network(*leader->network, leader->elements));
       merged_log.append(engine.log());
     }
+  } catch (const DeviceLost&) {
+    // The worker retires the device and re-queues the batch; keep the
+    // loss on this device's trace timeline.
+    merged_log.append(engine.log());
+    std::scoped_lock lock(mutex_);
+    device_logs_[device_index].append(merged_log);
+    throw;
+  } catch (const std::exception& e) {
+    error = e.what();
+    // The failing evaluation's partial log still carries its device
+    // events (timeouts, faults) for the incident counters below.
+    merged_log.append(engine.log());
   }
 
   batch_span.add_sim_seconds(merged_log.total_sim_seconds());
@@ -618,18 +473,9 @@ void EvalService::execute_batch(
     reg.observe(reg.histogram("dfgen_svc_coalesce_fanout", {{"svc", svc_}}),
                 batch.size());
     device_logs_[device_index].append(merged_log);
-    SessionStats& leader_stats = snapshot_.sessions[session_id];
-    ++leader_stats.evaluations;
-    leader_stats.quota_high_water_bytes =
-        std::max(leader_stats.quota_high_water_bytes, usage->high_water());
-    reg.gauge_max(
-        reg.gauge("dfgen_svc_quota_pressure_bytes",
-                  {{"svc", svc_}, {"session", session_id}}),
-        usage->high_water());
     if (evaluation != nullptr) {
       reg.add(svc_counter(svc_, "dfgen_svc_degradations_total"),
               evaluation->degradations.size());
-      leader_stats.degradations += evaluation->degradations.size();
       reg.add(incidents_counter(svc_, "timeout"),
               evaluation->command_timeouts);
       reg.add(incidents_counter(svc_, "retry"), evaluation->command_retries);
@@ -641,22 +487,12 @@ void EvalService::execute_batch(
       reg.add(incidents_counter(svc_, "fault"), device.fault().run_faults());
     }
     for (const std::shared_ptr<Pending>& pending : batch) {
-      SessionStats& stats = snapshot_.sessions[pending->request.session];
-      const double wait = seconds_since(pending->admitted_at);
-      stats.queue_wait_seconds += wait;
-      snapshot_.total_queue_wait_seconds += wait;
-      if (evaluation != nullptr) {
-        reg.add(requests_counter(svc_, "completed"));
-        ++stats.completed;
-      } else {
-        reg.add(requests_counter(svc_, "failed"));
-        ++stats.failed;
-      }
-      if (pending != leader) {
-        reg.add(requests_counter(svc_, "coalesced"));
-        ++stats.coalesced;
-      }
+      snapshot_.total_queue_wait_seconds += seconds_since(pending->admitted_at);
     }
+    reg.add(requests_counter(svc_, evaluation != nullptr ? "completed"
+                                                         : "failed"),
+            batch.size());
+    reg.add(requests_counter(svc_, "coalesced"), batch.size() - 1);
   }
 
   for (const std::shared_ptr<Pending>& pending : batch) {
@@ -674,18 +510,13 @@ void EvalService::execute_batch(
       report.status = RequestStatus::failed;
       report.error = error;
     }
-    resolve(pending, std::move(report));
+    resolve(*pending->ticket, std::move(report));
   }
 }
 
 ServiceSnapshot EvalService::snapshot() const {
   std::scoped_lock lock(mutex_);
   ServiceSnapshot copy = snapshot_;
-  for (const auto& [id, session] : sessions_) {
-    SessionStats& stats = copy.sessions[id];
-    stats.quota_high_water_bytes =
-        std::max(stats.quota_high_water_bytes, session.usage.high_water());
-  }
   // The service-wide scalars are delta-free views over this instance's
   // registry series (counter_value merges every worker thread's shard).
   obs::MetricsRegistry& reg = obs::metrics();
@@ -697,7 +528,6 @@ ServiceSnapshot EvalService::snapshot() const {
   copy.coalesced_requests = value(requests_counter(svc_, "coalesced"));
   copy.rejected_queue_full = value(rejects_counter(svc_, "queue_full"));
   copy.rejected_projection = value(rejects_counter(svc_, "projection"));
-  copy.rejected_quota = value(rejects_counter(svc_, "quota"));
   copy.rejected_no_device = value(rejects_counter(svc_, "no_device"));
   copy.devices_lost = value(svc_counter(svc_, "dfgen_svc_devices_lost_total"));
   copy.redispatched_batches =

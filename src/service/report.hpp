@@ -1,16 +1,15 @@
 // Service layer: request / report / configuration types.
 //
 // The vocabulary of the concurrent evaluation service. A Request is what a
-// tenant submits (expression, mesh binding, session identity, priority,
-// deadline); a ServiceReport is what the tenant gets back (the shared
-// EvaluationReport plus per-request scheduling metrics: queue wait,
-// coalescing fan-out, dispatch order); a ServiceSnapshot aggregates the
-// service-wide counters the benchmarks chart (admission rejections by
-// cause, evaluations actually executed vs. requests served, degradations).
+// caller submits (expression, mesh binding, session label); a
+// ServiceReport is what the caller gets back (the shared EvaluationReport
+// plus per-request scheduling metrics: queue wait, coalescing fan-out,
+// dispatch order); a ServiceSnapshot aggregates the service-wide counters
+// the benchmarks chart (admission rejections by cause, evaluations
+// actually executed vs. requests served, degradations).
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -26,13 +25,13 @@ namespace dfg::service {
 
 /// One named host array bound into a request. The view must stay valid
 /// until the request's ticket completes (the service never copies inputs —
-/// the paper's in-situ contract, §III-D, extended to multi-tenancy).
+/// the paper's in-situ contract, §III-D, extended to concurrent callers).
 struct FieldRef {
   std::string name;
   std::span<const float> values;
 };
 
-/// One unit of work a tenant submits. The mesh and field views must
+/// One unit of work a caller submits. The mesh and field views must
 /// outlive the ticket.
 struct Request {
   /// Expression script (the paper's network-definition language).
@@ -41,21 +40,13 @@ struct Request {
   /// element count, exactly like Engine::bind_mesh.
   const mesh::RectilinearMesh* mesh = nullptr;
   std::vector<FieldRef> fields;
-  /// Tenant identity; sessions are created on first use with the service
-  /// defaults and arbitrated by the fair-share scheduler.
+  /// Caller label, echoed in ServiceReport::session and in the batch's
+  /// `dispatch:<session>` span. It does not affect scheduling.
   std::string session = "default";
-  /// Higher-priority requests dispatch before lower-priority ones *within
-  /// the same session* (fairness across sessions is the scheduler's job).
-  int priority = 0;
   runtime::StrategyKind strategy = runtime::StrategyKind::fusion;
   /// Output element count; 0 derives it from the mesh (or the first bound
   /// field the expression uses).
   std::size_t elements = 0;
-  /// Per-request watchdog deadline: a command charged more than this many
-  /// times its cost-model estimate is abandoned (vcl::Device watchdog), so
-  /// a slow tenant degrades down the fallback ladder instead of starving
-  /// the queue. 0 = ServiceOptions::fallback.deadline_factor.
-  double deadline_factor = 0.0;
 };
 
 enum class RequestStatus {
@@ -86,45 +77,22 @@ struct ServiceReport {
   /// for coalesced followers that rode along.
   bool coalesce_leader = true;
   /// 1-based order in which the batch containing this request was
-  /// dispatched (0 = never dispatched). Exposes the fair-share schedule.
+  /// dispatched (0 = never dispatched). Exposes the dispatch order.
   std::size_t dispatch_index = 0;
   /// Index into the service's device list that executed the batch.
   int device_index = -1;
 };
 
-/// Per-session scheduler configuration.
-struct SessionConfig {
-  /// Weighted-round-robin share: a session with weight w dispatches w
-  /// batches per scheduler cycle. Clamped to >= 1.
-  int weight = 1;
-  /// Device-memory quota (bytes of live vcl::Buffer allocations, enforced
-  /// through the MemoryTracker accounting hook). 0 = unlimited.
-  std::size_t quota_bytes = 0;
-};
-
-struct SessionStats {
-  std::size_t submitted = 0;
-  std::size_t completed = 0;
-  std::size_t failed = 0;
-  std::size_t rejected = 0;
-  /// Requests served as coalesced followers (no execution of their own).
-  std::size_t coalesced = 0;
-  /// Batches this session led (evaluations charged to it).
-  std::size_t evaluations = 0;
-  std::size_t degradations = 0;
-  /// High-water of the session's live device bytes (quota accounting).
-  std::size_t quota_high_water_bytes = 0;
-  double queue_wait_seconds = 0.0;
-};
-
 /// Service-wide counters, all monotonic since construction. The scalar
 /// fields are views over the service's `svc=<N>` metrics-registry series
-/// (see obs/metrics.hpp); the per-session map is tracked in-service.
+/// (see obs/metrics.hpp).
 struct ServiceSnapshot {
   std::size_t submitted = 0;
   std::size_t admitted = 0;
   std::size_t rejected_queue_full = 0;
   std::size_t rejected_projection = 0;
+  /// Always 0: the service has no session quotas. Kept only because
+  /// perfbench/src/layers.cpp reads it.
   std::size_t rejected_quota = 0;
   /// Rejected because every device had been lost.
   std::size_t rejected_no_device = 0;
@@ -171,22 +139,18 @@ struct ServiceSnapshot {
   /// at least one non-leaf subtree fingerprint — the memo hit-rate
   /// ceiling, counted whether or not memoization is enabled.
   std::size_t memo_candidate_requests = 0;
-  std::map<std::string, SessionStats> sessions;
 };
 
 /// Service-level knobs.
 struct ServiceOptions {
-  /// Admission: total queued requests across all sessions.
+  /// Admission: total queued requests.
   std::size_t max_queue_depth = 64;
-  /// Default quota for sessions not configured explicitly (0 = unlimited).
-  std::size_t default_session_quota_bytes = 0;
   /// Batch key-equal concurrent requests into one evaluation.
   bool coalescing = true;
-  /// Degradation policy for every evaluation; resilient() by default so a
-  /// quota-capped or slow tenant lands on a cheaper rung instead of
-  /// failing (strict single-caller semantics stay available by disabling).
-  /// Its deadline_factor is the watchdog deadline for requests that do not
-  /// set their own.
+  /// Degradation policy for every batch, watchdog deadline_factor
+  /// included; resilient() by default so a request that does not fit or
+  /// times out lands on a cheaper rung instead of failing (strict
+  /// single-caller semantics stay available by disabling).
   runtime::FallbackPolicy fallback = runtime::FallbackPolicy::resilient();
   /// Construct with dispatch suspended; resume() starts the workers. Lets
   /// callers submit a burst atomically — the coalescer then sees the whole
@@ -206,11 +170,8 @@ struct ServiceOptions {
   /// leaders' plans are rewritten to serve repeated subtrees from a
   /// device-resident materialized-intermediate cache (memo::Memoizer).
   /// Off by default — the off path is byte-identical to previous
-  /// releases.
+  /// releases. The cache holds a quarter of the largest device's memory.
   bool memo = false;
-  /// Materialized-intermediate cache capacity in bytes. 0 = a quarter of
-  /// the largest device's memory.
-  std::size_t memo_cap_bytes = 0;
 };
 
 }  // namespace dfg::service

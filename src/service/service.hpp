@@ -1,4 +1,4 @@
-// Service layer: the concurrent multi-tenant evaluation front door.
+// Service layer: the concurrent evaluation front door.
 //
 // The paper's host interface (§III-D) serves one caller; in situ, many
 // consumers want derived fields from the same simulation state at once.
@@ -6,22 +6,20 @@
 //
 //   * Admission control — submit() either admits a request into a bounded
 //     queue or rejects it immediately with a reason: queue depth exceeded,
-//     no device can ever fit the request's planner-projected memory floor,
-//     or the session's quota cannot fit it on any permissible ladder rung. Rejection is
-//     backpressure the tenant can act on, instead of unbounded queueing.
+//     or no device can ever fit the request's planner-projected memory
+//     floor. Rejection is backpressure the caller can act on, instead of
+//     unbounded queueing.
 //   * Request coalescing — concurrently-queued requests with equal
 //     CoalesceKeys (same network fingerprint, mesh, element count, bound
 //     arrays, strategy) execute once and fan the shared report out to every
 //     ticket. Piggybacks the fused-program cache: followers cost zero
 //     device work, the leader usually hits the cache.
-//   * Fair-share scheduling — one worker per device pops batches via
-//     weighted round-robin over sessions (priority orders requests within
-//     a session), a per-session quota hook degrades over-quota tenants
-//     down the fallback ladder, and per-request deadlines arm the device
-//     watchdog so a slow tenant times out and degrades instead of
-//     starving the queue.
+//   * One FIFO queue — one worker per device pops the oldest request;
+//     with the resident pool on, the oldest request whose arrays are all
+//     warm on that worker's device goes first. Every batch runs under
+//     ServiceOptions::fallback, watchdog deadline included.
 //   * Device loss — a worker whose device throws DeviceLost retires it and
-//     hands its batch back, whole, to the head of the queues, so the
+//     hands its batch back, whole, to the head of the queue, so the
 //     surviving devices re-run it from scratch; once every device is gone,
 //     queued tickets fail and submit() rejects.
 //   * Observability — every ticket resolves to a ServiceReport (shared
@@ -40,7 +38,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -49,9 +46,7 @@
 
 #include "memo/memoizer.hpp"
 #include "service/coalescer.hpp"
-#include "service/quota.hpp"
 #include "service/report.hpp"
-#include "service/scheduler.hpp"
 #include "vcl/device.hpp"
 #include "vcl/profiling.hpp"
 #include "vcl/resident_pool.hpp"
@@ -104,16 +99,11 @@ class EvalService {
   EvalService& operator=(const EvalService&) = delete;
 
   /// Admits or rejects `request`. Never blocks on device work: admission
-  /// (parse, projection, quota check) runs on the caller's thread and the
-  /// returned ticket resolves asynchronously. A rejected request's ticket
+  /// (parse, projection) runs on the caller's thread and the returned
+  /// ticket resolves asynchronously. A rejected request's ticket
   /// is already resolved with status == rejected; once every device has
   /// been lost, every request is rejected.
   Ticket submit(Request request);
-
-  /// Sets a session's scheduler weight and quota. Sessions appear on first
-  /// submit with weight 1 and the service default quota; configuring an
-  /// unknown session creates it.
-  void configure_session(const std::string& id, SessionConfig config);
 
   /// Starts dispatch when the service was constructed start_paused (no-op
   /// otherwise). Submissions made while paused are queued atomically, so
@@ -144,8 +134,8 @@ class EvalService {
  private:
   struct Pending {
     Request request;
-    /// The parsed network (admission already built it for projection); the
-    /// memoizer and the quota chunk sizing reuse it at dispatch.
+    /// The parsed network (admission already built it for projection);
+    /// dispatch and the memoizer reuse it.
     std::shared_ptr<const dataflow::Network> network;
     std::size_t elements = 0;
     CoalesceKey key;
@@ -153,38 +143,24 @@ class EvalService {
     std::chrono::steady_clock::time_point admitted_at{};
   };
 
-  /// Per-session scheduler state (stable address: sessions_ is a std::map).
-  struct Session {
-    SessionConfig config;
-    SessionUsage usage;
-    std::deque<std::shared_ptr<Pending>> queue;
-  };
-
-  Session& session_locked(const std::string& id);
-  /// Pops the session's next request for `device`: highest priority first,
-  /// and — with the resident pool active — residency affinity among equal
-  /// priorities (a request whose arrays are all warm on `device` beats
-  /// FIFO order, so warm work lands where its buffers already live).
-  std::shared_ptr<Pending> pop_locked(Session& session,
-                                      const vcl::Device& device);
-  /// Publishes queued_count_ to the queue-depth gauge and its high-water.
+  /// Pops the next request for `device`: the oldest one, except that with
+  /// the resident pool active the oldest request whose arrays are all warm
+  /// on `device` goes first, so warm work lands where its buffers live.
+  std::shared_ptr<Pending> pop_locked(const vcl::Device& device);
+  /// Publishes the queue length to the queue-depth gauge and its high-water.
   void note_queue_depth_locked();
-  void reject(const std::shared_ptr<detail::TicketState>& ticket,
-              std::string reason);
   void worker(std::size_t device_index);
   /// Runs one batch and resolves its tickets. DeviceLost propagates with
   /// nothing resolved, so the worker can hand the batch back.
   void execute_batch(std::size_t device_index,
                      const std::vector<std::shared_ptr<Pending>>& batch);
   /// Retires device `device_index` after a DeviceLost: puts `batch` back
-  /// at the head of its sessions' queues for the surviving workers. When
-  /// no device survives, empties every queue instead and returns the
-  /// requests, already counted as failed, for the caller to resolve
-  /// outside the lock.
+  /// at the head of the queue for the surviving workers. When no device
+  /// survives, empties the queue instead and returns the requests, already
+  /// counted as failed, for the caller to resolve outside the lock.
   std::vector<std::shared_ptr<Pending>> retire_device_locked(
       std::size_t device_index,
       const std::vector<std::shared_ptr<Pending>>& batch);
-  void resolve(const std::shared_ptr<Pending>& pending, ServiceReport report);
 
   std::vector<vcl::Device*> devices_;
   ServiceOptions options_;
@@ -197,16 +173,14 @@ class EvalService {
   std::condition_variable drain_cv_;
   bool paused_ = false;
   bool stopping_ = false;
-  std::map<std::string, Session> sessions_;
-  WeightedRoundRobin scheduler_;
-  std::size_t queued_count_ = 0;
+  std::deque<std::shared_ptr<Pending>> queue_;
   std::size_t in_flight_ = 0;
   std::size_t dispatch_counter_ = 0;
   /// Devices whose worker has not retired after a DeviceLost.
   std::vector<bool> live_;
   std::size_t live_count_ = 0;
-  /// Per-session stats, queue-depth high-water and wall-clock waits. The
-  /// service-wide monotonic scalars are *not* accumulated here: they live
+  /// Queue-depth high-water and wall-clock waits. The service-wide
+  /// monotonic scalars are *not* accumulated here: they live
   /// in the metrics registry (the `svc=<N>` series) and snapshot() reads
   /// them back, making ServiceSnapshot a view over registry counters.
   ServiceSnapshot snapshot_;

@@ -59,10 +59,9 @@ Buffer Device::allocate(std::size_t elements) {
       return Buffer(*this, elements);
     } catch (const DeviceOutOfMemory&) {
       // Only genuine capacity pressure (real or synthetic) justifies
-      // shrinking the resident pool. A quota veto or a scheduled alloc
-      // fault throws the same type while the device itself has room —
-      // evicting residents would not change their outcome, so those
-      // surface unchanged.
+      // shrinking the resident pool. A scheduled alloc fault throws the
+      // same type while the device itself has room — evicting residents
+      // would not change its outcome, so it surfaces unchanged.
       if (elements * sizeof(float) <= effective_available()) throw;
       if (resident_.evict_lru_unpinned() == 0) throw;
     }

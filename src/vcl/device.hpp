@@ -59,23 +59,6 @@ struct DeviceSpec {
   int register_budget = 64;
 };
 
-/// Observer of one device's allocation traffic, consulted by the
-/// MemoryTracker on every reserve/release. The evaluation service installs
-/// one per executing request to charge device bytes against the owning
-/// session's quota; on_reserve may throw DeviceOutOfMemory to veto the
-/// allocation — the tracker stays untouched, so the fallback ladder sees an
-/// ordinary capacity failure and degrades to a cheaper strategy instead of
-/// letting one tenant take the whole device.
-class AllocationHook {
- public:
-  virtual ~AllocationHook() = default;
-  /// Called before the tracker commits `bytes`. Throwing aborts the
-  /// allocation without changing tracker state.
-  virtual void on_reserve(std::size_t bytes) = 0;
-  /// Called after the tracker releases `bytes`. Must not throw.
-  virtual void on_release(std::size_t bytes) = 0;
-};
-
 /// Tracks live device allocations against a capacity and records the
 /// high-water mark. reserve() throws DeviceOutOfMemory when the capacity
 /// would be exceeded, leaving the tracker unchanged.
@@ -83,8 +66,7 @@ class AllocationHook {
 /// Internally synchronized: the resident pool may release device buffers
 /// from a thread that is not driving the device (Engine::invalidate from
 /// another session while an evaluation is in flight), so reserve/release
-/// must tolerate concurrent callers. The hook is still called under the
-/// tracker lock, preserving the reserve-then-veto atomicity quotas rely on.
+/// must tolerate concurrent callers.
 class MemoryTracker {
  public:
   MemoryTracker(std::string device_name, std::size_t capacity_bytes)
@@ -92,27 +74,11 @@ class MemoryTracker {
   MemoryTracker(const MemoryTracker&) = delete;
   MemoryTracker& operator=(const MemoryTracker&) = delete;
 
-  /// RAII: suspends hook callbacks for reserve/release calls made by the
-  /// *calling thread* while alive. Thread-local rather than clearing the
-  /// hook pointer, so a concurrent thread's allocations still see the
-  /// hook (the resident pool suspends accounting for its own traffic
-  /// without un-hooking whichever session is currently metered).
-  class HookSuspension {
-   public:
-    HookSuspension() { ++t_hook_suspended_; }
-    ~HookSuspension() { --t_hook_suspended_; }
-    HookSuspension(const HookSuspension&) = delete;
-    HookSuspension& operator=(const HookSuspension&) = delete;
-  };
-
   void reserve(std::size_t bytes) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (bytes > capacity_ - in_use_) {
       throw DeviceOutOfMemory(device_name_, bytes, in_use_, capacity_);
     }
-    // The hook may veto (throw) before any state changes; ordering keeps
-    // veto semantics identical to a real over-capacity failure.
-    if (hook_ != nullptr && t_hook_suspended_ == 0) hook_->on_reserve(bytes);
     in_use_ += bytes;
     if (in_use_ > high_water_) high_water_ = in_use_;
   }
@@ -120,19 +86,6 @@ class MemoryTracker {
   void release(std::size_t bytes) {
     std::lock_guard<std::mutex> lock(mutex_);
     in_use_ = bytes > in_use_ ? 0 : in_use_ - bytes;
-    if (hook_ != nullptr && t_hook_suspended_ == 0) hook_->on_release(bytes);
-  }
-
-  /// Installs (or clears, with nullptr) the accounting hook. The hook must
-  /// outlive every allocation made while it is installed; callers install
-  /// it only while they have exclusive use of the device.
-  void set_hook(AllocationHook* hook) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    hook_ = hook;
-  }
-  AllocationHook* hook() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hook_;
   }
 
   std::size_t in_use() const {
@@ -157,14 +110,11 @@ class MemoryTracker {
   }
 
  private:
-  inline static thread_local int t_hook_suspended_ = 0;
-
   std::string device_name_;
   std::size_t capacity_;
   mutable std::mutex mutex_;
   std::size_t in_use_ = 0;
   std::size_t high_water_ = 0;
-  AllocationHook* hook_ = nullptr;
 };
 
 class Buffer;

@@ -51,7 +51,6 @@ ResidentPool::~ResidentPool() {
   // Device teardown: every scope is gone, so force-drop even entries a
   // buggy caller left pinned rather than leak tracker bytes.
   for (auto& [key, entry] : entries_) entry.pins = 0;
-  MemoryTracker::HookSuspension suspend;
   entries_.clear();
   resident_bytes_.store(0, std::memory_order_relaxed);
 }
@@ -122,17 +121,14 @@ const Buffer* ResidentPool::acquire(CommandQueue& queue,
   }
 
   Buffer buffer;
-  {
-    MemoryTracker::HookSuspension suspend;
-    for (;;) {
-      try {
-        buffer = Buffer(*device_, host.size());
-        break;
-      } catch (const DeviceOutOfMemory&) {
-        // Transients own the rest of the device right now; shrink the pool
-        // before giving up and letting the caller upload transiently.
-        if (evict_lru_unpinned_locked() == 0) return nullptr;
-      }
+  for (;;) {
+    try {
+      buffer = Buffer(*device_, host.size());
+      break;
+    } catch (const DeviceOutOfMemory&) {
+      // Transients own the rest of the device right now; shrink the pool
+      // before giving up and letting the caller upload transiently.
+      if (evict_lru_unpinned_locked() == 0) return nullptr;
     }
   }
   // The profiled upload — same label, same event, same simulated cost as
@@ -236,7 +232,6 @@ void ResidentPool::end_scope(PinScope& scope) {
 
 void ResidentPool::erase_entry_locked(EntryMap::iterator it) {
   const std::size_t bytes = it->second.buffer.bytes();
-  MemoryTracker::HookSuspension suspend;
   entries_.erase(it);
   resident_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
 }

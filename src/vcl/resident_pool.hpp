@@ -28,10 +28,7 @@
 // values, slab dims arrays) are never pooled at all.
 //
 // Capacity cooperation:
-//   * residents are charged to the device's MemoryTracker like any buffer,
-//     but with the AllocationHook suspended — session quotas bound each
-//     evaluation's *transient* working set, while residents are
-//     device-level state shared across sessions;
+//   * residents are charged to the device's MemoryTracker like any buffer;
 //   * the pool keeps itself under a watermark fraction of device capacity
 //     with LRU eviction, and Device::allocate evicts unpinned residents
 //     one by one when a transient allocation hits the capacity wall, so a

@@ -1,10 +1,10 @@
 // The concurrent evaluation service: admission control rejects with a
-// reason, the coalescer executes one evaluation per distinct key, the
-// fair-share scheduler honours weights and priorities, quotas degrade
-// over-quota tenants down the fallback ladder, and — the load-bearing
-// property — N concurrent sessions produce results bit-identical to N
-// serialized Engine::evaluate calls, across strategies, with a seeded
-// FaultPlan armed.
+// reason, the coalescer executes one evaluation per distinct key, one FIFO
+// queue dispatches requests in arrival order whatever their session, a
+// request that does not fit the device degrades down the fallback ladder,
+// and — the load-bearing property — N concurrent sessions produce results
+// bit-identical to N serialized Engine::evaluate calls, across strategies,
+// with a seeded FaultPlan armed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,7 +37,6 @@ using service::RequestStatus;
 using service::ServiceOptions;
 using service::ServiceReport;
 using service::ServiceSnapshot;
-using service::SessionConfig;
 using service::Ticket;
 
 struct Fixture {
@@ -218,19 +217,6 @@ TEST(Service, ProjectionRejectsRequestNoDeviceCanEverFit) {
   EXPECT_EQ(svc.snapshot().rejected_projection, 1u);
 }
 
-TEST(Service, QuotaRejectsWhenNoRungFits) {
-  Fixture fx;
-  vcl::Device device(vcl::xeon_x5660_scaled());
-  EvalService svc({&device}, ServiceOptions{});
-  svc.configure_session("capped", {1, 64});  // 64-byte quota: nothing fits
-
-  Ticket ticket = svc.submit(fx.request(kUnstreamable, "capped"));
-  const ServiceReport& report = ticket.wait();
-  EXPECT_EQ(report.status, RequestStatus::rejected);
-  EXPECT_NE(report.reject_reason.find("quota"), std::string::npos);
-  EXPECT_EQ(svc.snapshot().rejected_quota, 1u);
-}
-
 TEST(Service, QuotaDegradesOverQuotaTenantDownTheLadder) {
   Fixture fx;
   const std::string script = expressions::kQCriterion;
@@ -252,65 +238,29 @@ TEST(Service, QuotaDegradesOverQuotaTenantDownTheLadder) {
   }
   ASSERT_TRUE(estimate.count(StrategyKind::fusion));
   ASSERT_TRUE(estimate.count(StrategyKind::streamed));
-  // A quota one float short of fusion's working set: the tenant cannot run
-  // the requested rung, but the streamed rung — whose chunks the service
-  // sizes to the quota — fits, so it must degrade exactly one rung.
-  const std::size_t quota = estimate[StrategyKind::fusion] - sizeof(float);
-  ASSERT_LE(estimate[StrategyKind::streamed], quota)
-      << "premise: the streamed memory floor fits the quota";
+  // A device one float short of fusion's working set: the request cannot
+  // run the requested rung, but the streamed rung — whose chunks size
+  // themselves to the device's free memory — fits, so it must degrade.
+  vcl::DeviceSpec spec = vcl::xeon_x5660_scaled();
+  spec.global_mem_bytes = estimate[StrategyKind::fusion] - sizeof(float);
+  ASSERT_LE(estimate[StrategyKind::streamed], spec.global_mem_bytes)
+      << "premise: the streamed memory floor fits the device";
 
-  vcl::Device device(vcl::xeon_x5660_scaled());
+  vcl::Device device(spec);
   EvalService svc({&device}, ServiceOptions{});
-  svc.configure_session("capped", {1, quota});
 
-  Ticket ticket = svc.submit(fx.request(script, "capped"));
+  Ticket ticket = svc.submit(fx.request(script));
   const ServiceReport& report = ticket.wait();
   ASSERT_EQ(report.status, RequestStatus::completed) << report.error;
   EXPECT_EQ(report.evaluation->strategy,
             runtime::strategy_name(StrategyKind::streamed));
   EXPECT_GE(report.evaluation->degradations.size(), 1u)
-      << "an over-quota tenant must degrade, not fail";
+      << "a request too large for the device must degrade, not fail";
   expect_bitwise_equal(report.evaluation->values, fx.reference(script));
-
-  const ServiceSnapshot snap = svc.snapshot();
-  EXPECT_GE(snap.degradations, 1u);
-  EXPECT_GT(snap.sessions.at("capped").quota_high_water_bytes, 0u);
-  EXPECT_LE(snap.sessions.at("capped").quota_high_water_bytes, quota);
+  EXPECT_GE(svc.snapshot().degradations, 1u);
 }
 
-TEST(Service, WeightedRoundRobinHonoursWeights) {
-  Fixture fx;
-  vcl::Device device(vcl::xeon_x5660_scaled());
-  ServiceOptions options;
-  options.start_paused = true;
-  options.coalescing = false;
-  EvalService svc({&device}, options);
-  svc.configure_session("heavy", {2, 0});
-  svc.configure_session("light", {1, 0});
-
-  std::vector<Ticket> heavy;
-  std::vector<Ticket> light;
-  for (int i = 0; i < 4; ++i) {
-    heavy.push_back(svc.submit(fx.request(expressions::kDivergence, "heavy")));
-  }
-  for (int i = 0; i < 2; ++i) {
-    light.push_back(svc.submit(fx.request(expressions::kHelicity, "light")));
-  }
-  svc.resume();
-  svc.drain();
-
-  // One device, weights 2:1 → dispatch order H H L H H L.
-  std::vector<std::size_t> heavy_idx;
-  std::vector<std::size_t> light_idx;
-  for (const Ticket& t : heavy) heavy_idx.push_back(t.wait().dispatch_index);
-  for (const Ticket& t : light) light_idx.push_back(t.wait().dispatch_index);
-  std::sort(heavy_idx.begin(), heavy_idx.end());
-  std::sort(light_idx.begin(), light_idx.end());
-  EXPECT_EQ(heavy_idx, (std::vector<std::size_t>{1, 2, 4, 5}));
-  EXPECT_EQ(light_idx, (std::vector<std::size_t>{3, 6}));
-}
-
-TEST(Service, PriorityOrdersRequestsWithinASession) {
+TEST(Service, DispatchIsFifoAcrossSessions) {
   Fixture fx;
   vcl::Device device(vcl::xeon_x5660_scaled());
   ServiceOptions options;
@@ -318,53 +268,57 @@ TEST(Service, PriorityOrdersRequestsWithinASession) {
   options.coalescing = false;
   EvalService svc({&device}, options);
 
-  Request low = fx.request(expressions::kDivergence);
-  low.priority = 0;
-  Request high = fx.request(expressions::kHelicity);
-  high.priority = 5;
-  Ticket t_low = svc.submit(std::move(low));
-  Ticket t_high = svc.submit(std::move(high));
+  std::vector<Ticket> tickets;
+  for (const char* session : {"a", "a", "b", "b"}) {
+    tickets.push_back(
+        svc.submit(fx.request(expressions::kDivergence, session)));
+  }
   svc.resume();
   svc.drain();
 
-  EXPECT_LT(t_high.wait().dispatch_index, t_low.wait().dispatch_index)
-      << "the higher-priority request must dispatch first";
+  // One device, one queue: dispatch follows submission order, not a
+  // rotation over sessions.
+  std::vector<std::size_t> order;
+  for (const Ticket& t : tickets) order.push_back(t.wait().dispatch_index);
+  EXPECT_EQ(order, (std::vector<std::size_t>{1, 2, 3, 4}));
 }
 
 TEST(Service, PerRequestDeadlineArmsTheWatchdog) {
   Fixture fx;
-  vcl::Device device(vcl::xeon_x5660_scaled());
   vcl::FaultPlan plan;
   plan.seed = 11;
   plan.slow_command_index = 1;  // every command crawls, 4x its estimate
   plan.slowdown_factor = 4.0;
-  device.fault().arm(plan);
-
-  EvalService svc({&device}, ServiceOptions{});
+  vcl::Device patient_device(vcl::xeon_x5660_scaled());
+  vcl::Device tight_device(vcl::xeon_x5660_scaled());
+  patient_device.fault().arm(plan);
+  tight_device.fault().arm(plan);
 
   // Under the service default deadline (8x) the 4x slowdown is tolerated.
-  Ticket patient = svc.submit(fx.request(expressions::kVelocityMagnitude));
-  const ServiceReport& ok = patient.wait();
+  EvalService patient({&patient_device}, ServiceOptions{});
+  const ServiceReport ok =
+      patient.submit(fx.request(expressions::kVelocityMagnitude)).wait();
   ASSERT_EQ(ok.status, RequestStatus::completed) << ok.error;
   EXPECT_EQ(ok.evaluation->command_timeouts, 0u);
   expect_bitwise_equal(ok.evaluation->values,
                        fx.reference(expressions::kVelocityMagnitude));
 
-  // A tenant with a tight per-request deadline trips the watchdog instead:
-  // the 4x slowdown now exceeds its 1.5x budget on every rung.
-  Request tight = fx.request(expressions::kVelocityMagnitude, "impatient");
-  tight.deadline_factor = 1.5;
-  Ticket ticket = svc.submit(std::move(tight));
-  const ServiceReport& report = ticket.wait();
+  // A service with a tight deadline trips the watchdog instead: the 4x
+  // slowdown now exceeds its 1.5x budget on every rung.
+  ServiceOptions options;
+  options.fallback.deadline_factor = 1.5;
+  EvalService tight({&tight_device}, options);
+  const ServiceReport report =
+      tight.submit(fx.request(expressions::kVelocityMagnitude)).wait();
   EXPECT_EQ(report.status, RequestStatus::failed);
   EXPECT_FALSE(report.error.empty());
-  EXPECT_GE(svc.snapshot().command_timeouts, 1u)
+  EXPECT_GE(tight.snapshot().command_timeouts, 1u)
       << "the tight deadline must abandon the slowed commands";
 }
 
-// A request without its own deadline runs under the service's fallback
-// policy: turning that policy's watchdog off lets crawling commands finish
-// (the service analogue of Watchdog.DisabledWatchdogLetsSlowCommandsFinish).
+// Every batch runs under the service's fallback policy: turning that
+// policy's watchdog off lets crawling commands finish (the service
+// analogue of Watchdog.DisabledWatchdogLetsSlowCommandsFinish).
 TEST(Service, FallbackDeadlineFactorAppliesWhenTheRequestSetsNone) {
   Fixture fx;
   vcl::Device device(vcl::xeon_x5660_scaled());
