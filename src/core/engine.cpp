@@ -103,9 +103,7 @@ void Engine::set_strategy(runtime::StrategyKind kind) {
 
 void Engine::invalidate(const std::string& name) {
   if (!bindings_.has(name)) return;
-  const std::span<const float> view = bindings_.get(name);
-  vcl::note_host_mutation(view.data());
-  device_->resident().invalidate(view.data());
+  vcl::note_host_mutation(bindings_.get(name).data());
 }
 
 EvaluationReport Engine::evaluate(std::string_view expression,
@@ -162,14 +160,9 @@ EvaluationReport Engine::evaluate_network(const dataflow::Network& network,
   obs::Span span(
       "evaluate:" + network.spec().node(network.output_id()).label,
       "request");
-  runtime::FallbackOutcome outcome = [&] {
-    // Resident buffers acquired by the strategies stay pinned — immune to
-    // LRU/capacity eviction — until the evaluation completes.
-    vcl::ResidentPool::PinScope pins(device_->resident());
-    return runtime::execute_with_fallback(
-        network, bindings_, elements, *device_, log_, requested,
-        options_.fallback, options_.streamed_chunk_cells);
-  }();
+  runtime::FallbackOutcome outcome = runtime::execute_with_fallback(
+      network, bindings_, elements, *device_, log_, requested,
+      options_.fallback, options_.streamed_chunk_cells);
   span.add_sim_seconds(log_.total_sim_seconds());
   const std::array<std::uint64_t, 12> after = ids.sample();
   EvaluationReport report;

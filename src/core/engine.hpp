@@ -44,7 +44,8 @@ struct EngineOptions {
   /// their host-to-device transfers. Off by default — the cold path is
   /// byte-identical to previous releases. Callers that mutate a bound
   /// array between evaluations must call Engine::invalidate (or
-  /// vcl::note_host_mutation).
+  /// vcl::note_host_mutation); the stale device copy is dropped at the
+  /// next evaluation that binds it, before its replacement is uploaded.
   bool resident_pool = false;
   /// Pick the strategy per evaluation with
   /// runtime::select_fastest_strategy, using the device's current
@@ -112,6 +113,8 @@ struct EvaluationReport {
   /// Resident-buffer pool traffic during this evaluation (all zero while
   /// the pool is disabled). A hit is an input upload eliminated entirely;
   /// upload_bytes_saved totals the bytes those transfers would have moved.
+  /// An invalidation is a stale entry (its array announced as mutated
+  /// since the upload) dropped by this evaluation's acquire.
   std::size_t resident_hits = 0;
   std::size_t resident_misses = 0;
   std::size_t resident_evictions = 0;
@@ -178,10 +181,11 @@ class Engine {
   runtime::StrategyKind strategy() const { return options_.strategy; }
 
   /// Declares that the host mutated (or replaced) the named bound array:
-  /// bumps its generation tag and drops any resident device copies, so the
-  /// next evaluation re-uploads. Required for correctness whenever the
-  /// resident pool is enabled and a bound array changes in place; harmless
-  /// (and a no-op on unbound names) otherwise.
+  /// bumps its generation tag, the resident pool's only coherence signal,
+  /// so the next evaluation drops the stale device copy and re-uploads.
+  /// Touches no device state and is safe from any thread. Required for
+  /// correctness whenever the resident pool is enabled and a bound array
+  /// changes in place; harmless (and a no-op on unbound names) otherwise.
   void invalidate(const std::string& name);
 
   /// Evaluates an expression script over an explicit output element count.

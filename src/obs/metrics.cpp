@@ -9,10 +9,13 @@
 #include "obs/span.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
+#include "support/string_util.hpp"
 
 namespace dfg::obs {
 
 namespace {
+
+using support::json_escape;
 
 std::atomic<std::uint64_t> g_next_uid{1};
 std::atomic<MetricsRegistry*> g_current{nullptr};
@@ -29,29 +32,6 @@ std::string series_key(const std::string& name, const Labels& labels) {
     key += '\x1f';
   }
   return key;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Prometheus label-value escaping: backslash, double quote, newline.
@@ -241,11 +221,6 @@ std::uint64_t MetricsRegistry::merged_slot(std::uint32_t slot) const {
 }
 
 std::uint64_t MetricsRegistry::counter_value(MetricId id) const {
-  std::scoped_lock lock(mutex_);
-  return merged_slot(id);
-}
-
-std::uint64_t MetricsRegistry::histogram_count(MetricId id) const {
   std::scoped_lock lock(mutex_);
   return merged_slot(id);
 }

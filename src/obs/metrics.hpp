@@ -99,8 +99,6 @@ class MetricsRegistry {
   std::uint64_t thread_counter_sum(const std::string& name,
                                    const Labels& having = {}) const;
   std::uint64_t gauge_value(MetricId id) const;
-  /// Merged observation count of a histogram.
-  std::uint64_t histogram_count(MetricId id) const;
 
   /// DFGEN_METRICS gate for gauges, histograms and spans (counters always
   /// run; see the header comment).

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
+#include "support/string_util.hpp"
 
 namespace dfg::obs {
 
@@ -119,16 +120,17 @@ std::string SpanTracer::to_chrome_trace() const {
     }
   }
   std::string out = "{\"traceEvents\":[";
-  char buf[256];
+  char buf[256];  // numeric fields only; names are appended unbounded
   bool first = true;
   for (const SpanRecord& record : records) {
+    out += first ? "\n  {\"name\":\"" : ",\n  {\"name\":\"";
+    out += support::json_escape(record.name);
+    out += "\",\"cat\":\"";
+    out += support::json_escape(record.category);
     std::snprintf(
         buf, sizeof buf,
-        "%s\n  {\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-        "\"pid\":1,\"tid\":%llu,\"ts\":%.3f,\"dur\":%.3f,"
+        "\",\"ph\":\"X\",\"pid\":1,\"tid\":%llu,\"ts\":%.3f,\"dur\":%.3f,"
         "\"args\":{\"id\":%llu,\"parent\":%llu,\"sim_seconds\":%.9f}}",
-        first ? "" : ",",
-        record.name.c_str(), record.category.c_str(),
         static_cast<unsigned long long>(record.thread),
         (record.start_wall - origin) * 1e6, record.dur_wall * 1e6,
         static_cast<unsigned long long>(record.id),

@@ -19,7 +19,7 @@
 // indices up front, so the per-evaluation path performs no string-keyed map
 // lookups.
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -84,46 +84,36 @@ std::vector<float> FusionStrategy::execute(const dataflow::Network& network,
                         ? kernels::materialized_param_name(output_id)
                         : std::string("out"));
 
-  // Buffers live for the whole pipeline: field uploads happen once at
+  // Device values live for the whole pipeline: field uploads happen once at
   // first use (in stage-parameter order, matching the uncached event
   // stream); materialised intermediates are written by their stage and
   // read by later stages' kernels without further transfers. A field slot
-  // may resolve to a pool-resident buffer instead of an owned upload.
-  std::vector<std::optional<vcl::Buffer>> buffers(slot_names.size());
-  std::vector<const vcl::Buffer*> resident(slot_names.size(), nullptr);
-  const auto slot_buffer = [&](std::size_t slot) -> const vcl::Buffer& {
-    return resident[slot] != nullptr ? *resident[slot] : *buffers[slot];
-  };
+  // may share a pool-resident buffer.
+  std::vector<std::shared_ptr<const vcl::Buffer>> values(slot_names.size());
   for (std::size_t s = 0; s < pipeline->stages.size(); ++s) {
     const kernels::FusedPipeline::Stage& stage = pipeline->stages[s];
     const StagePlan& plan = plans[s];
     std::vector<kernels::BufferBinding> stage_inputs;
     stage_inputs.reserve(plan.param_slots.size());
     for (const std::size_t slot : plan.param_slots) {
-      if (!buffers[slot] && resident[slot] == nullptr) {
+      if (!values[slot]) {
         // A field parameter seen for the first time: stage the binding.
         // (Materialised parameters are created by their producing stage
         // and are always present by the time a consumer asks.)
-        StagedInput staged = stage_input(
-            queue, bindings.get(slot_names[slot]), slot_names[slot]);
-        if (staged.resident != nullptr) {
-          resident[slot] = staged.resident;
-        } else {
-          buffers[slot] = std::move(staged.owned);
-        }
+        values[slot] = stage_input(queue, bindings.get(slot_names[slot]),
+                                   slot_names[slot]);
       }
-      const vcl::Buffer& buffer = slot_buffer(slot);
-      stage_inputs.push_back(
-          kernels::BufferBinding{buffer.device_view().data(), buffer.size()});
+      stage_inputs.push_back(binding_of(*values[slot]));
     }
     vcl::Buffer out_buffer =
         device.allocate(elements * stage.program.out_stride());
     launch_program(queue, stage.program, std::move(stage_inputs),
                    out_buffer.device_view(), elements);
-    buffers[plan.out_slot] = std::move(out_buffer);
+    values[plan.out_slot] =
+        std::make_shared<const vcl::Buffer>(std::move(out_buffer));
   }
 
-  const vcl::Buffer& final_buffer = slot_buffer(final_slot);
+  const vcl::Buffer& final_buffer = *values[final_slot];
   std::vector<float> result(final_buffer.size());
   queue.read(final_buffer, result,
              network.spec().node(output_id).label);

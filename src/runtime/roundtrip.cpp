@@ -86,20 +86,17 @@ std::vector<float> RoundtripStrategy::execute(const dataflow::Network& network,
     // Upload one buffer per argument occurrence. Only bound field arrays
     // are pool-eligible: host intermediates (owned vectors above) die at
     // the end of this evaluation and must stay transient.
-    std::vector<StagedInput> arg_buffers;
+    std::vector<std::shared_ptr<const vcl::Buffer>> arg_buffers;
     std::vector<kernels::BufferBinding> arg_bindings;
     arg_buffers.reserve(node.inputs.size());
     arg_bindings.reserve(node.inputs.size());
-    for (std::size_t a = 0; a < node.inputs.size(); ++a) {
-      const HostValue& in = values[node.inputs[a]];
-      const bool poolable = spec.node(node.inputs[a]).type ==
-                            dataflow::NodeType::field_source;
-      StagedInput staged =
-          stage_input(queue, in.view,
-                      node.kind + ":" + spec.node(node.inputs[a]).label,
-                      poolable);
-      arg_bindings.push_back(staged.binding);
-      arg_buffers.push_back(std::move(staged));
+    for (const int input : node.inputs) {
+      const bool poolable =
+          spec.node(input).type == dataflow::NodeType::field_source;
+      arg_buffers.push_back(stage_input(
+          queue, values[input].view,
+          node.kind + ":" + spec.node(input).label, poolable));
+      arg_bindings.push_back(binding_of(*arg_buffers.back()));
     }
 
     vcl::Buffer out_buffer = device.allocate(elements * program.out_stride());

@@ -1,6 +1,7 @@
 #include "runtime/slab.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -96,17 +97,16 @@ void run_fused_slab(const kernels::Program& program,
   const std::size_t slab_cells = slab_planes * plan.plane_cells;
 
   vcl::CommandQueue queue(device, log);
-  // Resident sub-range buffers must stay evictable *between* chunks (a
-  // scan larger than the pool watermark recycles LRU slabs) but pinned
-  // while this chunk's kernel can still read them.
-  vcl::ResidentPool::PinScope slab_pins(device.resident());
 
   // The per-slab dims array: local plane count, same transverse shape.
   const std::vector<float> local_dims{static_cast<float>(plan.nx),
                                       static_cast<float>(plan.ny),
                                       static_cast<float>(slab_planes)};
 
-  std::vector<StagedInput> inputs;
+  // The handles pin resident sub-range buffers while this chunk's kernel
+  // can still read them; they drop at return, so a scan larger than the
+  // pool watermark recycles LRU slabs between chunks.
+  std::vector<std::shared_ptr<const vcl::Buffer>> inputs;
   std::vector<kernels::BufferBinding> vm_bindings;
   inputs.reserve(params.size());
   vm_bindings.reserve(params.size());
@@ -114,29 +114,23 @@ void run_fused_slab(const kernels::Program& program,
     if (param.is_dims) {
       // The dims array is a stack temporary rewritten per slab: never
       // pool-eligible.
-      vcl::Buffer buffer = device.allocate(3);
-      queue.write(buffer, local_dims, param.name + "@slab");
-      vm_bindings.push_back(kernels::BufferBinding{
-          buffer.device_view().data(), buffer.size()});
-      StagedInput staged;
-      staged.owned = std::move(buffer);
-      inputs.push_back(std::move(staged));
-      continue;
+      inputs.push_back(stage_input(queue, local_dims, param.name + "@slab",
+                                   /*poolable=*/false));
+    } else {
+      const std::size_t offset = slab_lo * plan.plane_cells;
+      if (param.view.size() < offset + slab_cells) {
+        throw NetworkError("field '" + param.name +
+                           "' too small for the requested slab");
+      }
+      // Sub-range uploads key the pool on the slab pointer but follow the
+      // *base* array's generation tag, so mutating the bound field
+      // invalidates every one of its slabs.
+      inputs.push_back(stage_input(queue,
+                                   param.view.subspan(offset, slab_cells),
+                                   param.name + "@slab", /*poolable=*/true,
+                                   /*generation_key=*/param.view.data()));
     }
-    const std::size_t offset = slab_lo * plan.plane_cells;
-    if (param.view.size() < offset + slab_cells) {
-      throw NetworkError("field '" + param.name +
-                         "' too small for the requested slab");
-    }
-    // Sub-range uploads key the pool on the slab pointer but follow the
-    // *base* array's generation tag, so mutating the bound field
-    // invalidates every one of its slabs.
-    StagedInput staged =
-        stage_input(queue, param.view.subspan(offset, slab_cells),
-                    param.name + "@slab", /*poolable=*/true,
-                    /*generation_key=*/param.view.data());
-    vm_bindings.push_back(staged.binding);
-    inputs.push_back(std::move(staged));
+    vm_bindings.push_back(binding_of(*inputs.back()));
   }
 
   vcl::Buffer out_buffer =

@@ -27,18 +27,10 @@ std::vector<float> StagedStrategy::execute(const dataflow::Network& network,
                                            vcl::ProfilingLog& log) const {
   vcl::CommandQueue queue(device, log);
   const auto& spec = network.spec();
-  // A node's device value is either owned (filter outputs, constants) or a
-  // view of a pool-resident field upload; exactly one side is set.
-  std::vector<vcl::Buffer> buffers(spec.nodes().size());
-  std::vector<const vcl::Buffer*> resident(spec.nodes().size(), nullptr);
+  // One device value per node: filter outputs and constants are owned
+  // here, a field may share a pool-resident upload.
+  std::vector<std::shared_ptr<const vcl::Buffer>> values(spec.nodes().size());
   std::vector<int> refs = network.use_counts();
-
-  const auto node_buffer = [&](int id) -> const vcl::Buffer& {
-    return resident[id] != nullptr ? *resident[id] : buffers[id];
-  };
-  const auto node_live = [&](int id) {
-    return resident[id] != nullptr || buffers[id].valid();
-  };
 
   // Sources are materialised lazily, at their first consumer: each unique
   // external input still uploads exactly once and each unique constant is
@@ -48,24 +40,20 @@ std::vector<float> StagedStrategy::execute(const dataflow::Network& network,
   const auto materialise_source = [&](int id) {
     const dataflow::SpecNode& node = spec.node(id);
     if (node.type == dataflow::NodeType::field_source) {
-      const auto view = bindings.get(node.field_name);
-      StagedInput staged = stage_input(queue, view, node.field_name);
-      if (staged.resident != nullptr) {
-        resident[id] = staged.resident;
-      } else {
-        buffers[id] = std::move(staged.owned);
-      }
+      values[id] = stage_input(queue, bindings.get(node.field_name),
+                               node.field_name);
     } else {  // constant
-      buffers[id] = device.allocate(elements);
+      vcl::Buffer buffer = device.allocate(elements);
       const std::shared_ptr<const kernels::Program> fill =
           kernels::ProgramCache::instance().standalone(
               "const_fill", 0, static_cast<float>(node.const_value));
-      launch_program(queue, *fill, {}, buffers[id].device_view(), elements);
+      launch_program(queue, *fill, {}, buffer.device_view(), elements);
+      values[id] = std::make_shared<const vcl::Buffer>(std::move(buffer));
     }
   };
 
-  const auto binding_of = [&](int id) {
-    if (!node_live(id)) {
+  const auto input_of = [&](int id) {
+    if (!values[id]) {
       if (spec.node(id).type == dataflow::NodeType::filter) {
         throw NetworkError("staged execution consumed '" +
                            spec.node(id).label +
@@ -73,9 +61,7 @@ std::vector<float> StagedStrategy::execute(const dataflow::Network& network,
       }
       materialise_source(id);
     }
-    const vcl::Buffer& buffer = node_buffer(id);
-    return kernels::BufferBinding{buffer.device_view().data(),
-                                  buffer.size()};
+    return binding_of(*values[id]);
   };
 
   for (const int id : network.topo_order()) {
@@ -87,25 +73,24 @@ std::vector<float> StagedStrategy::execute(const dataflow::Network& network,
                                                      node.component);
     std::vector<kernels::BufferBinding> inputs;
     inputs.reserve(node.inputs.size());
-    for (const int in : node.inputs) inputs.push_back(binding_of(in));
+    for (const int in : node.inputs) inputs.push_back(input_of(in));
 
-    buffers[id] = device.allocate(elements * program->out_stride());
-    launch_program(queue, *program, std::move(inputs),
-                   buffers[id].device_view(), elements);
+    vcl::Buffer out = device.allocate(elements * program->out_stride());
+    launch_program(queue, *program, std::move(inputs), out.device_view(),
+                   elements);
+    values[id] = std::make_shared<const vcl::Buffer>(std::move(out));
 
     // Reference counting: release intermediates after their last consumer.
-    // Dropping a resident view just forgets the pointer — the buffer stays
-    // in the pool for the next evaluation; that is the transfer saving.
+    // Dropping the sole owner frees the buffer; dropping a share of a
+    // resident upload leaves it in the pool for the next evaluation — that
+    // is the transfer saving.
     for (const int in : node.inputs) {
-      if (--refs[in] == 0) {
-        buffers[in].release();
-        resident[in] = nullptr;
-      }
+      if (--refs[in] == 0) values[in].reset();
     }
   }
 
   const int out_id = spec.output_id();
-  if (!node_live(out_id)) {
+  if (!values[out_id]) {
     // The output can be a bare source (e.g. "r = 3.0") that no filter
     // consumed; materialise it now.
     if (spec.node(out_id).type == dataflow::NodeType::filter) {
@@ -113,7 +98,7 @@ std::vector<float> StagedStrategy::execute(const dataflow::Network& network,
     }
     materialise_source(out_id);
   }
-  const vcl::Buffer& out_buffer = node_buffer(out_id);
+  const vcl::Buffer& out_buffer = *values[out_id];
   std::vector<float> result(out_buffer.size());
   queue.read(out_buffer, result, spec.node(out_id).label);
   result.resize(elements);

@@ -38,25 +38,23 @@ std::unique_ptr<Strategy> make_strategy(StrategyKind kind,
   throw Error("unknown strategy kind");
 }
 
-StagedInput stage_input(vcl::CommandQueue& queue, std::span<const float> host,
-                        const std::string& label, bool poolable,
-                        const void* generation_key) {
+kernels::BufferBinding binding_of(const vcl::Buffer& buffer) {
+  return kernels::BufferBinding{buffer.device_view().data(), buffer.size()};
+}
+
+std::shared_ptr<const vcl::Buffer> stage_input(
+    vcl::CommandQueue& queue, std::span<const float> host,
+    const std::string& label, bool poolable, const void* generation_key) {
   vcl::Device& device = queue.device();
-  StagedInput in;
   if (poolable) {
-    if (const vcl::Buffer* res =
+    if (std::shared_ptr<const vcl::Buffer> resident =
             device.resident().acquire(queue, host, label, generation_key)) {
-      in.resident = res;
-      in.binding =
-          kernels::BufferBinding{res->device_view().data(), res->size()};
-      return in;
+      return resident;
     }
   }
-  in.owned = device.allocate(host.size());
-  queue.write(in.owned, host, label);
-  in.binding =
-      kernels::BufferBinding{in.owned.device_view().data(), in.owned.size()};
-  return in;
+  vcl::Buffer buffer = device.allocate(host.size());
+  queue.write(buffer, host, label);
+  return std::make_shared<const vcl::Buffer>(std::move(buffer));
 }
 
 void launch_program(vcl::CommandQueue& queue, const kernels::Program& program,

@@ -138,28 +138,24 @@ void launch_program(vcl::CommandQueue& queue, const kernels::Program& program,
                     std::vector<kernels::BufferBinding> inputs,
                     std::span<float> out, std::size_t elements);
 
-/// One kernel input staged on the device: either a transient buffer owned
-/// by the caller or a view of a pool-resident buffer (vcl::ResidentPool).
-/// `binding` is valid either way; exactly one of `owned` / `resident` is
-/// set. Movable — `binding` stays valid across moves (buffer storage does
-/// not relocate).
-struct StagedInput {
-  kernels::BufferBinding binding{};
-  vcl::Buffer owned;
-  const vcl::Buffer* resident = nullptr;
-};
+/// The kernel argument viewing `buffer`'s device storage.
+kernels::BufferBinding binding_of(const vcl::Buffer& buffer);
 
-/// Stages `host` on the queue's device under `label`. When `poolable` and
-/// the device's resident pool is enabled, the pool is consulted first — a
-/// hit eliminates the transfer entirely, a miss uploads and leaves the
-/// buffer resident. Otherwise (and always when the pool is disabled, the
-/// default) this is exactly the cold path: allocate + one profiled write.
-/// Only bindings-backed field arrays may pass poolable = true; transient
-/// host intermediates must not, so a freed-and-reused host address can
-/// never alias a live pool entry. `generation_key` follows
-/// ResidentPool::acquire (slab sub-ranges pass the base array).
-StagedInput stage_input(vcl::CommandQueue& queue, std::span<const float> host,
-                        const std::string& label, bool poolable = true,
-                        const void* generation_key = nullptr);
+/// Stages `host` on the queue's device under `label` and returns the
+/// device buffer. When `poolable` and the device's resident pool is
+/// enabled, the pool is consulted first — a hit eliminates the transfer
+/// entirely, a miss uploads and leaves the buffer resident, and either way
+/// the returned handle keeps the entry from eviction while it is held.
+/// Otherwise (and always when the pool is disabled, the default) this is
+/// exactly the cold path: allocate + one profiled write, and the caller's
+/// handle is the buffer's only owner. Only bindings-backed field arrays may
+/// pass poolable = true; transient host intermediates must not, so a
+/// freed-and-reused host address can never alias a live pool entry.
+/// `generation_key` follows ResidentPool::acquire (slab sub-ranges pass the
+/// base array).
+std::shared_ptr<const vcl::Buffer> stage_input(
+    vcl::CommandQueue& queue, std::span<const float> host,
+    const std::string& label, bool poolable = true,
+    const void* generation_key = nullptr);
 
 }  // namespace dfg::runtime

@@ -10,7 +10,7 @@
 #include "obs/span.hpp"
 #include "service/admission.hpp"
 #include "support/error.hpp"
-#include "vcl/trace.hpp"
+#include "vcl/profiling.hpp"
 
 namespace dfg::service {
 
@@ -86,7 +86,7 @@ EvalService::EvalService(std::vector<vcl::Device*> devices,
       svc_(std::to_string(
           g_next_service.fetch_add(1, std::memory_order_relaxed))),
       paused_(options.start_paused), live_(devices_.size(), true),
-      live_count_(devices_.size()), device_logs_(devices_.size()) {
+      live_count_(devices_.size()) {
   if (devices_.empty()) {
     throw Error("EvalService requires at least one device");
   }
@@ -141,14 +141,6 @@ void EvalService::drain() {
     work_cv_.notify_all();
   }
   drain_cv_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void EvalService::note_host_mutation(const void* ptr) {
-  // The generation bump is the authoritative signal (memo intermediates
-  // and any pool check it lazily); dropping the per-device resident
-  // entries eagerly also frees their device memory right away.
-  vcl::note_host_mutation(ptr);
-  for (vcl::Device* device : devices_) device->resident().invalidate(ptr);
 }
 
 Ticket EvalService::submit(Request request) {
@@ -451,12 +443,7 @@ void EvalService::execute_batch(
       merged_log.append(engine.log());
     }
   } catch (const DeviceLost&) {
-    // The worker retires the device and re-queues the batch; keep the
-    // loss on this device's trace timeline.
-    merged_log.append(engine.log());
-    std::scoped_lock lock(mutex_);
-    device_logs_[device_index].append(merged_log);
-    throw;
+    throw;  // the worker retires the device and re-queues the batch
   } catch (const std::exception& e) {
     error = e.what();
     // The failing evaluation's partial log still carries its device
@@ -472,7 +459,6 @@ void EvalService::execute_batch(
     reg.add(svc_counter(svc_, "dfgen_svc_evaluations_total"));
     reg.observe(reg.histogram("dfgen_svc_coalesce_fanout", {{"svc", svc_}}),
                 batch.size());
-    device_logs_[device_index].append(merged_log);
     if (evaluation != nullptr) {
       reg.add(svc_counter(svc_, "dfgen_svc_degradations_total"),
               evaluation->degradations.size());
@@ -562,37 +548,6 @@ ServiceSnapshot EvalService::snapshot() const {
         now.upload_bytes_saved - base.upload_bytes_saved;
   }
   return copy;
-}
-
-std::string EvalService::chrome_trace() const {
-  std::scoped_lock lock(mutex_);
-  std::string merged = "{\"traceEvents\":[";
-  bool first = true;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    vcl::TraceOptions trace_options;
-    trace_options.device_name = devices_[i]->spec().name;
-    trace_options.pid = static_cast<int>(i) + 1;
-    const std::string doc =
-        vcl::to_chrome_trace(device_logs_[i], trace_options);
-    // Splice this device's event array into the merged document.
-    const std::size_t open = doc.find('[');
-    const std::size_t close = doc.rfind(']');
-    if (open == std::string::npos || close == std::string::npos ||
-        close <= open + 1) {
-      continue;
-    }
-    std::string inner = doc.substr(open + 1, close - open - 1);
-    // Trim surrounding whitespace left by the per-device pretty-printer.
-    const std::size_t begin = inner.find_first_not_of(" \n");
-    const std::size_t end = inner.find_last_not_of(" \n,");
-    if (begin == std::string::npos) continue;
-    if (!first) merged += ",";
-    merged += "\n";
-    merged += inner.substr(begin, end - begin + 1);
-    first = false;
-  }
-  merged += "\n]}\n";
-  return merged;
 }
 
 }  // namespace dfg::service

@@ -24,9 +24,9 @@
 //     queued tickets fail and submit() rejects.
 //   * Observability — every ticket resolves to a ServiceReport (shared
 //     EvaluationReport + queue wait, fan-out, dispatch order), snapshot()
-//     aggregates service-wide counters, and chrome_trace() merges every
-//     device's profiling log into one multi-process trace document on the
-//     existing copy/compute/faults/timeouts/integrity tracks.
+//     aggregates service-wide counters, and each batch runs under a
+//     `dispatch:<session>` span in the process span trace
+//     (obs::SpanTracer::to_chrome_trace).
 //
 // Threading: submit() and snapshot() are safe from any thread; one worker
 // thread per device drives Engine::evaluate under the engine thread-safety
@@ -48,7 +48,6 @@
 #include "service/coalescer.hpp"
 #include "service/report.hpp"
 #include "vcl/device.hpp"
-#include "vcl/profiling.hpp"
 #include "vcl/resident_pool.hpp"
 
 namespace dfg::service {
@@ -115,19 +114,15 @@ class EvalService {
 
   /// Declares that the host mutated the array at `ptr` (a time-series
   /// driver stepping the simulation between submit bursts): bumps its
-  /// generation tag and drops resident copies on *every* device, so
-  /// whichever worker the next request lands on re-uploads. The memo
-  /// layer's intermediate cache needs no explicit call — it re-checks
-  /// generation tags on every lookup. Callers must drain() (or otherwise
-  /// know the array's requests resolved) before mutating the host data
-  /// itself; this call only publishes the mutation.
-  void note_host_mutation(const void* ptr);
+  /// generation tag, which every device's resident pool and the memo
+  /// layer's intermediate cache check on their next lookup, so whichever
+  /// worker the next request lands on re-uploads. Same as
+  /// vcl::note_host_mutation. Callers must drain() (or otherwise know the
+  /// array's requests resolved) before mutating the host data itself;
+  /// this call only publishes the mutation.
+  void note_host_mutation(const void* ptr) { vcl::note_host_mutation(ptr); }
 
   ServiceSnapshot snapshot() const;
-
-  /// Merged Chrome trace of every device's profiling events since
-  /// construction, one trace-viewer process per device (pid = index + 1).
-  std::string chrome_trace() const;
 
   std::size_t device_count() const { return devices_.size(); }
 
@@ -184,8 +179,6 @@ class EvalService {
   /// in the metrics registry (the `svc=<N>` series) and snapshot() reads
   /// them back, making ServiceSnapshot a view over registry counters.
   ServiceSnapshot snapshot_;
-  /// Accumulated per-device profiling events (appended after each batch).
-  std::vector<vcl::ProfilingLog> device_logs_;
   /// Per-device resident-pool stats at construction; snapshot() reports
   /// deltas against these so pre-existing pool traffic is excluded.
   std::vector<vcl::ResidentPool::Stats> resident_baseline_;

@@ -21,4 +21,9 @@ std::string format_bytes(std::size_t bytes);
 /// generated kernel code).
 std::string format_float(double value);
 
+/// Escapes text for a JSON string literal: quote, backslash and control
+/// characters. Shared by every JSON exporter (metrics snapshot, span and
+/// device traces).
+std::string json_escape(const std::string& text);
+
 }  // namespace dfg::support

@@ -37,7 +37,7 @@ class Buffer {
   std::span<const float> device_view() const { return storage_; }
 
   /// Releases the allocation early (idempotent). Equivalent to destroying
-  /// the buffer; used by strategies that free intermediates by refcount.
+  /// the buffer.
   void release();
 
  private:

@@ -63,10 +63,10 @@ struct DeviceSpec {
 /// high-water mark. reserve() throws DeviceOutOfMemory when the capacity
 /// would be exceeded, leaving the tracker unchanged.
 ///
-/// Internally synchronized: the resident pool may release device buffers
-/// from a thread that is not driving the device (Engine::invalidate from
-/// another session while an evaluation is in flight), so reserve/release
-/// must tolerate concurrent callers.
+/// Internally synchronized: a pooled device buffer is freed by whichever
+/// thread drops its last handle (vcl::ResidentPool), which need not be the
+/// thread driving the device, so reserve/release must tolerate concurrent
+/// callers.
 class MemoryTracker {
  public:
   MemoryTracker(std::string device_name, std::size_t capacity_bytes)
@@ -182,9 +182,10 @@ class Device {
 
   /// Allocates a device buffer of `elements` float32 values. Throws
   /// DeviceOutOfMemory if the device capacity would be exceeded. When the
-  /// capacity wall is hit, unpinned resident buffers are evicted LRU-first
-  /// and the allocation retried, so pool occupancy can never fail a
-  /// transient allocation the cold path would have satisfied.
+  /// capacity wall is hit, resident buffers no caller holds are evicted
+  /// LRU-first and the allocation retried, so pool occupancy can never
+  /// fail an allocation the cold path would have satisfied. The resident
+  /// pool's own uploads allocate here too.
   Buffer allocate(std::size_t elements);
 
  private:

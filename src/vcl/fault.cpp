@@ -37,9 +37,6 @@ void FaultInjector::begin_run() {
   completed_commands_ = 0;
   slowdown_recorded_ = false;
   run_faults_ = 0;
-  run_alloc_faults_ = 0;
-  run_transient_faults_ = 0;
-  run_corrupt_faults_ = 0;
 }
 
 void FaultInjector::record(const std::string& label) {
@@ -64,13 +61,11 @@ void FaultInjector::on_alloc(std::size_t bytes, std::size_t in_use,
   }
   ++alloc_index_;
   if (plan_.fail_alloc_index != 0 && alloc_index_ == plan_.fail_alloc_index) {
-    ++run_alloc_faults_;
     record("fault:alloc#" + std::to_string(alloc_index_));
     throw DeviceOutOfMemory(device_name_, bytes, in_use, capacity);
   }
   const std::size_t cap = plan_.synthetic_capacity_bytes;
   if (cap != 0 && (bytes > cap || in_use > cap - bytes)) {
-    ++run_alloc_faults_;
     record("fault:capacity");
     throw DeviceOutOfMemory(device_name_, bytes, in_use, cap);
   }
@@ -119,7 +114,6 @@ CommandPerturbation FaultInjector::on_enqueue(EventKind site,
                                    ? plan_.transient_count
                                    : 1);
   if (fail_at != 0 && i >= fail_at && i < fail_at + window) {
-    ++run_transient_faults_;
     record(std::string("fault:") + site_name + ":" + label);
     throw DeviceError(device_name_, site_name, label);
   }
@@ -163,7 +157,6 @@ void FaultInjector::corrupt_word(EventKind site, const std::string& label,
   std::memcpy(&bits, &data[word], sizeof(bits));
   bits ^= 1u << (plan_.seed % 23u);
   std::memcpy(&data[word], &bits, sizeof(bits));
-  ++run_corrupt_faults_;
   record(std::string("fault:bit-flip:") + event_kind_name(site) + ":" +
          label + "@" + std::to_string(word));
 }

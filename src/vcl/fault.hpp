@@ -188,9 +188,6 @@ class FaultInjector {
   bool device_lost() const { return lost_; }
   /// Faults injected since begin_run() (all sites).
   std::size_t run_faults() const { return run_faults_; }
-  std::size_t run_alloc_faults() const { return run_alloc_faults_; }
-  std::size_t run_transient_faults() const { return run_transient_faults_; }
-  std::size_t run_corrupt_faults() const { return run_corrupt_faults_; }
 
   /// Bytes still allocatable under the synthetic capacity (SIZE_MAX when
   /// the plan does not cap memory). The streamed auto-sizer and the planner
@@ -215,9 +212,6 @@ class FaultInjector {
   std::size_t completed_commands_ = 0;
   bool slowdown_recorded_ = false;
   std::size_t run_faults_ = 0;
-  std::size_t run_alloc_faults_ = 0;
-  std::size_t run_transient_faults_ = 0;
-  std::size_t run_corrupt_faults_ = 0;
 };
 
 }  // namespace dfg::vcl

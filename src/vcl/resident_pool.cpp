@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
-#include "support/error.hpp"
 #include "vcl/device.hpp"
 #include "vcl/queue.hpp"
 
@@ -37,23 +36,7 @@ void note_host_mutation(const void* ptr) {
   ++generation_map()[ptr];
 }
 
-ResidentPool::PinScope::PinScope(ResidentPool& pool) : pool_(&pool) {
-  std::lock_guard<std::mutex> lock(pool.mutex_);
-  parent_ = pool.active_scope_;
-  pool.active_scope_ = this;
-}
-
-ResidentPool::PinScope::~PinScope() { pool_->end_scope(*this); }
-
 ResidentPool::ResidentPool(Device& device) : device_(&device) {}
-
-ResidentPool::~ResidentPool() {
-  // Device teardown: every scope is gone, so force-drop even entries a
-  // buggy caller left pinned rather than leak tracker bytes.
-  for (auto& [key, entry] : entries_) entry.pins = 0;
-  entries_.clear();
-  resident_bytes_.store(0, std::memory_order_relaxed);
-}
 
 void ResidentPool::set_watermark_fraction(double fraction) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -81,73 +64,58 @@ std::size_t ResidentPool::entry_count() const {
   return entries_.size();
 }
 
-const Buffer* ResidentPool::acquire(CommandQueue& queue,
-                                    std::span<const float> host,
-                                    const std::string& label,
-                                    const void* generation_key) {
+std::shared_ptr<const Buffer> ResidentPool::acquire(
+    CommandQueue& queue, std::span<const float> host, const std::string& label,
+    const void* generation_key) {
   if (!enabled() || host.empty()) return nullptr;
   if (generation_key == nullptr) generation_key = host.data();
   const Key key{host.data(), host.size()};
   const std::uint64_t generation = host_generation(generation_key);
-
-  // The lock is held across the whole acquire, including a miss's upload:
-  // the returned Buffer* must not be invalidated between insert and pin,
-  // and a concurrent invalidate() of this key must either run before (we
-  // re-upload) or after (it dooms the now-pinned entry, erased at unpin).
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it != entries_.end() && !it->second.doomed &&
-      it->second.generation == generation) {
-    count(&Stats::hits, "dfgen_resident_hits_total");
-    count(&Stats::upload_bytes_saved, "dfgen_resident_upload_bytes_saved",
-          host.size() * sizeof(float));
-    it->second.last_use = ++tick_;
-    pin_locked(it);
-    return &it->second.buffer;
-  }
-  if (it != entries_.end()) {
-    // Stale generation: the host array changed under us. Re-uploading is
-    // mandatory; serving the old bytes would be a coherence violation.
-    drop_entry_locked(it);
-  }
-
   const std::size_t bytes = host.size() * sizeof(float);
-  const std::size_t cap = watermark_bytes_locked();
-  if (bytes > cap) return nullptr;  // will never fit: stay transient
-  while (resident_bytes_.load(std::memory_order_relaxed) + bytes > cap) {
-    if (evict_lru_unpinned_locked() == 0) {
-      return nullptr;  // all pinned: cold path
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end() && it->second.generation == generation) {
+      count(&Stats::hits, "dfgen_resident_hits_total");
+      count(&Stats::upload_bytes_saved, "dfgen_resident_upload_bytes_saved",
+            bytes);
+      it->second.last_use = ++tick_;
+      return it->second.buffer;
+    }
+    if (it != entries_.end()) {
+      // Stale generation: the host array changed since the upload, so
+      // serving the old bytes would be a coherence violation. The entry
+      // leaves before its replacement is allocated; a holder keeps its
+      // bytes, otherwise they are freed here.
+      count(&Stats::invalidations, "dfgen_resident_invalidations_total");
+      erase_entry_locked(it);
+      publish_gauge();
+    }
+    const std::size_t cap = watermark_bytes_locked();
+    if (bytes > cap) return nullptr;  // will never fit: stay transient
+    while (resident_bytes_.load(std::memory_order_relaxed) + bytes > cap) {
+      if (evict_lru_unpinned_locked() == 0) return nullptr;  // all held
     }
   }
 
-  Buffer buffer;
-  for (;;) {
-    try {
-      buffer = Buffer(*device_, host.size());
-      break;
-    } catch (const DeviceOutOfMemory&) {
-      // Transients own the rest of the device right now; shrink the pool
-      // before giving up and letting the caller upload transiently.
-      if (evict_lru_unpinned_locked() == 0) return nullptr;
-    }
-  }
-  // The profiled upload — same label, same event, same simulated cost as
-  // the cold path. Faults injected here (transient, loss, corruption)
-  // propagate exactly as the cold path's write would; the entry is only
-  // inserted once the write succeeded.
+  // Unlocked: Device::allocate may evict from this pool at the capacity
+  // wall. The allocation and the profiled write are the cold path's, so
+  // every fault (allocation, transient, loss, corruption) propagates
+  // exactly as it would there; the entry is only inserted once the write
+  // succeeded.
+  Buffer buffer = device_->allocate(host.size());
   queue.write(buffer, host, label);
+  auto handle = std::make_shared<const Buffer>(std::move(buffer));
 
-  Entry entry;
-  entry.buffer = std::move(buffer);
-  entry.generation = generation;
-  entry.last_use = ++tick_;
-  auto [pos, inserted] = entries_.insert_or_assign(key, std::move(entry));
-  (void)inserted;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (const auto it = entries_.find(key); it != entries_.end()) {
+    erase_entry_locked(it);  // a concurrent miss on the same key: replace
+  }
+  entries_.emplace(key, Entry{handle, generation, ++tick_});
   resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   count(&Stats::misses, "dfgen_resident_misses_total");
   publish_gauge();
-  pin_locked(pos);
-  return &pos->second.buffer;
+  return handle;
 }
 
 bool ResidentPool::would_hit(std::span<const float> host,
@@ -156,27 +124,8 @@ bool ResidentPool::would_hit(std::span<const float> host,
   if (generation_key == nullptr) generation_key = host.data();
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(Key{host.data(), host.size()});
-  return it != entries_.end() && !it->second.doomed &&
+  return it != entries_.end() &&
          it->second.generation == host_generation(generation_key);
-}
-
-void ResidentPool::invalidate(const void* ptr) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = entries_.lower_bound(Key{ptr, 0});
-       it != entries_.end() && it->first.ptr == ptr;) {
-    auto next = std::next(it);
-    drop_entry_locked(it);
-    it = next;
-  }
-}
-
-void ResidentPool::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    auto next = std::next(it);
-    drop_entry_locked(it);
-    it = next;
-  }
 }
 
 std::size_t ResidentPool::evict_lru_unpinned() {
@@ -187,14 +136,14 @@ std::size_t ResidentPool::evict_lru_unpinned() {
 std::size_t ResidentPool::evict_lru_unpinned_locked() {
   auto victim = entries_.end();
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->second.pins > 0) continue;
+    if (it->second.buffer.use_count() > 1) continue;
     if (victim == entries_.end() ||
         it->second.last_use < victim->second.last_use) {
       victim = it;
     }
   }
   if (victim == entries_.end()) return 0;
-  const std::size_t freed = victim->second.buffer.bytes();
+  const std::size_t freed = victim->second.buffer->bytes();
   erase_entry_locked(victim);
   count(&Stats::evictions, "dfgen_resident_evictions_total");
   publish_gauge();
@@ -212,40 +161,10 @@ ResidentPool::Stats ResidentPool::stats() const {
   return out;
 }
 
-void ResidentPool::pin_locked(EntryMap::iterator it) {
-  // Without an open scope nothing records the release, so the entry stays
-  // unpinned; callers that hold buffers across commands open a PinScope.
-  if (active_scope_ == nullptr) return;
-  ++it->second.pins;
-  active_scope_->keys_.emplace_back(it->first.ptr, it->first.len);
-}
-
-void ResidentPool::end_scope(PinScope& scope) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  active_scope_ = scope.parent_;
-  for (const auto& [ptr, len] : scope.keys_) {
-    const auto it = entries_.find(Key{ptr, len});
-    if (it == entries_.end()) continue;
-    if (--it->second.pins <= 0 && it->second.doomed) erase_entry_locked(it);
-  }
-}
-
 void ResidentPool::erase_entry_locked(EntryMap::iterator it) {
-  const std::size_t bytes = it->second.buffer.bytes();
+  const std::size_t bytes = it->second.buffer->bytes();
   entries_.erase(it);
   resident_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-}
-
-void ResidentPool::drop_entry_locked(EntryMap::iterator it) {
-  count(&Stats::invalidations, "dfgen_resident_invalidations_total");
-  if (it->second.pins > 0) {
-    // A kernel may still read this buffer; keep the allocation alive but
-    // never serve it again. end_scope() erases it at the last unpin.
-    it->second.doomed = true;
-    return;
-  }
-  erase_entry_locked(it);
-  publish_gauge();
 }
 
 void ResidentPool::count(std::uint64_t Stats::*member, const char* counter,

@@ -20,45 +20,45 @@
 // arrays (the in-situ contract, paper §III-D), so it cannot observe host
 // mutation. A caller that mutates — or frees and re-creates — a bound
 // array must bump its generation tag with note_host_mutation() (or
-// Engine::invalidate). The pool compares the tag recorded at upload time
-// with the current tag on every acquire; a mismatch drops the stale entry
-// and re-uploads. FieldBindings bumps tags for arrays it owns when they
-// are destroyed, so short-lived owned arrays can never produce a stale
-// hit through pointer reuse. Transient intermediates (roundtrip host
-// values, slab dims arrays) are never pooled at all.
+// Engine::invalidate). That tag is the only coherence signal: the pool
+// compares the tag recorded at upload time with the current tag on every
+// acquire, and a mismatch drops the stale entry and re-uploads.
+// FieldBindings bumps tags for arrays it owns when they are destroyed, so
+// short-lived owned arrays can never produce a stale hit through pointer
+// reuse. Transient intermediates (roundtrip host values, slab dims
+// arrays) are never pooled at all.
+//
+// Ownership is the pin. acquire() hands out a shared handle to the
+// entry's buffer; an entry is in use exactly when someone besides the pool
+// holds its handle, and eviction skips such entries. A stale or replaced
+// entry leaves the map at once, but its holder keeps the bytes until it
+// drops the handle, so no evaluation can lose a buffer it still reads.
 //
 // Capacity cooperation:
 //   * residents are charged to the device's MemoryTracker like any buffer;
 //   * the pool keeps itself under a watermark fraction of device capacity
-//     with LRU eviction, and Device::allocate evicts unpinned residents
-//     one by one when a transient allocation hits the capacity wall, so a
-//     full pool degrades to exactly the cold-path behaviour instead of
-//     causing spurious DeviceOutOfMemory;
-//   * entries acquired under a PinScope are pinned until the scope closes
-//     (the engine opens one per evaluation, slab execution one per chunk),
-//     so eviction can never free a buffer a running kernel still reads.
+//     with LRU eviction of unheld entries;
+//   * a miss allocates through Device::allocate, the cold path's allocator:
+//     at the capacity wall it evicts unheld residents one by one, and a
+//     scheduled allocation fault surfaces unchanged, pool on or off.
 //
-// Thread safety: the pool is internally synchronized. Strategies acquire
-// from the device's evaluating thread, but invalidation arrives from
-// wherever the host mutates data — Engine::invalidate on another session's
-// thread, the service's bind teardown — and Device::allocate's evict-retry
-// may run concurrently with either. All public methods lock one pool
-// mutex; the only state readable without it is the atomic counters and the
-// enabled flag. Pinned entries are never freed by a concurrent
-// invalidation: they are doomed and erased at the last unpin, so an
-// in-flight evaluation keeps its buffers while losing the race only for
-// *future* hits.
+// Thread safety: the pool is internally synchronized. Acquires come from
+// the thread evaluating on the device; would_hit (the service's
+// residency-aware dispatch), eviction and handle release may come from any
+// thread. All public methods lock one pool mutex. A miss releases it while
+// it allocates and uploads, because Device::allocate may call back into
+// evict_lru_unpinned(). The only state readable without the mutex is the
+// atomic counters and the enabled flag.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "vcl/buffer.hpp"
 
@@ -91,28 +91,7 @@ class ResidentPool {
     std::uint64_t upload_bytes_saved = 0;
   };
 
-  /// Pins every entry acquired while it is the innermost open scope, and
-  /// unpins them on destruction. Strategies hold buffers only inside the
-  /// evaluation (or, for slab execution, inside one chunk), so scopes give
-  /// eviction an exact definition of "in use".
-  class PinScope {
-   public:
-    explicit PinScope(ResidentPool& pool);
-    ~PinScope();
-    PinScope(const PinScope&) = delete;
-    PinScope& operator=(const PinScope&) = delete;
-
-   private:
-    friend class ResidentPool;
-    ResidentPool* pool_;
-    PinScope* parent_;
-    /// Keys pinned under this scope (an entry acquired twice is recorded
-    /// twice and unpinned twice — pin counts balance exactly).
-    std::vector<std::pair<const void*, std::size_t>> keys_;
-  };
-
   explicit ResidentPool(Device& device);
-  ~ResidentPool();
   ResidentPool(const ResidentPool&) = delete;
   ResidentPool& operator=(const ResidentPool&) = delete;
 
@@ -131,33 +110,29 @@ class ResidentPool {
   void set_watermark_fraction(double fraction);
   double watermark_fraction() const;
 
-  /// Returns a resident device buffer holding `host`, or nullptr when the
-  /// caller must take the cold path (pool disabled, array larger than the
-  /// watermark, or no room and nothing evictable). On a hit no transfer
-  /// happens; on a miss the array is uploaded through `queue` under
-  /// `label` — the same profiled write the cold path would issue — and
-  /// stays resident. `generation_key` identifies the allocation whose
-  /// generation tag governs this span; defaults to host.data() and is
-  /// overridden by slab execution, whose sub-range uploads must follow the
-  /// *base* array's tag.
-  const Buffer* acquire(CommandQueue& queue, std::span<const float> host,
-                        const std::string& label,
-                        const void* generation_key = nullptr);
+  /// Returns a handle to a resident device buffer holding `host`, or null
+  /// when the caller must take the cold path (pool disabled, array larger
+  /// than the watermark, or no room and nothing evictable). On a hit no
+  /// transfer happens; on a miss the array is uploaded through `queue`
+  /// under `label` — the same allocation and profiled write the cold path
+  /// would issue, faults included — and stays resident. Holding the handle
+  /// keeps the entry from eviction. `generation_key` identifies the
+  /// allocation whose generation tag governs this span; defaults to
+  /// host.data() and is overridden by slab execution, whose sub-range
+  /// uploads must follow the *base* array's tag.
+  std::shared_ptr<const Buffer> acquire(CommandQueue& queue,
+                                        std::span<const float> host,
+                                        const std::string& label,
+                                        const void* generation_key = nullptr);
 
   /// True when acquire() would hit right now (no state is touched). The
   /// planner's residency probe prices warm inputs with this.
   bool would_hit(std::span<const float> host,
                  const void* generation_key = nullptr) const;
 
-  /// Drops every entry whose host pointer is `ptr` (all lengths).
-  void invalidate(const void* ptr);
-
-  /// Drops every entry.
-  void clear();
-
-  /// Evicts the least-recently-used unpinned entry; returns the bytes
-  /// freed (0 when nothing is evictable). Device::allocate calls this to
-  /// make room for transient allocations.
+  /// Evicts the least-recently-used entry that no caller holds; returns
+  /// the bytes freed (0 when nothing is evictable). Device::allocate calls
+  /// this to make room at the capacity wall.
   std::size_t evict_lru_unpinned();
 
   std::size_t resident_bytes() const {
@@ -177,24 +152,19 @@ class ResidentPool {
     }
   };
   struct Entry {
-    Buffer buffer;
+    /// Held elsewhere (use_count() > 1, read under mutex_) means in use.
+    std::shared_ptr<const Buffer> buffer;
     std::uint64_t generation = 0;
     std::uint64_t last_use = 0;
-    int pins = 0;
-    /// Invalidated while pinned: never hits again, erased at unpin.
-    bool doomed = false;
   };
   using EntryMap = std::map<Key, Entry>;
 
   // The *_locked helpers assume mutex_ is held by the caller.
-  void pin_locked(EntryMap::iterator it);
-  void end_scope(PinScope& scope);
   std::size_t evict_lru_unpinned_locked();
   std::size_t watermark_bytes_locked() const;
-  /// Erases an entry (hook suspended) and keeps resident_bytes_ exact.
+  /// Removes an entry from the map and keeps resident_bytes_ exact; the
+  /// buffer is freed here unless a caller still holds it.
   void erase_entry_locked(EntryMap::iterator it);
-  /// Invalidation path: erase now, or doom until unpinned.
-  void drop_entry_locked(EntryMap::iterator it);
   void count(std::uint64_t Stats::*member, const char* counter,
              std::uint64_t delta = 1);
   void publish_gauge();
@@ -205,7 +175,6 @@ class ResidentPool {
   double watermark_fraction_ = 0.5;
   EntryMap entries_;
   std::uint64_t tick_ = 0;
-  PinScope* active_scope_ = nullptr;
   std::atomic<std::size_t> resident_bytes_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "support/string_util.hpp"
+
 namespace dfg::vcl {
 
 namespace {
@@ -38,27 +40,6 @@ int track_id(EventKind kind) {
   }
 }
 
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string to_chrome_trace(const ProfilingLog& log,
@@ -77,7 +58,7 @@ std::string to_chrome_trace(const ProfilingLog& log,
     std::ostringstream meta;
     meta << "{\"ph\":\"M\",\"pid\":" << options.pid
          << ",\"name\":\"process_name\",\"args\":{\"name\":\""
-         << escape(options.device_name) << "\"}}";
+         << support::json_escape(options.device_name) << "\"}}";
     emit(meta.str());
   }
   // The faults / timeouts / integrity tracks only appear when the log
@@ -104,7 +85,7 @@ std::string to_chrome_trace(const ProfilingLog& log,
     std::ostringstream row;
     row << "{\"ph\":\"X\",\"pid\":" << options.pid
         << ",\"tid\":" << track_id(event.kind) << ",\"name\":\""
-        << escape(event.label) << "\",\"cat\":\""
+        << support::json_escape(event.label) << "\",\"cat\":\""
         << event_kind_name(event.kind) << "\",\"ts\":" << t * kMicro
         << ",\"dur\":" << event.sim_seconds * kMicro
         << ",\"args\":{\"bytes\":" << event.bytes

@@ -439,4 +439,57 @@ TEST(Spans, ChromeTraceExportAndCurrentSpanTracking) {
   tracer.clear();
 }
 
+/// Structural JSON check: every string literal closes and holds no raw
+/// control character, and braces/brackets balance outside strings.
+bool json_well_formed(const std::string& text) {
+  std::string open;
+  bool in_string = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;  // the escaped character
+      } else if (c == '"') {
+        in_string = false;
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        return false;
+      }
+      continue;
+    }
+    if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      open.push_back(c);
+    } else if (c == '}' || c == ']') {
+      if (open.empty() || open.back() != (c == '}' ? '{' : '[')) return false;
+      open.pop_back();
+    }
+  }
+  return !in_string && open.empty();
+}
+
+// Span names carry caller input (the service's `dispatch:<session>`), so
+// the exporter must escape them and keep them whole at any length.
+TEST(Spans, ChromeTraceEscapesNamesOfAnyLength) {
+  obs::ScopedMetricsRegistry scoped;
+  obs::SpanTracer& tracer = obs::SpanTracer::instance();
+  tracer.clear();
+  const std::string long_name(300, 'n');
+  for (const std::string& name :
+       {std::string("dispatch:tenant \"a\""), std::string("back\\slash"),
+        std::string("line\nbreak"), long_name}) {
+    obs::Span span(name, "batch");
+  }
+  const std::string trace = tracer.to_chrome_trace();
+  tracer.clear();
+
+  EXPECT_TRUE(json_well_formed(trace)) << trace;
+  EXPECT_NE(trace.find("\"name\":\"dispatch:tenant \\\"a\\\"\""),
+            std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"back\\\\slash\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"line\\nbreak\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"" + long_name + "\",\"cat\":\"batch\""),
+            std::string::npos);
+}
+
 }  // namespace

@@ -7,10 +7,11 @@
 // transfer elimination must be visible in the profiling log and the report
 // counters, and the explicit coherence contract must hold — a stale read
 // after an unannounced host mutation is *demonstrated* (proving the
-// transfers really were eliminated), and note_host_mutation / invalidate
-// must restore freshness. The seeded property test drives random
-// evaluate / mutate / evict / fault schedules through all four strategies
-// against a resident_pool = false twin.
+// transfers really were eliminated), and note_host_mutation /
+// Engine::invalidate must restore freshness. Holding an acquired handle is
+// the only pin: held entries survive eviction and replacement. The seeded
+// property test drives random evaluate / mutate / evict / fault schedules
+// through all four strategies against a resident_pool = false twin.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -107,12 +108,12 @@ TEST(ResidentPool, HitEliminatesTheTransferAndCountsSavedBytes) {
   device.resident().set_enabled(true);
   const std::vector<float> host = ramp(256, 1.0f);
 
-  const vcl::Buffer* first = device.resident().acquire(queue, host, "u");
+  const auto first = device.resident().acquire(queue, host, "u");
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(log.count(vcl::EventKind::host_to_device), 1u);
   EXPECT_TRUE(device.resident().would_hit(host));
 
-  const vcl::Buffer* second = device.resident().acquire(queue, host, "u");
+  const auto second = device.resident().acquire(queue, host, "u");
   EXPECT_EQ(second, first);
   // The whole point: no second upload happened.
   EXPECT_EQ(log.count(vcl::EventKind::host_to_device), 1u);
@@ -136,10 +137,14 @@ TEST(ResidentPool, HostMutationBumpsGenerationAndForcesReupload) {
   vcl::note_host_mutation(host.data());
 
   EXPECT_FALSE(device.resident().would_hit(host));
-  const vcl::Buffer* fresh = device.resident().acquire(queue, host, "u");
+  device.memory().reset_high_water();
+  const auto fresh = device.resident().acquire(queue, host, "u");
   ASSERT_NE(fresh, nullptr);
-  // The stale entry was dropped and the mutated array re-uploaded.
+  // The stale entry was dropped and the mutated array re-uploaded. Nobody
+  // held the stale copy, so it was freed before its replacement was
+  // allocated: the device never held both.
   EXPECT_EQ(log.count(vcl::EventKind::host_to_device), 2u);
+  EXPECT_EQ(device.memory().high_water(), host.size() * sizeof(float));
   const vcl::ResidentPool::Stats stats = device.resident().stats();
   EXPECT_EQ(stats.invalidations, 1u);
   EXPECT_EQ(stats.misses, 2u);
@@ -156,16 +161,23 @@ TEST(ResidentPool, InvalidateDropsEveryLengthOfAPointer) {
   device.resident().set_enabled(true);
   const std::vector<float> host = ramp(256, 0.0f);
   const std::span<const float> all(host);
+  const std::span<const float> head = all.subspan(0, 100);
 
-  ASSERT_NE(device.resident().acquire(queue, all.subspan(0, 100), "a"),
-            nullptr);
+  ASSERT_NE(device.resident().acquire(queue, head, "a"), nullptr);
   ASSERT_NE(device.resident().acquire(queue, all, "b"), nullptr);
   EXPECT_EQ(device.resident().entry_count(), 2u);
 
-  device.resident().invalidate(host.data());
-  EXPECT_EQ(device.resident().entry_count(), 0u);
-  EXPECT_EQ(device.resident().resident_bytes(), 0u);
+  // One tag governs every length keyed on the pointer.
+  vcl::note_host_mutation(host.data());
+  EXPECT_FALSE(device.resident().would_hit(head));
+  EXPECT_FALSE(device.resident().would_hit(all));
+  ASSERT_NE(device.resident().acquire(queue, head, "a"), nullptr);
+  ASSERT_NE(device.resident().acquire(queue, all, "b"), nullptr);
+  EXPECT_EQ(log.count(vcl::EventKind::host_to_device), 4u);
   EXPECT_EQ(device.resident().stats().invalidations, 2u);
+  EXPECT_EQ(device.resident().entry_count(), 2u);
+  EXPECT_EQ(device.resident().resident_bytes(),
+            (head.size() + all.size()) * sizeof(float));
 }
 
 TEST(ResidentPool, WatermarkEvictsLeastRecentlyUsed) {
@@ -222,15 +234,17 @@ TEST(ResidentPool, PinnedResidentsAreImmuneToEviction) {
   const std::vector<float> b = ramp(400, 2.0f);
 
   {
-    vcl::ResidentPool::PinScope pins(device.resident());
-    ASSERT_NE(device.resident().acquire(queue, a, "a"), nullptr);
-    ASSERT_NE(device.resident().acquire(queue, b, "b"), nullptr);
-    // Everything resident is pinned: the transient cannot make room.
+    const auto held_a = device.resident().acquire(queue, a, "a");
+    const auto held_b = device.resident().acquire(queue, b, "b");
+    ASSERT_NE(held_a, nullptr);
+    ASSERT_NE(held_b, nullptr);
+    // Everything resident is held: the transient cannot make room.
     EXPECT_THROW(device.allocate(400), DeviceOutOfMemory);
+    EXPECT_EQ(device.resident().evict_lru_unpinned(), 0u);
     EXPECT_TRUE(device.resident().would_hit(a));
     EXPECT_TRUE(device.resident().would_hit(b));
   }
-  // Scope closed: eviction works again and the allocation succeeds.
+  // Handles dropped: eviction works again and the allocation succeeds.
   vcl::Buffer transient = device.allocate(400);
   EXPECT_TRUE(transient.valid());
   EXPECT_EQ(device.resident().stats().evictions, 1u);
@@ -242,18 +256,73 @@ TEST(ResidentPool, InvalidationOfAPinnedEntryDefersEraseToUnpin) {
   vcl::ProfilingLog log;
   vcl::CommandQueue queue(device, log);
   const std::vector<float> a = ramp(128, 1.0f);
+  const std::size_t bytes = a.size() * sizeof(float);
 
-  {
-    vcl::ResidentPool::PinScope pins(device.resident());
-    ASSERT_NE(device.resident().acquire(queue, a, "a"), nullptr);
-    device.resident().invalidate(a.data());
-    // Doomed but pinned: it may not hit again, yet its buffer must stay
-    // alive for the running evaluation.
-    EXPECT_FALSE(device.resident().would_hit(a));
-    EXPECT_EQ(device.resident().entry_count(), 1u);
+  auto held = device.resident().acquire(queue, a, "a");
+  ASSERT_NE(held, nullptr);
+  vcl::note_host_mutation(a.data());
+  // Stale: it may not hit again...
+  EXPECT_FALSE(device.resident().would_hit(a));
+  // ...and the re-acquire replaces it in the map, yet the held buffer
+  // stays allocated for the running evaluation.
+  ASSERT_NE(device.resident().acquire(queue, a, "a"), nullptr);
+  EXPECT_EQ(device.resident().entry_count(), 1u);
+  EXPECT_EQ(device.resident().resident_bytes(), bytes);
+  EXPECT_EQ(device.memory().in_use(), 2 * bytes);
+  // Dropping the last handle frees the stale copy.
+  held.reset();
+  EXPECT_EQ(device.memory().in_use(), bytes);
+  EXPECT_EQ(device.resident().resident_bytes(), bytes);
+}
+
+// A stale re-acquire while the first handle is still held (RoundtripStrategy
+// acquires once per argument occurrence, so a mutation notice from another
+// thread can land between two acquires of one evaluation). The first
+// handle's storage must survive untouched, and the pool's byte count must
+// cover only the live entry.
+TEST(ResidentPool, StaleReacquireWhileHeldKeepsTheHeldBuffer) {
+  vcl::Device device(pool_spec(8192));
+  device.resident().set_enabled(true);
+  vcl::ProfilingLog log;
+  vcl::CommandQueue queue(device, log);
+  const std::vector<float> host = ramp(1000, 1.0f);
+  const std::size_t bytes = host.size() * sizeof(float);
+
+  const auto first = device.resident().acquire(queue, host, "u");
+  ASSERT_NE(first, nullptr);
+  const float* first_data = first->device_view().data();
+
+  vcl::note_host_mutation(host.data());
+  const auto second = device.resident().acquire(queue, host, "u");
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(second, first);
+
+  EXPECT_EQ(first->size(), host.size());
+  EXPECT_EQ(first->device_view().data(), first_data);
+  EXPECT_EQ(first->device_view()[999], 1000.0f);
+  EXPECT_EQ(device.resident().entry_count(), 1u);
+  EXPECT_EQ(device.resident().resident_bytes(), bytes);
+  EXPECT_EQ(device.memory().in_use(), 2 * bytes);
+}
+
+// Scheduled allocation faults pass through the pool untouched: the pool's
+// miss allocates through Device::allocate, so a fault plan fires on the
+// same allocation whether the pool is on or off.
+TEST(ResidentPool, ScheduledAllocFaultSurfacesWithThePoolOn) {
+  Workload wl;
+  for (const bool pool : {false, true}) {
+    vcl::Device device(vcl::xeon_x5660_scaled());
+    EngineOptions options;
+    options.resident_pool = pool;
+    Engine engine(device, options);
+    wl.bind(engine);
+    vcl::FaultPlan plan;
+    plan.fail_alloc_index = 1;
+    device.fault().arm(plan);
+    EXPECT_THROW(engine.evaluate("r = u + 1.0"), DeviceOutOfMemory)
+        << "pool " << (pool ? "on" : "off");
+    EXPECT_EQ(device.resident().entry_count(), 0u);
   }
-  EXPECT_EQ(device.resident().entry_count(), 0u);
-  EXPECT_EQ(device.resident().resident_bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,12 +391,12 @@ TEST(ResidentEngine, UnannouncedMutationServesStaleBitsUntilInvalidated) {
                           "stale warm run (coherence contract)");
   EXPECT_GT(stale.resident_hits, 0u);
 
-  // Announce the mutation: the resident copy is dropped, the next run
+  // Announce the mutation: the next run drops the stale resident copy,
   // re-uploads and matches a cold engine over the mutated data bit for bit.
   engine.invalidate("u");
   const EvaluationReport fresh = engine.evaluate(expressions::kQCriterion);
-  EXPECT_GE(fresh.resident_invalidations, 0u);  // dropped before evaluate
-  EXPECT_GT(fresh.dev_writes, 0u);
+  EXPECT_EQ(fresh.resident_invalidations, 1u);
+  EXPECT_EQ(fresh.dev_writes, 1u);
 
   vcl::Device cold_device(vcl::xeon_x5660_scaled());
   Engine cold(cold_device);
@@ -382,9 +451,12 @@ std::vector<std::vector<float>> run_schedule(std::uint64_t seed,
         engine.invalidate(names[f]);
         break;
       }
-      case 3: {  // evict (no-op for the pool-off twin)
+      case 3: {  // evict one or all (no-op for the pool-off twin)
         device.resident().evict_lru_unpinned();
-        if (rng() % 2 == 0) device.resident().clear();
+        if (rng() % 2 == 0) {
+          while (device.resident().evict_lru_unpinned() != 0) {
+          }
+        }
         break;
       }
       case 4: {  // arm a transient fault for the next evaluation
@@ -689,12 +761,12 @@ TEST(ResidentService, ConcurrentTenantsUnderEvictionPressureComplete) {
             device_b.resident().watermark_bytes());
 }
 
-// Satellite of the sharding PR: the coherence contract under *concurrent*
-// invalidation. One tenant's evaluations hold PinScopes on the shared
-// entries while another host thread hammers Engine::invalidate on the
-// same arrays — the historical TSan hole this exercises is the pool's
-// entry map and the MemoryTracker's accounting racing the worker. With
-// the internal locks this must be data-race-free, every evaluation must
+// The coherence contract under *concurrent* invalidation. One tenant's
+// evaluations hold handles on the shared entries while another host thread
+// hammers Engine::invalidate on the same arrays and evicts from the pool —
+// the TSan hole this exercises is the generation table, the pool's entry
+// map, the handles' reference counts and the MemoryTracker's accounting
+// racing the worker. It must be data-race-free, every evaluation must
 // complete, and — because the host bytes never actually change — every
 // result must stay bit-identical to a cold run (an announced invalidation
 // may only cost a re-upload, never correctness).
@@ -718,9 +790,9 @@ TEST(ResidentPoolService, ConcurrentInvalidateWhilePinnedIsCoherentAndSafe) {
   device.resident().set_watermark_fraction(0.5);
 
   // The invalidator engine shares the device and arrays but never
-  // enqueues device work: invalidate() touches only the generation table
-  // and the pool — what a host owner does when it announces a mutation of
-  // arrays another session's in-flight evaluation has pinned.
+  // enqueues device work: invalidate() touches only the generation table —
+  // what a host owner does when it announces a mutation of arrays another
+  // session's in-flight evaluation holds.
   Engine invalidator(device);
   invalidator.bind_mesh(mesh);
   invalidator.bind("u", flow.u);
@@ -739,6 +811,7 @@ TEST(ResidentPoolService, ConcurrentInvalidateWhilePinnedIsCoherentAndSafe) {
         invalidator.invalidate("u");
         invalidator.invalidate("v");
         invalidator.invalidate("w");
+        device.resident().evict_lru_unpinned();
       }
     });
     std::vector<service::Ticket> tickets;
@@ -761,7 +834,7 @@ TEST(ResidentPoolService, ConcurrentInvalidateWhilePinnedIsCoherentAndSafe) {
     hammer.join();
     svc.drain();
   }
-  // The storm over: pinned entries were never evicted mid-use, and the
+  // The storm over: held entries were never evicted mid-use, and the
   // books balance.
   EXPECT_LE(device.resident().resident_bytes(),
             device.resident().watermark_bytes());

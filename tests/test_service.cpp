@@ -21,6 +21,8 @@
 #include "dataflow/builder.hpp"
 #include "dataflow/network.hpp"
 #include "mesh/generators.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "runtime/fallback.hpp"
 #include "runtime/planner.hpp"
 #include "service/service.hpp"
@@ -441,22 +443,32 @@ TEST(Service, ThreadLocalCacheStatsAttributePerEvaluation) {
 
 TEST(Service, ChromeTraceMergesAllDeviceTimelines) {
   Fixture fx;
+  obs::ScopedMetricsRegistry scoped;  // fresh, enabled: tracing is live
+  obs::SpanTracer::instance().clear();
   vcl::Device dev_a(vcl::xeon_x5660_scaled());
   vcl::Device dev_b(vcl::xeon_x5660_scaled());
-  EvalService svc({&dev_a, &dev_b}, ServiceOptions{});
-  std::vector<Ticket> tickets;
-  for (int i = 0; i < 4; ++i) {
-    Request request = fx.request(expressions::kVelocityMagnitude);
-    request.session = "s" + std::to_string(i % 2);
-    tickets.push_back(svc.submit(std::move(request)));
+  ServiceOptions options;
+  options.coalescing = false;  // one batch, hence one span, per request
+  {
+    EvalService svc({&dev_a, &dev_b}, options);
+    std::vector<Ticket> tickets;
+    for (int i = 0; i < 4; ++i) {
+      Request request = fx.request(expressions::kVelocityMagnitude);
+      request.session = "s" + std::to_string(i % 2);
+      tickets.push_back(svc.submit(std::move(request)));
+    }
+    svc.drain();
+    for (const Ticket& t : tickets) {
+      ASSERT_EQ(t.wait().status, RequestStatus::completed);
+    }
   }
-  svc.drain();
-  for (const Ticket& t : tickets) {
-    ASSERT_EQ(t.wait().status, RequestStatus::completed);
-  }
-  const std::string trace = svc.chrome_trace();
+  // Both sessions' batches appear in the process span trace, whichever
+  // device ran them.
+  const std::string trace = obs::SpanTracer::instance().to_chrome_trace();
+  obs::SpanTracer::instance().clear();
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(trace.find("\"pid\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"dispatch:s0\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"dispatch:s1\""), std::string::npos);
   // Well-formed: as many opening as closing braces.
   EXPECT_EQ(std::count(trace.begin(), trace.end(), '{'),
             std::count(trace.begin(), trace.end(), '}'));

@@ -80,9 +80,9 @@ TEST(TimeSeries, OnlyChangedFieldsReupload) {
     const EvaluationReport& warm = series.steps[t];
     EXPECT_EQ(warm.dev_writes, 1u) << "step " << t;
     EXPECT_EQ(warm.resident_hits, 6u) << "step " << t;
-    // The invalidation itself happens between steps — outside the step's
-    // counter window — so it shows up in fields_invalidated above, not in
-    // the per-step resident_invalidations delta.
+    // Invalidation between steps only bumps u's generation tag; the step's
+    // own acquire drops the stale copy.
+    EXPECT_EQ(warm.resident_invalidations, 1u) << "step " << t;
     EXPECT_GT(warm.resident_upload_bytes_saved, 0u) << "step " << t;
   }
 }
