@@ -63,6 +63,7 @@ struct ReportCounters {
     reg.counter("dfgen_jit_cache_misses_total");
     reg.counter("dfgen_jit_cache_evictions_total");
     reg.counter("dfgen_jit_fallbacks_total");
+    reg.counter("dfgen_jit_deferred_launches_total");
     return ids;
   }
 

@@ -54,8 +54,10 @@ struct EngineOptions {
   /// while set.
   bool auto_strategy = false;
   /// Execution backend for this engine's device: the tiled VM interpreter
-  /// (`vm`), native code compiled per program (`jit`), or `auto_select`
-  /// (jit with per-program fallback to the VM). Unset defers to
+  /// (`vm`), native code compiled per program on its first launch
+  /// (`jit`), or `auto_select` (tiered: the VM until a program's native
+  /// code is ready; a program launched twice is compiled off the calling
+  /// thread; per-program fallback to the VM). Unset defers to
   /// DFGEN_BACKEND, read per evaluation; set, it overrides the env for
   /// this engine's device.
   std::optional<kernels::BackendKind> backend;
@@ -82,7 +84,9 @@ struct EvaluationReport {
   std::string strategy;
   /// The execution backend the device was armed with ("vm", "jit", ...).
   /// Note a jit device may still have run individual programs on the VM if
-  /// their compiles failed — see dfgen_jit_fallbacks_total.
+  /// their compiles failed — see dfgen_jit_fallbacks_total — and an auto
+  /// device runs a program on the VM until its background compile has
+  /// landed — see dfgen_jit_deferred_launches_total.
   std::string backend;
   std::size_t dev_writes = 0;   ///< host-to-device transfers (Dev-W)
   std::size_t dev_reads = 0;    ///< device-to-host transfers (Dev-R)

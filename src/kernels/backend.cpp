@@ -88,29 +88,49 @@ void note_jit_fallback(const Program& program) {
   }
 }
 
-class JitBackend : public ExecutionBackend {
+/// The kernel for a settled module lookup: native code, or the VM with the
+/// fallback counted when the compile failed.
+std::shared_ptr<const CompiledKernel> jit_or_fallback(
+    const Program& program, std::shared_ptr<const jit::Module> module) {
+  if (module != nullptr) {
+    return std::make_shared<const JitKernel>(std::move(module));
+  }
+  note_jit_fallback(program);
+  return backend_for(BackendKind::vm)->prepare(program);
+}
+
+/// Blocks on the first launch of each program until its compile is done.
+class JitBackend final : public ExecutionBackend {
  public:
   BackendKind kind() const override { return BackendKind::jit; }
   double compute_efficiency() const override { return kCompiledEfficiency; }
   std::shared_ptr<const CompiledKernel> prepare(
       const Program& program) override {
-    std::shared_ptr<const jit::Module> module =
-        ProgramCache::instance().jit_module(program);
-    if (module != nullptr) {
-      return std::make_shared<const JitKernel>(std::move(module));
-    }
-    note_jit_fallback(program);
-    return backend_for(BackendKind::vm)->prepare(program);
+    return jit_or_fallback(program,
+                           ProgramCache::instance().jit_module(program));
   }
 };
 
-/// auto = jit with a different name: both degrade to the VM per program
-/// and never fail a launch, so the only distinction left is intent —
-/// `jit` insists and makes fallbacks visible, `auto` treats them as the
-/// expected outcome on toolchain-less hosts.
-class AutoBackend final : public JitBackend {
+/// Tiered: never waits for a compiler. Launches run on the VM (tier 0,
+/// counted in dfgen_jit_deferred_launches_total) until the program's
+/// module is loaded; only a program launched twice is compiled, on the
+/// program cache's background thread (ProgramCache::tiered_jit_module).
+/// Launches are priced at the nominal compiled efficiency whichever tier
+/// runs them, so simulated seconds and planner estimates stay
+/// deterministic; the tiers are bit-identical, so results are too.
+class AutoBackend final : public ExecutionBackend {
  public:
   BackendKind kind() const override { return BackendKind::auto_select; }
+  double compute_efficiency() const override { return kCompiledEfficiency; }
+  std::shared_ptr<const CompiledKernel> prepare(
+      const Program& program) override {
+    std::optional<std::shared_ptr<const jit::Module>> module =
+        ProgramCache::instance().tiered_jit_module(program);
+    if (module.has_value()) return jit_or_fallback(program, *std::move(module));
+    obs::MetricsRegistry& reg = obs::metrics();
+    reg.add(reg.counter("dfgen_jit_deferred_launches_total"));
+    return backend_for(BackendKind::vm)->prepare(program);
+  }
 };
 
 }  // namespace

@@ -2,12 +2,14 @@
 //
 // A vcl::Device names an ExecutionBackend that realizes kernel launches on
 // the host: the tiled bytecode VM (VmBackend, the default), the
-// element-at-a-time interpreter (ScalarBackend, the bit-exact oracle), or
+// element-at-a-time interpreter (ScalarBackend, the bit-exact oracle),
 // native code generation (JitBackend: emit a C translation unit for the
 // fused program, compile it with the system toolchain, dlopen the entry
-// point — the paper's PyOpenCL runtime-codegen story). A backend only
-// changes *how* a launch body computes: command streams, watchdogs, fault
-// injection, transfer integrity, metrics and the fallback ladder are
+// point — the paper's PyOpenCL runtime-codegen story), or the tiered mix
+// of the last two (AutoBackend: the VM until a program's module is loaded;
+// a program launched twice is compiled off the caller's thread). A backend
+// only changes *how* a launch body computes: command streams, watchdogs,
+// fault injection, transfer integrity, metrics and the fallback ladder are
 // untouched, and every backend produces bit-identical results.
 #pragma once
 
@@ -25,8 +27,10 @@ namespace dfg::kernels {
 enum class BackendKind {
   scalar,       ///< element-at-a-time interpreter (differential oracle)
   vm,           ///< tiled bytecode VM (the default)
-  jit,          ///< native codegen; degrades to the VM per program
-  auto_select,  ///< jit when the toolchain works, silently vm otherwise
+  jit,          ///< native codegen, compiled on first launch (blocking);
+                ///< degrades to the VM per program
+  auto_select,  ///< tiered: vm until the program's module is loaded; a
+                ///< program launched twice is compiled in the background
 };
 
 /// Stable lower-case name ("scalar", "vm", "jit", "auto").
@@ -68,8 +72,9 @@ class ExecutionBackend {
   /// kernels launched under this backend.
   virtual double compute_efficiency() const { return kInterpretedEfficiency; }
   /// Returns an executable for `program`. Never null, and never throws for
-  /// toolchain problems: the jit backend falls back to the VM per program
-  /// (counted in dfgen_jit_fallbacks_total) instead of failing the launch.
+  /// toolchain problems: the jit and auto backends fall back to the VM per
+  /// program (counted in dfgen_jit_fallbacks_total) instead of failing the
+  /// launch.
   virtual std::shared_ptr<const CompiledKernel> prepare(
       const Program& program) = 0;
 };

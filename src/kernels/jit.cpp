@@ -96,7 +96,8 @@ std::string compiler_command() {
   return support::env::get_string("DFGEN_JIT_CC", "cc");
 }
 
-std::shared_ptr<const Module> compile(const Program& program) {
+std::shared_ptr<const Module> compile(const Program& program,
+                                      const std::string& cc) {
   // Monotonic per-process counter keeps artifact names unique even when
   // the same fingerprint is recompiled (cache cleared, compiler changed).
   static std::atomic<std::uint64_t> counter{0};
@@ -132,7 +133,7 @@ std::shared_ptr<const Module> compile(const Program& program) {
   // rounding and break the bit-exactness contract. -fno-math-errno matches
   // how the interpreters' libm calls are compiled.
   const std::string command =
-      compiler_command() +
+      cc +
       // -march=native is the jit's structural advantage over the
       // ahead-of-time-built VM: the kernel compiles on the machine that
       // runs it, so the widest vector ISA the host has is always safe to
@@ -148,7 +149,7 @@ std::shared_ptr<const Module> compile(const Program& program) {
     fs::remove(tmp_path, ec);
     throw KernelError("jit: compiler failed (status " +
                       std::to_string(status) + ") for kernel '" +
-                      program.name() + "' via `" + compiler_command() +
+                      program.name() + "' via `" + cc +
                       "`: " + log_tail(log_path));
   }
   fs::rename(tmp_path, so_path, ec);

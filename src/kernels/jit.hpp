@@ -57,18 +57,20 @@ class Module {
 };
 
 /// The compiler command line prefix: DFGEN_JIT_CC when set, "cc"
-/// otherwise. Re-read on every compile so a poisoned value can be fixed
-/// without restarting the process (the module cache keys entries by
-/// fingerprint *and* this command, so the fix is picked up immediately).
+/// otherwise. Re-read on every module-cache lookup so a poisoned value can
+/// be fixed without restarting the process (the module cache keys entries
+/// by fingerprint *and* this command, so the fix is picked up
+/// immediately).
 std::string compiler_command();
 
-/// Renders, compiles and loads `program`. Artifacts live under a
-/// per-process directory (<tmp>/dfgen-jit/p<pid>) so concurrent processes
-/// never collide; the object is written to a .tmp name and renamed into
-/// place only after the compiler succeeded. Throws KernelError on any
-/// failure, with the tail of the compiler log when the toolchain is the
-/// culprit.
-std::shared_ptr<const Module> compile(const Program& program);
+/// Renders, compiles with `cc` (a compiler_command() value) and loads
+/// `program`. Artifacts live under a per-process directory
+/// (<tmp>/dfgen-jit/p<pid>) so concurrent processes never collide; the
+/// object is written to a .tmp name and renamed into place only after the
+/// compiler succeeded. Throws KernelError on any failure, with the tail of
+/// the compiler log when the toolchain is the culprit.
+std::shared_ptr<const Module> compile(const Program& program,
+                                      const std::string& cc);
 
 /// Best-effort cleanup of jit artifacts left behind by other, now-dead
 /// processes (directory name encodes the owning pid; liveness is probed

@@ -1,5 +1,6 @@
 #include "kernels/program_cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <utility>
@@ -45,11 +46,37 @@ void count_jit(const char* name, std::uint64_t delta = 1) {
   reg.add(reg.counter(name), delta);
 }
 
+/// Module-cache key: flipping DFGEN_JIT_CC must both invalidate modules
+/// built by another toolchain and retry negative-cached failures from a
+/// broken one.
+std::uint64_t jit_key(const Program& program, const std::string& cc) {
+  return program.fingerprint() ^ support::fnv1a(cc.data(), cc.size());
+}
+
 }  // namespace
 
 ProgramCache& ProgramCache::instance() {
   static ProgramCache cache;
   return cache;
+}
+
+ProgramCache::ProgramCache() {
+  // The background compiler counts into the metrics registry and records
+  // spans. Constructing both first makes them outlive this cache (statics
+  // are destroyed in reverse order), so the destructor joins the compiler
+  // before anything it touches is gone.
+  obs::metrics();
+  obs::SpanTracer::instance();
+}
+
+ProgramCache::~ProgramCache() {
+  {
+    std::scoped_lock lock(mutex_);
+    stopping_ = true;
+  }
+  compile_wake_.notify_all();
+  if (compiler_.joinable()) compiler_.join();
+  for (CompileJob& job : compile_queue_) job.promise.set_value(nullptr);
 }
 
 std::shared_ptr<const FusedPipeline> ProgramCache::fused_pipeline(
@@ -58,9 +85,10 @@ std::shared_ptr<const FusedPipeline> ProgramCache::fused_pipeline(
   const PipelineKey key{network.fingerprint(), kernel_name};
   const auto it = pipelines_.find(key);
   if (it != pipelines_.end()) {
+    it->second.last_use = ++tick_;
     ++stats_.pipeline_hits;
     count_request("pipeline", "hit");
-    return it->second;
+    return it->second.pipeline;
   }
   ++stats_.pipeline_misses;
   count_request("pipeline", "miss");
@@ -70,7 +98,17 @@ std::shared_ptr<const FusedPipeline> ProgramCache::fused_pipeline(
   auto pipeline = std::make_shared<const FusedPipeline>(
       generate_fused_pipeline(network, kernel_name));
   lock.lock();
-  pipelines_[key] = pipeline;
+  pipelines_[key] = PipelineSlot{pipeline, ++tick_};
+  if (pipelines_.size() > kPipelineCapacity) {
+    // Callers hold the shared_ptr they were handed, so dropping the entry
+    // never frees a pipeline in use.
+    pipelines_.erase(std::min_element(
+        pipelines_.begin(), pipelines_.end(),
+        [](const auto& a, const auto& b) {
+          return a.second.last_use < b.second.last_use;
+        }));
+    count_evictions("pipeline", 1);
+  }
   return pipeline;
 }
 
@@ -112,44 +150,73 @@ std::shared_ptr<const Program> ProgramCache::standalone(
 
 std::shared_ptr<const jit::Module> ProgramCache::jit_module(
     const Program& program) {
-  // Key by compiler command as well as fingerprint: flipping DFGEN_JIT_CC
-  // must both invalidate modules built by another toolchain and retry
-  // negative-cached failures from a broken one.
   const std::string cc = jit::compiler_command();
-  const std::uint64_t key =
-      program.fingerprint() ^ support::fnv1a(cc.data(), cc.size());
+  const std::uint64_t key = jit_key(program, cc);
 
   std::unique_lock lock(mutex_);
-  if (!jit_reaped_) {
-    jit_reaped_ = true;
-    lock.unlock();
-    jit::reap_stale_artifacts();
-    lock.lock();
-  }
-  ++jit_tick_;
   const auto it = jit_modules_.find(key);
   if (it != jit_modules_.end()) {
-    it->second.last_use = jit_tick_;
+    it->second.last_use = ++tick_;
     ++jit_stats_.hits;
     count_jit("dfgen_jit_cache_hits_total");
-    // A racing thread may still be compiling this slot; get() blocks until
+    // Another thread may still be compiling this slot; get() blocks until
     // it publishes. Copy the future out so the wait happens unlocked.
     const auto ready = it->second.ready;
     lock.unlock();
     return ready.get();
   }
+  ModulePromise promise = open_slot_locked(key);
+  lock.unlock();
+  return compile_into(program, cc, promise);
+}
 
+std::optional<std::shared_ptr<const jit::Module>>
+ProgramCache::tiered_jit_module(const Program& program) {
+  std::string cc = jit::compiler_command();
+  const std::uint64_t key = jit_key(program, cc);
+
+  std::unique_lock lock(mutex_);
+  const auto it = jit_modules_.find(key);
+  if (it != jit_modules_.end()) {
+    it->second.last_use = ++tick_;
+    ++jit_stats_.hits;
+    count_jit("dfgen_jit_cache_hits_total");
+    if (it->second.in_flight()) return std::nullopt;
+    return it->second.ready.get();
+  }
+  // A program launched once is not worth a compile: most never come back,
+  // and their compiles would only crowd out the ones that do.
+  const auto seen_end =
+      seen_.begin() + static_cast<std::ptrdiff_t>(
+                          std::min(seen_count_, seen_.size()));
+  if (std::find(seen_.begin(), seen_end, key) == seen_end) {
+    seen_[seen_count_++ % seen_.size()] = key;
+    return std::nullopt;
+  }
+  compile_queue_.push_back(
+      CompileJob{program, std::move(cc), open_slot_locked(key)});
+  if (!compiler_.joinable()) {
+    compiler_ = std::thread([this] { compile_loop(); });
+  }
+  lock.unlock();
+  compile_wake_.notify_one();
+  return std::nullopt;
+}
+
+ProgramCache::ModulePromise ProgramCache::open_slot_locked(
+    std::uint64_t key) {
   ++jit_stats_.misses;
-  ++jit_stats_.compiles;
   count_jit("dfgen_jit_cache_misses_total");
-  count_jit("dfgen_jit_compiles_total");
-  std::promise<std::shared_ptr<const jit::Module>> promise;
+  ModulePromise promise;
   JitSlot& slot = jit_modules_[key];
   slot.ready = promise.get_future().share();
-  slot.last_use = jit_tick_;
-  slot.in_flight = true;
-  lock.unlock();
+  slot.last_use = ++tick_;
+  return promise;
+}
 
+std::shared_ptr<const jit::Module> ProgramCache::compile_into(
+    const Program& program, const std::string& cc, ModulePromise& promise) {
+  std::call_once(reaped_, [] { jit::reap_stale_artifacts(); });
   // The toolchain invocation runs outside the lock (it dominates any
   // cache operation by orders of magnitude); the in-flight slot already in
   // the map makes racing requests join this compile instead of starting
@@ -160,16 +227,18 @@ std::shared_ptr<const jit::Module> ProgramCache::jit_module(
   {
     obs::Span span("jit_compile:" + program.name(), "compile");
     try {
-      module = jit::compile(program);
+      module = jit::compile(program, cc);
     } catch (const std::exception& e) {
       failure = e.what();
     }
   }
-  promise.set_value(module);
 
-  lock.lock();
-  const auto mine = jit_modules_.find(key);
-  if (mine != jit_modules_.end()) mine->second.in_flight = false;
+  // Published under the lock, so a slot is never seen ready before its
+  // compile is counted.
+  std::unique_lock lock(mutex_);
+  promise.set_value(module);
+  ++jit_stats_.compiles;
+  count_jit("dfgen_jit_compiles_total");
   if (module == nullptr) {
     ++jit_stats_.compile_failures;
     count_jit("dfgen_jit_compile_failures_total");
@@ -181,6 +250,20 @@ std::shared_ptr<const jit::Module> ProgramCache::jit_module(
     std::fprintf(stderr, "[dfgen] %s\n", failure.c_str());
   }
   return module;
+}
+
+void ProgramCache::compile_loop() {
+  std::unique_lock lock(mutex_);
+  for (;;) {
+    compile_wake_.wait(
+        lock, [this] { return stopping_ || !compile_queue_.empty(); });
+    if (stopping_) return;
+    CompileJob job = std::move(compile_queue_.front());
+    compile_queue_.pop_front();
+    lock.unlock();
+    compile_into(job.program, job.cc, job.promise);
+    lock.lock();
+  }
 }
 
 std::size_t ProgramCache::jit_capacity() const {
@@ -203,7 +286,7 @@ void ProgramCache::evict_jit_locked() {
   while (jit_modules_.size() > jit_capacity_) {
     auto victim = jit_modules_.end();
     for (auto it = jit_modules_.begin(); it != jit_modules_.end(); ++it) {
-      if (it->second.in_flight) continue;
+      if (it->second.in_flight()) continue;
       if (victim == jit_modules_.end() ||
           it->second.last_use < victim->second.last_use) {
         victim = it;
@@ -248,12 +331,13 @@ void ProgramCache::clear() {
   count_evictions("standalone", standalones_.size());
   pipelines_.clear();
   standalones_.clear();
+  seen_count_ = 0;
   // Jit modules are dropped too (kernels holding a module keep it loaded
   // until they finish); in-flight slots stay — erasing one would detach a
-  // compile that is about to publish into it.
+  // queued or running compile that is about to publish into it.
   std::size_t dropped = 0;
   for (auto it = jit_modules_.begin(); it != jit_modules_.end();) {
-    if (it->second.in_flight) {
+    if (it->second.in_flight()) {
       ++it;
     } else {
       it = jit_modules_.erase(it);

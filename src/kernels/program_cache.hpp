@@ -4,25 +4,33 @@
 // always yields the same programs. The cache memoises generate_fused_pipeline
 // results keyed by the network's canonical fingerprint, so repeated
 // Engine::evaluate calls, the planner's estimate replays, and every block of
-// a distributed run generate each pipeline exactly once. Standalone
-// primitive programs (used by the staged and roundtrip strategies) are
-// memoised the same way, keyed by primitive kind / component / constant
-// bits.
+// a distributed run generate each pipeline once while it stays among the
+// kPipelineCapacity most recently used. Standalone primitive programs (used
+// by the staged and roundtrip strategies) are memoised the same way, keyed
+// by primitive kind / component / constant bits.
 //
 // The cache also owns the process's compiled jit modules (jit_module):
 // shared objects are expensive to produce (a full toolchain invocation),
 // so they are memoised by program fingerprint + compiler command with LRU
 // eviction over a bounded capacity (64 modules; set_jit_capacity changes
-// it) — compile-once, run-many.
+// it) — compile-once, run-many. The auto backend's tiered lookup
+// (tiered_jit_module) never blocks: it hands a program launched a second
+// time to the cache's one background compiler thread.
 #pragma once
 
+#include <array>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 
 #include "dataflow/network.hpp"
@@ -42,10 +50,10 @@ struct ProgramCacheStats {
 };
 
 /// Monotonic totals for the jit module cache (process-wide; the same
-/// figures feed the dfgen_jit_* metrics counters). A "hit" includes joining
-/// a compile already in flight on another thread and re-reading a
-/// negative-cached failure; "compiles" counts toolchain invocations, so
-/// hits + misses ≥ compiles and misses == compiles.
+/// figures feed the dfgen_jit_* metrics counters). A "hit" includes finding
+/// a compile still in flight and re-reading a negative-cached failure; a
+/// "miss" starts or queues a compile; "compiles" counts finished toolchain
+/// invocations, so misses == compiles once no compile is in flight.
 struct JitCacheStats {
   std::uint64_t compiles = 0;
   std::uint64_t compile_failures = 0;
@@ -56,12 +64,22 @@ struct JitCacheStats {
 
 class ProgramCache {
  public:
+  /// Fused pipelines held at once; one more evicts the least recently used.
+  static constexpr std::size_t kPipelineCapacity = 256;
+  /// Keys of programs the tiered lookup has seen launched once.
+  static constexpr std::size_t kSeenCapacity = 1024;
+
   /// The process-wide instance. All methods are thread-safe.
   static ProgramCache& instance();
 
+  /// Stops the background compiler: a compile already running finishes,
+  /// queued ones are dropped (their slots resolve to nullptr).
+  ~ProgramCache();
+
   /// The fused pipeline for `network`, generated on first request. The
-  /// returned pointer stays valid for the process lifetime (entries are
-  /// never evicted; clear() only detaches them from the cache).
+  /// returned pointer stays valid for as long as the caller holds it:
+  /// eviction (LRU beyond kPipelineCapacity) and clear() only detach
+  /// entries from the cache.
   std::shared_ptr<const FusedPipeline> fused_pipeline(
       const dataflow::Network& network,
       const std::string& kernel_name = "fused_expression");
@@ -92,9 +110,21 @@ class ProgramCache {
   /// shared future and count as hits). At most jit_capacity() modules stay
   /// resident — least-recently-used entries are evicted first, and an
   /// evicted module's shared object is unloaded once the last outstanding
-  /// kernel drops its reference. The first call also reaps artifacts
+  /// kernel drops its reference. The first compile also reaps artifacts
   /// abandoned by dead processes (jit::reap_stale_artifacts).
   std::shared_ptr<const jit::Module> jit_module(const Program& program);
+
+  /// jit_module for the auto backend, which never waits for a compiler.
+  /// nullopt means no module is ready yet and the launch runs on the VM:
+  /// the first request for a key only marks it seen (in a ring of
+  /// kSeenCapacity keys, so one-shot programs never displace a module),
+  /// the second queues its compile on the background compiler thread, and
+  /// requests while that compile is in flight keep returning nullopt.
+  /// Afterwards it returns what jit_module would: the module, or nullptr
+  /// for a negative-cached failure. The slot is the one jit_module uses,
+  /// so a jit-backend request for a queued key joins the same compile.
+  std::optional<std::shared_ptr<const jit::Module>> tiered_jit_module(
+      const Program& program);
 
   std::size_t jit_capacity() const;
   /// Shrinking below the resident count evicts immediately (LRU first).
@@ -120,24 +150,55 @@ class ProgramCache {
   ProgramCacheStats thread_stats() const;
 
   void reset_stats();
-  /// Drops all cached entries (outstanding shared_ptrs stay valid).
+  /// Drops all cached entries and the seen-once marks (outstanding
+  /// shared_ptrs stay valid; queued and running compiles still publish).
   void clear();
 
  private:
-  ProgramCache() = default;
+  ProgramCache();
 
   using PipelineKey = std::tuple<std::uint64_t, std::string>;
   using StandaloneKey = std::tuple<std::string, int, std::uint32_t>;
+  using ModulePromise = std::promise<std::shared_ptr<const jit::Module>>;
+
+  struct PipelineSlot {
+    std::shared_ptr<const FusedPipeline> pipeline;
+    std::uint64_t last_use = 0;
+  };
 
   /// One jit cache slot. `ready` resolves to the module (nullptr for a
-  /// negative-cached failure); while the compile is still running on the
-  /// inserting thread the slot is already in the map so racing requests
-  /// dedup onto the same future.
+  /// negative-cached failure); while the compile is queued or running the
+  /// slot is already in the map so racing requests dedup onto the same
+  /// future.
   struct JitSlot {
     std::shared_future<std::shared_ptr<const jit::Module>> ready;
     std::uint64_t last_use = 0;
-    bool in_flight = false;
+    /// The compile is queued or running: `ready` has no value yet.
+    bool in_flight() const {
+      return ready.wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready;
+    }
   };
+
+  /// A compile queued for the background thread. It owns copies of the
+  /// program and of the compiler command taken when it was queued.
+  struct CompileJob {
+    Program program;
+    std::string cc;
+    ModulePromise promise;
+  };
+
+  /// Counts a miss and inserts an in-flight slot for `key`; the returned
+  /// promise publishes into it. Requires mutex_ held.
+  ModulePromise open_slot_locked(std::uint64_t key);
+  /// Runs the toolchain and publishes the result through `promise`.
+  /// Called without mutex_ held.
+  std::shared_ptr<const jit::Module> compile_into(const Program& program,
+                                                  const std::string& cc,
+                                                  ModulePromise& promise);
+  /// The background compiler thread's body: serves compile_queue_ in FIFO
+  /// order until the destructor sets stopping_.
+  void compile_loop();
 
   /// Evicts LRU jit slots until at most jit_capacity_ remain. In-flight
   /// slots are pinned (evicting one would recompile what is already being
@@ -145,12 +206,20 @@ class ProgramCache {
   void evict_jit_locked();
 
   mutable std::mutex mutex_;
-  std::map<PipelineKey, std::shared_ptr<const FusedPipeline>> pipelines_;
+  std::map<PipelineKey, PipelineSlot> pipelines_;
   std::map<StandaloneKey, std::shared_ptr<const Program>> standalones_;
   std::map<std::uint64_t, JitSlot> jit_modules_;
-  std::uint64_t jit_tick_ = 0;
+  std::uint64_t tick_ = 0;
   std::size_t jit_capacity_ = 64;
-  bool jit_reaped_ = false;
+  std::once_flag reaped_;
+  /// Ring of keys launched once under the tiered lookup; seen_count_ is the
+  /// number of marks ever written since the last clear().
+  std::array<std::uint64_t, kSeenCapacity> seen_{};
+  std::size_t seen_count_ = 0;
+  std::deque<CompileJob> compile_queue_;
+  std::condition_variable compile_wake_;
+  std::thread compiler_;
+  bool stopping_ = false;
   ProgramCacheStats stats_;
   JitCacheStats jit_stats_;
 };

@@ -6,11 +6,14 @@
 // compile shared objects into the process temp directory. Covered:
 // compile-once-run-many caching, LRU eviction under a capacity cap,
 // graceful degradation to the VM when the toolchain is broken (poisoned
-// DFGEN_JIT_CC — the regression test for "auto never errors"), and the
+// DFGEN_JIT_CC — the regression test for "auto never errors"), the
 // in-flight dedup that makes concurrent prepares of one fingerprint
-// compile exactly once.
+// compile exactly once, and the auto backend's tiers: VM launches while
+// only a program launched twice is compiled, on a background thread.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -30,6 +33,7 @@
 #include "kernels/vm.hpp"
 #include "mesh/generators.hpp"
 #include "mesh/mesh.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/bindings.hpp"
 #include "support/error.hpp"
 #include "vcl/catalog.hpp"
@@ -88,6 +92,44 @@ struct PoisonedToolchain {
   }
   ~PoisonedToolchain() { ::unsetenv("DFGEN_JIT_CC"); }
 };
+
+std::uint64_t counter_total(const char* name) {
+  obs::MetricsRegistry& reg = obs::metrics();
+  return reg.counter_value(reg.counter(name));
+}
+std::uint64_t deferred_launches() {
+  return counter_total("dfgen_jit_deferred_launches_total");
+}
+std::uint64_t jit_fallbacks() {
+  return counter_total("dfgen_jit_fallbacks_total");
+}
+
+/// Waits until the module cache has finished `compiles` toolchain runs.
+/// False after a generous timeout (sanitizer builds compile slowly too).
+bool wait_for_compiles(std::uint64_t compiles) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (kernels::ProgramCache::instance().jit_stats().compiles < compiles) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+/// Prepares `program` under auto until it returns native code. Null after
+/// the timeout.
+std::shared_ptr<const kernels::CompiledKernel> prepare_until_jit(
+    const kernels::Program& program) {
+  const auto backend = kernels::backend_for(kernels::BackendKind::auto_select);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::chrono::steady_clock::now() < deadline) {
+    auto kernel = backend->prepare(program);
+    if (kernel->kind() == kernels::BackendKind::jit) return kernel;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return nullptr;
+}
 
 TEST(JitBackend, CompilesRunsAndMatchesScalarBits) {
   JitFixture fx;
@@ -199,6 +241,157 @@ TEST(JitBackend, AutoBackendNeverErrorsUnderPoisonedToolchain) {
       vm_engine.evaluate("q = sqrt(u * u + v * v + w * w)");
   EXPECT_EQ(test::first_bit_mismatch(report.values, vm_report.values),
             static_cast<std::size_t>(-1));
+}
+
+TEST(JitBackend, AutoRunsAFirstLaunchOnTheVmWithoutCompiling) {
+  JitFixture fx;
+  const kernels::Program program = fx.program("q = u * 1.25 + v * w");
+  kernels::ProgramCache& cache = kernels::ProgramCache::instance();
+  cache.clear();
+  const auto backend = kernels::backend_for(kernels::BackendKind::auto_select);
+  const kernels::JitCacheStats before = cache.jit_stats();
+  const std::uint64_t deferred = deferred_launches();
+
+  const auto kernel = backend->prepare(program);
+  EXPECT_EQ(kernel->kind(), kernels::BackendKind::vm);
+  fx.expect_matches_scalar(*kernel, program);
+  EXPECT_EQ(deferred_launches(), deferred + 1);
+
+  // clear() forgets the launch: the next one is a first launch again.
+  cache.clear();
+  EXPECT_EQ(backend->prepare(program)->kind(), kernels::BackendKind::vm);
+  const kernels::JitCacheStats after = cache.jit_stats();
+  EXPECT_EQ(after.compiles, before.compiles);
+  EXPECT_EQ(after.misses, before.misses);
+}
+
+TEST(JitBackend, AutoCompilesASecondLaunchInTheBackground) {
+  JitFixture fx;
+  const kernels::Program program = fx.program("q = (u - v) * (w + 0.125)");
+  kernels::ProgramCache& cache = kernels::ProgramCache::instance();
+  cache.clear();
+  const auto backend = kernels::backend_for(kernels::BackendKind::auto_select);
+  const kernels::JitCacheStats before = cache.jit_stats();
+  const std::uint64_t deferred = deferred_launches();
+  const std::uint64_t fallbacks = jit_fallbacks();
+
+  EXPECT_EQ(backend->prepare(program)->kind(), kernels::BackendKind::vm);
+  // The second launch queues the compile and runs on the VM at once: had
+  // it waited for the compiler, it would have returned native code.
+  const auto second = backend->prepare(program);
+  EXPECT_EQ(second->kind(), kernels::BackendKind::vm);
+  EXPECT_EQ(cache.jit_stats().misses, before.misses + 1);
+  EXPECT_EQ(deferred_launches(), deferred + 2);
+  fx.expect_matches_scalar(*second, program);
+
+  ASSERT_TRUE(wait_for_compiles(before.compiles + 1));
+  for (int launch = 0; launch < 3; ++launch) {
+    const auto kernel = backend->prepare(program);
+    ASSERT_EQ(kernel->kind(), kernels::BackendKind::jit);
+    fx.expect_matches_scalar(*kernel, program);
+  }
+  const kernels::JitCacheStats after = cache.jit_stats();
+  EXPECT_EQ(after.compiles, before.compiles + 1);
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.compile_failures, before.compile_failures);
+  EXPECT_EQ(deferred_launches(), deferred + 2);
+  EXPECT_EQ(jit_fallbacks(), fallbacks);
+}
+
+TEST(JitBackend, AutoNegativeCachesABackgroundCompileFailure) {
+  JitFixture fx;
+  const kernels::Program program = fx.program("q = min(u, w) - exp(v * 0.5)");
+  kernels::ProgramCache& cache = kernels::ProgramCache::instance();
+  const auto backend = kernels::backend_for(kernels::BackendKind::auto_select);
+  const kernels::JitCacheStats before = cache.jit_stats();
+  const std::uint64_t deferred = deferred_launches();
+  const std::uint64_t fallbacks = jit_fallbacks();
+  PoisonedToolchain poison;
+
+  // Tier-0 launches are not fallbacks: nothing has failed yet.
+  EXPECT_EQ(backend->prepare(program)->kind(), kernels::BackendKind::vm);
+  EXPECT_EQ(backend->prepare(program)->kind(), kernels::BackendKind::vm);
+  EXPECT_EQ(jit_fallbacks(), fallbacks);
+  ASSERT_TRUE(wait_for_compiles(before.compiles + 1));
+  EXPECT_EQ(cache.jit_stats().compile_failures, before.compile_failures + 1);
+
+  // From here on every launch falls back exactly as under `jit`: counted,
+  // VM results, and no second toolchain run.
+  const auto third = backend->prepare(program);
+  EXPECT_EQ(third->kind(), kernels::BackendKind::vm);
+  EXPECT_EQ(jit_fallbacks(), fallbacks + 1);
+  fx.expect_matches_scalar(*third, program);
+  EXPECT_EQ(backend->prepare(program)->kind(), kernels::BackendKind::vm);
+  EXPECT_EQ(jit_fallbacks(), fallbacks + 2);
+  EXPECT_EQ(cache.jit_stats().compiles, before.compiles + 1);
+  EXPECT_EQ(deferred_launches(), deferred + 2);
+}
+
+TEST(JitBackend, ClearWhileABackgroundCompileIsPendingIsSafe) {
+  JitFixture fx;
+  const kernels::Program a = fx.program("q = u * v * 0.375 + w");
+  const kernels::Program b = fx.program("q = (v + w) / (abs(u) + 2)");
+  kernels::ProgramCache& cache = kernels::ProgramCache::instance();
+  const auto backend = kernels::backend_for(kernels::BackendKind::auto_select);
+  for (const kernels::Program* program : {&a, &b, &a, &b}) {
+    EXPECT_EQ(backend->prepare(*program)->kind(), kernels::BackendKind::vm);
+  }
+  // Two compiles are queued; b's cannot have started yet.
+  cache.clear();
+  for (const kernels::Program* program : {&a, &b}) {
+    const auto kernel = prepare_until_jit(*program);
+    ASSERT_NE(kernel, nullptr);
+    fx.expect_matches_scalar(*kernel, *program);
+  }
+}
+
+TEST(JitBackend, AutoSeriesStaysBitExactWhenTheCompileLandsMidSeries) {
+  JitFixture fx;
+  const std::string expression = "q = sqrt(u * u + w * w) * 0.75 + v";
+  constexpr std::size_t kSteps = 6;
+  kernels::ProgramCache::instance().clear();
+  const kernels::JitCacheStats before =
+      kernels::ProgramCache::instance().jit_stats();
+  const std::uint64_t deferred = deferred_launches();
+
+  // Steps 0 and 1 run on the VM (the second queues the compile); the
+  // advance into step 2 waits for the compile to land, so the remaining
+  // steps run native code.
+  const auto run_series = [&](kernels::BackendKind kind) {
+    vcl::Device device{vcl::xeon_x5660_scaled()};
+    EngineOptions options;
+    options.strategy = runtime::StrategyKind::fusion;
+    options.backend = kind;
+    Engine engine(device, options);
+    std::vector<float> u = fx.field.u;
+    engine.bind_mesh(fx.mesh);
+    engine.bind("u", u);
+    engine.bind("v", fx.field.v);
+    engine.bind("w", fx.field.w);
+    const SeriesAdvanceFn advance = [&](std::size_t step) {
+      for (float& value : u) value *= 1.0625f;
+      if (kind == kernels::BackendKind::auto_select && step == 2) {
+        EXPECT_TRUE(wait_for_compiles(before.compiles + 1));
+      }
+      return std::vector<std::string>{"u"};
+    };
+    return engine.evaluate_series(expression, fx.mesh.cell_count(), kSteps,
+                                  advance);
+  };
+  const SeriesReport tiered = run_series(kernels::BackendKind::auto_select);
+  const SeriesReport vm = run_series(kernels::BackendKind::vm);
+
+  EXPECT_EQ(deferred_launches(), deferred + 2);
+  EXPECT_EQ(kernels::ProgramCache::instance().jit_stats().compiles,
+            before.compiles + 1);
+  ASSERT_EQ(tiered.steps.size(), kSteps);
+  ASSERT_EQ(vm.steps.size(), kSteps);
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    EXPECT_EQ(test::first_bit_mismatch(tiered.steps[step].values,
+                                       vm.steps[step].values),
+              static_cast<std::size_t>(-1))
+        << "step " << step;
+  }
 }
 
 TEST(JitBackend, ConcurrentPreparesOfOneFingerprintCompileExactlyOnce) {

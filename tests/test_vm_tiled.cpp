@@ -408,6 +408,29 @@ TEST(ProgramCacheTest, SecondRequestIsAPointerIdenticalHit) {
   EXPECT_EQ(after.pipeline_hits - before.pipeline_hits, 1u);
 }
 
+TEST(ProgramCacheTest, PipelineCacheEvictsLeastRecentlyUsed) {
+  auto& cache = ProgramCache::instance();
+  cache.clear();
+  const auto network = [](std::size_t i) {
+    return dfg::dataflow::Network(dfg::dataflow::build_network(
+        "r = u * v + " + std::to_string(i) + ".5"));
+  };
+  const auto held = cache.fused_pipeline(network(0));
+  for (std::size_t i = 1; i <= ProgramCache::kPipelineCapacity; ++i) {
+    cache.fused_pipeline(network(i));
+  }
+  // Capacity + 1 distinct networks: the first, least recently used, was
+  // evicted and generates again.
+  const ProgramCacheStats before = cache.stats();
+  const auto again = cache.fused_pipeline(network(0));
+  EXPECT_EQ(cache.stats().pipeline_misses, before.pipeline_misses + 1);
+  EXPECT_NE(again.get(), held.get());
+  // The handle taken before the eviction still owns its pipeline.
+  ASSERT_EQ(held->stages.size(), again->stages.size());
+  EXPECT_EQ(held->stages[0].program.fingerprint(),
+            again->stages[0].program.fingerprint());
+}
+
 TEST(ProgramCacheTest, CachedPipelineMatchesFreshGeneration) {
   auto& cache = ProgramCache::instance();
   cache.clear();
