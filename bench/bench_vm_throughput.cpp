@@ -22,15 +22,24 @@
 // evaluations and one distributed run: generator invocations (misses) must
 // be at least 10x rarer than requests.
 //
+// Section 3 times transfer integrity: support::checksum_floats (the
+// block-parallel, 8-lane FNV-1a every transfer pays twice) against a
+// serial one-lane FNV-1a reference kept here, both over the same 16 MB.
+// In a full run the library checksum must be at least 2.5x faster than
+// the reference; both are measured in this process, so the ratio holds
+// on any host.
+//
 // Results land in BENCH_vm.json in the working directory. DFGEN_SMOKE=1
-// shrinks the grid and skips the throughput thresholds (CI smoke run);
-// correctness assertions always apply.
+// shrinks the grid and skips the throughput and checksum thresholds (CI
+// smoke run); correctness assertions always apply.
 #include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +54,7 @@
 #include "kernels/program_cache.hpp"
 #include "kernels/vm.hpp"
 #include "runtime/bindings.hpp"
+#include "support/checksum.hpp"
 
 namespace {
 
@@ -242,8 +252,57 @@ CacheResult run_cache_study(bool smoke) {
   return result;
 }
 
+/// Serial FNV-1a over the word count and then every word: one dependency
+/// chain through the multiply, the checksum's layout before it was split
+/// into blocks and lanes.
+std::uint64_t reference_checksum(std::span<const float> values,
+                                 std::uint64_t seed) {
+  const std::uint64_t count = values.size();
+  std::uint64_t hash = dfg::support::fnv1a(&count, sizeof(count), seed);
+  for (const float value : values) {
+    std::uint32_t word;
+    std::memcpy(&word, &value, sizeof(word));
+    hash = (hash ^ word) * dfg::support::kFnvPrime;
+  }
+  return hash;
+}
+
+struct ChecksumResult {
+  double megabytes = 0.0;
+  double library_ms_per_mb = 0.0;
+  double reference_ms_per_mb = 0.0;
+
+  double speedup() const { return reference_ms_per_mb / library_ms_per_mb; }
+};
+
+ChecksumResult run_checksum_study() {
+  constexpr std::size_t kWords = (std::size_t{16} << 20) / sizeof(float);
+  std::vector<float> data(kWords);
+  for (std::size_t i = 0; i < kWords; ++i) {
+    data[i] = static_cast<float>(i % 4099) * 0.125f;
+  }
+  volatile std::uint64_t sink = 0;
+  ChecksumResult result;
+  result.megabytes = static_cast<double>(kWords * sizeof(float)) / 1.0e6;
+  // Alternate the two so a burst of host contention hits both, and keep
+  // each one's best.
+  double library_s = 1e30;
+  double reference_s = 1e30;
+  for (int rep = 0; rep < 7; ++rep) {
+    double t0 = now_seconds();
+    sink = sink + dfg::support::checksum_floats(data);
+    library_s = std::min(library_s, now_seconds() - t0);
+    t0 = now_seconds();
+    sink = sink + reference_checksum(data, dfg::support::kFnvOffsetBasis);
+    reference_s = std::min(reference_s, now_seconds() - t0);
+  }
+  result.library_ms_per_mb = library_s * 1.0e3 / result.megabytes;
+  result.reference_ms_per_mb = reference_s * 1.0e3 / result.megabytes;
+  return result;
+}
+
 void write_json(const std::vector<ExprResult>& exprs, const CacheResult& cache,
-                bool smoke) {
+                const ChecksumResult& checksum, bool smoke) {
   std::FILE* f = std::fopen("BENCH_vm.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open BENCH_vm.json for writing\n");
@@ -278,10 +337,14 @@ void write_json(const std::vector<ExprResult>& exprs, const CacheResult& cache,
       "    \"engine_evaluations\": %zu,\n"
       "    \"engine_hits\": %zu, \"engine_misses\": %zu,\n"
       "    \"distributed_hits\": %zu, \"distributed_misses\": %zu,\n"
-      "    \"invocation_reduction\": %.1f\n  }\n}\n",
+      "    \"invocation_reduction\": %.1f\n  },\n"
+      "  \"checksum\": {\"megabytes\": %.2f, \"checksum_ms_per_mb\": %.4f,\n"
+      "    \"reference_ms_per_mb\": %.4f, \"speedup\": %.2f}\n}\n",
       cache.engine_evaluations, cache.engine_hits, cache.engine_misses,
       cache.distributed_hits, cache.distributed_misses,
-      cache.invocation_reduction());
+      cache.invocation_reduction(), checksum.megabytes,
+      checksum.library_ms_per_mb, checksum.reference_ms_per_mb,
+      checksum.speedup());
   std::fclose(f);
 }
 
@@ -322,7 +385,13 @@ int main() {
               cache.engine_hits, cache.engine_misses, cache.distributed_hits,
               cache.distributed_misses, cache.invocation_reduction());
 
-  write_json(results, cache, smoke);
+  const ChecksumResult checksum = run_checksum_study();
+  std::printf("\n=== Transfer checksum: %.1f MB ===\n", checksum.megabytes);
+  std::printf("checksum_ms_per_mb: %.4f (serial reference %.4f), %.2fx\n",
+              checksum.library_ms_per_mb, checksum.reference_ms_per_mb,
+              checksum.speedup());
+
+  write_json(results, cache, checksum, smoke);
   std::printf("\nwrote BENCH_vm.json\n");
 
   // Correctness gates (bit-exactness already enforced per expression).
@@ -337,6 +406,13 @@ int main() {
     return 1;
   }
   if (!smoke) {
+    if (checksum.speedup() < 2.5) {
+      std::fprintf(stderr,
+                   "FAIL: checksum_floats only %.2fx faster than the serial "
+                   "FNV-1a reference (< 2.5x)\n",
+                   checksum.speedup());
+      return 1;
+    }
     const ExprResult& qcrit = results.back();  // Q-Crit is the last case
     if (qcrit.optimized_speedup() < 5.0) {
       std::fprintf(stderr,
@@ -356,6 +432,6 @@ int main() {
       return 1;
     }
   }
-  std::printf("all throughput and cache gates passed\n");
+  std::printf("all throughput, checksum and cache gates passed\n");
   return 0;
 }

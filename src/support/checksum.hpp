@@ -6,15 +6,25 @@
 // copy and verifies the destination afterwards, so one corrupted word is
 // detected before it can propagate into a derived field. FNV-1a is chosen
 // for the same reason production transports use cheap non-cryptographic
-// checksums: one multiply and one xor per word, and a single flipped bit
-// anywhere in the covered words changes the digest with certainty (the
-// xor-then-multiply pipeline never cancels a single-word change; two runs
-// collide only if the data actually differs in 2+ compensating words, odds
-// ~2^-64 for random corruption).
+// checksums: one xor and one multiply per word.
 //
-// `stride` subsamples every stride-th word to bound the cost on very large
-// transfers; stride 1 (the queue's default) covers every word and therefore
-// detects every single-word flip deterministically.
+// `checksum_floats` covers every word and is laid out for throughput:
+//   * the words are split into fixed blocks of kChecksumBlockWords; the
+//     block size is a constant, so the digest never depends on how many
+//     workers hash the blocks (support::parallel_for, one block per
+//     grain; a transfer of one block or less is hashed inline);
+//   * inside a block, word i feeds lane i % kChecksumLanes: eight
+//     independent FNV-1a accumulators, so the multiplies overlap instead
+//     of forming one serial dependency chain;
+//   * the lanes fold, in lane order, into a block digest, and the block
+//     digests fold, in block order, after the word count.
+// Every step and every fold is `(h ^ x) * kFnvPrime`. For a fixed state
+// that map is injective in x, and for a fixed x it is a bijection of the
+// state (the prime is odd), so a change confined to one word changes its
+// lane, hence its block digest, hence the digest — with certainty, at any
+// extent. Two buffers collide only if they differ in 2+ compensating
+// words (odds ~2^-64 for random corruption); mixing the count first keeps
+// a truncated buffer from colliding with its prefix.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +36,13 @@ namespace dfg::support {
 
 inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// Words per independently hashed block of checksum_floats (64 Ki words,
+/// 256 KiB). A multiple of kChecksumLanes, so a word's lane is its global
+/// index modulo the lane count.
+inline constexpr std::size_t kChecksumBlockWords = std::size_t{1} << 16;
+/// Interleaved FNV-1a accumulators per block.
+inline constexpr std::size_t kChecksumLanes = 8;
 
 /// FNV-1a over raw bytes, starting from `seed` (chain calls to checksum a
 /// logical record spread over several buffers).
@@ -43,11 +60,9 @@ inline std::uint64_t fnv1a(const char* text,
   return fnv1a(std::string_view(text), seed);
 }
 
-/// Checksum of a float array sampling every `stride`-th word (stride 0 is
-/// treated as 1). The word count is mixed in first, so a truncated buffer
-/// never collides with its prefix.
+/// Block-parallel, 8-lane FNV-1a over every word of a float array (layout
+/// above). The digest depends only on the words, their count and `seed`.
 std::uint64_t checksum_floats(std::span<const float> values,
-                              std::uint64_t seed = kFnvOffsetBasis,
-                              std::size_t stride = 1);
+                              std::uint64_t seed = kFnvOffsetBasis);
 
 }  // namespace dfg::support

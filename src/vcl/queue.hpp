@@ -15,10 +15,14 @@
 //     attempt probes the device); a slowdown escalates as DeviceTimeout
 //     immediately — it is a device-wide condition and re-probing would
 //     only burn another deadline;
-//   * end-to-end transfer integrity — a seeded FNV-1a checksum of every
+//   * end-to-end transfer integrity — a seeded checksum of every
 //     transfer's source is verified against its destination after the
-//     copy; a mismatch (an injected bit-flip) is charged as a Chksum event
-//     and the transfer re-executed, then DataCorruption escapes.
+//     copy, on every transfer whether or not a fault plan is armed; a
+//     mismatch (an injected bit-flip) is charged as a Chksum event and the
+//     transfer re-executed, then DataCorruption escapes. The checksum
+//     (support::checksum_floats) hashes fixed 64 Ki-word blocks in
+//     parallel, each as eight interleaved FNV-1a lanes, and still covers
+//     every word: one changed word changes the digest with certainty.
 // Both layers are pure observers on a healthy device: the command stream,
 // event counts and simulated durations of a fault-free run are
 // byte-identical to a build without them.

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "support/checksum.hpp"
@@ -13,6 +15,7 @@
 #include "vcl/catalog.hpp"
 #include "vcl/cost_model.hpp"
 #include "vcl/device.hpp"
+#include "vcl/fault.hpp"
 #include "vcl/profiling.hpp"
 #include "vcl/queue.hpp"
 
@@ -211,6 +214,53 @@ TEST(CommandQueue, WriteWallTimeCoversTheIntegrityChecksums) {
   }
   // The write checksums its source and its destination.
   EXPECT_GE(recorded, one_checksum);
+}
+
+/// Word index of the bit-flip the injector recorded in `log`
+/// ("fault:bit-flip:<site>:<label>@<word>").
+std::size_t flipped_word(const ProfilingLog& log) {
+  for (const Event& event : log.events()) {
+    if (event.kind != EventKind::fault) continue;
+    const std::size_t at = event.label.rfind('@');
+    if (at != std::string::npos) return std::stoul(event.label.substr(at + 1));
+  }
+  ADD_FAILURE() << "no bit-flip fault event in the log";
+  return 0;
+}
+
+TEST(CommandQueue, CorruptionDeepInALargeTransferIsCaught) {
+  // Three checksum blocks plus a 5-word tail; plan seed 11 puts the
+  // flipped word in the third block.
+  constexpr std::size_t kBlock = dfg::support::kChecksumBlockWords;
+  std::vector<float> host(3 * kBlock + 5);
+  for (std::size_t i = 0; i < host.size(); ++i) {
+    host[i] = static_cast<float>(i) * 0.5f;
+  }
+  for (const bool on_write : {true, false}) {
+    SCOPED_TRACE(on_write ? "corrupt_write_index" : "corrupt_read_index");
+    FaultPlan plan;
+    plan.seed = 11;
+    (on_write ? plan.corrupt_write_index : plan.corrupt_read_index) = 1;
+    Device device(tiny_device(2 * host.size() * sizeof(float)));
+    device.fault().arm(plan);
+    ProfilingLog log;
+    CommandQueue queue(device, log);
+    Buffer buffer = device.allocate(host.size());
+    queue.write(buffer, host, "in");
+    std::vector<float> back(host.size(), 0.0f);
+    queue.read(buffer, back, "out");
+
+    EXPECT_GE(flipped_word(log), 2 * kBlock) << "flip not deep enough";
+    EXPECT_EQ(log.count(EventKind::integrity), 1u);
+    // One re-execution: the corrupted attempt is the Chksum event, and the
+    // transfer then completes once at each site.
+    EXPECT_EQ(log.count(EventKind::host_to_device), 1u);
+    EXPECT_EQ(log.count(EventKind::device_to_host), 1u);
+    EXPECT_EQ(std::memcmp(back.data(), host.data(),
+                          host.size() * sizeof(float)),
+              0)
+        << "the round trip must be bit-exact";
+  }
 }
 
 TEST(CommandQueue, OversizedWriteThrows) {

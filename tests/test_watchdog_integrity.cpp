@@ -7,9 +7,12 @@
 // streams byte-identical to a policy-off run (the paper's Table II counts).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "support/checksum.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "vcl/catalog.hpp"
 #include "vcl/trace.hpp"
 
@@ -238,8 +242,9 @@ TEST(Integrity, PersistentCorruptionEscalatesAsDataCorruption) {
 }
 
 TEST(Integrity, EveryWordOfEveryTransferIsCovered) {
-  // The queue checksums with stride 1, so any single flipped word — at any
-  // extent — changes the digest. Spot-check the checksum itself.
+  // The checksum covers every word, so any single flipped word — at any
+  // extent — changes the digest. Spot-check a one-block buffer here; the
+  // multi-block layout is checked below.
   std::vector<float> data(1000, 1.5f);
   const std::uint64_t clean = support::checksum_floats(data, 42);
   for (const std::size_t word : {0u, 1u, 499u, 998u, 999u}) {
@@ -252,6 +257,61 @@ TEST(Integrity, EveryWordOfEveryTransferIsCovered) {
   EXPECT_NE(support::checksum_floats(
                 std::span<const float>(data).first(999), 42),
             clean);
+}
+
+TEST(Integrity, MultiBlockChecksumCoversEveryWordAtAnyWorkerCount) {
+  // Three full blocks and a 5-word tail: not a multiple of the lane count,
+  // so the tail block holds a partial lane group.
+  constexpr std::size_t kBlock = support::kChecksumBlockWords;
+  constexpr std::size_t kWords = 3 * kBlock + 5;
+  static_assert(kWords % support::kChecksumLanes != 0);
+  std::vector<float> data(kWords);
+  for (std::size_t i = 0; i < kWords; ++i) {
+    data[i] = static_cast<float>(i % 977) * 0.25f;
+  }
+  const std::uint64_t clean = support::checksum_floats(data, 42);
+
+  std::vector<std::size_t> words{0, kWords - 1};
+  for (std::size_t b = 1; b <= 3; ++b) {
+    words.push_back(b * kBlock - 1);  // last word of block b - 1
+    words.push_back(b * kBlock);      // first word of block b
+  }
+  for (std::size_t lane = 0; lane < support::kChecksumLanes; ++lane) {
+    words.push_back(kBlock + 8 * 100 + lane);  // one word per lane
+  }
+  for (const std::size_t word : words) {
+    std::vector<float> flipped = data;
+    std::uint32_t bits;
+    std::memcpy(&bits, &flipped[word], sizeof(bits));
+    bits ^= 1u << 3;
+    std::memcpy(&flipped[word], &bits, sizeof(bits));
+    EXPECT_NE(support::checksum_floats(flipped, 42), clean)
+        << "flip at word " << word << " (block " << word / kBlock
+        << ", lane " << word % support::kChecksumLanes
+        << ") went undetected";
+  }
+
+  // Truncating exactly at a block boundary is not a collision.
+  for (std::size_t b = 1; b <= 3; ++b) {
+    EXPECT_NE(support::checksum_floats(
+                  std::span<const float>(data).first(b * kBlock), 42),
+              clean)
+        << "truncation at block " << b;
+  }
+
+  // The empty span has one fixed digest.
+  const std::uint64_t empty = support::checksum_floats({}, 42);
+  EXPECT_EQ(support::checksum_floats(std::span<const float>(), 42), empty);
+  EXPECT_NE(empty, clean);
+
+  // The block size, not the worker count, fixes the digest.
+  for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
+    support::set_worker_count(workers);
+    EXPECT_EQ(support::checksum_floats(data, 42), clean)
+        << "digest changed under " << workers << " workers";
+    EXPECT_EQ(support::checksum_floats({}, 42), empty);
+  }
+  support::set_worker_count(0);
 }
 
 // -------------------------------------------------- observability & traces
