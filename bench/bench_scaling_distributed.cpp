@@ -1,21 +1,14 @@
 // Future-work study (paper §VI): "a comprehensive performance study of our
-// framework in a distributed-memory parallel setting". Two sweeps over the
-// Figure 7 workload:
-//   * strong scaling — fixed 192^3 global grid, rank counts from 2 to 256
-//    (two devices per node, as on Edge), critical-path simulated time and
-//    parallel efficiency per point;
-//   * multi-device single-node scaling — the fused Q-criterion split
-//     across 1..8 devices of one node via the multi-device executor.
+// framework in a distributed-memory parallel setting". A strong-scaling
+// sweep over the Figure 7 workload: fixed 192^3 global grid, rank counts
+// from 2 to 256 (two devices per node, as on Edge), critical-path
+// simulated time and parallel efficiency per point.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_common.hpp"
-#include "dataflow/builder.hpp"
-#include "dataflow/network.hpp"
 #include "distrib/dist_engine.hpp"
-#include "runtime/multidevice.hpp"
 
 namespace {
 
@@ -53,43 +46,6 @@ void print_strong_scaling() {
   std::printf("\n");
 }
 
-void print_multi_device_scaling() {
-  std::printf(
-      "=== Multi-device single node: fused Q-criterion, 48x48x256 ===\n");
-  const dfg::mesh::RectilinearMesh mesh =
-      dfg::mesh::RectilinearMesh::uniform({48, 48, 256});
-  const dfg::mesh::VectorField field = dfg::mesh::rayleigh_taylor_flow(mesh);
-  dfg::runtime::FieldBindings bindings;
-  bindings.bind_mesh(mesh);
-  bindings.bind("u", field.u);
-  bindings.bind("v", field.v);
-  bindings.bind("w", field.w);
-  const dfg::dataflow::Network network(
-      dfg::dataflow::build_network(dfg::expressions::kQCriterion));
-
-  std::printf("%9s %16s %16s %10s\n", "devices", "critical [s]",
-              "aggregate [s]", "speedup");
-  double t1 = 0.0;
-  for (const std::size_t count : {1u, 2u, 4u, 8u}) {
-    std::vector<std::unique_ptr<dfg::vcl::Device>> devices;
-    std::vector<dfg::vcl::Device*> device_ptrs;
-    for (std::size_t d = 0; d < count; ++d) {
-      devices.push_back(
-          std::make_unique<dfg::vcl::Device>(dfgbench::scaled_gpu()));
-      device_ptrs.push_back(devices.back().get());
-    }
-    std::vector<dfg::vcl::ProfilingLog> logs(count);
-    const auto report = dfg::runtime::execute_multi_device_fusion(
-        network, bindings, mesh.cell_count(), device_ptrs, logs);
-    if (count == 1) t1 = report.critical_path_sim_seconds;
-    std::printf("%9zu %16.5f %16.5f %9.2fx\n", count,
-                report.critical_path_sim_seconds,
-                report.aggregate_sim_seconds,
-                t1 / report.critical_path_sim_seconds);
-  }
-  std::printf("\n");
-}
-
 void BM_DistributedQCrit(benchmark::State& state) {
   const dfg::mesh::RectilinearMesh mesh =
       dfg::mesh::RectilinearMesh::uniform({96, 96, 96});
@@ -118,7 +74,6 @@ BENCHMARK(BM_DistributedQCrit)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   dfgbench::check_environment();
   print_strong_scaling();
-  print_multi_device_scaling();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

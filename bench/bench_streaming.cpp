@@ -11,11 +11,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "dataflow/builder.hpp"
-#include "dataflow/network.hpp"
-#include "runtime/planner.hpp"
 #include "support/string_util.hpp"
-#include "vcl/pipeline.hpp"
 
 namespace {
 
@@ -32,19 +28,8 @@ void print_chunk_sweep() {
   std::printf("grid %s (%zu cells) on %s\n",
               dfg::mesh::to_string(info.dims).c_str(), info.cells,
               device.spec().name.c_str());
-  std::printf("overlap columns: projected makespan with one / two DMA copy\n"
-              "engines overlapping compute (the M2050 has two)\n");
-  std::printf("%-22s %10s %8s %8s %16s %10s %10s\n", "configuration",
-              "sim [s]", "K-Exe", "Dev-W", "mem high water", "1-copy[s]",
-              "2-copy[s]");
-
-  const dfg::dataflow::Network network(
-      dfg::dataflow::build_network(dfg::expressions::kQCriterion));
-  dfg::runtime::FieldBindings bindings;
-  bindings.bind_mesh(mesh);
-  bindings.bind("u", field.u);
-  bindings.bind("v", field.v);
-  bindings.bind("w", field.w);
+  std::printf("%-22s %10s %8s %8s %16s\n", "configuration", "sim [s]",
+              "K-Exe", "Dev-W", "mem high water");
 
   // Baseline: single-kernel fusion.
   {
@@ -70,18 +55,13 @@ void print_chunk_sweep() {
     engine.bind("v", field.v);
     engine.bind("w", field.w);
     const auto report = engine.evaluate(dfg::expressions::kQCriterion);
-    const auto chunks = dfg::runtime::streamed_chunk_costs(
-        network, bindings, info.cells, device.spec(),
-        options.streamed_chunk_cells);
-    const auto makespan = dfg::vcl::pipeline_makespan(chunks);
     char label[64];
     std::snprintf(label, sizeof(label), "streamed %4zu planes",
                   planes_per_chunk);
-    std::printf("%-22s %10.5f %8zu %8zu %16s %10.5f %10.5f\n", label,
-                report.sim_seconds, report.kernel_execs, report.dev_writes,
+    std::printf("%-22s %10.5f %8zu %8zu %16s\n", label, report.sim_seconds,
+                report.kernel_execs, report.dev_writes,
                 dfg::support::format_bytes(report.memory_high_water_bytes)
-                    .c_str(),
-                makespan.overlap_single_copy, makespan.overlap_dual_copy);
+                    .c_str());
   }
   std::printf("\n");
 }

@@ -86,8 +86,8 @@ class ProgramCache {
 
   /// fused_pipeline for a non-partitioned network: its only stage is the
   /// single fused kernel. Throws KernelError with generate_fused's guidance
-  /// when the network requires partitioning (the streamed and multi-device
-  /// paths cannot execute pipelines).
+  /// when the network requires partitioning (the streamed path cannot
+  /// execute pipelines).
   std::shared_ptr<const FusedPipeline> fused_single(
       const dataflow::Network& network,
       const std::string& kernel_name = "fused_expression");

@@ -137,21 +137,6 @@ std::size_t fusion_high_water(const dataflow::Network& network,
   return floats * sizeof(float);
 }
 
-/// Replicates StreamedFusionStrategy's chunk sizing for an explicit cell
-/// budget (0 -> one plane).
-std::size_t planes_for_chunk(const SlabPlan& plan, std::size_t chunk_cells) {
-  if (chunk_cells == 0) return 1;
-  std::size_t planes =
-      chunk_cells / std::max<std::size_t>(plan.plane_cells, 1);
-  if (planes > 2 * plan.halo) {
-    planes -= 2 * plan.halo;
-  } else {
-    planes = 1;
-  }
-  return std::min(std::max<std::size_t>(planes, 1), plan.total_planes);
-}
-
-
 std::size_t streamed_high_water(const dataflow::Network& network,
                                 const FieldBindings& bindings,
                                 std::size_t elements,
@@ -161,7 +146,7 @@ std::size_t streamed_high_water(const dataflow::Network& network,
   const kernels::Program& program = pipeline->stages.front().program;
   const SlabPlan plan = make_slab_plan(program, bindings, elements);
 
-  const std::size_t chunk_planes = planes_for_chunk(plan, chunk_cells);
+  const std::size_t chunk_planes = chunk_planes_for(plan, chunk_cells);
   // The peak is the largest slab over the chunk sequence; boundary chunks
   // clamp their halo at the domain faces exactly as run_fused_slab does.
   std::size_t max_slab_planes = 0;
@@ -301,23 +286,22 @@ double roundtrip_sim_seconds(const dataflow::Network& network,
   return seconds;
 }
 
-}  // namespace
-
-std::vector<vcl::ChunkCost> streamed_chunk_costs(
-    const dataflow::Network& network, const FieldBindings& bindings,
-    std::size_t elements, const vcl::DeviceSpec& spec,
-    std::size_t chunk_cells, double compute_efficiency) {
-  const double efficiency = resolve_efficiency(compute_efficiency);
+/// Replays StreamedFusionStrategy's command stream with `chunk_cells`
+/// per chunk (0 = one plane): per chunk, one upload per parameter, one
+/// kernel over the slab and one readback of the slab.
+double streamed_sim_seconds(const dataflow::Network& network,
+                            const FieldBindings& bindings,
+                            std::size_t elements, const vcl::CostModel& cost,
+                            std::size_t chunk_cells, double efficiency) {
   const std::shared_ptr<const kernels::FusedPipeline> pipeline =
       kernels::ProgramCache::instance().fused_single(network);
   const kernels::Program& program = pipeline->stages.front().program;
   const SlabPlan plan = make_slab_plan(program, bindings, elements);
-  const std::size_t chunk_planes = planes_for_chunk(plan, chunk_cells);
+  const std::size_t chunk_planes = chunk_planes_for(plan, chunk_cells);
   const std::size_t dims_params =
       program.params().size() - plan.slabbed_params;
-  const vcl::CostModel cost(spec);
 
-  std::vector<vcl::ChunkCost> chunks;
+  double seconds = 0.0;
   for (std::size_t begin = 0; begin < plan.total_planes;
        begin += chunk_planes) {
     const std::size_t end = std::min(plan.total_planes, begin + chunk_planes);
@@ -325,25 +309,27 @@ std::vector<vcl::ChunkCost> streamed_chunk_costs(
     const std::size_t slab_hi = std::min(plan.total_planes, end + plan.halo);
     const std::size_t slab_cells = (slab_hi - slab_lo) * plan.plane_cells;
 
-    vcl::ChunkCost chunk;
     // One transfer per parameter, each paying the link latency, exactly
     // like run_fused_slab's per-buffer writes.
+    double upload = 0.0;
     for (std::size_t p = 0; p < plan.slabbed_params; ++p) {
-      chunk.upload += cost.transfer_seconds(slab_cells * sizeof(float));
+      upload += cost.transfer_seconds(slab_cells * sizeof(float));
     }
     for (std::size_t p = 0; p < dims_params; ++p) {
-      chunk.upload += cost.transfer_seconds(3 * sizeof(float));
+      upload += cost.transfer_seconds(3 * sizeof(float));
     }
-    chunk.kernel = cost.kernel_seconds(
+    const double kernel = cost.kernel_seconds(
         program.flops_per_item() * slab_cells,
         program.global_bytes_per_item() * slab_cells,
         program.max_live_scalar_registers(), efficiency);
-    chunk.read = cost.transfer_seconds(slab_cells * program.out_stride() *
-                                       sizeof(float));
-    chunks.push_back(chunk);
+    const double read = cost.transfer_seconds(
+        slab_cells * program.out_stride() * sizeof(float));
+    seconds += upload + kernel + read;
   }
-  return chunks;
+  return seconds;
 }
+
+}  // namespace
 
 Residency Residency::probe(const vcl::Device& device,
                            const FieldBindings& bindings,
@@ -402,13 +388,8 @@ double estimate_sim_seconds(const dataflow::Network& network,
                                    residency, efficiency);
     case StrategyKind::streamed:
       try {
-        double seconds = 0.0;
-        for (const vcl::ChunkCost& chunk :
-             streamed_chunk_costs(network, bindings, elements, spec,
-                                  streamed_chunk_cells, efficiency)) {
-          seconds += chunk.upload + chunk.kernel + chunk.read;
-        }
-        return seconds;
+        return streamed_sim_seconds(network, bindings, elements, cost,
+                                    streamed_chunk_cells, efficiency);
       } catch (const KernelError&) {
         // Streamed cannot execute this network; the ladder would land on a
         // neighbouring rung, whose cost is close enough for budgeting.

@@ -14,13 +14,11 @@
 
 #include <set>
 #include <string>
-#include <vector>
 
 #include "dataflow/network.hpp"
 #include "runtime/bindings.hpp"
 #include "runtime/strategy.hpp"
 #include "vcl/device.hpp"
-#include "vcl/pipeline.hpp"
 
 namespace dfg::runtime {
 
@@ -58,24 +56,6 @@ std::size_t estimate_high_water(const dataflow::Network& network,
                                 std::size_t streamed_chunk_cells = 0,
                                 const Residency* residency = nullptr);
 
-/// Per-chunk (upload, kernel, read) durations of streamed execution under
-/// `spec`'s cost model, for overlap analysis with vcl::pipeline_makespan.
-/// The serial sum of these costs equals the streamed strategy's simulated
-/// time on that device exactly (same cost model, same event sequence).
-/// `chunk_cells` = 0 chunks one plane at a time.
-///
-/// `compute_efficiency` (here and in estimate_sim_seconds /
-/// select_fastest_strategy below) is the executing backend's fraction of
-/// peak flop rate; 0 resolves the process-default backend (DFGEN_BACKEND),
-/// which is what an engine-less caller executes under — so default-arg
-/// estimates stay bit-exact against measured simulated time whichever
-/// backend the environment names. Engines pass their device's pinned
-/// backend explicitly.
-std::vector<vcl::ChunkCost> streamed_chunk_costs(
-    const dataflow::Network& network, const FieldBindings& bindings,
-    std::size_t elements, const vcl::DeviceSpec& spec,
-    std::size_t chunk_cells, double compute_efficiency = 0.0);
-
 /// Predicted simulated duration (seconds) of executing `network` over
 /// `elements` cells under `kind` on a device described by `spec` —
 /// obtained by replaying the strategy's command stream against the cost
@@ -83,6 +63,20 @@ std::vector<vcl::ChunkCost> streamed_chunk_costs(
 /// this. For the streamed strategy on a network it cannot execute, the
 /// fusion estimate is returned (the rung the fallback ladder would skip
 /// to).
+///
+/// The estimate equals the executed strategy's simulated time exactly
+/// (same cost model, same event sequence) with one deliberate exception:
+/// a streamed estimate with `streamed_chunk_cells` = 0 prices one-plane
+/// chunks (the strategy's memory floor), while a streamed run with chunk
+/// 0 auto-sizes its chunks to half the device's free memory, so the two
+/// differ. Pass an explicit chunk to predict an explicitly chunked run.
+///
+/// `compute_efficiency` (here and in select_fastest_strategy below) is
+/// the executing backend's fraction of peak flop rate; 0 resolves the
+/// process-default backend (DFGEN_BACKEND), which is what an engine-less
+/// caller executes under — so default-arg estimates stay bit-exact
+/// against measured simulated time whichever backend the environment
+/// names. Engines pass their device's pinned backend explicitly.
 double estimate_sim_seconds(const dataflow::Network& network,
                             const FieldBindings& bindings,
                             std::size_t elements, const vcl::DeviceSpec& spec,

@@ -62,6 +62,19 @@ SlabPlan make_slab_plan(const kernels::Program& program,
   return plan;
 }
 
+std::size_t chunk_planes_for(const SlabPlan& plan, std::size_t budget_cells) {
+  std::size_t planes =
+      budget_cells / std::max<std::size_t>(plan.plane_cells, 1);
+  // The slab adds halo planes on each side; keep at least one interior
+  // plane per chunk.
+  if (planes > 2 * plan.halo) {
+    planes -= 2 * plan.halo;
+  } else {
+    planes = 1;
+  }
+  return std::min(planes, plan.total_planes);
+}
+
 std::vector<SlabParam> resolve_slab_params(const kernels::Program& program,
                                            const FieldBindings& bindings) {
   const std::set<std::uint16_t> dims = dims_slots(program);
@@ -149,17 +162,6 @@ void run_fused_slab(const kernels::Program& program,
               interior_cells,
               out_global.begin() +
                   static_cast<long>(begin_plane * plan.plane_cells));
-}
-
-void run_fused_slab(const kernels::Program& program,
-                    const FieldBindings& bindings, const SlabPlan& plan,
-                    std::size_t begin_plane, std::size_t end_plane,
-                    vcl::Device& device, vcl::ProfilingLog& log,
-                    std::span<float> out_global) {
-  const std::vector<SlabParam> params =
-      resolve_slab_params(program, bindings);
-  run_fused_slab(program, params, plan, begin_plane, end_plane, device, log,
-                 out_global);
 }
 
 }  // namespace dfg::runtime

@@ -1,13 +1,13 @@
 // Runtime layer: slab execution of fused kernels.
 //
-// Shared machinery for the two execution modes the paper lists as future
-// work — streaming on one device and multi-device execution on one node.
-// A fused kernel is run over a contiguous range of z-planes: each buffer
-// parameter uploads only its slab sub-range (plus halo planes when the
-// kernel contains gradients, whose stencil reaches one plane up and down),
-// the kernel executes over the slab, and only the interior planes of the
-// result are kept. The gradient's `dims` argument is rewritten per slab so
-// the stencil arithmetic sees the local plane count.
+// The machinery behind the streamed strategy, the paper's first
+// future-work item (streaming on one device). A fused kernel is run over a
+// contiguous range of z-planes: each buffer parameter uploads only its
+// slab sub-range (plus halo planes when the kernel contains gradients,
+// whose stencil reaches one plane up and down), the kernel executes over
+// the slab, and only the interior planes of the result are kept. The
+// gradient's `dims` argument is rewritten per slab so the stencil
+// arithmetic sees the local plane count.
 //
 // Correctness at chunk boundaries: interior planes always have both
 // stencil neighbours inside the slab, so their results are bit-identical
@@ -49,6 +49,13 @@ struct SlabPlan {
 SlabPlan make_slab_plan(const kernels::Program& program,
                         const FieldBindings& bindings, std::size_t elements);
 
+/// Interior planes per chunk for a slab working set of `budget_cells`
+/// cells: the planes that fit, minus the halo planes on each side, clamped
+/// to [1, total_planes]. A budget of 0 (or under one plane) yields one
+/// plane. The streamed strategy executes this chunking and the planner
+/// prices it.
+std::size_t chunk_planes_for(const SlabPlan& plan, std::size_t budget_cells);
+
 /// One buffer parameter of a program resolved for slab execution: the
 /// bound host view (name lookups done once per program, not once per slab)
 /// and whether the slot carries a grad3d `dims` argument, which is
@@ -73,13 +80,6 @@ std::vector<SlabParam> resolve_slab_params(const kernels::Program& program,
 /// from resolve_slab_params on the same program.
 void run_fused_slab(const kernels::Program& program,
                     std::span<const SlabParam> params, const SlabPlan& plan,
-                    std::size_t begin_plane, std::size_t end_plane,
-                    vcl::Device& device, vcl::ProfilingLog& log,
-                    std::span<float> out_global);
-
-/// Convenience overload resolving the bindings itself (one-shot callers).
-void run_fused_slab(const kernels::Program& program,
-                    const FieldBindings& bindings, const SlabPlan& plan,
                     std::size_t begin_plane, std::size_t end_plane,
                     vcl::Device& device, vcl::ProfilingLog& log,
                     std::span<float> out_global);

@@ -39,15 +39,7 @@ std::size_t StreamedFusionStrategy::pick_chunk_planes(
         (plan.slabbed_params + program.out_stride()) * sizeof(float);
     budget_cells = budget_bytes / std::max<std::size_t>(bytes_per_cell, 1);
   }
-  std::size_t planes = budget_cells / std::max<std::size_t>(plan.plane_cells, 1);
-  // The slab adds halo planes on each side; keep at least one interior
-  // plane per chunk.
-  if (planes > 2 * plan.halo) {
-    planes -= 2 * plan.halo;
-  } else {
-    planes = 1;
-  }
-  return std::min(std::max<std::size_t>(planes, 1), plan.total_planes);
+  return chunk_planes_for(plan, budget_cells);
 }
 
 std::vector<float> StreamedFusionStrategy::execute(

@@ -9,6 +9,9 @@ namespace dfg::vcl {
 namespace {
 
 constexpr double kMicro = 1.0e6;
+/// The one process every trace shows: its pid and its viewer name.
+constexpr int kPid = 1;
+constexpr const char* kProcessName = "virtual device";
 
 const char* track_name(EventKind kind) {
   switch (kind) {
@@ -42,8 +45,7 @@ int track_id(EventKind kind) {
 
 }  // namespace
 
-std::string to_chrome_trace(const ProfilingLog& log,
-                            const TraceOptions& options) {
+std::string to_chrome_trace(const ProfilingLog& log) {
   std::ostringstream os;
   os << "{\"traceEvents\":[";
   bool first = true;
@@ -56,9 +58,9 @@ std::string to_chrome_trace(const ProfilingLog& log,
   // Process / thread metadata.
   {
     std::ostringstream meta;
-    meta << "{\"ph\":\"M\",\"pid\":" << options.pid
+    meta << "{\"ph\":\"M\",\"pid\":" << kPid
          << ",\"name\":\"process_name\",\"args\":{\"name\":\""
-         << support::json_escape(options.device_name) << "\"}}";
+         << kProcessName << "\"}}";
     emit(meta.str());
   }
   // The faults / timeouts / integrity tracks only appear when the log
@@ -72,7 +74,7 @@ std::string to_chrome_trace(const ProfilingLog& log,
       continue;
     }
     std::ostringstream meta;
-    meta << "{\"ph\":\"M\",\"pid\":" << options.pid
+    meta << "{\"ph\":\"M\",\"pid\":" << kPid
          << ",\"tid\":" << track_id(kind)
          << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
          << track_name(kind) << "\"}}";
@@ -83,7 +85,7 @@ std::string to_chrome_trace(const ProfilingLog& log,
   double t = 0.0;
   for (const Event& event : log.events()) {
     std::ostringstream row;
-    row << "{\"ph\":\"X\",\"pid\":" << options.pid
+    row << "{\"ph\":\"X\",\"pid\":" << kPid
         << ",\"tid\":" << track_id(event.kind) << ",\"name\":\""
         << support::json_escape(event.label) << "\",\"cat\":\""
         << event_kind_name(event.kind) << "\",\"ts\":" << t * kMicro

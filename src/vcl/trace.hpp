@@ -14,15 +14,8 @@
 
 namespace dfg::vcl {
 
-struct TraceOptions {
-  /// Process name shown in the trace viewer.
-  std::string device_name = "virtual device";
-  /// Process id distinguishing multiple devices in one trace.
-  int pid = 1;
-};
-
-/// Full trace document for one log (in-order timeline of its events).
-std::string to_chrome_trace(const ProfilingLog& log,
-                            const TraceOptions& options = {});
+/// Full trace document for one log (in-order timeline of its events),
+/// shown as the process "virtual device".
+std::string to_chrome_trace(const ProfilingLog& log);
 
 }  // namespace dfg::vcl

@@ -1,7 +1,10 @@
 // Tests for the memory planner: predictions must equal the tracker's
-// measured high-water mark bit for bit, for every strategy and expression,
-// and strategy selection must pick the fastest strategy that fits.
+// measured high-water mark bit for bit, and the simulated-time estimate the
+// executed simulated time, for every strategy and expression; strategy
+// selection must pick the fastest strategy that fits.
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "core/engine.hpp"
 #include "core/expressions.hpp"
@@ -20,6 +23,7 @@ using runtime::StrategyKind;
 struct PlannerFixture {
   mesh::RectilinearMesh mesh = mesh::RectilinearMesh::uniform({10, 12, 14});
   mesh::VectorField field = mesh::rayleigh_taylor_flow(mesh);
+  vcl::DeviceSpec spec = vcl::xeon_x5660_scaled();
 
   runtime::FieldBindings bindings() const {
     runtime::FieldBindings b;
@@ -30,9 +34,9 @@ struct PlannerFixture {
     return b;
   }
 
-  std::size_t measured(StrategyKind kind, const char* expression,
+  EvaluationReport run(StrategyKind kind, const char* expression,
                        std::size_t chunk = 0) {
-    vcl::Device device(vcl::xeon_x5660_scaled());
+    vcl::Device device(spec);
     EngineOptions options;
     options.strategy = kind;
     options.streamed_chunk_cells = chunk;
@@ -41,7 +45,12 @@ struct PlannerFixture {
     engine.bind("u", field.u);
     engine.bind("v", field.v);
     engine.bind("w", field.w);
-    return engine.evaluate(expression).memory_high_water_bytes;
+    return engine.evaluate(expression);
+  }
+
+  std::size_t measured(StrategyKind kind, const char* expression,
+                       std::size_t chunk = 0) {
+    return run(kind, expression, chunk).memory_high_water_bytes;
   }
 
   std::size_t predicted(StrategyKind kind, const char* expression,
@@ -51,12 +60,26 @@ struct PlannerFixture {
     return runtime::estimate_high_water(network, b, mesh.cell_count(), kind,
                                         chunk);
   }
+
+  double predicted_sim_seconds(StrategyKind kind, const char* expression,
+                               std::size_t chunk = 0) const {
+    const dataflow::Network network(dataflow::build_network(expression));
+    const auto b = bindings();
+    return runtime::estimate_sim_seconds(network, b, mesh.cell_count(), spec,
+                                         kind, chunk);
+  }
 };
 
 struct PlannerCase {
   const char* label;
   const char* expression;
   StrategyKind kind;
+  /// Streamed chunk in z-planes of the fixture grid; 0 for the whole-grid
+  /// strategies. A streamed case needs an explicit chunk: with 0 the
+  /// estimate prices one-plane chunks while the engine auto-sizes them.
+  /// 32 bits, so the case stays 24 bytes and the test names gtest derives
+  /// from its bytes keep their prefix.
+  std::uint32_t chunk_planes = 0;
 };
 
 class PlannerExactness : public ::testing::TestWithParam<PlannerCase> {};
@@ -64,8 +87,13 @@ class PlannerExactness : public ::testing::TestWithParam<PlannerCase> {};
 TEST_P(PlannerExactness, PredictionEqualsMeasurement) {
   PlannerFixture fx;
   const PlannerCase& tc = GetParam();
-  EXPECT_EQ(fx.predicted(tc.kind, tc.expression),
-            fx.measured(tc.kind, tc.expression))
+  const std::size_t chunk = tc.chunk_planes * std::size_t{10 * 12};
+  const EvaluationReport report = fx.run(tc.kind, tc.expression, chunk);
+  EXPECT_EQ(fx.predicted(tc.kind, tc.expression, chunk),
+            report.memory_high_water_bytes)
+      << tc.expression;
+  EXPECT_NEAR(fx.predicted_sim_seconds(tc.kind, tc.expression, chunk),
+              report.sim_seconds, 1e-12 + 1e-9 * report.sim_seconds)
       << tc.expression;
 }
 
@@ -89,6 +117,12 @@ const PlannerCase kCases[] = {
      StrategyKind::roundtrip},
     {"Constants_staged", "r = 0.5 * u + 0.25", StrategyKind::staged},
     {"Constants_roundtrip", "r = 0.5 * u + 0.25", StrategyKind::roundtrip},
+    {"QCrit_streamed_3planes", expressions::kQCriterion,
+     StrategyKind::streamed, 3},
+    {"QCrit_streamed_6planes", expressions::kQCriterion,
+     StrategyKind::streamed, 6},
+    {"Constants_streamed_3planes", "r = 0.5 * u + 0.25",
+     StrategyKind::streamed, 3},
 };
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, PlannerExactness,

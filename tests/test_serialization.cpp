@@ -109,8 +109,7 @@ TEST(Trace, ContainsAllEventsOnTwoTracks) {
   engine.bind("w", field.w);
   engine.evaluate(expressions::kVelocityMagnitude);
 
-  const std::string trace =
-      vcl::to_chrome_trace(engine.log(), {"test device", 3});
+  const std::string trace = vcl::to_chrome_trace(engine.log());
   // 3 writes + 6 kernels + 1 read = 10 duration events.
   std::size_t events = 0;
   for (std::size_t p = trace.find("\"ph\":\"X\""); p != std::string::npos;
@@ -118,7 +117,7 @@ TEST(Trace, ContainsAllEventsOnTwoTracks) {
     ++events;
   }
   EXPECT_EQ(events, 10u);
-  EXPECT_NE(trace.find("\"name\":\"test device\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"virtual device\""), std::string::npos);
   EXPECT_NE(trace.find("\"compute\""), std::string::npos);
   EXPECT_NE(trace.find("\"copy\""), std::string::npos);
   EXPECT_NE(trace.find("\"cat\":\"K-Exe\""), std::string::npos);

@@ -1,8 +1,6 @@
-// Tests for the streamed-fusion strategy and the multi-device executor —
-// the paper's two future-work execution modes.
+// Tests for the streamed-fusion strategy — the paper's first future-work
+// execution mode.
 #include <gtest/gtest.h>
-
-#include <memory>
 
 #include "core/engine.hpp"
 #include "dataflow/builder.hpp"
@@ -10,7 +8,6 @@
 #include "kernels/generator.hpp"
 #include "core/expressions.hpp"
 #include "mesh/generators.hpp"
-#include "runtime/multidevice.hpp"
 #include "runtime/slab.hpp"
 #include "runtime/strategy.hpp"
 #include "support/error.hpp"
@@ -146,92 +143,6 @@ TEST(Streamed, MismatchedDimsRejected) {
   EXPECT_THROW(
       engine.evaluate(expressions::kVorticityMagnitude,
                       fx.mesh.cell_count() - 1),
-      NetworkError);
-}
-
-// ----- Multi-device -----
-
-TEST(MultiDevice, TwoDevicesBitMatchSingleDeviceFusion) {
-  StreamFixture fx;
-  runtime::FieldBindings bindings;
-  bindings.bind_mesh(fx.mesh);
-  bindings.bind("u", fx.field.u);
-  bindings.bind("v", fx.field.v);
-  bindings.bind("w", fx.field.w);
-
-  vcl::Device gpu0(vcl::tesla_m2050_scaled());
-  vcl::Device gpu1(vcl::tesla_m2050_scaled());
-  std::vector<vcl::ProfilingLog> logs(2);
-  const dataflow::Network network(
-      dataflow::build_network(expressions::kQCriterion));
-  const auto report = runtime::execute_multi_device_fusion(
-      network, bindings, fx.mesh.cell_count(), {&gpu0, &gpu1}, logs);
-
-  vcl::Device single(vcl::xeon_x5660_scaled());
-  const auto fusion = fx.make(single, StrategyKind::fusion)
-                          .evaluate(expressions::kQCriterion)
-                          .values;
-  EXPECT_EQ(report.values, fusion);
-  EXPECT_EQ(report.devices_used, 2u);
-  // Work split roughly in half: the critical path is well under the
-  // aggregate.
-  EXPECT_LT(report.critical_path_sim_seconds,
-            0.75 * report.aggregate_sim_seconds);
-  EXPECT_GT(logs[0].count(vcl::EventKind::kernel_exec), 0u);
-  EXPECT_GT(logs[1].count(vcl::EventKind::kernel_exec), 0u);
-}
-
-TEST(MultiDevice, MoreDevicesThanPlanesLeavesSomeIdle) {
-  vcl::Device d0(vcl::xeon_x5660_scaled());
-  vcl::Device d1(vcl::xeon_x5660_scaled());
-  vcl::Device d2(vcl::xeon_x5660_scaled());
-  std::vector<vcl::ProfilingLog> logs(3);
-  std::vector<float> data{1.0f, 2.0f};
-  runtime::FieldBindings bindings;
-  bindings.bind("u", data);
-  const dataflow::Network network(dataflow::build_network("r = u + 1.0"));
-  const auto report = runtime::execute_multi_device_fusion(
-      network, bindings, 2, {&d0, &d1, &d2}, logs);
-  EXPECT_EQ(report.devices_used, 2u);
-  EXPECT_EQ(report.values, (std::vector<float>{2.0f, 3.0f}));
-}
-
-TEST(MultiDevice, ScalesAcrossDeviceCounts) {
-  StreamFixture fx;
-  runtime::FieldBindings bindings;
-  bindings.bind_mesh(fx.mesh);
-  bindings.bind("u", fx.field.u);
-  bindings.bind("v", fx.field.v);
-  bindings.bind("w", fx.field.w);
-  const dataflow::Network network(
-      dataflow::build_network(expressions::kQCriterion));
-
-  double previous_critical = 1e9;
-  for (const std::size_t count : {1u, 2u, 4u}) {
-    std::vector<std::unique_ptr<vcl::Device>> devices;
-    std::vector<vcl::Device*> device_ptrs;
-    for (std::size_t d = 0; d < count; ++d) {
-      devices.push_back(
-          std::make_unique<vcl::Device>(vcl::tesla_m2050_scaled()));
-      device_ptrs.push_back(devices.back().get());
-    }
-    std::vector<vcl::ProfilingLog> logs(count);
-    const auto report = runtime::execute_multi_device_fusion(
-        network, bindings, fx.mesh.cell_count(), device_ptrs, logs);
-    EXPECT_LT(report.critical_path_sim_seconds, previous_critical)
-        << count << " devices";
-    previous_critical = report.critical_path_sim_seconds;
-  }
-}
-
-TEST(MultiDevice, EmptyDeviceListRejected) {
-  runtime::FieldBindings bindings;
-  std::vector<float> data{1.0f};
-  bindings.bind("u", data);
-  std::vector<vcl::ProfilingLog> logs;
-  const dataflow::Network network(dataflow::build_network("r = u"));
-  EXPECT_THROW(
-      runtime::execute_multi_device_fusion(network, bindings, 1, {}, logs),
       NetworkError);
 }
 
