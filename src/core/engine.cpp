@@ -9,7 +9,6 @@
 #include "kernels/source_printer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "runtime/planner.hpp"
 #include "support/error.hpp"
 #include "vcl/event.hpp"
 #include "vcl/resident_pool.hpp"
@@ -131,18 +130,6 @@ EvaluationReport Engine::evaluate_network(const dataflow::Network& network,
   }
   const kernels::ExecutionBackend& backend = device_->backend();
 
-  // Strategy choice: static (options_.strategy) or residency-aware. The
-  // planner prices kernels at the armed backend's compute efficiency so a
-  // jit device's estimates match what its launches will report.
-  runtime::StrategyKind requested = options_.strategy;
-  if (options_.auto_strategy) {
-    const runtime::Residency residency =
-        runtime::Residency::probe(*device_, bindings_, network);
-    requested = runtime::select_fastest_strategy(
-        network, bindings_, elements, *device_, &residency,
-        backend.compute_efficiency());
-  }
-
   log_.clear();
   device_->memory().reset_high_water();
   // Fault plans count per evaluation, and any fault injected outside a
@@ -162,7 +149,7 @@ EvaluationReport Engine::evaluate_network(const dataflow::Network& network,
       "evaluate:" + network.spec().node(network.output_id()).label,
       "request");
   runtime::FallbackOutcome outcome = runtime::execute_with_fallback(
-      network, bindings_, elements, *device_, log_, requested,
+      network, bindings_, elements, *device_, log_, options_.strategy,
       options_.fallback, options_.streamed_chunk_cells);
   span.add_sim_seconds(log_.total_sim_seconds());
   const std::array<std::uint64_t, 12> after = ids.sample();
@@ -209,44 +196,6 @@ EvaluationReport Engine::evaluate_network(const dataflow::Network& network,
     }
   }
   return report;
-}
-
-SeriesReport Engine::evaluate_series(std::string_view expression,
-                                     std::size_t elements,
-                                     std::size_t timesteps,
-                                     const SeriesAdvanceFn& advance) {
-  if (timesteps == 0) {
-    throw Error("evaluate_series requires a positive timestep count");
-  }
-  // Parse and translate once; every step evaluates the same network. The
-  // process-wide ProgramCache already deduplicates codegen across steps,
-  // so this mainly pins down the contract: the expression cannot change
-  // mid-series, only the bound host data can.
-  const dataflow::Network network(
-      dataflow::build_network(expression, options_.spec_options));
-
-  SeriesReport series;
-  series.steps.reserve(timesteps);
-  for (std::size_t step = 0; step < timesteps; ++step) {
-    if (step > 0 && advance) {
-      // The callback mutates bound host arrays in place and names them;
-      // invalidating exactly those is what makes re-upload incremental —
-      // every unnamed binding keeps its resident device copy.
-      for (const std::string& name : advance(step)) {
-        invalidate(name);
-        ++series.fields_invalidated;
-      }
-    }
-    EvaluationReport report = evaluate_network(network, elements);
-    series.total_dev_writes += report.dev_writes;
-    series.total_kernel_execs += report.kernel_execs;
-    series.total_upload_bytes += log_.bytes(vcl::EventKind::host_to_device);
-    series.total_resident_hits += report.resident_hits;
-    series.total_upload_bytes_saved += report.resident_upload_bytes_saved;
-    series.total_sim_seconds += report.sim_seconds;
-    series.steps.push_back(std::move(report));
-  }
-  return series;
 }
 
 EvaluationReport Engine::evaluate(std::string_view expression) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -47,12 +46,6 @@ struct EngineOptions {
   /// vcl::note_host_mutation); the stale device copy is dropped at the
   /// next evaluation that binds it, before its replacement is uploaded.
   bool resident_pool = false;
-  /// Pick the strategy per evaluation with
-  /// runtime::select_fastest_strategy, using the device's current
-  /// residency: warm inputs price their uploads at zero, so a warm
-  /// staged/roundtrip run can beat a cold fusion. `strategy` is ignored
-  /// while set.
-  bool auto_strategy = false;
   /// Execution backend for this engine's device: the tiled VM interpreter
   /// (`vm`), native code compiled per program on its first launch
   /// (`jit`), or `auto_select` (tiered: the VM until a program's native
@@ -132,33 +125,6 @@ struct EvaluationReport {
   std::string kernel_source;
 };
 
-/// One expression evaluated over T timesteps (Engine::evaluate_series) —
-/// the in-situ host loop the paper's VisIt integration implies. `steps`
-/// holds every per-timestep report in order; the totals accumulate the
-/// transfer-elimination story the time-series bench gates on.
-struct SeriesReport {
-  std::vector<EvaluationReport> steps;
-  std::size_t total_dev_writes = 0;
-  std::size_t total_kernel_execs = 0;
-  /// Bytes actually moved host-to-device across all steps.
-  std::size_t total_upload_bytes = 0;
-  /// Uploads eliminated by the resident pool across all steps (and the
-  /// bytes they would have moved).
-  std::size_t total_resident_hits = 0;
-  std::size_t total_upload_bytes_saved = 0;
-  /// Bindings invalidated because the advance callback reported them
-  /// changed.
-  std::size_t fields_invalidated = 0;
-  double total_sim_seconds = 0.0;
-};
-
-/// Timestep advance callback: mutates bound host arrays in place for step
-/// `t` and returns the names of the bindings it changed. Only those are
-/// invalidated, so with the resident pool on, every unchanged field keeps
-/// its device copy across the step boundary.
-using SeriesAdvanceFn =
-    std::function<std::vector<std::string>(std::size_t step)>;
-
 /// Thread-safety contract (relied on by service::EvalService): one Engine
 /// instance must be driven by one thread at a time, but concurrent
 /// evaluate() calls on *distinct engines bound to distinct devices* are
@@ -205,17 +171,6 @@ class Engine {
   /// Evaluates using the mesh cell count when a mesh is bound, otherwise
   /// the extent of the first bound field the expression uses.
   EvaluationReport evaluate(std::string_view expression);
-
-  /// Time-series mode: evaluates `expression` once per timestep for
-  /// `timesteps` steps. The expression is parsed and translated exactly
-  /// once; `advance`, when provided, is called before every step after the
-  /// first (steps 1..T-1) to mutate bound host arrays in place, and the
-  /// names it returns are the only bindings invalidated — the incremental
-  /// re-upload contract. Unknown names returned by the callback are
-  /// ignored (Engine::invalidate semantics).
-  SeriesReport evaluate_series(std::string_view expression,
-                               std::size_t elements, std::size_t timesteps,
-                               const SeriesAdvanceFn& advance = nullptr);
 
   vcl::Device& device() { return *device_; }
   const runtime::FieldBindings& bindings() const { return bindings_; }

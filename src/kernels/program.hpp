@@ -112,8 +112,6 @@ class ProgramBuilder {
                             std::uint16_t x_slot, std::uint16_t y_slot,
                             std::uint16_t z_slot);
 
-  std::size_t param_count() const { return params_.size(); }
-
   /// Seals the program, storing result_reg with the given component count.
   Program finish(std::uint16_t result_reg, int out_components);
 

@@ -1,6 +1,7 @@
 #include "kernels/vm.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 
@@ -41,14 +42,26 @@ GradContext make_grad_context(const Instr& instr,
   if (dims.elements < 3) {
     throw KernelError("grad3d dims buffer must hold 3 values (nx, ny, nz)");
   }
+  // Every extent is checked before it is cast: a float-to-integer cast of
+  // NaN, an infinity or an out-of-range value is undefined behaviour.
+  // 2^24 is the largest range in which a float holds every integer.
+  constexpr float kMaxExtent = 16777216.0f;
   GradContext ctx;
-  ctx.nx = static_cast<std::size_t>(dims.data[0]);
-  ctx.ny = static_cast<std::size_t>(dims.data[1]);
-  ctx.nz = static_cast<std::size_t>(dims.data[2]);
-  if (ctx.nx == 0 || ctx.ny == 0 || ctx.nz == 0) {
-    throw KernelError("grad3d dims must be positive");
+  std::size_t* const extents[3] = {&ctx.nx, &ctx.ny, &ctx.nz};
+  std::size_t cells = 1;
+  for (int k = 0; k < 3; ++k) {
+    const float value = dims.data[k];
+    if (!(value >= 1.0f && value <= kMaxExtent) ||
+        std::trunc(value) != value) {
+      throw KernelError("grad3d dims must be integers in [1, 2^24], got " +
+                        std::to_string(value));
+    }
+    *extents[k] = static_cast<std::size_t>(value);
+    if (*extents[k] > SIZE_MAX / cells) {
+      throw KernelError("grad3d dims overflow the cell count");
+    }
+    cells *= *extents[k];
   }
-  const std::size_t cells = ctx.nx * ctx.ny * ctx.nz;
   if (field.elements < cells) {
     throw KernelError("grad3d field buffer holds " +
                       std::to_string(field.elements) + " values, needs " +

@@ -155,7 +155,7 @@ EvaluationReport Memoizer::evaluate(Engine& engine, const EvalContext& ctx,
       const dataflow::Network subnet(extract_subtree(spec, candidate.root));
       estimate = runtime::estimate_sim_seconds(
           subnet, engine.bindings(), ctx.elements, engine.device().spec(),
-          runtime::StrategyKind::fusion, 0, nullptr,
+          runtime::StrategyKind::fusion, 0,
           engine.device().backend().compute_efficiency());
     } catch (const std::exception&) {
       continue;  // planning is advisory: an unplannable subtree stays put

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "kernels/backend.hpp"
@@ -25,16 +26,6 @@ double resolve_efficiency(double requested) {
       ->compute_efficiency();
 }
 
-/// True when `residency` marks the node as a warm field input (its device
-/// buffer already exists, so a strategy neither allocates nor uploads it).
-bool warm_field(const dataflow::NetworkSpec& spec, int id,
-                const Residency* residency) {
-  if (residency == nullptr) return false;
-  const dataflow::SpecNode& node = spec.node(id);
-  return node.type == dataflow::NodeType::field_source &&
-         residency->is_warm(node.field_name);
-}
-
 /// Floats a node's value occupies on the host / in a device buffer.
 std::size_t value_floats(const dataflow::NetworkSpec& spec, int id,
                          const FieldBindings& bindings,
@@ -53,8 +44,7 @@ std::size_t value_floats(const dataflow::NetworkSpec& spec, int id,
 
 std::size_t roundtrip_high_water(const dataflow::Network& network,
                                  const FieldBindings& bindings,
-                                 std::size_t elements,
-                                 const Residency* residency) {
+                                 std::size_t elements) {
   const auto& spec = network.spec();
   std::size_t peak_floats = 0;
   for (const dataflow::SpecNode& node : spec.nodes()) {
@@ -62,7 +52,6 @@ std::size_t roundtrip_high_water(const dataflow::Network& network,
     if (node.kind == "decompose") continue;  // host-side slicing
     std::size_t kernel_floats = 0;
     for (const int in : node.inputs) {
-      if (warm_field(spec, in, residency)) continue;  // resident already
       kernel_floats += value_floats(spec, in, bindings, elements);
     }
     kernel_floats += elements * (node.components == 1 ? 1 : 4);
@@ -73,8 +62,7 @@ std::size_t roundtrip_high_water(const dataflow::Network& network,
 
 std::size_t staged_high_water(const dataflow::Network& network,
                               const FieldBindings& bindings,
-                              std::size_t elements,
-                              const Residency* residency) {
+                              std::size_t elements) {
   // Replays StagedStrategy's allocation discipline: lazy source
   // materialisation at first consumer, output allocation before input
   // release, reference-counted release after each filter.
@@ -87,9 +75,7 @@ std::size_t staged_high_water(const dataflow::Network& network,
 
   const auto materialise = [&](int id) {
     if (live[id]) return;
-    floats[id] = warm_field(spec, id, residency)
-                     ? 0
-                     : value_floats(spec, id, bindings, elements);
+    floats[id] = value_floats(spec, id, bindings, elements);
     current += floats[id];
     peak = std::max(peak, current);
     live[id] = true;
@@ -114,8 +100,7 @@ std::size_t staged_high_water(const dataflow::Network& network,
 
 std::size_t fusion_high_water(const dataflow::Network& network,
                               const FieldBindings& bindings,
-                              std::size_t elements,
-                              const Residency* residency) {
+                              std::size_t elements) {
   // Covers both the single-kernel case (inputs + output) and the
   // partitioned pipeline, whose materialised intermediates stay on the
   // device for the whole run. The cached pipeline is the very object the
@@ -128,8 +113,7 @@ std::size_t fusion_high_water(const dataflow::Network& network,
     floats += elements * stage.program.out_stride();
     for (const kernels::BufferParam& param : stage.program.params()) {
       if (param.name.rfind("__m", 0) == 0) continue;  // a stage output
-      if (fields.insert(param.name).second &&
-          (residency == nullptr || !residency->is_warm(param.name))) {
+      if (fields.insert(param.name).second) {
         floats += bindings.get(param.name).size();
       }
     }
@@ -172,7 +156,7 @@ std::size_t streamed_high_water(const dataflow::Network& network,
 double fusion_sim_seconds(const dataflow::Network& network,
                           const FieldBindings& bindings,
                           std::size_t elements, const vcl::CostModel& cost,
-                          const Residency* residency, double efficiency) {
+                          double efficiency) {
   const std::shared_ptr<const kernels::FusedPipeline> pipeline =
       kernels::ProgramCache::instance().fused_pipeline(network);
   std::set<std::string> fields;
@@ -181,8 +165,7 @@ double fusion_sim_seconds(const dataflow::Network& network,
   for (const kernels::FusedPipeline::Stage& stage : pipeline->stages) {
     for (const kernels::BufferParam& param : stage.program.params()) {
       if (param.name.rfind("__m", 0) == 0) continue;  // a stage output
-      if (fields.insert(param.name).second &&
-          (residency == nullptr || !residency->is_warm(param.name))) {
+      if (fields.insert(param.name).second) {
         seconds += cost.transfer_seconds(bindings.get(param.name).size() *
                                          sizeof(float));
       }
@@ -205,7 +188,7 @@ double fusion_sim_seconds(const dataflow::Network& network,
 double staged_sim_seconds(const dataflow::Network& network,
                           const FieldBindings& bindings,
                           std::size_t elements, const vcl::CostModel& cost,
-                          const Residency* residency, double efficiency) {
+                          double efficiency) {
   const auto& spec = network.spec();
   std::vector<bool> materialised(spec.nodes().size(), false);
   double seconds = 0.0;
@@ -215,7 +198,6 @@ double staged_sim_seconds(const dataflow::Network& network,
     materialised[id] = true;
     const dataflow::SpecNode& node = spec.node(id);
     if (node.type == dataflow::NodeType::field_source) {
-      if (warm_field(spec, id, residency)) return;  // no upload
       seconds += cost.transfer_seconds(bindings.get(node.field_name).size() *
                                        sizeof(float));
     } else {  // constant: one fill kernel
@@ -259,9 +241,8 @@ double staged_sim_seconds(const dataflow::Network& network,
 /// a readback of the result.
 double roundtrip_sim_seconds(const dataflow::Network& network,
                              const FieldBindings& bindings,
-                             std::size_t elements,
-                             const vcl::CostModel& cost,
-                             const Residency* residency, double efficiency) {
+                             std::size_t elements, const vcl::CostModel& cost,
+                             double efficiency) {
   const auto& spec = network.spec();
   double seconds = 0.0;
   for (const int id : network.topo_order()) {
@@ -269,7 +250,6 @@ double roundtrip_sim_seconds(const dataflow::Network& network,
     if (node.type != dataflow::NodeType::filter) continue;
     if (node.kind == "decompose") continue;  // host-side slicing
     for (const int in : node.inputs) {
-      if (warm_field(spec, in, residency)) continue;  // resident already
       seconds += cost.transfer_seconds(
           value_floats(spec, in, bindings, elements) * sizeof(float));
     }
@@ -331,36 +311,18 @@ double streamed_sim_seconds(const dataflow::Network& network,
 
 }  // namespace
 
-Residency Residency::probe(const vcl::Device& device,
-                           const FieldBindings& bindings,
-                           const dataflow::Network& network) {
-  Residency res;
-  const vcl::ResidentPool& pool = device.resident();
-  if (!pool.enabled()) return res;
-  for (const dataflow::SpecNode& node : network.spec().nodes()) {
-    if (node.type != dataflow::NodeType::field_source) continue;
-    if (!bindings.has(node.field_name)) continue;
-    if (pool.would_hit(bindings.get(node.field_name))) {
-      res.warm.insert(node.field_name);
-    }
-  }
-  return res;
-}
-
 std::size_t estimate_high_water(const dataflow::Network& network,
                                 const FieldBindings& bindings,
                                 std::size_t elements, StrategyKind kind,
-                                std::size_t streamed_chunk_cells,
-                                const Residency* residency) {
+                                std::size_t streamed_chunk_cells) {
   switch (kind) {
     case StrategyKind::roundtrip:
-      return roundtrip_high_water(network, bindings, elements, residency);
+      return roundtrip_high_water(network, bindings, elements);
     case StrategyKind::staged:
-      return staged_high_water(network, bindings, elements, residency);
+      return staged_high_water(network, bindings, elements);
     case StrategyKind::fusion:
-      return fusion_high_water(network, bindings, elements, residency);
+      return fusion_high_water(network, bindings, elements);
     case StrategyKind::streamed:
-      // Residency-unaware by design (see Residency's comment).
       return streamed_high_water(network, bindings, elements,
                                  streamed_chunk_cells);
   }
@@ -372,20 +334,17 @@ double estimate_sim_seconds(const dataflow::Network& network,
                             std::size_t elements, const vcl::DeviceSpec& spec,
                             StrategyKind kind,
                             std::size_t streamed_chunk_cells,
-                            const Residency* residency,
                             double compute_efficiency) {
   const double efficiency = resolve_efficiency(compute_efficiency);
   const vcl::CostModel cost(spec);
   switch (kind) {
     case StrategyKind::fusion:
-      return fusion_sim_seconds(network, bindings, elements, cost, residency,
-                                efficiency);
+      return fusion_sim_seconds(network, bindings, elements, cost, efficiency);
     case StrategyKind::staged:
-      return staged_sim_seconds(network, bindings, elements, cost, residency,
-                                efficiency);
+      return staged_sim_seconds(network, bindings, elements, cost, efficiency);
     case StrategyKind::roundtrip:
       return roundtrip_sim_seconds(network, bindings, elements, cost,
-                                   residency, efficiency);
+                                   efficiency);
     case StrategyKind::streamed:
       try {
         return streamed_sim_seconds(network, bindings, elements, cost,
@@ -394,7 +353,7 @@ double estimate_sim_seconds(const dataflow::Network& network,
         // Streamed cannot execute this network; the ladder would land on a
         // neighbouring rung, whose cost is close enough for budgeting.
         return fusion_sim_seconds(network, bindings, elements, cost,
-                                  residency, efficiency);
+                                  efficiency);
       }
   }
   throw Error("unknown strategy kind");
@@ -426,51 +385,6 @@ StrategyKind select_strategy(const dataflow::Network& network,
   throw DeviceOutOfMemory(device.spec().name, smallest,
                           device.memory().in_use(),
                           device.memory().capacity());
-}
-
-StrategyKind select_fastest_strategy(const dataflow::Network& network,
-                                     const FieldBindings& bindings,
-                                     std::size_t elements,
-                                     const vcl::Device& device,
-                                     const Residency* residency,
-                                     double compute_efficiency) {
-  const double efficiency = resolve_efficiency(compute_efficiency);
-  const std::size_t free_bytes = device.effective_available();
-  bool found = false;
-  StrategyKind best = StrategyKind::roundtrip;
-  double best_seconds = 0.0;
-  std::size_t smallest = SIZE_MAX;
-  // Iterate in select_strategy's preference order so equal-cost candidates
-  // resolve identically (strict < keeps the earlier rung).
-  for (const StrategyKind kind :
-       {StrategyKind::fusion, StrategyKind::streamed, StrategyKind::staged,
-        StrategyKind::roundtrip}) {
-    std::size_t needed;
-    try {
-      needed = estimate_high_water(network, bindings, elements, kind, 0,
-                                   residency);
-    } catch (const KernelError&) {
-      continue;
-    }
-    if (needed > free_bytes) {
-      smallest = std::min(smallest, needed);
-      continue;
-    }
-    const double seconds =
-        estimate_sim_seconds(network, bindings, elements, device.spec(), kind,
-                             0, residency, efficiency);
-    if (!found || seconds < best_seconds) {
-      found = true;
-      best = kind;
-      best_seconds = seconds;
-    }
-  }
-  if (!found) {
-    throw DeviceOutOfMemory(device.spec().name, smallest,
-                            device.memory().in_use(),
-                            device.memory().capacity());
-  }
-  return best;
 }
 
 }  // namespace dfg::runtime

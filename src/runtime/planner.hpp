@@ -12,9 +12,6 @@
 
 #include <cstddef>
 
-#include <set>
-#include <string>
-
 #include "dataflow/network.hpp"
 #include "runtime/bindings.hpp"
 #include "runtime/strategy.hpp"
@@ -22,39 +19,15 @@
 
 namespace dfg::runtime {
 
-/// Which of a network's field inputs are warm — already resident on the
-/// target device, so a strategy would eliminate their uploads entirely.
-/// Passed to the estimators (nullptr = all-cold, the historical behaviour,
-/// bit-exact against the tracker with the pool disabled). The streamed
-/// estimators deliberately ignore residency: slab sub-ranges are keyed per
-/// chunk, so warmth there depends on chunk alignment — pricing them cold
-/// keeps streamed estimates conservative.
-struct Residency {
-  std::set<std::string> warm;
-
-  bool is_warm(const std::string& name) const {
-    return warm.count(name) != 0;
-  }
-
-  /// Asks the device's resident pool which of `network`'s bound fields
-  /// would hit right now. Empty when the pool is disabled.
-  static Residency probe(const vcl::Device& device,
-                         const FieldBindings& bindings,
-                         const dataflow::Network& network);
-};
-
 /// Predicted device-memory high-water mark (bytes) of executing `network`
 /// over `elements` cells under `kind`. For the streamed strategy the
 /// prediction assumes the given chunk size (0 = the minimal viable chunk,
 /// i.e. the strategy's memory floor). Bindings are consulted for array
-/// extents only; no data is read. With `residency`, warm field inputs are
-/// excluded from the working set (their buffers already exist; the
-/// device's free memory already accounts for them).
+/// extents only; no data is read.
 std::size_t estimate_high_water(const dataflow::Network& network,
                                 const FieldBindings& bindings,
                                 std::size_t elements, StrategyKind kind,
-                                std::size_t streamed_chunk_cells = 0,
-                                const Residency* residency = nullptr);
+                                std::size_t streamed_chunk_cells = 0);
 
 /// Predicted simulated duration (seconds) of executing `network` over
 /// `elements` cells under `kind` on a device described by `spec` —
@@ -71,18 +44,17 @@ std::size_t estimate_high_water(const dataflow::Network& network,
 /// 0 auto-sizes its chunks to half the device's free memory, so the two
 /// differ. Pass an explicit chunk to predict an explicitly chunked run.
 ///
-/// `compute_efficiency` (here and in select_fastest_strategy below) is
-/// the executing backend's fraction of peak flop rate; 0 resolves the
-/// process-default backend (DFGEN_BACKEND), which is what an engine-less
-/// caller executes under — so default-arg estimates stay bit-exact
-/// against measured simulated time whichever backend the environment
-/// names. Engines pass their device's pinned backend explicitly.
+/// `compute_efficiency` is the executing backend's fraction of peak flop
+/// rate; 0 resolves the process-default backend (DFGEN_BACKEND), which is
+/// what an engine-less caller executes under — so default-arg estimates
+/// stay bit-exact against measured simulated time whichever backend the
+/// environment names. Engines pass their device's pinned backend
+/// explicitly.
 double estimate_sim_seconds(const dataflow::Network& network,
                             const FieldBindings& bindings,
                             std::size_t elements, const vcl::DeviceSpec& spec,
                             StrategyKind kind,
                             std::size_t streamed_chunk_cells = 0,
-                            const Residency* residency = nullptr,
                             double compute_efficiency = 0.0);
 
 /// The fastest strategy whose predicted working set fits the device's
@@ -92,19 +64,5 @@ double estimate_sim_seconds(const dataflow::Network& network,
 StrategyKind select_strategy(const dataflow::Network& network,
                              const FieldBindings& bindings,
                              std::size_t elements, const vcl::Device& device);
-
-/// Residency-aware selection: among the strategies whose residency-aware
-/// working set fits the device's free memory, the one with the smallest
-/// residency-aware simulated-time estimate (ties break in the preference
-/// order select_strategy uses). With warm inputs this can legitimately
-/// invert the static order — e.g. prefer a warm staged/roundtrip run,
-/// whose uploads vanish, over a cold fusion. Throws DeviceOutOfMemory when
-/// nothing fits.
-StrategyKind select_fastest_strategy(const dataflow::Network& network,
-                                     const FieldBindings& bindings,
-                                     std::size_t elements,
-                                     const vcl::Device& device,
-                                     const Residency* residency = nullptr,
-                                     double compute_efficiency = 0.0);
 
 }  // namespace dfg::runtime

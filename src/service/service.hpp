@@ -124,8 +124,6 @@ class EvalService {
 
   ServiceSnapshot snapshot() const;
 
-  std::size_t device_count() const { return devices_.size(); }
-
  private:
   struct Pending {
     Request request;

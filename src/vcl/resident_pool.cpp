@@ -43,11 +43,6 @@ void ResidentPool::set_watermark_fraction(double fraction) {
   watermark_fraction_ = std::clamp(fraction, 0.0, 1.0);
 }
 
-double ResidentPool::watermark_fraction() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return watermark_fraction_;
-}
-
 std::size_t ResidentPool::watermark_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return watermark_bytes_locked();

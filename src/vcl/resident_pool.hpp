@@ -108,7 +108,6 @@ class ResidentPool {
   /// Fraction of device capacity the pool may occupy (LRU-evicted back
   /// under it on insert; 0.5 by default). Clamped to [0, 1].
   void set_watermark_fraction(double fraction);
-  double watermark_fraction() const;
 
   /// Returns a handle to a resident device buffer holding `host`, or null
   /// when the caller must take the cold path (pool disabled, array larger
@@ -125,8 +124,9 @@ class ResidentPool {
                                         const std::string& label,
                                         const void* generation_key = nullptr);
 
-  /// True when acquire() would hit right now (no state is touched). The
-  /// planner's residency probe prices warm inputs with this.
+  /// True when acquire() would hit right now (no state is touched).
+  /// EvalService::pop_locked uses it to hand an idle worker the oldest
+  /// request whose fields are all warm on that worker's device.
   bool would_hit(std::span<const float> host,
                  const void* generation_key = nullptr) const;
 

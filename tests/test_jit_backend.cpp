@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -354,10 +356,9 @@ TEST(JitBackend, AutoSeriesStaysBitExactWhenTheCompileLandsMidSeries) {
       kernels::ProgramCache::instance().jit_stats();
   const std::uint64_t deferred = deferred_launches();
 
-  // Steps 0 and 1 run on the VM (the second queues the compile); the
-  // advance into step 2 waits for the compile to land, so the remaining
-  // steps run native code.
-  const auto run_series = [&](kernels::BackendKind kind) {
+  // Steps 0 and 1 run on the VM (the second queues the compile); step 2
+  // waits for the compile to land, so the remaining steps run native code.
+  const auto run_steps = [&](kernels::BackendKind kind) {
     vcl::Device device{vcl::xeon_x5660_scaled()};
     EngineOptions options;
     options.strategy = runtime::StrategyKind::fusion;
@@ -368,27 +369,32 @@ TEST(JitBackend, AutoSeriesStaysBitExactWhenTheCompileLandsMidSeries) {
     engine.bind("u", u);
     engine.bind("v", fx.field.v);
     engine.bind("w", fx.field.w);
-    const SeriesAdvanceFn advance = [&](std::size_t step) {
-      for (float& value : u) value *= 1.0625f;
+    std::vector<std::vector<float>> steps;
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      if (step > 0) {
+        for (float& value : u) value *= 1.0625f;
+        engine.invalidate("u");
+      }
       if (kind == kernels::BackendKind::auto_select && step == 2) {
         EXPECT_TRUE(wait_for_compiles(before.compiles + 1));
       }
-      return std::vector<std::string>{"u"};
-    };
-    return engine.evaluate_series(expression, fx.mesh.cell_count(), kSteps,
-                                  advance);
+      steps.push_back(
+          engine.evaluate(expression, fx.mesh.cell_count()).values);
+    }
+    return steps;
   };
-  const SeriesReport tiered = run_series(kernels::BackendKind::auto_select);
-  const SeriesReport vm = run_series(kernels::BackendKind::vm);
+  const std::vector<std::vector<float>> tiered =
+      run_steps(kernels::BackendKind::auto_select);
+  const std::vector<std::vector<float>> vm =
+      run_steps(kernels::BackendKind::vm);
 
   EXPECT_EQ(deferred_launches(), deferred + 2);
   EXPECT_EQ(kernels::ProgramCache::instance().jit_stats().compiles,
             before.compiles + 1);
-  ASSERT_EQ(tiered.steps.size(), kSteps);
-  ASSERT_EQ(vm.steps.size(), kSteps);
+  ASSERT_EQ(tiered.size(), kSteps);
+  ASSERT_EQ(vm.size(), kSteps);
   for (std::size_t step = 0; step < kSteps; ++step) {
-    EXPECT_EQ(test::first_bit_mismatch(tiered.steps[step].values,
-                                       vm.steps[step].values),
+    EXPECT_EQ(test::first_bit_mismatch(tiered[step], vm[step]),
               static_cast<std::size_t>(-1))
         << "step " << step;
   }
@@ -437,6 +443,48 @@ TEST(JitBackend, GeneratedSourceIsSelfContained) {
   // No C++ leakage: the unit must compile as plain C.
   EXPECT_EQ(source.find("std::"), std::string::npos);
   EXPECT_EQ(source.find("namespace"), std::string::npos);
+}
+
+TEST(JitBackend, BadGrad3dDimsAreRefusedBeforeTheCompiledKernelRuns) {
+  // The compiled kernel casts dims to size_t itself, so the launch
+  // validation it shares with the VM must refuse every extent that is not
+  // a finite integer in [1, 2^24], and a cell count that overflows.
+  JitFixture fx;
+  const kernels::Program program =
+      fx.program("q = grad3d(u, dims, x, y, z)[0]");
+  const auto kernel =
+      kernels::backend_for(kernels::BackendKind::jit)->prepare(program);
+  ASSERT_EQ(kernel->kind(), kernels::BackendKind::jit);
+
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<std::vector<float>> bad_dims;
+  for (const float x : {std::nanf(""), inf, -inf, -1.0f, 0.0f, 2.5f, 1e30f}) {
+    bad_dims.push_back({x, 5.0f, 4.0f});
+  }
+  bad_dims.push_back({16777216.0f, 16777216.0f, 16777216.0f});
+
+  const runtime::FieldBindings b = fx.bindings();
+  const std::size_t n = fx.mesh.cell_count();
+  std::vector<float> out(n * program.out_stride());
+  const auto launch = [&](const std::vector<float>& dims) {
+    std::vector<kernels::BufferBinding> inputs;
+    for (const kernels::BufferParam& param : program.params()) {
+      if (param.name == "dims") {
+        inputs.push_back({dims.data(), dims.size()});
+      } else {
+        const std::span<const float> view = b.get(param.name);
+        inputs.push_back({view.data(), view.size()});
+      }
+    }
+    kernel->run(program, inputs, out.data(), out.size(), 0, n);
+  };
+  // The same launch with the mesh's own dims runs, so dims alone cause
+  // each refusal.
+  EXPECT_NO_THROW(launch({6.0f, 5.0f, 4.0f}));
+  for (const std::vector<float>& dims : bad_dims) {
+    EXPECT_THROW(launch(dims), KernelError)
+        << dims[0] << "," << dims[1] << "," << dims[2];
+  }
 }
 
 // ----- the shared pre-codegen rewrite pass -----

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "kernels/primitives.hpp"
@@ -233,6 +234,19 @@ TEST(Vm, UndersizedOutputThrows) {
   EXPECT_THROW(run_all(prog, {}, out, 2), dfg::KernelError);
 }
 
+/// grad3d dims no caller may bind: each NaN, infinite, non-positive,
+/// fractional or out-of-range value in the x slot of an otherwise valid
+/// 2x2x2 grid, and a grid whose cell count overflows.
+std::vector<std::vector<float>> bad_grad3d_dims() {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<std::vector<float>> cases;
+  for (const float x : {std::nanf(""), inf, -inf, -1.0f, 0.0f, 2.5f, 1e30f}) {
+    cases.push_back({x, 2.0f, 2.0f});
+  }
+  cases.push_back({16777216.0f, 16777216.0f, 16777216.0f});
+  return cases;
+}
+
 TEST(Vm, Grad3dBadDimsBufferThrows) {
   const Program prog = make_standalone_program("grad3d");
   const std::vector<float> field(8, 0.0f);
@@ -242,6 +256,26 @@ TEST(Vm, Grad3dBadDimsBufferThrows) {
   std::vector<BufferBinding> bindings{bind(field), bind(dims), bind(nodes),
                                       bind(nodes), bind(nodes)};
   EXPECT_THROW(run_all(prog, bindings, out, 8), dfg::KernelError);
+
+  // Extents that are not finite integers in [1, 2^24], or whose product
+  // overflows, are refused before any cast, by both interpreters. The
+  // same launch with valid dims runs, so dims alone cause each refusal.
+  const std::vector<float> coords(8, 0.5f);
+  const auto args = [&](const std::vector<float>& d) {
+    return std::vector<BufferBinding>{bind(field), bind(d), bind(coords),
+                                      bind(coords), bind(coords)};
+  };
+  const std::vector<float> good{2.0f, 2.0f, 2.0f};
+  EXPECT_NO_THROW(run(prog, args(good), out.data(), out.size(), 0, 8));
+  EXPECT_NO_THROW(run_scalar(prog, args(good), out.data(), out.size(), 0, 8));
+  for (const std::vector<float>& bad : bad_grad3d_dims()) {
+    EXPECT_THROW(run(prog, args(bad), out.data(), out.size(), 0, 8),
+                 dfg::KernelError)
+        << bad[0] << "," << bad[1] << "," << bad[2];
+    EXPECT_THROW(run_scalar(prog, args(bad), out.data(), out.size(), 0, 8),
+                 dfg::KernelError)
+        << bad[0] << "," << bad[1] << "," << bad[2];
+  }
 }
 
 TEST(Vm, Grad3dUndersizedCoordinateBufferThrows) {

@@ -22,13 +22,9 @@
 
 #include "core/engine.hpp"
 #include "core/expressions.hpp"
-#include "dataflow/builder.hpp"
-#include "dataflow/network.hpp"
 #include "mesh/generators.hpp"
 #include "mesh/mesh.hpp"
-#include "runtime/bindings.hpp"
 #include "runtime/fallback.hpp"
-#include "runtime/planner.hpp"
 #include "service/service.hpp"
 #include "vcl/catalog.hpp"
 #include "vcl/device.hpp"
@@ -406,6 +402,119 @@ TEST(ResidentEngine, UnannouncedMutationServesStaleBitsUntilInvalidated) {
                           "post-invalidate re-upload");
 }
 
+// The paper's in-situ loop (examples/insitu_host.cpp): one engine binds
+// its arrays once; before every step after the first the host steps some
+// components in place and announces exactly those with invalidate(), then
+// evaluates again. 12^3 ABC flow, Q-criterion.
+struct InSituLoop {
+  static constexpr float kTwoPi = 6.28318530717958647692f;
+
+  InSituLoop()
+      : mesh(mesh::RectilinearMesh::uniform({12, 12, 12}, kTwoPi, kTwoPi,
+                                            kTwoPi)),
+        field(mesh::abc_flow(mesh)) {}
+
+  mesh::RectilinearMesh mesh;
+  mesh::VectorField field;
+
+  std::vector<float>& component(const std::string& name) {
+    return name == "u" ? field.u : name == "v" ? field.v : field.w;
+  }
+
+  Engine make_engine(vcl::Device& device, bool pool) {
+    EngineOptions options;
+    options.resident_pool = pool;
+    Engine engine(device, options);
+    engine.bind_mesh(mesh);
+    engine.bind("u", field.u);
+    engine.bind("v", field.v);
+    engine.bind("w", field.w);
+    return engine;
+  }
+
+  /// Deterministic in-place "simulation step" of the named components.
+  void advance(std::size_t step, const std::vector<std::string>& names) {
+    for (const std::string& name : names) {
+      std::vector<float>& a = component(name);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        a[i] += 0.01f * static_cast<float>(step) +
+                0.001f * static_cast<float>(i % 7);
+      }
+    }
+  }
+
+  std::vector<EvaluationReport> run(Engine& engine, std::size_t steps,
+                                    const std::vector<std::string>& mutated) {
+    std::vector<EvaluationReport> reports;
+    for (std::size_t t = 0; t < steps; ++t) {
+      if (t > 0) {
+        advance(t, mutated);
+        for (const std::string& name : mutated) engine.invalidate(name);
+      }
+      reports.push_back(
+          engine.evaluate(expressions::kOpQCriterion, mesh.cell_count()));
+    }
+    return reports;
+  }
+};
+
+TEST(ResidentEngine, StepLoopReuploadsOnlyTheMutatedField) {
+  InSituLoop loop;
+  vcl::Device device(vcl::xeon_x5660());
+  Engine engine = loop.make_engine(device, /*pool=*/true);
+  const std::vector<EvaluationReport> steps = loop.run(engine, 4, {"u"});
+
+  // Step 0 is cold: all seven inputs (u, v, w + the four mesh arrays)
+  // upload, none hit the pool.
+  EXPECT_EQ(steps[0].resident_hits, 0u);
+  EXPECT_GE(steps[0].dev_writes, 7u);
+
+  // Every later step re-uploads exactly the mutated field; the other six
+  // inputs are pool hits and move zero bytes.
+  for (std::size_t t = 1; t < steps.size(); ++t) {
+    EXPECT_EQ(steps[t].dev_writes, 1u) << "step " << t;
+    EXPECT_EQ(steps[t].resident_hits, 6u) << "step " << t;
+    // invalidate() only bumps u's generation tag; the step's own acquire
+    // drops the stale copy.
+    EXPECT_EQ(steps[t].resident_invalidations, 1u) << "step " << t;
+    EXPECT_GT(steps[t].resident_upload_bytes_saved, 0u) << "step " << t;
+  }
+}
+
+TEST(ResidentEngine, StepLoopWithoutMutationUploadsNothingAfterStepZero) {
+  InSituLoop loop;
+  vcl::Device device(vcl::xeon_x5660());
+  Engine engine = loop.make_engine(device, /*pool=*/true);
+  const std::vector<EvaluationReport> steps = loop.run(engine, 3, {});
+  for (std::size_t t = 1; t < steps.size(); ++t) {
+    EXPECT_EQ(steps[t].dev_writes, 0u) << "step " << t;
+    EXPECT_EQ(steps[t].resident_hits, 7u) << "step " << t;
+  }
+}
+
+TEST(ResidentEngine, StepLoopIsBitExactVersusAColdEnginePerStep) {
+  // The pooled loop and a fresh pool-off engine per step, fed the same
+  // mutation schedule, agree bit for bit at every step: transfer
+  // elimination may never change a value.
+  InSituLoop pooled_loop;
+  vcl::Device pooled_device(vcl::xeon_x5660());
+  Engine pooled = pooled_loop.make_engine(pooled_device, /*pool=*/true);
+  const std::vector<std::string> mutated = {"u", "w"};
+  const std::vector<EvaluationReport> steps =
+      pooled_loop.run(pooled, 4, mutated);
+
+  InSituLoop cold_loop;
+  for (std::size_t t = 0; t < steps.size(); ++t) {
+    if (t > 0) cold_loop.advance(t, mutated);
+    vcl::Device cold_device(vcl::xeon_x5660());
+    Engine cold = cold_loop.make_engine(cold_device, /*pool=*/false);
+    const EvaluationReport reference = cold.evaluate(
+        expressions::kOpQCriterion, cold_loop.mesh.cell_count());
+    test::expect_bits_equal(steps[t].values, reference.values,
+                            "step " + std::to_string(t));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Differential property test: seeded schedules vs resident_pool = false
 
@@ -492,172 +601,6 @@ TEST(ResidentDifferential, SeededSchedulesMatchPoolDisabledBitwise) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Residency-aware planning
-
-TEST(ResidentPlanner, ProbeReflectsTheDevicePoolState) {
-  Workload wl;
-  runtime::FieldBindings bindings;
-  bindings.bind_mesh(wl.mesh);
-  bindings.bind("u", wl.field.u);
-  bindings.bind("v", wl.field.v);
-  bindings.bind("w", wl.field.w);
-  const dataflow::Network network(
-      dataflow::build_network(expressions::kVelocityMagnitude));
-
-  vcl::Device device(vcl::tesla_m2050_scaled());
-  const runtime::Residency cold =
-      runtime::Residency::probe(device, bindings, network);
-  EXPECT_TRUE(cold.warm.empty());
-
-  EngineOptions options;
-  options.resident_pool = true;
-  Engine engine(device, options);
-  wl.bind(engine);
-  engine.evaluate(expressions::kVelocityMagnitude);
-
-  const runtime::Residency warm =
-      runtime::Residency::probe(device, bindings, network);
-  EXPECT_TRUE(warm.is_warm("u"));
-  EXPECT_TRUE(warm.is_warm("v"));
-  EXPECT_TRUE(warm.is_warm("w"));
-}
-
-TEST(ResidentPlanner, WarmEstimatesPriceTransfersAtZero) {
-  Workload wl;
-  runtime::FieldBindings bindings;
-  bindings.bind_mesh(wl.mesh);
-  bindings.bind("u", wl.field.u);
-  bindings.bind("v", wl.field.v);
-  bindings.bind("w", wl.field.w);
-  const dataflow::Network network(
-      dataflow::build_network(expressions::kVelocityMagnitude));
-  const std::size_t elements = wl.mesh.cell_count();
-  const vcl::DeviceSpec spec = vcl::tesla_m2050_scaled();
-
-  runtime::Residency warm;
-  warm.warm = {"u", "v", "w"};
-
-  for (const StrategyKind kind :
-       {StrategyKind::roundtrip, StrategyKind::staged, StrategyKind::fusion}) {
-    EXPECT_LT(runtime::estimate_sim_seconds(network, bindings, elements, spec,
-                                            kind, 0, &warm),
-              runtime::estimate_sim_seconds(network, bindings, elements, spec,
-                                            kind))
-        << runtime::strategy_name(kind);
-    // Warm working sets never exceed cold ones; the peak may coincide when
-    // it is reached among intermediates (roundtrip/staged on this network).
-    EXPECT_LE(runtime::estimate_high_water(network, bindings, elements, kind,
-                                           0, &warm),
-              runtime::estimate_high_water(network, bindings, elements, kind))
-        << runtime::strategy_name(kind);
-  }
-  // Fusion's working set is inputs + output, so full warmth strictly
-  // shrinks it to the output alone.
-  EXPECT_LT(runtime::estimate_high_water(network, bindings, elements,
-                                         StrategyKind::fusion, 0, &warm),
-            runtime::estimate_high_water(network, bindings, elements,
-                                         StrategyKind::fusion));
-  // Streamed slices per chunk, so its estimates deliberately stay cold.
-  EXPECT_EQ(runtime::estimate_sim_seconds(network, bindings, elements, spec,
-                                          StrategyKind::streamed, 0, &warm),
-            runtime::estimate_sim_seconds(network, bindings, elements, spec,
-                                          StrategyKind::streamed));
-}
-
-TEST(ResidentPlanner, WarmCheapRungsBeatColdFusionOnTransferBoundDevices) {
-  // The planning claim behind the pool: on a PCIe-bound device the warm
-  // re-evaluation of a cheaper rung undercuts a cold fused first run,
-  // because the cold run must pay the full input upload the warm one
-  // skips. Roundtrip needs a shallow network for this (its intermediate
-  // host round-trips are never warm); staged inverts even on a deep one.
-  Workload wl;
-  runtime::FieldBindings bindings;
-  bindings.bind_mesh(wl.mesh);
-  bindings.bind("u", wl.field.u);
-  bindings.bind("v", wl.field.v);
-  bindings.bind("w", wl.field.w);
-  const std::size_t elements = wl.mesh.cell_count();
-
-  vcl::DeviceSpec spec = vcl::tesla_m2050_scaled();
-  spec.transfer_gbps = 0.05;  // starve the link: uploads dominate
-  runtime::Residency warm;
-  warm.warm = {"u", "v", "w", "x", "y", "z", "dims"};
-
-  const dataflow::Network deep(
-      dataflow::build_network(expressions::kVelocityMagnitude));
-  EXPECT_LT(runtime::estimate_sim_seconds(deep, bindings, elements, spec,
-                                          StrategyKind::staged, 0, &warm),
-            runtime::estimate_sim_seconds(deep, bindings, elements, spec,
-                                          StrategyKind::fusion));
-
-  const dataflow::Network shallow(
-      dataflow::build_network("s = (u + v) * w"));
-  EXPECT_LT(runtime::estimate_sim_seconds(shallow, bindings, elements, spec,
-                                          StrategyKind::roundtrip, 0, &warm),
-            runtime::estimate_sim_seconds(shallow, bindings, elements, spec,
-                                          StrategyKind::fusion));
-}
-
-TEST(ResidentPlanner, SelectFastestMatchesArgminOfFeasibleEstimates) {
-  Workload wl;
-  runtime::FieldBindings bindings;
-  bindings.bind_mesh(wl.mesh);
-  bindings.bind("u", wl.field.u);
-  bindings.bind("v", wl.field.v);
-  bindings.bind("w", wl.field.w);
-  const dataflow::Network network(
-      dataflow::build_network(expressions::kVelocityMagnitude));
-  const std::size_t elements = wl.mesh.cell_count();
-  vcl::Device device(vcl::tesla_m2050_scaled());
-
-  // Cold, no residency: must agree with the static preference selector.
-  EXPECT_EQ(runtime::select_fastest_strategy(network, bindings, elements,
-                                             device),
-            runtime::select_strategy(network, bindings, elements, device));
-
-  runtime::Residency warm;
-  warm.warm = {"u", "v", "w"};
-  const StrategyKind picked = runtime::select_fastest_strategy(
-      network, bindings, elements, device, &warm);
-  // Differential: nothing feasible may beat the pick's warm estimate.
-  const double picked_sim = runtime::estimate_sim_seconds(
-      network, bindings, elements, device.spec(), picked, 0, &warm);
-  for (const StrategyKind kind : kAllStrategies) {
-    const std::size_t hw = runtime::estimate_high_water(
-        network, bindings, elements, kind, 0, &warm);
-    if (hw > device.effective_available()) continue;
-    EXPECT_LE(picked_sim,
-              runtime::estimate_sim_seconds(network, bindings, elements,
-                                            device.spec(), kind, 0, &warm))
-        << runtime::strategy_name(kind);
-  }
-}
-
-TEST(ResidentPlanner, AutoStrategyEngineStaysBitExactAcrossWarmRuns) {
-  Workload wl;
-  vcl::Device cold_device(vcl::tesla_m2050_scaled());
-  Engine cold(cold_device);
-  wl.bind(cold);
-  const EvaluationReport baseline =
-      cold.evaluate(expressions::kVelocityMagnitude);
-
-  EngineOptions options;
-  options.resident_pool = true;
-  options.auto_strategy = true;
-  vcl::Device device(vcl::tesla_m2050_scaled());
-  Engine engine(device, options);
-  wl.bind(engine);
-  const EvaluationReport first =
-      engine.evaluate(expressions::kVelocityMagnitude);
-  const EvaluationReport second =
-      engine.evaluate(expressions::kVelocityMagnitude);
-  test::expect_bits_equal(first.values, baseline.values, "auto cold");
-  test::expect_bits_equal(second.values, baseline.values, "auto warm");
-  EXPECT_GT(second.resident_hits, 0u);
-  EXPECT_LT(second.sim_seconds, first.sim_seconds);
 }
 
 // ---------------------------------------------------------------------------
