@@ -199,22 +199,20 @@ EvaluationReport Engine::evaluate_network(const dataflow::Network& network,
 }
 
 EvaluationReport Engine::evaluate(std::string_view expression) {
-  if (default_elements_ != 0) {
-    return evaluate(expression, default_elements_);
+  const dataflow::Network network(
+      dataflow::build_network(expression, options_.spec_options));
+  // Without a mesh, the first bound non-mesh field the expression uses
+  // sets the element count.
+  const std::size_t elements =
+      default_elements_ != 0
+          ? default_elements_
+          : bindings_.element_count(network.spec().field_names());
+  if (elements == 0) {
+    throw Error(
+        "cannot infer the output element count: bind a mesh or call "
+        "evaluate(expression, elements)");
   }
-  // Infer the element count from the first bound non-mesh field the
-  // expression uses.
-  const dataflow::NetworkSpec probe =
-      dataflow::build_network(expression, options_.spec_options);
-  for (const std::string& name : probe.field_names()) {
-    if (name == "x" || name == "y" || name == "z" || name == "dims") continue;
-    if (bindings_.has(name)) {
-      return evaluate(expression, bindings_.get(name).size());
-    }
-  }
-  throw Error(
-      "cannot infer the output element count: bind a mesh or call "
-      "evaluate(expression, elements)");
+  return evaluate_network(network, elements);
 }
 
 }  // namespace dfg

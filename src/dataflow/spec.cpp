@@ -30,6 +30,11 @@ int NetworkSpec::add_field_source(const std::string& name) {
   if (name.empty()) {
     throw NetworkError("field source requires a non-empty name");
   }
+  if (name.starts_with(kReservedFieldPrefix)) {
+    throw NetworkError("field name '" + name + "' uses the prefix '" +
+                       std::string(kReservedFieldPrefix) +
+                       "', reserved for materialised intermediates");
+  }
   const auto it = field_index_.find(name);
   if (it != field_index_.end()) return it->second;
   SpecNode node;

@@ -15,11 +15,17 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/error.hpp"
 
 namespace dfg::dataflow {
+
+/// Prefix of the buffer names the fused-kernel generator gives its
+/// materialised intermediates (kernels::materialized_param_name).
+/// add_field_source rejects field names that start with it.
+inline constexpr std::string_view kReservedFieldPrefix = "__m";
 
 enum class NodeType { field_source, constant, filter };
 
@@ -65,6 +71,8 @@ class NetworkSpec {
   explicit NetworkSpec(SpecOptions options = {});
 
   /// Adds (or returns the existing) source node bound to a named host array.
+  /// Throws NetworkError on an empty name or one with the reserved "__m"
+  /// prefix, which the fused pipeline would take for a stage output.
   int add_field_source(const std::string& name);
 
   /// Adds a constant source; deduplicated when options.dedup_constants.

@@ -176,19 +176,25 @@ class FusionEmitter {
 }  // namespace
 
 std::string materialized_param_name(int node_id) {
-  return "__m" + std::to_string(node_id);
+  return std::string(dataflow::kReservedFieldPrefix) +
+         std::to_string(node_id);
+}
+
+KernelError single_kernel_error(const dataflow::Network& network,
+                                int barrier) {
+  return KernelError(
+      "network takes the gradient of a computed value ('" +
+      network.spec().node(barrier).label +
+      "'); a single fused kernel cannot stencil registers — use "
+      "generate_fused_pipeline (the fusion strategy does this "
+      "automatically)");
 }
 
 Program generate_fused(const dataflow::Network& network,
                        const std::string& kernel_name) {
   const std::set<int> barriers = materialization_barriers(network);
   if (!barriers.empty()) {
-    throw KernelError(
-        "network takes the gradient of a computed value ('" +
-        network.spec().node(*barriers.begin()).label +
-        "'); a single fused kernel cannot stencil registers — use "
-        "generate_fused_pipeline (the fusion strategy does this "
-        "automatically)");
+    throw single_kernel_error(network, *barriers.begin());
   }
   FusionEmitter emitter(network, kernel_name, barriers,
                         network.output_id());

@@ -17,6 +17,7 @@
 
 #include "dataflow/network.hpp"
 #include "kernels/program.hpp"
+#include "support/error.hpp"
 
 namespace dfg::kernels {
 
@@ -34,9 +35,16 @@ std::set<int> materialization_barriers(const dataflow::Network& network);
 Program generate_fused(const dataflow::Network& network,
                        const std::string& kernel_name = "fused_expression");
 
+/// The KernelError raised where a network that takes the gradient of a
+/// computed value (`barrier`, one of its materialisation barriers) needs a
+/// single fused kernel: by generate_fused and ProgramCache::fused_single.
+KernelError single_kernel_error(const dataflow::Network& network,
+                                int barrier);
+
 /// Buffer-parameter name of a materialised intermediate in a partitioned
-/// pipeline ("__m<node id>"). Reserved: expression field names cannot
-/// start with "__m".
+/// pipeline ("__m<node id>"). Reserved: dataflow::NetworkSpec::
+/// add_field_source rejects field names with this prefix
+/// (dataflow::kReservedFieldPrefix).
 std::string materialized_param_name(int node_id);
 
 /// A partitioned fused execution plan. When the network takes gradients of

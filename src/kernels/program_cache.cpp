@@ -117,13 +117,8 @@ std::shared_ptr<const FusedPipeline> ProgramCache::fused_single(
   std::shared_ptr<const FusedPipeline> pipeline =
       fused_pipeline(network, kernel_name);
   if (pipeline->partitioned()) {
-    const std::set<int> barriers = materialization_barriers(network);
-    throw KernelError(
-        "network takes the gradient of a computed value ('" +
-        network.spec().node(*barriers.begin()).label +
-        "'); a single fused kernel cannot stencil registers — use "
-        "generate_fused_pipeline (the fusion strategy does this "
-        "automatically)");
+    throw single_kernel_error(network,
+                              *materialization_barriers(network).begin());
   }
   return pipeline;
 }

@@ -83,8 +83,15 @@ void SpanTracer::end(std::uint64_t token, double sim_seconds) {
     record.sim_seconds = sim_seconds;
     record.thread = thread_index();
     t_stack.erase(t_stack.begin() + static_cast<std::ptrdiff_t>(i - 1));
-    std::scoped_lock lock(record_mutex());
-    finished_records().push_back(std::move(record));
+    {
+      std::scoped_lock lock(record_mutex());
+      if (finished_records().size() < kMaxRecords) {
+        finished_records().push_back(std::move(record));
+        return;
+      }
+    }
+    MetricsRegistry& reg = metrics();
+    reg.add(reg.counter("dfgen_span_records_dropped_total"));
     return;
   }
 }

@@ -15,8 +15,12 @@
 //
 // The tracer is gated by the metrics registry's DFGEN_METRICS flag: while
 // disabled, begin() hands out the null token and everything is a no-op.
+// The store of finished spans is bounded (kMaxRecords): spans finishing
+// while it is full are dropped and counted in
+// dfgen_span_records_dropped_total, a counter registered at the first drop.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,6 +41,10 @@ struct SpanRecord {
 class SpanTracer {
  public:
   static SpanTracer& instance();
+
+  /// Finished spans kept at most: over 4x the spans of the largest traced
+  /// benchmark run, so a long-lived process with metrics on stays bounded.
+  static constexpr std::size_t kMaxRecords = std::size_t{1} << 18;
 
   /// Opens a span under the calling thread's innermost open span. Returns
   /// the span token, or 0 when tracing is disabled.

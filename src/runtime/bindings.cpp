@@ -56,4 +56,14 @@ std::vector<std::string> FieldBindings::names() const {
   return out;
 }
 
+std::size_t FieldBindings::element_count(
+    const std::vector<std::string>& field_names) const {
+  for (const std::string& name : field_names) {
+    if (name == "x" || name == "y" || name == "z" || name == "dims") continue;
+    const auto it = arrays_.find(name);
+    if (it != arrays_.end()) return it->second.size();
+  }
+  return 0;
+}
+
 }  // namespace dfg::runtime

@@ -51,6 +51,11 @@ class FieldBindings {
 
   std::vector<std::string> names() const;
 
+  /// Length of the first array bound under one of `field_names` that is not
+  /// a mesh array (x, y, z, dims); 0 when none is bound. This is how an
+  /// evaluation without a mesh infers its element count.
+  std::size_t element_count(const std::vector<std::string>& field_names) const;
+
  private:
   std::map<std::string, std::span<const float>> arrays_;
   /// Backing storage for bind_owned; map nodes keep vector storage stable

@@ -1,13 +1,12 @@
 #include "runtime/planner.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "kernels/backend.hpp"
 #include "kernels/generator.hpp"
-#include "kernels/primitives.hpp"
 #include "kernels/program_cache.hpp"
 #include "runtime/slab.hpp"
 #include "support/error.hpp"
@@ -17,16 +16,45 @@ namespace dfg::runtime {
 
 namespace {
 
-/// Resolves the 0 = "process default" sentinel of the public estimators:
-/// an engine-less caller executes launch_program under the DFGEN_BACKEND
-/// backend, so that is the efficiency its measured simulated time carries.
-double resolve_efficiency(double requested) {
-  if (requested > 0.0) return requested;
-  return kernels::backend_for(kernels::default_backend_kind())
-      ->compute_efficiency();
-}
+/// Receives a strategy's device commands in the order the strategy issues
+/// them. Always tracks live and peak device floats; sums cost-model
+/// seconds only when built with a cost model.
+class Tally {
+ public:
+  Tally() = default;
+  Tally(const vcl::CostModel& cost, double efficiency)
+      : cost_(&cost), efficiency_(efficiency) {}
 
-/// Floats a node's value occupies on the host / in a device buffer.
+  void allocate(std::size_t floats) {
+    live_ += floats;
+    peak_ = std::max(peak_, live_);
+  }
+  void release(std::size_t floats) { live_ -= floats; }
+  void transfer(std::size_t floats) {
+    if (cost_ != nullptr) {
+      seconds_ += cost_->transfer_seconds(floats * sizeof(float));
+    }
+  }
+  void launch(const kernels::Program& program, std::size_t items) {
+    if (cost_ == nullptr) return;
+    seconds_ += cost_->kernel_seconds(
+        program.flops_per_item() * items,
+        program.global_bytes_per_item() * items,
+        program.max_live_scalar_registers(), efficiency_);
+  }
+
+  std::size_t high_water_bytes() const { return peak_ * sizeof(float); }
+  double seconds() const { return seconds_; }
+
+ private:
+  const vcl::CostModel* cost_ = nullptr;
+  double efficiency_ = 0.0;
+  std::size_t live_ = 0;
+  std::size_t peak_ = 0;
+  double seconds_ = 0.0;
+};
+
+/// Floats a node's value occupies on the host.
 std::size_t value_floats(const dataflow::NetworkSpec& spec, int id,
                          const FieldBindings& bindings,
                          std::size_t elements) {
@@ -42,271 +70,165 @@ std::size_t value_floats(const dataflow::NetworkSpec& spec, int id,
   return 0;
 }
 
-std::size_t roundtrip_high_water(const dataflow::Network& network,
-                                 const FieldBindings& bindings,
-                                 std::size_t elements) {
+/// RoundtripStrategy: per filter (decompose is host-side slicing), one
+/// upload per argument occurrence, the output buffer, the kernel and a
+/// readback; the device then drops the filter's whole working set.
+void replay_roundtrip(const dataflow::Network& network,
+                      const FieldBindings& bindings, std::size_t elements,
+                      Tally& tally) {
   const auto& spec = network.spec();
-  std::size_t peak_floats = 0;
-  for (const dataflow::SpecNode& node : spec.nodes()) {
+  for (const int id : network.topo_order()) {
+    const dataflow::SpecNode& node = spec.node(id);
     if (node.type != dataflow::NodeType::filter) continue;
-    if (node.kind == "decompose") continue;  // host-side slicing
-    std::size_t kernel_floats = 0;
+    if (node.kind == "decompose") continue;
+    const std::shared_ptr<const kernels::Program> program =
+        kernels::ProgramCache::instance().standalone(node.kind,
+                                                     node.component);
+    std::size_t held = 0;
     for (const int in : node.inputs) {
-      kernel_floats += value_floats(spec, in, bindings, elements);
+      const std::size_t floats = value_floats(spec, in, bindings, elements);
+      tally.allocate(floats);
+      tally.transfer(floats);
+      held += floats;
     }
-    kernel_floats += elements * (node.components == 1 ? 1 : 4);
-    peak_floats = std::max(peak_floats, kernel_floats);
+    const std::size_t out = elements * program->out_stride();
+    tally.allocate(out);
+    tally.launch(*program, elements);
+    tally.transfer(out);
+    tally.release(held + out);
   }
-  return peak_floats * sizeof(float);
 }
 
-std::size_t staged_high_water(const dataflow::Network& network,
-                              const FieldBindings& bindings,
-                              std::size_t elements) {
-  // Replays StagedStrategy's allocation discipline: lazy source
-  // materialisation at first consumer, output allocation before input
-  // release, reference-counted release after each filter.
+/// StagedStrategy: sources materialise at their first consumer (a field
+/// upload or a const_fill kernel), each filter's output is allocated
+/// before its inputs are released, reference counting frees a value after
+/// its last consumer, and the output is read back once.
+void replay_staged(const dataflow::Network& network,
+                   const FieldBindings& bindings, std::size_t elements,
+                   Tally& tally) {
   const auto& spec = network.spec();
   std::vector<int> refs = network.use_counts();
   std::vector<bool> live(spec.nodes().size(), false);
   std::vector<std::size_t> floats(spec.nodes().size(), 0);
-  std::size_t current = 0;
-  std::size_t peak = 0;
 
-  const auto materialise = [&](int id) {
-    if (live[id]) return;
-    floats[id] = value_floats(spec, id, bindings, elements);
-    current += floats[id];
-    peak = std::max(peak, current);
+  const auto materialise_source = [&](int id) {
+    const dataflow::SpecNode& node = spec.node(id);
     live[id] = true;
+    if (node.type == dataflow::NodeType::field_source) {
+      floats[id] = bindings.get(node.field_name).size();
+      tally.allocate(floats[id]);
+      tally.transfer(floats[id]);
+    } else {  // constant
+      floats[id] = elements;
+      tally.allocate(elements);
+      tally.launch(*kernels::ProgramCache::instance().standalone(
+                       "const_fill", 0, static_cast<float>(node.const_value)),
+                   elements);
+    }
   };
 
   for (const int id : network.topo_order()) {
     const dataflow::SpecNode& node = spec.node(id);
     if (node.type != dataflow::NodeType::filter) continue;
-    for (const int in : node.inputs) materialise(in);
-    materialise(id);  // the filter's output buffer
+    const std::shared_ptr<const kernels::Program> program =
+        kernels::ProgramCache::instance().standalone(node.kind,
+                                                     node.component);
+    for (const int in : node.inputs) {
+      if (!live[in]) materialise_source(in);
+    }
+    floats[id] = elements * program->out_stride();
+    tally.allocate(floats[id]);
+    tally.launch(*program, elements);
+    live[id] = true;
     for (const int in : node.inputs) {
       if (--refs[in] == 0) {
-        current -= floats[in];
+        tally.release(floats[in]);
         live[in] = false;
       }
     }
   }
   const int out_id = spec.output_id();
-  if (!live[out_id]) materialise(out_id);
-  return peak * sizeof(float);
+  if (!live[out_id]) materialise_source(out_id);
+  tally.transfer(floats[out_id]);
 }
 
-std::size_t fusion_high_water(const dataflow::Network& network,
-                              const FieldBindings& bindings,
-                              std::size_t elements) {
-  // Covers both the single-kernel case (inputs + output) and the
-  // partitioned pipeline, whose materialised intermediates stay on the
-  // device for the whole run. The cached pipeline is the very object the
-  // fusion strategy executes, so the estimate replays its exact programs.
+/// FusionStrategy: per pipeline stage, uploads of the fields it is first
+/// to use, its output buffer and one kernel; every value stays on the
+/// device until the final stage's buffer is read back.
+void replay_fusion(const dataflow::Network& network,
+                   const FieldBindings& bindings, std::size_t elements,
+                   Tally& tally) {
   const std::shared_ptr<const kernels::FusedPipeline> pipeline =
       kernels::ProgramCache::instance().fused_pipeline(network);
-  std::set<std::string> fields;
-  std::size_t floats = 0;
+  std::set<std::string> stage_outputs;
   for (const kernels::FusedPipeline::Stage& stage : pipeline->stages) {
-    floats += elements * stage.program.out_stride();
-    for (const kernels::BufferParam& param : stage.program.params()) {
-      if (param.name.rfind("__m", 0) == 0) continue;  // a stage output
-      if (fields.insert(param.name).second) {
-        floats += bindings.get(param.name).size();
-      }
-    }
+    stage_outputs.insert(kernels::materialized_param_name(stage.node_id));
   }
-  return floats * sizeof(float);
+  std::set<std::string> uploaded;
+  std::size_t out = 0;
+  for (const kernels::FusedPipeline::Stage& stage : pipeline->stages) {
+    for (const kernels::BufferParam& param : stage.program.params()) {
+      if (stage_outputs.count(param.name) != 0) continue;
+      if (!uploaded.insert(param.name).second) continue;
+      const std::size_t floats = bindings.get(param.name).size();
+      tally.allocate(floats);
+      tally.transfer(floats);
+    }
+    out = elements * stage.program.out_stride();
+    tally.allocate(out);
+    tally.launch(stage.program, elements);
+  }
+  tally.transfer(out);
 }
 
-std::size_t streamed_high_water(const dataflow::Network& network,
-                                const FieldBindings& bindings,
-                                std::size_t elements,
-                                std::size_t chunk_cells) {
+/// StreamedFusionStrategy with `chunk_cells` per chunk (0 = one plane):
+/// per chunk, run_fused_slab's upload of every parameter's slab (dims as
+/// 3 floats), the slab output, one kernel over the slab and one readback;
+/// the chunk's buffers are released before the next chunk.
+void replay_streamed(const dataflow::Network& network,
+                     const FieldBindings& bindings, std::size_t elements,
+                     std::size_t chunk_cells, Tally& tally) {
   const std::shared_ptr<const kernels::FusedPipeline> pipeline =
       kernels::ProgramCache::instance().fused_single(network);
   const kernels::Program& program = pipeline->stages.front().program;
   const SlabPlan plan = make_slab_plan(program, bindings, elements);
-
+  const std::vector<SlabParam> params = resolve_slab_params(program, bindings);
   const std::size_t chunk_planes = chunk_planes_for(plan, chunk_cells);
-  // The peak is the largest slab over the chunk sequence; boundary chunks
-  // clamp their halo at the domain faces exactly as run_fused_slab does.
-  std::size_t max_slab_planes = 0;
   for (std::size_t begin = 0; begin < plan.total_planes;
        begin += chunk_planes) {
-    const std::size_t end = std::min(plan.total_planes, begin + chunk_planes);
-    const std::size_t slab_lo = begin > plan.halo ? begin - plan.halo : 0;
-    const std::size_t slab_hi = std::min(plan.total_planes, end + plan.halo);
-    max_slab_planes = std::max(max_slab_planes, slab_hi - slab_lo);
+    const SlabBounds slab = slab_bounds(
+        plan, begin, std::min(plan.total_planes, begin + chunk_planes));
+    const std::size_t cells = slab.planes() * plan.plane_cells;
+    std::size_t held = 0;
+    for (const SlabParam& param : params) {
+      const std::size_t floats = param.is_dims ? 3 : cells;
+      tally.allocate(floats);
+      tally.transfer(floats);
+      held += floats;
+    }
+    const std::size_t out = cells * program.out_stride();
+    tally.allocate(out);
+    tally.launch(program, cells);
+    tally.transfer(out);
+    tally.release(held + out);
   }
-  const std::size_t slab_cells = max_slab_planes * plan.plane_cells;
-  const std::size_t dims_params =
-      program.params().size() - plan.slabbed_params;
-  const std::size_t floats = plan.slabbed_params * slab_cells +
-                             dims_params * 3 +
-                             slab_cells * program.out_stride();
-  return floats * sizeof(float);
 }
 
-/// Replays FusionStrategy's command stream: unique field uploads at first
-/// use, one kernel per pipeline stage, one readback of the final stage's
-/// buffer.
-double fusion_sim_seconds(const dataflow::Network& network,
-                          const FieldBindings& bindings,
-                          std::size_t elements, const vcl::CostModel& cost,
-                          double efficiency) {
-  const std::shared_ptr<const kernels::FusedPipeline> pipeline =
-      kernels::ProgramCache::instance().fused_pipeline(network);
-  std::set<std::string> fields;
-  double seconds = 0.0;
-  std::size_t final_stride = 1;
-  for (const kernels::FusedPipeline::Stage& stage : pipeline->stages) {
-    for (const kernels::BufferParam& param : stage.program.params()) {
-      if (param.name.rfind("__m", 0) == 0) continue;  // a stage output
-      if (fields.insert(param.name).second) {
-        seconds += cost.transfer_seconds(bindings.get(param.name).size() *
-                                         sizeof(float));
-      }
-    }
-    seconds += cost.kernel_seconds(
-        stage.program.flops_per_item() * elements,
-        stage.program.global_bytes_per_item() * elements,
-        stage.program.max_live_scalar_registers(), efficiency);
-    if (stage.node_id == network.output_id()) {
-      final_stride = stage.program.out_stride();
-    }
+void replay(const dataflow::Network& network, const FieldBindings& bindings,
+            std::size_t elements, StrategyKind kind,
+            std::size_t streamed_chunk_cells, Tally& tally) {
+  switch (kind) {
+    case StrategyKind::roundtrip:
+      return replay_roundtrip(network, bindings, elements, tally);
+    case StrategyKind::staged:
+      return replay_staged(network, bindings, elements, tally);
+    case StrategyKind::fusion:
+      return replay_fusion(network, bindings, elements, tally);
+    case StrategyKind::streamed:
+      return replay_streamed(network, bindings, elements,
+                             streamed_chunk_cells, tally);
   }
-  seconds += cost.transfer_seconds(elements * final_stride * sizeof(float));
-  return seconds;
-}
-
-/// Replays StagedStrategy's command stream: lazy source materialisation
-/// (field upload or const_fill kernel at first consumer), one standalone
-/// kernel per filter, one readback of the output buffer.
-double staged_sim_seconds(const dataflow::Network& network,
-                          const FieldBindings& bindings,
-                          std::size_t elements, const vcl::CostModel& cost,
-                          double efficiency) {
-  const auto& spec = network.spec();
-  std::vector<bool> materialised(spec.nodes().size(), false);
-  double seconds = 0.0;
-
-  const auto materialise_source = [&](int id) {
-    if (materialised[id]) return;
-    materialised[id] = true;
-    const dataflow::SpecNode& node = spec.node(id);
-    if (node.type == dataflow::NodeType::field_source) {
-      seconds += cost.transfer_seconds(bindings.get(node.field_name).size() *
-                                       sizeof(float));
-    } else {  // constant: one fill kernel
-      const std::shared_ptr<const kernels::Program> fill =
-          kernels::ProgramCache::instance().standalone(
-              "const_fill", 0, static_cast<float>(node.const_value));
-      seconds += cost.kernel_seconds(
-          fill->flops_per_item() * elements,
-          fill->global_bytes_per_item() * elements,
-          fill->max_live_scalar_registers(), efficiency);
-    }
-  };
-
-  for (const int id : network.topo_order()) {
-    const dataflow::SpecNode& node = spec.node(id);
-    if (node.type != dataflow::NodeType::filter) continue;
-    for (const int in : node.inputs) {
-      if (spec.node(in).type != dataflow::NodeType::filter) {
-        materialise_source(in);
-      }
-    }
-    const std::shared_ptr<const kernels::Program> program =
-        kernels::ProgramCache::instance().standalone(node.kind,
-                                                     node.component);
-    seconds += cost.kernel_seconds(
-        program->flops_per_item() * elements,
-        program->global_bytes_per_item() * elements,
-        program->max_live_scalar_registers(), efficiency);
-    materialised[id] = true;
-  }
-
-  const int out_id = spec.output_id();
-  if (!materialised[out_id]) materialise_source(out_id);
-  seconds += cost.transfer_seconds(
-      value_floats(spec, out_id, bindings, elements) * sizeof(float));
-  return seconds;
-}
-
-/// Replays RoundtripStrategy's command stream: per filter (decompose is
-/// host-side slicing), one upload per argument occurrence, the kernel, and
-/// a readback of the result.
-double roundtrip_sim_seconds(const dataflow::Network& network,
-                             const FieldBindings& bindings,
-                             std::size_t elements, const vcl::CostModel& cost,
-                             double efficiency) {
-  const auto& spec = network.spec();
-  double seconds = 0.0;
-  for (const int id : network.topo_order()) {
-    const dataflow::SpecNode& node = spec.node(id);
-    if (node.type != dataflow::NodeType::filter) continue;
-    if (node.kind == "decompose") continue;  // host-side slicing
-    for (const int in : node.inputs) {
-      seconds += cost.transfer_seconds(
-          value_floats(spec, in, bindings, elements) * sizeof(float));
-    }
-    const std::shared_ptr<const kernels::Program> program =
-        kernels::ProgramCache::instance().standalone(node.kind,
-                                                     node.component);
-    seconds += cost.kernel_seconds(
-        program->flops_per_item() * elements,
-        program->global_bytes_per_item() * elements,
-        program->max_live_scalar_registers(), efficiency);
-    seconds += cost.transfer_seconds(elements * program->out_stride() *
-                                     sizeof(float));
-  }
-  return seconds;
-}
-
-/// Replays StreamedFusionStrategy's command stream with `chunk_cells`
-/// per chunk (0 = one plane): per chunk, one upload per parameter, one
-/// kernel over the slab and one readback of the slab.
-double streamed_sim_seconds(const dataflow::Network& network,
-                            const FieldBindings& bindings,
-                            std::size_t elements, const vcl::CostModel& cost,
-                            std::size_t chunk_cells, double efficiency) {
-  const std::shared_ptr<const kernels::FusedPipeline> pipeline =
-      kernels::ProgramCache::instance().fused_single(network);
-  const kernels::Program& program = pipeline->stages.front().program;
-  const SlabPlan plan = make_slab_plan(program, bindings, elements);
-  const std::size_t chunk_planes = chunk_planes_for(plan, chunk_cells);
-  const std::size_t dims_params =
-      program.params().size() - plan.slabbed_params;
-
-  double seconds = 0.0;
-  for (std::size_t begin = 0; begin < plan.total_planes;
-       begin += chunk_planes) {
-    const std::size_t end = std::min(plan.total_planes, begin + chunk_planes);
-    const std::size_t slab_lo = begin > plan.halo ? begin - plan.halo : 0;
-    const std::size_t slab_hi = std::min(plan.total_planes, end + plan.halo);
-    const std::size_t slab_cells = (slab_hi - slab_lo) * plan.plane_cells;
-
-    // One transfer per parameter, each paying the link latency, exactly
-    // like run_fused_slab's per-buffer writes.
-    double upload = 0.0;
-    for (std::size_t p = 0; p < plan.slabbed_params; ++p) {
-      upload += cost.transfer_seconds(slab_cells * sizeof(float));
-    }
-    for (std::size_t p = 0; p < dims_params; ++p) {
-      upload += cost.transfer_seconds(3 * sizeof(float));
-    }
-    const double kernel = cost.kernel_seconds(
-        program.flops_per_item() * slab_cells,
-        program.global_bytes_per_item() * slab_cells,
-        program.max_live_scalar_registers(), efficiency);
-    const double read = cost.transfer_seconds(
-        slab_cells * program.out_stride() * sizeof(float));
-    seconds += upload + kernel + read;
-  }
-  return seconds;
+  throw Error("unknown strategy kind");
 }
 
 }  // namespace
@@ -315,18 +237,9 @@ std::size_t estimate_high_water(const dataflow::Network& network,
                                 const FieldBindings& bindings,
                                 std::size_t elements, StrategyKind kind,
                                 std::size_t streamed_chunk_cells) {
-  switch (kind) {
-    case StrategyKind::roundtrip:
-      return roundtrip_high_water(network, bindings, elements);
-    case StrategyKind::staged:
-      return staged_high_water(network, bindings, elements);
-    case StrategyKind::fusion:
-      return fusion_high_water(network, bindings, elements);
-    case StrategyKind::streamed:
-      return streamed_high_water(network, bindings, elements,
-                                 streamed_chunk_cells);
-  }
-  throw Error("unknown strategy kind");
+  Tally tally;
+  replay(network, bindings, elements, kind, streamed_chunk_cells, tally);
+  return tally.high_water_bytes();
 }
 
 double estimate_sim_seconds(const dataflow::Network& network,
@@ -335,28 +248,10 @@ double estimate_sim_seconds(const dataflow::Network& network,
                             StrategyKind kind,
                             std::size_t streamed_chunk_cells,
                             double compute_efficiency) {
-  const double efficiency = resolve_efficiency(compute_efficiency);
   const vcl::CostModel cost(spec);
-  switch (kind) {
-    case StrategyKind::fusion:
-      return fusion_sim_seconds(network, bindings, elements, cost, efficiency);
-    case StrategyKind::staged:
-      return staged_sim_seconds(network, bindings, elements, cost, efficiency);
-    case StrategyKind::roundtrip:
-      return roundtrip_sim_seconds(network, bindings, elements, cost,
-                                   efficiency);
-    case StrategyKind::streamed:
-      try {
-        return streamed_sim_seconds(network, bindings, elements, cost,
-                                    streamed_chunk_cells, efficiency);
-      } catch (const KernelError&) {
-        // Streamed cannot execute this network; the ladder would land on a
-        // neighbouring rung, whose cost is close enough for budgeting.
-        return fusion_sim_seconds(network, bindings, elements, cost,
-                                  efficiency);
-      }
-  }
-  throw Error("unknown strategy kind");
+  Tally tally(cost, compute_efficiency);
+  replay(network, bindings, elements, kind, streamed_chunk_cells, tally);
+  return tally.seconds();
 }
 
 StrategyKind select_strategy(const dataflow::Network& network,

@@ -2,12 +2,15 @@
 //
 // The paper's discussion (§V-D) concludes that hosts must "select from
 // multiple execution strategies and target devices" under memory
-// constraints. This module makes that selection analytical: it predicts
-// each strategy's device-memory high-water mark from the network alone —
-// no execution, no trial allocation — by replaying the exact allocation
-// discipline each strategy implements. Predictions are bit-for-bit equal
-// to the tracker's measured high-water (locked in by tests), so a host can
-// pick the fastest strategy that fits before moving a single byte.
+// constraints. This module makes that selection analytical: it replays
+// each strategy's device command stream (allocations, releases,
+// transfers, launches, in the order the strategy issues them) from the
+// network alone — no execution, no trial allocation. One replay per
+// strategy yields both estimates: the device-memory high-water mark and,
+// priced by the cost model, the simulated duration. Both equal what the
+// executed strategy measures on the cold path (locked in by tests), so a
+// host can pick the fastest strategy that fits before moving a single
+// byte.
 #pragma once
 
 #include <cstddef>
@@ -23,39 +26,35 @@ namespace dfg::runtime {
 /// over `elements` cells under `kind`. For the streamed strategy the
 /// prediction assumes the given chunk size (0 = the minimal viable chunk,
 /// i.e. the strategy's memory floor). Bindings are consulted for array
-/// extents only; no data is read.
+/// extents only; no data is read. Throws KernelError where `kind` cannot
+/// execute the network (see estimate_sim_seconds).
 std::size_t estimate_high_water(const dataflow::Network& network,
                                 const FieldBindings& bindings,
                                 std::size_t elements, StrategyKind kind,
                                 std::size_t streamed_chunk_cells = 0);
 
 /// Predicted simulated duration (seconds) of executing `network` over
-/// `elements` cells under `kind` on a device described by `spec` —
-/// obtained by replaying the strategy's command stream against the cost
-/// model, without executing anything. The memo layer prices subtrees with
-/// this. For the streamed strategy on a network it cannot execute, the
-/// fusion estimate is returned (the rung the fallback ladder would skip
-/// to).
+/// `elements` cells under `kind` on a device described by `spec`, with
+/// kernels priced at `compute_efficiency` — the executing backend's
+/// fraction of peak flop rate (ExecutionBackend::compute_efficiency). The
+/// memo layer prices subtrees with this.
 ///
-/// The estimate equals the executed strategy's simulated time exactly
-/// (same cost model, same event sequence) with one deliberate exception:
-/// a streamed estimate with `streamed_chunk_cells` = 0 prices one-plane
+/// The estimate equals the executed strategy's simulated time (same cost
+/// model, same command sequence) with one deliberate exception: a
+/// streamed estimate with `streamed_chunk_cells` = 0 prices one-plane
 /// chunks (the strategy's memory floor), while a streamed run with chunk
 /// 0 auto-sizes its chunks to half the device's free memory, so the two
 /// differ. Pass an explicit chunk to predict an explicitly chunked run.
 ///
-/// `compute_efficiency` is the executing backend's fraction of peak flop
-/// rate; 0 resolves the process-default backend (DFGEN_BACKEND), which is
-/// what an engine-less caller executes under — so default-arg estimates
-/// stay bit-exact against measured simulated time whichever backend the
-/// environment names. Engines pass their device's pinned backend
-/// explicitly.
+/// Both estimators throw KernelError when `kind` cannot execute the
+/// network (streamed on gradients of computed values), exactly as the
+/// strategy would.
 double estimate_sim_seconds(const dataflow::Network& network,
                             const FieldBindings& bindings,
                             std::size_t elements, const vcl::DeviceSpec& spec,
                             StrategyKind kind,
-                            std::size_t streamed_chunk_cells = 0,
-                            double compute_efficiency = 0.0);
+                            std::size_t streamed_chunk_cells,
+                            double compute_efficiency);
 
 /// The fastest strategy whose predicted working set fits the device's
 /// *free* memory, in preference order fusion > streamed > staged >

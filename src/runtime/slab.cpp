@@ -75,6 +75,12 @@ std::size_t chunk_planes_for(const SlabPlan& plan, std::size_t budget_cells) {
   return std::min(planes, plan.total_planes);
 }
 
+SlabBounds slab_bounds(const SlabPlan& plan, std::size_t begin_plane,
+                       std::size_t end_plane) {
+  return {begin_plane > plan.halo ? begin_plane - plan.halo : 0,
+          std::min(plan.total_planes, end_plane + plan.halo)};
+}
+
 std::vector<SlabParam> resolve_slab_params(const kernels::Program& program,
                                            const FieldBindings& bindings) {
   const std::set<std::uint16_t> dims = dims_slots(program);
@@ -102,19 +108,15 @@ void run_fused_slab(const kernels::Program& program,
     throw NetworkError("slab output array smaller than the global grid");
   }
 
-  const std::size_t slab_lo =
-      begin_plane > plan.halo ? begin_plane - plan.halo : 0;
-  const std::size_t slab_hi =
-      std::min(plan.total_planes, end_plane + plan.halo);
-  const std::size_t slab_planes = slab_hi - slab_lo;
-  const std::size_t slab_cells = slab_planes * plan.plane_cells;
+  const SlabBounds slab = slab_bounds(plan, begin_plane, end_plane);
+  const std::size_t slab_cells = slab.planes() * plan.plane_cells;
 
   vcl::CommandQueue queue(device, log);
 
   // The per-slab dims array: local plane count, same transverse shape.
   const std::vector<float> local_dims{static_cast<float>(plan.nx),
                                       static_cast<float>(plan.ny),
-                                      static_cast<float>(slab_planes)};
+                                      static_cast<float>(slab.planes())};
 
   // The handles pin resident sub-range buffers while this chunk's kernel
   // can still read them; they drop at return, so a scan larger than the
@@ -130,7 +132,7 @@ void run_fused_slab(const kernels::Program& program,
       inputs.push_back(stage_input(queue, local_dims, param.name + "@slab",
                                    /*poolable=*/false));
     } else {
-      const std::size_t offset = slab_lo * plan.plane_cells;
+      const std::size_t offset = slab.lo * plan.plane_cells;
       if (param.view.size() < offset + slab_cells) {
         throw NetworkError("field '" + param.name +
                            "' too small for the requested slab");
@@ -155,7 +157,7 @@ void run_fused_slab(const kernels::Program& program,
   std::vector<float> slab_result(out_buffer.size());
   queue.read(out_buffer, slab_result, program.name() + "@slab");
   const std::size_t interior_offset =
-      (begin_plane - slab_lo) * plan.plane_cells;
+      (begin_plane - slab.lo) * plan.plane_cells;
   const std::size_t interior_cells =
       (end_plane - begin_plane) * plan.plane_cells;
   std::copy_n(slab_result.begin() + static_cast<long>(interior_offset),

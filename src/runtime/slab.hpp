@@ -56,6 +56,20 @@ SlabPlan make_slab_plan(const kernels::Program& program,
 /// prices it.
 std::size_t chunk_planes_for(const SlabPlan& plan, std::size_t budget_cells);
 
+/// The planes one chunk's slab spans: the chunk's planes plus `plan.halo`
+/// planes on each side, clamped at the domain faces.
+struct SlabBounds {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+
+  std::size_t planes() const { return hi - lo; }
+};
+
+/// The slab of the chunk [begin_plane, end_plane). run_fused_slab
+/// executes it and the planner prices it.
+SlabBounds slab_bounds(const SlabPlan& plan, std::size_t begin_plane,
+                       std::size_t end_plane);
+
 /// One buffer parameter of a program resolved for slab execution: the
 /// bound host view (name lookups done once per program, not once per slab)
 /// and whether the slot carries a grad3d `dims` argument, which is

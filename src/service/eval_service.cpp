@@ -159,38 +159,27 @@ Ticket EvalService::submit(Request request) {
   }
 
   std::size_t elements = request.elements;
-  if (failure.empty() && elements == 0) {
-    if (request.mesh != nullptr) {
-      elements = request.mesh->cell_count();
-    } else {
-      for (const std::string& name : network->spec().field_names()) {
-        if (name == "x" || name == "y" || name == "z" || name == "dims") {
-          continue;
-        }
-        for (const FieldRef& field : request.fields) {
-          if (field.name == name) {
-            elements = field.values.size();
-            break;
-          }
-        }
-        if (elements != 0) break;
-      }
-      if (elements == 0) {
-        failure =
-            "cannot infer the output element count: bind a mesh or set "
-            "Request::elements";
-      }
+  runtime::FieldBindings probe;
+  if (failure.empty()) {
+    if (request.mesh != nullptr) probe.bind_mesh(*request.mesh);
+    for (const FieldRef& field : request.fields) {
+      probe.bind(field.name, field.values);
+    }
+    if (elements == 0) {
+      elements = request.mesh != nullptr
+                     ? request.mesh->cell_count()
+                     : probe.element_count(network->spec().field_names());
+    }
+    if (elements == 0) {
+      failure =
+          "cannot infer the output element count: bind a mesh or set "
+          "Request::elements";
     }
   }
 
   std::size_t floor = kNoFloor;
   memo::EvalContext memo_ctx;
   if (failure.empty()) {
-    runtime::FieldBindings probe;
-    if (request.mesh != nullptr) probe.bind_mesh(*request.mesh);
-    for (const FieldRef& field : request.fields) {
-      probe.bind(field.name, field.values);
-    }
     floor = projected_floor_bytes(*network, probe, elements, request.strategy,
                                   options_.fallback.enabled);
     // Snapshot the request's identity for the memoizer before std::move

@@ -28,6 +28,16 @@ TEST(Spec, EmptyFieldNameRejected) {
   EXPECT_THROW(spec.add_field_source(""), NetworkError);
 }
 
+TEST(Spec, ReservedMaterializedPrefixRejected) {
+  NetworkSpec spec;
+  EXPECT_THROW(spec.add_field_source("__m3"), NetworkError);
+  EXPECT_THROW(spec.add_field_source("__mass"), NetworkError);
+  // The memo layer's spliced sources and names merely containing "__m"
+  // stay legal.
+  EXPECT_NO_THROW(spec.add_field_source("_memo_00000000000000ff"));
+  EXPECT_NO_THROW(spec.add_field_source("u__m3"));
+}
+
 TEST(Spec, ConstantsDeduplicateWhenEnabled) {
   NetworkSpec spec;
   EXPECT_EQ(spec.add_constant(0.5), spec.add_constant(0.5));

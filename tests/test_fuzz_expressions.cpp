@@ -16,6 +16,7 @@
 //   DFGEN_FUZZ_SEED=<seed> ./test_fuzz_expressions
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -34,6 +35,7 @@
 #include "kernels/vm.hpp"
 #include "mesh/mesh.hpp"
 #include "runtime/bindings.hpp"
+#include "runtime/planner.hpp"
 #include "service/service.hpp"
 #include "support/env.hpp"
 #include "vcl/device.hpp"
@@ -634,6 +636,57 @@ TEST(FuzzExpressions, StrategiesMatchScalarReference) {
                   << " DFGEN_FUZZ_ITERATIONS=" << (i + 1);
     return;
   }
+}
+
+// The planner's replays against the strategies they mirror: for every
+// fuzzed network and strategy, on the cold path with an explicit streamed
+// chunk, the predicted footprint equals the measured high-water mark and
+// the predicted simulated time, priced at the executing backend's
+// efficiency, matches the measured one (PlannerExactness's tolerance).
+TEST(FuzzExpressions, PlannerEstimatesMatchExecution) {
+  const std::uint64_t base_seed = static_cast<std::uint64_t>(
+      support::env::get_int("DFGEN_FUZZ_SEED", 20260805));
+  const int iterations = support::env::get_int("DFGEN_FUZZ_ITERATIONS", 40);
+
+  std::size_t mismatches = 0;
+  for (int i = 0; i < iterations; ++i) {
+    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
+    Generator gen(seed);
+    Fixture fx(seed);
+    const std::string text = render(gen.script(static_cast<std::size_t>(i)));
+    const dataflow::Network network(dataflow::build_network(text));
+    const runtime::FieldBindings bindings = fx.bindings();
+    const std::size_t cells = fx.mesh.cell_count();
+    const std::size_t chunk = 2 * fx.mesh.dims().nx * fx.mesh.dims().ny;
+    for (const runtime::StrategyKind kind : kStrategies) {
+      EngineOptions options;
+      options.strategy = kind;
+      options.streamed_chunk_cells = chunk;
+      Engine engine(fx.device, options);
+      engine.bind_mesh(fx.mesh);
+      engine.bind("u", fx.u);
+      engine.bind("v", fx.v);
+      engine.bind("w", fx.w);
+      const EvaluationReport report = engine.evaluate(text);
+      const std::size_t footprint = runtime::estimate_high_water(
+          network, bindings, cells, kind, chunk);
+      const double seconds = runtime::estimate_sim_seconds(
+          network, bindings, cells, fx.device.spec(), kind, chunk,
+          fx.device.backend().compute_efficiency());
+      if (footprint == report.memory_high_water_bytes &&
+          std::abs(seconds - report.sim_seconds) <=
+              1e-12 + 1e-9 * report.sim_seconds) {
+        continue;
+      }
+      ++mismatches;
+      ADD_FAILURE() << runtime::strategy_name(kind) << " (seed " << seed
+                    << "): predicted " << footprint << " B, " << seconds
+                    << " s; measured " << report.memory_high_water_bytes
+                    << " B, " << report.sim_seconds << " s\n"
+                    << text;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // A deterministic guard that the harness itself works: a script exercising

@@ -244,6 +244,33 @@ TEST(Spans, EvaluationProducesRequestAttemptCommandHierarchy) {
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
 }
 
+TEST(Spans, StoreStopsAtTheCapAndCountsEveryDrop) {
+  obs::ScopedMetricsRegistry scoped;
+  obs::MetricsRegistry& reg = scoped.registry();
+  reg.set_enabled(true);
+  obs::SpanTracer& tracer = obs::SpanTracer::instance();
+  tracer.clear();
+  const std::string dropped = "dfgen_span_records_dropped_total";
+
+  for (std::size_t i = 0; i < obs::SpanTracer::kMaxRecords; ++i) {
+    obs::Span span("fill", "command");
+  }
+  EXPECT_EQ(tracer.records().size(), obs::SpanTracer::kMaxRecords);
+  // Registered only at the first drop, so snapshots of runs under the cap
+  // carry no extra series.
+  EXPECT_EQ(reg.to_json().find(dropped), std::string::npos);
+
+  constexpr std::size_t kOver = 37;
+  for (std::size_t i = 0; i < kOver; ++i) {
+    obs::Span span("over", "command");
+  }
+  const std::vector<obs::SpanRecord> records = tracer.records();
+  tracer.clear();
+  ASSERT_EQ(records.size(), obs::SpanTracer::kMaxRecords);
+  EXPECT_EQ(records.back().name, "fill");
+  EXPECT_EQ(reg.counter_value(reg.counter(dropped)), kOver);
+}
+
 // ----- cache attribution across reused threads -----
 
 // A worker thread reused across sessions must attribute each window's

@@ -51,6 +51,33 @@ struct PartitionFixture {
   }
 };
 
+// Field names that take the generator's "__m<id>" form: as a plain input
+// (the fusion footprint would skip it as a stage output) and aliasing
+// materialised node 5's buffer in a partitioned pipeline.
+constexpr const char* kReservedAsInput = "r = __m3 + u";
+constexpr const char* kReservedAlias = R"(
+vm = sqrt(u*u + __m5*__m5)
+g = grad3d(vm, dims, x, y, z)
+r = g[0] + __m5
+)";
+
+TEST(PartitionedFusion, ReservedFieldNamesAreRejectedByEveryStrategy) {
+  PartitionFixture fx;
+  for (const char* script : {kReservedAsInput, kReservedAlias}) {
+    EXPECT_THROW(dataflow::build_network(script), NetworkError) << script;
+    for (const StrategyKind kind :
+         {StrategyKind::roundtrip, StrategyKind::staged, StrategyKind::fusion,
+          StrategyKind::streamed}) {
+      vcl::Device device(vcl::xeon_x5660_scaled());
+      Engine engine = fx.make(device, kind);
+      engine.bind("__m3", fx.field.v);
+      engine.bind("__m5", fx.field.v);
+      EXPECT_THROW(engine.evaluate(script), NetworkError)
+          << runtime::strategy_name(kind) << ": " << script;
+    }
+  }
+}
+
 TEST(PartitionedFusion, PipelineShape) {
   const dataflow::Network network(dataflow::build_network(kGradOfMagnitude));
   const kernels::FusedPipeline pipeline =

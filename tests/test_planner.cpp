@@ -10,6 +10,7 @@
 #include "core/expressions.hpp"
 #include "dataflow/builder.hpp"
 #include "dataflow/network.hpp"
+#include "kernels/backend.hpp"
 #include "mesh/generators.hpp"
 #include "runtime/planner.hpp"
 #include "support/error.hpp"
@@ -45,8 +46,13 @@ struct PlannerFixture {
     engine.bind("u", field.u);
     engine.bind("v", field.v);
     engine.bind("w", field.w);
-    return engine.evaluate(expression);
+    EvaluationReport report = engine.evaluate(expression);
+    efficiency = device.backend().compute_efficiency();
+    return report;
   }
+
+  /// Compute efficiency of the backend the last run() executed under.
+  double efficiency = 0.0;
 
   std::size_t measured(StrategyKind kind, const char* expression,
                        std::size_t chunk = 0) {
@@ -62,11 +68,11 @@ struct PlannerFixture {
   }
 
   double predicted_sim_seconds(StrategyKind kind, const char* expression,
-                               std::size_t chunk = 0) const {
+                               std::size_t chunk, double efficiency) const {
     const dataflow::Network network(dataflow::build_network(expression));
     const auto b = bindings();
     return runtime::estimate_sim_seconds(network, b, mesh.cell_count(), spec,
-                                         kind, chunk);
+                                         kind, chunk, efficiency);
   }
 };
 
@@ -92,8 +98,9 @@ TEST_P(PlannerExactness, PredictionEqualsMeasurement) {
   EXPECT_EQ(fx.predicted(tc.kind, tc.expression, chunk),
             report.memory_high_water_bytes)
       << tc.expression;
-  EXPECT_NEAR(fx.predicted_sim_seconds(tc.kind, tc.expression, chunk),
-              report.sim_seconds, 1e-12 + 1e-9 * report.sim_seconds)
+  EXPECT_NEAR(
+      fx.predicted_sim_seconds(tc.kind, tc.expression, chunk, fx.efficiency),
+      report.sim_seconds, 1e-12 + 1e-9 * report.sim_seconds)
       << tc.expression;
 }
 
@@ -123,6 +130,14 @@ const PlannerCase kCases[] = {
      StrategyKind::streamed, 6},
     {"Constants_streamed_3planes", "r = 0.5 * u + 0.25",
      StrategyKind::streamed, 3},
+    // The partitioned pipeline (gradient of a computed value): fusion keeps
+    // the materialised stage output on the device between its two kernels.
+    {"Partitioned_fusion", expressions::kSpeedFrontStrength,
+     StrategyKind::fusion},
+    {"Partitioned_staged", expressions::kSpeedFrontStrength,
+     StrategyKind::staged},
+    {"Partitioned_roundtrip", expressions::kSpeedFrontStrength,
+     StrategyKind::roundtrip},
 };
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, PlannerExactness,
@@ -150,6 +165,24 @@ TEST(Planner, StreamedFloorIsSmallestFootprint) {
             fx.predicted(StrategyKind::fusion, expressions::kQCriterion));
   EXPECT_LT(floor,
             fx.predicted(StrategyKind::roundtrip, expressions::kQCriterion));
+}
+
+TEST(Planner, StreamedEstimatesThrowWhereStreamedCannotRun) {
+  // Streamed has no partitioned pipeline: both estimators refuse a
+  // gradient of a computed value, as the strategy itself does.
+  PlannerFixture fx;
+  const dataflow::Network network(
+      dataflow::build_network(expressions::kSpeedFrontStrength));
+  const auto bindings = fx.bindings();
+  const std::size_t cells = fx.mesh.cell_count();
+  EXPECT_THROW(runtime::estimate_high_water(network, bindings, cells,
+                                            StrategyKind::streamed),
+               KernelError);
+  EXPECT_THROW(runtime::estimate_sim_seconds(network, bindings, cells,
+                                             fx.spec, StrategyKind::streamed,
+                                             0,
+                                             kernels::kInterpretedEfficiency),
+               KernelError);
 }
 
 TEST(Planner, SelectPrefersFusionWhenEverythingFits) {

@@ -219,6 +219,29 @@ TEST(Service, ProjectionRejectsRequestNoDeviceCanEverFit) {
   EXPECT_EQ(svc.snapshot().rejected_projection, 1u);
 }
 
+TEST(Service, ReservedFieldNamesFailAtSubmit) {
+  Fixture fx;
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  EvalService svc({&device}, ServiceOptions{});
+  for (const char* script :
+       {"r = __m3 + u",
+        "vm = sqrt(u*u + __m5*__m5)\n"
+        "g = grad3d(vm, dims, x, y, z)\n"
+        "r = g[0] + __m5\n"}) {
+    Request request = fx.request(script);
+    request.fields.push_back({"__m3", fx.field.v});
+    request.fields.push_back({"__m5", fx.field.v});
+    Ticket ticket = svc.submit(std::move(request));
+    const ServiceReport& report = ticket.wait();
+    EXPECT_EQ(report.status, RequestStatus::failed) << script;
+    EXPECT_NE(report.error.find("reserved"), std::string::npos)
+        << report.error;
+    EXPECT_EQ(report.evaluation, nullptr);
+    EXPECT_EQ(report.dispatch_index, 0u);
+  }
+  EXPECT_EQ(svc.snapshot().admitted, 0u);
+}
+
 TEST(Service, QuotaDegradesOverQuotaTenantDownTheLadder) {
   Fixture fx;
   const std::string script = expressions::kQCriterion;
