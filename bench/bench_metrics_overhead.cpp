@@ -3,9 +3,10 @@
 // Section 1 times repeated Engine fusion evaluations of the Q-criterion in
 // two arms, interleaved to cancel machine drift: metrics fully enabled
 // (counters + gauges + histograms + spans) versus `set_enabled(false)`
-// (counters only — the floor, since report structs are views over counter
-// deltas and cannot be turned off). In a full (non-smoke) run the enabled
-// arm must stay within 2% of the disabled arm's cells/sec.
+// (counters only — the floor: counters cannot be turned off, since the
+// service snapshot reads them; each evaluation publishes its dfgen_vcl_*
+// counters once, from its profiling log). In a full (non-smoke) run the
+// enabled arm must stay within 2% of the disabled arm's cells/sec.
 //
 // Section 2 re-runs the Table-II style workload under fresh registries at
 // several worker-pool widths, twice each, and requires every JSON snapshot

@@ -1,7 +1,5 @@
 #include "core/engine.hpp"
 
-#include <array>
-
 #include "dataflow/builder.hpp"
 #include "dataflow/network.hpp"
 #include "kernels/generator.hpp"
@@ -10,78 +8,32 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "support/error.hpp"
-#include "vcl/event.hpp"
 #include "vcl/resident_pool.hpp"
 
 namespace dfg {
 
 namespace {
 
-/// The registry series an evaluation's report is a delta view over. All
-/// instrumentation (queue commands, fault injections) happens on the
-/// evaluating thread, so thread-shard deltas are exact per evaluation even
-/// with concurrent engines on other threads.
-struct ReportCounters {
-  obs::MetricId writes, reads, kernels, timeouts, integrity, retries, faults;
-  obs::MetricId res_hits, res_misses, res_evictions, res_invalidations,
-      res_saved;
-
-  static ReportCounters resolve(const std::string& device) {
-    obs::MetricsRegistry& reg = obs::metrics();
-    const auto event_id = [&](vcl::EventKind kind) {
-      return reg.counter(
-          "dfgen_vcl_events_total",
-          {{"device", device}, {"kind", vcl::event_kind_slug(kind)}});
-    };
-    ReportCounters ids;
-    ids.writes = event_id(vcl::EventKind::host_to_device);
-    ids.reads = event_id(vcl::EventKind::device_to_host);
-    ids.kernels = event_id(vcl::EventKind::kernel_exec);
-    ids.timeouts = event_id(vcl::EventKind::timeout);
-    ids.integrity = event_id(vcl::EventKind::integrity);
-    ids.retries = reg.counter("dfgen_vcl_command_retries_total",
-                              {{"device", device}});
-    ids.faults = reg.counter("dfgen_vcl_faults_injected_total",
-                             {{"device", device}});
-    // Registered eagerly (not at first pool event) so the series appear —
-    // as zeros — in snapshots of pool-disabled runs, keeping the metrics
-    // goldens schema-complete.
-    const obs::Labels dev = {{"device", device}};
-    ids.res_hits = reg.counter("dfgen_resident_hits_total", dev);
-    ids.res_misses = reg.counter("dfgen_resident_misses_total", dev);
-    ids.res_evictions = reg.counter("dfgen_resident_evictions_total", dev);
-    ids.res_invalidations =
-        reg.counter("dfgen_resident_invalidations_total", dev);
-    ids.res_saved = reg.counter("dfgen_resident_upload_bytes_saved", dev);
-    // Same eager registration for the jit series (process-wide, no device
-    // label: the module cache is shared): vm-only runs snapshot them as
-    // zeros instead of omitting them.
-    reg.counter("dfgen_jit_compiles_total");
-    reg.counter("dfgen_jit_compile_failures_total");
-    reg.counter("dfgen_jit_cache_hits_total");
-    reg.counter("dfgen_jit_cache_misses_total");
-    reg.counter("dfgen_jit_cache_evictions_total");
-    reg.counter("dfgen_jit_fallbacks_total");
-    reg.counter("dfgen_jit_deferred_launches_total");
-    return ids;
+/// Registers, as zeros, the series an evaluation may never touch: the
+/// resident pool's (pool off) and the process-wide jit cache's (vm
+/// backend). Snapshots then list them in every run, which keeps the
+/// metrics goldens schema-complete.
+void register_idle_series(const std::string& device) {
+  obs::MetricsRegistry& reg = obs::metrics();
+  for (const char* name :
+       {"dfgen_resident_hits_total", "dfgen_resident_misses_total",
+        "dfgen_resident_evictions_total", "dfgen_resident_invalidations_total",
+        "dfgen_resident_upload_bytes_saved"}) {
+    reg.counter(name, {{"device", device}});
   }
-
-  std::array<std::uint64_t, 12> sample() const {
-    obs::MetricsRegistry& reg = obs::metrics();
-    return {reg.thread_counter_value(writes),
-            reg.thread_counter_value(reads),
-            reg.thread_counter_value(kernels),
-            reg.thread_counter_value(timeouts),
-            reg.thread_counter_value(integrity),
-            reg.thread_counter_value(retries),
-            reg.thread_counter_value(faults),
-            reg.thread_counter_value(res_hits),
-            reg.thread_counter_value(res_misses),
-            reg.thread_counter_value(res_evictions),
-            reg.thread_counter_value(res_invalidations),
-            reg.thread_counter_value(res_saved)};
+  for (const char* name :
+       {"dfgen_jit_compiles_total", "dfgen_jit_compile_failures_total",
+        "dfgen_jit_cache_hits_total", "dfgen_jit_cache_misses_total",
+        "dfgen_jit_cache_evictions_total", "dfgen_jit_fallbacks_total",
+        "dfgen_jit_deferred_launches_total"}) {
+    reg.counter(name);
   }
-};
+}
 
 }  // namespace
 
@@ -132,19 +84,18 @@ EvaluationReport Engine::evaluate_network(const dataflow::Network& network,
 
   log_.clear();
   device_->memory().reset_high_water();
-  // Fault plans count per evaluation, and any fault injected outside a
-  // command queue (an allocation) must still land in this log.
+  // Fault plans count per evaluation. Every fault lands in this log: the
+  // strategies' command queues attach it while they run.
   device_->fault().begin_run();
-  device_->fault().set_sink(&log_);
+  register_idle_series(device_->spec().name);
 
-  // Thread-local snapshots: concurrent evaluations on other threads must
-  // not leak their cache or device traffic into this report (or vice
-  // versa). The report below is a delta view over these registry series —
-  // the counters themselves are the source of truth.
+  // The report's device counters tally this evaluation's log. Cache
+  // traffic is the calling thread's, so concurrent evaluations never leak
+  // into it; the resident pool's is the device's, which this engine alone
+  // drives while it evaluates.
   const kernels::ProgramCacheStats cache_before =
       kernels::ProgramCache::instance().thread_stats();
-  const ReportCounters ids = ReportCounters::resolve(device_->spec().name);
-  const std::array<std::uint64_t, 12> before = ids.sample();
+  const vcl::ResidentPool::Stats resident_before = device_->resident().stats();
   obs::Span span(
       "evaluate:" + network.spec().node(network.output_id()).label,
       "request");
@@ -152,7 +103,8 @@ EvaluationReport Engine::evaluate_network(const dataflow::Network& network,
       network, bindings_, elements, *device_, log_, options_.strategy,
       options_.fallback, options_.streamed_chunk_cells);
   span.add_sim_seconds(log_.total_sim_seconds());
-  const std::array<std::uint64_t, 12> after = ids.sample();
+  const vcl::EventTally events = vcl::tally(log_.events());
+  const vcl::ResidentPool::Stats resident = device_->resident().stats();
   EvaluationReport report;
   report.values = std::move(outcome.values);
   report.output_name = network.spec().node(network.output_id()).label;
@@ -164,30 +116,28 @@ EvaluationReport Engine::evaluate_network(const dataflow::Network& network,
                                    runtime::strategy_name(step.to),
                                    step.reason});
   }
-  report.dev_writes = after[0] - before[0];
-  report.dev_reads = after[1] - before[1];
-  report.kernel_execs = after[2] - before[2];
-  report.command_timeouts = after[3] - before[3];
-  report.checksum_mismatches = after[4] - before[4];
-  report.command_retries = after[5] - before[5];
-  report.injected_faults = after[6] - before[6];
-  report.resident_hits = after[7] - before[7];
-  report.resident_misses = after[8] - before[8];
-  report.resident_evictions = after[9] - before[9];
-  report.resident_invalidations = after[10] - before[10];
-  report.resident_upload_bytes_saved = after[11] - before[11];
+  report.dev_writes = events.dev_writes;
+  report.dev_reads = events.dev_reads;
+  report.kernel_execs = events.kernel_execs;
+  report.command_timeouts = events.timeouts;
+  report.checksum_mismatches = events.checksum_mismatches;
+  report.command_retries = events.retries;
+  report.injected_faults = events.injected_faults;
+  report.resident_hits = resident.hits - resident_before.hits;
+  report.resident_misses = resident.misses - resident_before.misses;
+  report.resident_evictions = resident.evictions - resident_before.evictions;
+  report.resident_invalidations =
+      resident.invalidations - resident_before.invalidations;
+  report.resident_upload_bytes_saved =
+      resident.upload_bytes_saved - resident_before.upload_bytes_saved;
   report.sim_seconds = log_.total_sim_seconds();
   report.wall_seconds = log_.total_wall_seconds();
   report.memory_high_water_bytes = device_->memory().high_water();
   report.network_script = network.spec().to_script();
   const kernels::ProgramCacheStats cache_after =
       kernels::ProgramCache::instance().thread_stats();
-  report.pipeline_cache_hits =
-      (cache_after.pipeline_hits - cache_before.pipeline_hits) +
-      (cache_after.standalone_hits - cache_before.standalone_hits);
-  report.pipeline_cache_misses =
-      (cache_after.pipeline_misses - cache_before.pipeline_misses) +
-      (cache_after.standalone_misses - cache_before.standalone_misses);
+  report.pipeline_cache_hits = cache_after.hits() - cache_before.hits();
+  report.pipeline_cache_misses = cache_after.misses() - cache_before.misses();
   if (outcome.pipeline != nullptr) {
     for (const kernels::FusedPipeline::Stage& stage :
          outcome.pipeline->stages) {

@@ -66,7 +66,7 @@ struct DegradationStep {
 
 /// Everything one evaluation produced. `values` is the derived field
 /// (elements floats); the remaining members snapshot the profiling state
-/// for this evaluation only.
+/// for this evaluation only; the device-event counters tally its log.
 struct EvaluationReport {
   std::vector<float> values;
   std::string output_name;

@@ -36,29 +36,6 @@ mesh::RectilinearMesh padded_mesh(const mesh::RectilinearMesh& global,
             padded.dims.nz + 1));
 }
 
-/// Cluster counters for the current registry. Resolved once per
-/// evaluation; the DistributedReport itself stays derived from the per-rank
-/// profiling logs, so these series form an independent record the parity
-/// tests can cross-check against.
-struct DistCounters {
-  obs::MetricId blocks, losses, degraded;
-
-  static DistCounters resolve() {
-    obs::MetricsRegistry& reg = obs::metrics();
-    DistCounters ids;
-    ids.blocks = reg.counter("dfgen_dist_blocks_executed_total");
-    ids.losses = reg.counter("dfgen_dist_device_losses_total");
-    ids.degraded = reg.counter("dfgen_dist_degraded_blocks_total");
-    return ids;
-  }
-};
-
-/// One simulated MPI task: its device and accumulated log.
-struct RankState {
-  std::unique_ptr<vcl::Device> device;
-  vcl::ProfilingLog log;
-};
-
 }  // namespace
 
 DistributedEngine::DistributedEngine(const mesh::RectilinearMesh& mesh,
@@ -120,19 +97,25 @@ DistributedReport DistributedEngine::evaluate(
     if (backend) device->set_backend(backend);
     return device;
   };
-  std::vector<RankState> states(ranks);
-  for (RankState& state : states) state.device = make_device();
+  std::vector<std::unique_ptr<vcl::Device>> devices(ranks);
+  for (std::unique_ptr<vcl::Device>& device : devices) device = make_device();
   if (config_.fault_plan.armed()) {
-    states[0].device->fault().arm(config_.fault_plan);
+    devices[0]->fault().arm(config_.fault_plan);
   }
+  rank_logs_.assign(ranks, vcl::ProfilingLog{});
 
   // Thread-local snapshot: ranks execute on this thread, so the delta is
   // exactly this evaluation's cache traffic even when other engines
   // evaluate concurrently on other threads.
   const kernels::ProgramCacheStats cache_before =
       kernels::ProgramCache::instance().thread_stats();
-  const DistCounters counters = DistCounters::resolve();
   obs::MetricsRegistry& reg = obs::metrics();
+  const obs::MetricId blocks_executed =
+      reg.counter("dfgen_dist_blocks_executed_total");
+  const obs::MetricId device_losses =
+      reg.counter("dfgen_dist_device_losses_total");
+  const obs::MetricId degraded_blocks =
+      reg.counter("dfgen_dist_degraded_blocks_total");
   obs::Span request_span(
       "dist_evaluate:" +
           network.spec().node(network.output_id()).label,
@@ -163,16 +146,13 @@ DistributedReport DistributedEngine::evaluate(
     // command).
     obs::Span block_span("block:" + std::to_string(b), "block");
 
-    RankState& state = states[b % ranks];
+    std::unique_ptr<vcl::Device>& device = devices[b % ranks];
     vcl::ProfilingLog block_log;
-    // Faults injected outside a queue op (allocations) must still land in
-    // this block's log.
-    state.device->fault().set_sink(&block_log);
     runtime::FallbackOutcome outcome;
     for (;;) {
       try {
         outcome = runtime::execute_with_fallback(network, bindings, elements,
-                                                 *state.device, block_log,
+                                                 *device, block_log,
                                                  strategy_kind,
                                                  config_.fallback);
         break;
@@ -181,20 +161,19 @@ DistributedReport DistributedEngine::evaluate(
         // The rank's device is gone: replace it with a fresh one (as a
         // real resource manager would re-acquire a context) and re-run
         // the block. The replacement starts with no fault plan armed.
-        state.device = make_device();
-        state.device->fault().set_sink(&block_log);
+        device = make_device();
         ++report.device_losses;
-        reg.add(counters.losses);
+        reg.add(device_losses);
       }
     }
-    state.log.append(block_log);
+    rank_logs_[b % ranks].append(block_log);
 
     if (outcome.executed != strategy_kind) {
       ++report.degraded_blocks;
-      reg.add(counters.degraded);
+      reg.add(degraded_blocks);
     }
     report.strategy_degradations += outcome.degradations.size();
-    reg.add(counters.blocks);
+    reg.add(blocks_executed);
     block_span.add_sim_seconds(block_log.total_sim_seconds());
 
     // Keep only interior cells; ghost-cell results are discarded.
@@ -215,35 +194,26 @@ DistributedReport DistributedEngine::evaluate(
 
   const kernels::ProgramCacheStats cache_after =
       kernels::ProgramCache::instance().thread_stats();
-  report.pipeline_cache_hits =
-      (cache_after.pipeline_hits - cache_before.pipeline_hits) +
-      (cache_after.standalone_hits - cache_before.standalone_hits);
-  report.pipeline_cache_misses =
-      (cache_after.pipeline_misses - cache_before.pipeline_misses) +
-      (cache_after.standalone_misses - cache_before.standalone_misses);
+  report.pipeline_cache_hits = cache_after.hits() - cache_before.hits();
+  report.pipeline_cache_misses = cache_after.misses() - cache_before.misses();
 
   report.ghost_messages = exchanger.messages();
   report.ghost_bytes = exchanger.bytes();
   for (std::size_t r = 0; r < ranks; ++r) {
-    const vcl::ProfilingLog& log = states[r].log;
+    const vcl::ProfilingLog& log = rank_logs_[r];
     report.max_rank_sim_seconds =
         std::max(report.max_rank_sim_seconds, log.total_sim_seconds());
     report.total_sim_seconds += log.total_sim_seconds();
-    report.total_dev_writes += log.count(vcl::EventKind::host_to_device);
-    report.total_dev_reads += log.count(vcl::EventKind::device_to_host);
-    report.total_kernel_execs += log.count(vcl::EventKind::kernel_exec);
-    report.command_timeouts += log.count(vcl::EventKind::timeout);
-    report.checksum_mismatches += log.count(vcl::EventKind::integrity);
+    const vcl::EventTally events = vcl::tally(log.events());
+    report.total_dev_writes += events.dev_writes;
+    report.total_dev_reads += events.dev_reads;
+    report.total_kernel_execs += events.kernel_execs;
+    report.command_timeouts += events.timeouts;
+    report.checksum_mismatches += events.checksum_mismatches;
+    report.command_retries += events.retries;
+    report.injected_faults += events.injected_faults;
     report.max_device_high_water = std::max(
-        report.max_device_high_water, states[r].device->memory().high_water());
-    for (const vcl::Event& event : log.events()) {
-      if (event.kind != vcl::EventKind::fault) continue;
-      if (event.label.rfind("retry:", 0) == 0) {
-        ++report.command_retries;
-      } else {
-        ++report.injected_faults;
-      }
-    }
+        report.max_device_high_water, devices[r]->memory().high_water());
   }
   request_span.add_sim_seconds(report.total_sim_seconds);
   return report;

@@ -107,11 +107,18 @@ class DistributedEngine {
   DistributedReport evaluate(std::string_view expression,
                              runtime::StrategyKind strategy);
 
+  /// Profiling logs of the most recent evaluation, one per rank; the
+  /// report's device counters are their vcl::tally.
+  const std::vector<vcl::ProfilingLog>& rank_logs() const {
+    return rank_logs_;
+  }
+
  private:
   const mesh::RectilinearMesh* mesh_;
   GridDecomposition decomposition_;
   ClusterConfig config_;
   std::map<std::string, std::span<const float>> global_arrays_;
+  std::vector<vcl::ProfilingLog> rank_logs_;
 };
 
 }  // namespace dfg::distrib

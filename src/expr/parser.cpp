@@ -47,8 +47,7 @@ class Parser {
     return false;
   }
   /// Rejects a tree taller than kMaxSyntaxDepth at its root's position.
-  /// A long left-associative chain (`u+u+...`) grows the tree without
-  /// deepening the parser's recursion, so nesting alone misses it.
+  /// Operator chains (`u+u+...`) are bounded by parse_chain instead.
   NodePtr bounded(NodePtr node) const {
     if (node->height > kMaxSyntaxDepth) {
       throw too_deep(node->line, node->column);
@@ -137,27 +136,38 @@ class Parser {
   }
 
   NodePtr parse_additive() {
-    NodePtr lhs = parse_multiplicative();
-    while (at(TokenKind::plus) || at(TokenKind::minus)) {
-      const Token tok = consume();
-      const BinaryOp op =
-          tok.kind == TokenKind::plus ? BinaryOp::add : BinaryOp::sub;
-      NodePtr rhs = parse_multiplicative();
-      lhs = bounded(std::make_unique<BinaryNode>(
-          op, std::move(lhs), std::move(rhs), tok.line, tok.column));
-    }
-    return lhs;
+    return parse_chain(TokenKind::plus, BinaryOp::add, TokenKind::minus,
+                       BinaryOp::sub, &Parser::parse_multiplicative);
   }
 
   NodePtr parse_multiplicative() {
-    NodePtr lhs = parse_unary();
-    while (at(TokenKind::star) || at(TokenKind::slash)) {
+    return parse_chain(TokenKind::star, BinaryOp::mul, TokenKind::slash,
+                       BinaryOp::div, &Parser::parse_unary);
+  }
+
+  /// A left-associative chain `operand (op operand)*`. Each operand adds
+  /// a tree level, so a chain taller than kMaxSyntaxDepth is refused, with
+  /// its full operand count: the rest of the chain is still read.
+  NodePtr parse_chain(TokenKind first, BinaryOp first_op, TokenKind second,
+                      BinaryOp second_op, NodePtr (Parser::*operand)()) {
+    NodePtr lhs = (this->*operand)();
+    for (std::size_t operands = 2; at(first) || at(second); ++operands) {
       const Token tok = consume();
-      const BinaryOp op =
-          tok.kind == TokenKind::star ? BinaryOp::mul : BinaryOp::div;
-      NodePtr rhs = parse_unary();
-      lhs = bounded(std::make_unique<BinaryNode>(
-          op, std::move(lhs), std::move(rhs), tok.line, tok.column));
+      NodePtr rhs = (this->*operand)();
+      lhs = std::make_unique<BinaryNode>(
+          tok.kind == first ? first_op : second_op, std::move(lhs),
+          std::move(rhs), tok.line, tok.column);
+      if (lhs->height <= kMaxSyntaxDepth) continue;
+      for (; at(first) || at(second); ++operands) {
+        consume();
+        (this->*operand)();
+      }
+      throw ParseError(
+          "operator chain of " + std::to_string(operands) +
+              " operands is too long: each operand adds a level to the "
+              "expression tree, which is limited to " +
+              std::to_string(kMaxSyntaxDepth) + " levels",
+          tok.line, tok.column);
     }
     return lhs;
   }

@@ -20,7 +20,10 @@
 //
 // Depth is bounded: a tree taller than kMaxSyntaxDepth, or input nested
 // deeper than that (parentheses, calls, unary minus), is a ParseError, not
-// a stack overflow in the parser or in any later pass over the tree.
+// a stack overflow in the parser or in any later pass over the tree. A
+// flat operator chain (`u + u + ...`) adds one tree level per operand; one
+// that crosses the bound is reported as a chain-length error naming the
+// chain's full operand count.
 #pragma once
 
 #include <string_view>

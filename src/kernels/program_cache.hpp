@@ -47,6 +47,10 @@ struct ProgramCacheStats {
   std::uint64_t pipeline_misses = 0;
   std::uint64_t standalone_hits = 0;
   std::uint64_t standalone_misses = 0;
+
+  /// Both caches together, as the reports count them.
+  std::uint64_t hits() const { return pipeline_hits + standalone_hits; }
+  std::uint64_t misses() const { return pipeline_misses + standalone_misses; }
 };
 
 /// Monotonic totals for the jit module cache (process-wide; the same

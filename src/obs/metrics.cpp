@@ -230,26 +230,6 @@ std::uint64_t MetricsRegistry::thread_counter_value(MetricId id) const {
   return slot == nullptr ? 0 : slot->load(std::memory_order_relaxed);
 }
 
-std::uint64_t MetricsRegistry::thread_counter_sum(const std::string& name,
-                                                  const Labels& having) const {
-  Shard& shard = this_thread_shard();  // before the lock: acquiring may lock
-  std::scoped_lock lock(mutex_);
-  std::uint64_t total = 0;
-  for (const Meta& meta : metas_) {
-    if (meta.kind != MetricKind::counter || meta.name != name) continue;
-    const bool matches = std::all_of(
-        having.begin(), having.end(), [&](const auto& pair) {
-          return std::find(meta.labels.begin(), meta.labels.end(), pair) !=
-                 meta.labels.end();
-        });
-    if (!matches) continue;
-    if (const auto* slot = shard.slot(meta.id, false)) {
-      total += slot->load(std::memory_order_relaxed);
-    }
-  }
-  return total;
-}
-
 std::uint64_t MetricsRegistry::gauge_value(MetricId id) const {
   return gauges_[id].load(std::memory_order_relaxed);
 }

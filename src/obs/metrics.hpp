@@ -5,9 +5,9 @@
 //   counters   — monotonic uint64 totals. The write path is lock-free: each
 //                thread owns a private shard of atomic slots and increments
 //                with relaxed atomics; a scrape merges all shards. Counters
-//                are *always live* — the report structs (EvaluationReport,
-//                ServiceSnapshot, …) are thin views over counter deltas, so
-//                disabling metrics must not zero them.
+//                are *always live* — ServiceSnapshot's scalars are views
+//                over them, so disabling metrics must not zero them. (Device
+//                event reports tally their ProfilingLog instead.)
 //   gauges     — registry-level atomics with set / record-max semantics
 //                (buffer high-water marks, queue depth).
 //   histograms — fixed log2-bucket distributions of simulated-time
@@ -89,15 +89,9 @@ class MetricsRegistry {
   // --- Reads ---
   /// Merged total across every shard.
   std::uint64_t counter_value(MetricId id) const;
-  /// The calling thread's shard only. Reports take before/after deltas of
-  /// this so concurrent evaluations never leak traffic into each other.
+  /// The calling thread's shard only: before/after deltas of it never see
+  /// concurrent evaluations' traffic (ProgramCache::thread_stats).
   std::uint64_t thread_counter_value(MetricId id) const;
-  /// Sum of thread_counter_value over every registered counter named
-  /// `name` whose label set contains every pair in `having` (e.g. event
-  /// totals of one kind across all devices a single-threaded distributed
-  /// run touched).
-  std::uint64_t thread_counter_sum(const std::string& name,
-                                   const Labels& having = {}) const;
   std::uint64_t gauge_value(MetricId id) const;
 
   /// DFGEN_METRICS gate for gauges, histograms and spans (counters always

@@ -1,5 +1,6 @@
 #include "runtime/fallback.hpp"
 
+#include <span>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -24,23 +25,55 @@ void observe_attempt(const char* strategy, const char* outcome,
               obs::sim_nanos(sim_delta_seconds));
 }
 
-}  // namespace
-
-std::size_t ladder_position(StrategyKind kind) {
-  for (std::size_t i = 0; i < kLadderLength; ++i) {
-    if (kMemoryLadder[i] == kind) return i;
+/// Publishes one device's dfgen_vcl_* series from `events`, the commands
+/// one execute_with_fallback call appended to its log, so every series
+/// equals the log it came from. Each event's nanoseconds are rounded on
+/// their own, as the histogram sees them. The counters of every kind but
+/// `fault` are added even at zero, so fault-free snapshots list them.
+void publish_events(const std::string& device,
+                    std::span<const vcl::Event> events) {
+  obs::MetricsRegistry& reg = obs::metrics();
+  std::uint64_t flops = 0;
+  for (int k = 0; k < vcl::kEventKindCount; ++k) {
+    const auto kind = static_cast<vcl::EventKind>(k);
+    const obs::Labels labels{{"device", device},
+                             {"kind", vcl::event_kind_slug(kind)}};
+    std::uint64_t count = 0, bytes = 0, nanos = 0;
+    obs::MetricId histogram = 0;
+    for (const vcl::Event& event : events) {
+      if (event.kind != kind) continue;
+      if (count++ == 0) {
+        histogram = reg.histogram("dfgen_vcl_command_sim_nanos", labels);
+      }
+      const std::uint64_t event_nanos = obs::sim_nanos(event.sim_seconds);
+      reg.observe(histogram, event_nanos);
+      nanos += event_nanos;
+      bytes += event.bytes;
+      flops += event.flops;
+    }
+    if (count == 0 && kind == vcl::EventKind::fault) continue;
+    reg.add(reg.counter("dfgen_vcl_events_total", labels), count);
+    if (count == 0) continue;
+    reg.add(reg.counter("dfgen_vcl_bytes_total", labels), bytes);
+    reg.add(reg.counter("dfgen_vcl_sim_nanos_total", labels), nanos);
   }
-  throw Error("strategy kind is not on the memory ladder");
+  const obs::Labels on_device{{"device", device}};
+  if (flops != 0) {
+    reg.add(reg.counter("dfgen_vcl_flops_total", on_device), flops);
+  }
+  const vcl::EventTally tally = vcl::tally(events);
+  reg.add(reg.counter("dfgen_vcl_command_retries_total", on_device),
+          tally.retries);
+  reg.add(reg.counter("dfgen_vcl_faults_injected_total", on_device),
+          tally.injected_faults);
 }
 
-FallbackOutcome execute_with_fallback(const dataflow::Network& network,
-                                      const FieldBindings& bindings,
-                                      std::size_t elements,
-                                      vcl::Device& device,
-                                      vcl::ProfilingLog& log,
-                                      StrategyKind requested,
-                                      const FallbackPolicy& policy,
-                                      std::size_t streamed_chunk_cells) {
+FallbackOutcome run_ladder(const dataflow::Network& network,
+                           const FieldBindings& bindings,
+                           std::size_t elements, vcl::Device& device,
+                           vcl::ProfilingLog& log, StrategyKind requested,
+                           const FallbackPolicy& policy,
+                           std::size_t streamed_chunk_cells) {
   device.set_retry_policy(policy.retry);
   device.set_watchdog_factor(policy.deadline_factor);
   obs::MetricsRegistry& reg = obs::metrics();
@@ -109,6 +142,39 @@ FallbackOutcome execute_with_fallback(const dataflow::Network& network,
     }
   }
   throw Error("fallback ladder exhausted");  // unreachable
+}
+
+}  // namespace
+
+std::size_t ladder_position(StrategyKind kind) {
+  for (std::size_t i = 0; i < kLadderLength; ++i) {
+    if (kMemoryLadder[i] == kind) return i;
+  }
+  throw Error("strategy kind is not on the memory ladder");
+}
+
+FallbackOutcome execute_with_fallback(const dataflow::Network& network,
+                                      const FieldBindings& bindings,
+                                      std::size_t elements,
+                                      vcl::Device& device,
+                                      vcl::ProfilingLog& log,
+                                      StrategyKind requested,
+                                      const FallbackPolicy& policy,
+                                      std::size_t streamed_chunk_cells) {
+  const std::size_t first = log.events().size();
+  const auto publish = [&] {
+    publish_events(device.spec().name, std::span(log.events()).subspan(first));
+  };
+  try {
+    FallbackOutcome outcome = run_ladder(network, bindings, elements, device,
+                                         log, requested, policy,
+                                         streamed_chunk_cells);
+    publish();
+    return outcome;
+  } catch (...) {
+    publish();
+    throw;
+  }
 }
 
 }  // namespace dfg::runtime

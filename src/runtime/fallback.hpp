@@ -105,6 +105,10 @@ std::size_t ladder_position(StrategyKind kind);
 /// per `policy`. With the policy disabled this is exactly
 /// make_strategy(requested)->execute(...): same command stream, same
 /// errors. Throws the last rung's error when no rung succeeds.
+/// On return and on a throw alike, the events this call appended to `log`
+/// are published to the device's dfgen_vcl_* series. Every evaluation path
+/// runs here, so the series count each device event once; a strategy run
+/// directly (benches, run_reference) feeds only its log.
 FallbackOutcome execute_with_fallback(const dataflow::Network& network,
                                       const FieldBindings& bindings,
                                       std::size_t elements,

@@ -436,11 +436,12 @@ void EvalService::execute_batch(
   } catch (const std::exception& e) {
     error = e.what();
     // The failing evaluation's partial log still carries its device
-    // events (timeouts, faults) for the incident counters below.
+    // events (timeouts, retries, faults) for the incident counters below.
     merged_log.append(engine.log());
   }
 
   batch_span.add_sim_seconds(merged_log.total_sim_seconds());
+  const vcl::EventTally incidents = vcl::tally(merged_log.events());
 
   {
     std::scoped_lock lock(mutex_);
@@ -451,16 +452,12 @@ void EvalService::execute_batch(
     if (evaluation != nullptr) {
       reg.add(svc_counter(svc_, "dfgen_svc_degradations_total"),
               evaluation->degradations.size());
-      reg.add(incidents_counter(svc_, "timeout"),
-              evaluation->command_timeouts);
-      reg.add(incidents_counter(svc_, "retry"), evaluation->command_retries);
-      reg.add(incidents_counter(svc_, "fault"), evaluation->injected_faults);
-    } else {
-      // The failed evaluation left no report; its device events still count.
-      reg.add(incidents_counter(svc_, "timeout"),
-              merged_log.count(vcl::EventKind::timeout));
-      reg.add(incidents_counter(svc_, "fault"), device.fault().run_faults());
     }
+    // Counted from the log on both paths: a failed evaluation leaves no
+    // report, but its device events still happened.
+    reg.add(incidents_counter(svc_, "timeout"), incidents.timeouts);
+    reg.add(incidents_counter(svc_, "retry"), incidents.retries);
+    reg.add(incidents_counter(svc_, "fault"), incidents.injected_faults);
     for (const std::shared_ptr<Pending>& pending : batch) {
       snapshot_.total_queue_wait_seconds += seconds_since(pending->admitted_at);
     }

@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "vcl/profiling.hpp"
 
@@ -36,17 +35,9 @@ void FaultInjector::begin_run() {
   command_index_ = 0;
   completed_commands_ = 0;
   slowdown_recorded_ = false;
-  run_faults_ = 0;
 }
 
 void FaultInjector::record(const std::string& label) {
-  ++run_faults_;
-  // Counted here, not at the sink: the sink changes (the distributed
-  // engine points it at each block's log), so the registry total tracks
-  // every injection whichever log records it.
-  obs::MetricsRegistry& reg = obs::metrics();
-  reg.add(reg.counter("dfgen_vcl_faults_injected_total",
-                      {{"device", device_name_}}));
   if (sink_ != nullptr) {
     sink_->record(Event{EventKind::fault, label, 0, 0, 0.0, 0.0});
   }

@@ -33,6 +33,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "vcl/event.hpp"
 
@@ -148,16 +149,28 @@ class FaultInjector {
   void arm(FaultPlan plan);
   void disarm() { arm(FaultPlan{}); }
   bool armed() const { return armed_; }
-  const FaultPlan& plan() const { return plan_; }
 
   /// Resets the per-run indices so a plan fires the same way on every
   /// evaluation. Device loss is sticky: a lost device stays lost.
   void begin_run();
 
-  /// Where injected-fault events are recorded. The CommandQueue attaches
-  /// its log on construction; the sink is only dereferenced while commands
-  /// run and must stay valid for that long.
-  void set_sink(ProfilingLog* sink) { sink_ = sink; }
+  /// Records injected faults into `sink` for this object's lifetime, then
+  /// restores the previous sink; scopes nest. Each CommandQueue holds one
+  /// for its log, so a sink never outlives its owner. The injector must
+  /// outlive the scope.
+  class SinkScope {
+   public:
+    SinkScope(FaultInjector& injector, ProfilingLog* sink)
+        : injector_(injector),
+          previous_(std::exchange(injector.sink_, sink)) {}
+    ~SinkScope() { injector_.sink_ = previous_; }
+    SinkScope(const SinkScope&) = delete;
+    SinkScope& operator=(const SinkScope&) = delete;
+
+   private:
+    FaultInjector& injector_;
+    ProfilingLog* previous_;
+  };
 
   /// Allocation site: called before the MemoryTracker reserves. Throws
   /// DeviceOutOfMemory (scheduled or synthetic-capacity) or DeviceLost.
@@ -186,8 +199,6 @@ class FaultInjector {
   double backoff_seconds(int attempt, const RetryPolicy& policy);
 
   bool device_lost() const { return lost_; }
-  /// Faults injected since begin_run() (all sites).
-  std::size_t run_faults() const { return run_faults_; }
 
   /// Bytes still allocatable under the synthetic capacity (SIZE_MAX when
   /// the plan does not cap memory). The streamed auto-sizer and the planner
@@ -211,7 +222,6 @@ class FaultInjector {
   std::size_t command_index_ = 0;  ///< all enqueue attempts, any site
   std::size_t completed_commands_ = 0;
   bool slowdown_recorded_ = false;
-  std::size_t run_faults_ = 0;
 };
 
 }  // namespace dfg::vcl

@@ -59,8 +59,6 @@ std::size_t ProfilingLog::count(EventKind kind) const {
   return counts_[static_cast<std::size_t>(kind)];
 }
 
-std::size_t ProfilingLog::total_count() const { return events_.size(); }
-
 double ProfilingLog::sim_seconds(EventKind kind) const {
   return sim_seconds_[static_cast<std::size_t>(kind)];
 }
@@ -86,6 +84,28 @@ void ProfilingLog::clear() {
   bytes_.fill(0);
   wall_seconds_ = 0.0;
   flops_ = 0;
+}
+
+EventTally tally(std::span<const Event> events) {
+  std::array<std::size_t, kEventKindCount> counts{};
+  std::size_t retries = 0;
+  for (const Event& event : events) {
+    ++counts[static_cast<std::size_t>(event.kind)];
+    if (event.kind == EventKind::fault &&
+        event.label.starts_with(kRetryLabelPrefix)) {
+      ++retries;
+    }
+  }
+  const auto count = [&](EventKind kind) {
+    return counts[static_cast<std::size_t>(kind)];
+  };
+  return {.dev_writes = count(EventKind::host_to_device),
+          .dev_reads = count(EventKind::device_to_host),
+          .kernel_execs = count(EventKind::kernel_exec),
+          .timeouts = count(EventKind::timeout),
+          .checksum_mismatches = count(EventKind::integrity),
+          .retries = retries,
+          .injected_faults = count(EventKind::fault) - retries};
 }
 
 }  // namespace dfg::vcl

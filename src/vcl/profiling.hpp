@@ -5,11 +5,16 @@
 // accumulates events per category and exposes the aggregates the three
 // evaluation studies need: event counts (Table II), summed simulated time
 // (Figure 5) and bytes moved.
+// It is the only record of device commands: reports count it with
+// vcl::tally, and execute_with_fallback publishes the dfgen_vcl_* series
+// from it.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "vcl/event.hpp"
@@ -26,7 +31,6 @@ class ProfilingLog {
 
   /// Number of events of one kind (e.g. Dev-W count for Table II).
   std::size_t count(EventKind kind) const;
-  std::size_t total_count() const;
 
   /// Summed simulated duration over one kind / over everything (seconds).
   double sim_seconds(EventKind kind) const;
@@ -53,5 +57,24 @@ class ProfilingLog {
   double wall_seconds_ = 0.0;
   std::uint64_t flops_ = 0;
 };
+
+/// Label prefix of the Fault event the command queue records when it
+/// retries a command; any other Fault event is an injected fault.
+inline constexpr std::string_view kRetryLabelPrefix = "retry:";
+
+/// A run of events counted by category: the device-event figures of
+/// every report. Fault events split by kRetryLabelPrefix into retries and
+/// injected faults.
+struct EventTally {
+  std::size_t dev_writes = 0;           ///< Dev-W
+  std::size_t dev_reads = 0;            ///< Dev-R
+  std::size_t kernel_execs = 0;         ///< K-Exe
+  std::size_t timeouts = 0;             ///< T-Out
+  std::size_t checksum_mismatches = 0;  ///< Chksum
+  std::size_t retries = 0;
+  std::size_t injected_faults = 0;
+};
+
+EventTally tally(std::span<const Event> events);
 
 }  // namespace dfg::vcl

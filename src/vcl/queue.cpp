@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "support/checksum.hpp"
 #include "support/error.hpp"
@@ -12,32 +11,6 @@
 
 namespace dfg::vcl {
 
-namespace {
-
-/// Mirrors one recorded Event into the metrics registry: the per-device
-/// event/byte/sim-nanosecond counters (always live — the report structs are
-/// views over their deltas) and, when metrics are enabled, the per-command
-/// simulated-latency histogram. Commands execute on the evaluating thread
-/// (parallel_for workers never reach here), so thread-shard deltas
-/// attribute exactly one evaluation's traffic.
-void count_event(const std::string& device, EventKind kind, std::size_t bytes,
-                 std::uint64_t flops, double sim_seconds) {
-  obs::MetricsRegistry& reg = obs::metrics();
-  const obs::Labels by_kind{{"device", device},
-                            {"kind", event_kind_slug(kind)}};
-  const std::uint64_t nanos = obs::sim_nanos(sim_seconds);
-  reg.add(reg.counter("dfgen_vcl_events_total", by_kind));
-  reg.add(reg.counter("dfgen_vcl_bytes_total", by_kind), bytes);
-  reg.add(reg.counter("dfgen_vcl_sim_nanos_total", by_kind), nanos);
-  if (flops != 0) {
-    reg.add(reg.counter("dfgen_vcl_flops_total", {{"device", device}}),
-            flops);
-  }
-  reg.observe(reg.histogram("dfgen_vcl_command_sim_nanos", by_kind), nanos);
-}
-
-}  // namespace
-
 void CommandQueue::run_command(
     EventKind site, const std::string& label, std::size_t bytes,
     std::uint64_t flops, double estimate_seconds,
@@ -45,10 +18,8 @@ void CommandQueue::run_command(
     const std::function<std::span<float>()>& execute) {
   FaultInjector& fault = device_->fault();
   const bool armed = fault.armed();
-  if (armed) fault.set_sink(log_);
   const RetryPolicy& policy = device_->retry_policy();
   const char* site_name = event_kind_name(site);
-  const std::string& device_name = device_->spec().name;
   // One command = one span, covering every retry attempt. The simulated
   // time attributed to it is the sum of everything charged to the device
   // timeline on its behalf (backoffs, burnt deadlines, re-executions).
@@ -66,11 +37,9 @@ void CommandQueue::run_command(
         if (attempt >= policy.max_attempts) throw;
         const double backoff = fault.backoff_seconds(attempt, policy);
         log_->record(Event{EventKind::fault,
-                           "retry:" + std::string(site_name) + ":" + label,
+                           std::string(kRetryLabelPrefix) + site_name + ":" +
+                               label,
                            0, 0, backoff, 0.0});
-        count_event(device_name, EventKind::fault, 0, 0, backoff);
-        obs::metrics().add(obs::metrics().counter(
-            "dfgen_vcl_command_retries_total", {{"device", device_name}}));
         span.add_sim_seconds(backoff);
         continue;
       }
@@ -91,7 +60,6 @@ void CommandQueue::run_command(
       log_->record(Event{EventKind::timeout,
                          "timeout:" + std::string(site_name) + ":" + label,
                          bytes, 0, deadline, 0.0});
-      count_event(device_name, EventKind::timeout, bytes, 0, deadline);
       span.add_sim_seconds(deadline);
       // A hang is one wedged command: a fresh attempt probes the device
       // and is absorbed by the retry budget. An over-deadline slowdown is
@@ -127,7 +95,6 @@ void CommandQueue::run_command(
       log_->record(Event{EventKind::integrity,
                          "checksum:" + std::string(site_name) + ":" + label,
                          bytes, 0, charged, wall});
-      count_event(device_name, EventKind::integrity, bytes, 0, charged);
       span.add_sim_seconds(charged);
       if (attempt >= policy.max_attempts) {
         throw DataCorruption(device_->spec().name, site_name, label);
@@ -136,7 +103,6 @@ void CommandQueue::run_command(
     }
 
     log_->record(Event{site, label, bytes, flops, charged, wall});
-    count_event(device_name, site, bytes, flops, charged);
     span.add_sim_seconds(charged);
     complete();
     return;

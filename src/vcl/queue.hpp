@@ -4,7 +4,9 @@
 // Every operation executes synchronously (the paper's framework also
 // enqueues, waits and then reads the profiling timestamps), is timed with a
 // wall clock, priced by the device cost model, and recorded in the attached
-// ProfilingLog as a Dev-W / Dev-R / K-Exe event.
+// ProfilingLog as a Dev-W / Dev-R / K-Exe event. The log is the queue's only
+// output: the queue touches no metrics registry, and the dfgen_vcl_* series
+// are published from the log by runtime::execute_with_fallback.
 //
 // Two defensive layers wrap every command:
 //   * a watchdog — the command's charged simulated duration is compared
@@ -69,15 +71,14 @@ struct KernelLaunch {
 
 class CommandQueue {
  public:
+  /// Injected faults during this queue's lifetime (including allocation
+  /// faults raised outside the queue) are recorded into `log`.
   CommandQueue(Device& device, ProfilingLog& log)
       : device_(&device),
         log_(&log),
         cost_(device.spec()),
-        integrity_seed_(support::fnv1a(device.spec().name)) {
-    // Injected faults during this queue's lifetime (including allocation
-    // faults raised outside the queue) are recorded into this log.
-    device_->fault().set_sink(log_);
-  }
+        integrity_seed_(support::fnv1a(device.spec().name)),
+        fault_sink_(device.fault(), &log) {}
 
   Device& device() { return *device_; }
   ProfilingLog& log() { return *log_; }
@@ -118,6 +119,7 @@ class CommandQueue {
   /// Seed of the transfer checksums, derived from the device name so two
   /// devices never share a digest stream.
   std::uint64_t integrity_seed_;
+  FaultInjector::SinkScope fault_sink_;
 };
 
 }  // namespace dfg::vcl

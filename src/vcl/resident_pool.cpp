@@ -71,9 +71,8 @@ std::shared_ptr<const Buffer> ResidentPool::acquire(
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
     if (it != entries_.end() && it->second.generation == generation) {
-      count(&Stats::hits, "dfgen_resident_hits_total");
-      count(&Stats::upload_bytes_saved, "dfgen_resident_upload_bytes_saved",
-            bytes);
+      count(hits_, "dfgen_resident_hits_total");
+      count(upload_bytes_saved_, "dfgen_resident_upload_bytes_saved", bytes);
       it->second.last_use = ++tick_;
       return it->second.buffer;
     }
@@ -82,7 +81,7 @@ std::shared_ptr<const Buffer> ResidentPool::acquire(
       // serving the old bytes would be a coherence violation. The entry
       // leaves before its replacement is allocated; a holder keeps its
       // bytes, otherwise they are freed here.
-      count(&Stats::invalidations, "dfgen_resident_invalidations_total");
+      count(invalidations_, "dfgen_resident_invalidations_total");
       erase_entry_locked(it);
       publish_gauge();
     }
@@ -108,7 +107,7 @@ std::shared_ptr<const Buffer> ResidentPool::acquire(
   }
   entries_.emplace(key, Entry{handle, generation, ++tick_});
   resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  count(&Stats::misses, "dfgen_resident_misses_total");
+  count(misses_, "dfgen_resident_misses_total");
   publish_gauge();
   return handle;
 }
@@ -140,7 +139,7 @@ std::size_t ResidentPool::evict_lru_unpinned_locked() {
   if (victim == entries_.end()) return 0;
   const std::size_t freed = victim->second.buffer->bytes();
   erase_entry_locked(victim);
-  count(&Stats::evictions, "dfgen_resident_evictions_total");
+  count(evictions_, "dfgen_resident_evictions_total");
   publish_gauge();
   return freed;
 }
@@ -162,19 +161,9 @@ void ResidentPool::erase_entry_locked(EntryMap::iterator it) {
   resident_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
-void ResidentPool::count(std::uint64_t Stats::*member, const char* counter,
-                         std::uint64_t delta) {
-  if (member == &Stats::hits) {
-    hits_.fetch_add(delta, std::memory_order_relaxed);
-  } else if (member == &Stats::misses) {
-    misses_.fetch_add(delta, std::memory_order_relaxed);
-  } else if (member == &Stats::evictions) {
-    evictions_.fetch_add(delta, std::memory_order_relaxed);
-  } else if (member == &Stats::invalidations) {
-    invalidations_.fetch_add(delta, std::memory_order_relaxed);
-  } else {
-    upload_bytes_saved_.fetch_add(delta, std::memory_order_relaxed);
-  }
+void ResidentPool::count(std::atomic<std::uint64_t>& stat,
+                         const char* counter, std::uint64_t delta) {
+  stat.fetch_add(delta, std::memory_order_relaxed);
   obs::MetricsRegistry& reg = obs::metrics();
   reg.add(reg.counter(counter, {{"device", device_->spec().name}}), delta);
 }

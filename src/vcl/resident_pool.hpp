@@ -165,7 +165,7 @@ class ResidentPool {
   /// Removes an entry from the map and keeps resident_bytes_ exact; the
   /// buffer is freed here unless a caller still holds it.
   void erase_entry_locked(EntryMap::iterator it);
-  void count(std::uint64_t Stats::*member, const char* counter,
+  void count(std::atomic<std::uint64_t>& stat, const char* counter,
              std::uint64_t delta = 1);
   void publish_gauge();
 

@@ -25,6 +25,7 @@
 #include "runtime/strategy.hpp"
 #include "support/error.hpp"
 #include "vcl/catalog.hpp"
+#include "vcl/queue.hpp"
 #include "vcl/trace.hpp"
 
 namespace {
@@ -287,6 +288,43 @@ TEST(FaultInjection, EmptyPlanInjectsNothing) {
   EXPECT_EQ(report.command_retries, 0u);
   EXPECT_TRUE(report.degradations.empty());
   EXPECT_EQ(report.values, fx.reference);
+  EXPECT_EQ(fault_events(engine.log()), 0u);
+}
+
+// ----- The fault sink lives no longer than the log it points at -----
+
+// An engine's log receives injected faults only while it evaluates. Once
+// the engine is gone, a fault on its device must not reach the freed log
+// (AddressSanitizer reports the heap-use-after-free otherwise).
+TEST(FaultSink, DoesNotOutliveTheEngine) {
+  FaultFixture fx;
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  auto engine = std::make_unique<Engine>(
+      fx.make(device, StrategyKind::fusion, true));
+  engine->evaluate(expressions::kQCriterion);
+  engine.reset();
+
+  vcl::FaultPlan plan;
+  plan.fail_alloc_index = 1;
+  device.fault().arm(plan);
+  EXPECT_THROW(device.allocate(16), DeviceOutOfMemory);
+}
+
+// Sink scopes nest: after an evaluation, faults go back to the log of the
+// queue that was attached before it, not to the engine's.
+TEST(FaultSink, ReturnsToTheOuterLogAfterAnEvaluation) {
+  FaultFixture fx;
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  vcl::ProfilingLog outer;
+  vcl::CommandQueue queue(device, outer);
+  Engine engine = fx.make(device, StrategyKind::fusion, true);
+  engine.evaluate(expressions::kQCriterion);
+
+  vcl::FaultPlan plan;
+  plan.fail_alloc_index = 1;
+  device.fault().arm(plan);
+  EXPECT_THROW(device.allocate(16), DeviceOutOfMemory);
+  EXPECT_EQ(fault_events(outer), 1u);
   EXPECT_EQ(fault_events(engine.log()), 0u);
 }
 

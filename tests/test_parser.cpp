@@ -168,31 +168,73 @@ std::string long_sum(int terms) {
   return source;
 }
 
-void expect_too_deep(const std::string& source) {
+/// Parses `source`, which must fail on line 1 with a message containing
+/// `needle`.
+void expect_parse_error(const std::string& source, const std::string& needle) {
   try {
     parse(source);
     FAIL() << "expected ParseError";
   } catch (const dfg::ParseError& err) {
-    EXPECT_NE(std::string(err.what()).find("deeper than"), std::string::npos)
+    EXPECT_NE(std::string(err.what()).find(needle), std::string::npos)
         << err.what();
     EXPECT_EQ(err.line(), 1);
   }
 }
 
+void expect_too_deep(const std::string& source) {
+  expect_parse_error(source, "deeper than");
+}
+
+/// A flat chain is refused as a chain-length limit naming its full
+/// operand count, however far past the cap it runs.
+void expect_chain_too_long(int terms) {
+  expect_parse_error(long_sum(terms), "operator chain of " +
+                                          std::to_string(terms) +
+                                          " operands is too long");
+}
+
 TEST(Parser, TooDeepInputThrowsParseError) {
   expect_too_deep(nested_parens(30000));
   expect_too_deep(chained_negation(30000));
-  expect_too_deep(long_sum(100000));
+  expect_chain_too_long(100000);
 }
 
 TEST(Parser, DepthCapCountsTreeHeightExactly) {
   // A sum of n terms is a tree n levels tall.
   EXPECT_EQ(parse(long_sum(kMaxSyntaxDepth)).statements[0].value->height,
             kMaxSyntaxDepth);
-  expect_too_deep(long_sum(kMaxSyntaxDepth + 1));
+  expect_chain_too_long(kMaxSyntaxDepth + 1);
   // The statement's expression is one level of nesting, each '(' another.
   EXPECT_NO_THROW(parse(nested_parens(kMaxSyntaxDepth - 1)));
   expect_too_deep(nested_parens(kMaxSyntaxDepth));
+}
+
+TEST(Parser, ChainOf257TermsReportsItsLength) {
+  // r = u + u + ... with 257 operands: flat, not nested, so the error is
+  // about the chain's length, with the cap it crossed.
+  expect_parse_error(long_sum(257),
+                     "operator chain of 257 operands is too long");
+  expect_parse_error(long_sum(257), "limited to 256 levels");
+  // Products chain the same way.
+  std::string product = "q = u";
+  for (int i = 1; i < 300; ++i) product += "*u";
+  expect_parse_error(product, "operator chain of 300 operands");
+}
+
+TEST(Parser, GenuineNestingReportsDepth) {
+  // Parenthesised sums nest: each level holds a two-operand chain, so the
+  // depth limit, not a chain length, is what the error names.
+  std::string nested = "u";
+  for (int i = 0; i < 300; ++i) nested = "(" + nested + " + u)";
+  try {
+    parse("q = " + nested);
+    FAIL() << "expected ParseError";
+  } catch (const dfg::ParseError& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("nests deeper than 256 levels"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("chain"), std::string::npos) << what;
+  }
 }
 
 TEST(Parser, PositionsPropagateToNodes) {

@@ -1,23 +1,25 @@
-// Differential parity tests between the report structs and the metrics
-// registry.
+// Differential parity tests between the report structs, the profiling
+// logs they are counted from and the metrics registry.
 //
-// The refactor made some reports *views over registry deltas* (Engine,
-// EvalService) while others stayed log-derived (DistributedEngine). Each
-// direction gets an honest differential here:
+// Every device event is recorded once, in a ProfilingLog. Reports count it
+// with vcl::tally; runtime::execute_with_fallback publishes the dfgen_vcl_*
+// series from the same events. So each direction is checked here:
 //
-//   * Engine — the registry-backed report must equal the seed-era
-//     recomputation from the engine's profiling log (event counts, the
-//     "retry:" label scan, the injector's run_faults) on clean AND faulty
-//     runs.
-//   * DistributedEngine — the log-derived report must equal the registry's
-//     thread-shard deltas over the same evaluation, including the
-//     dist-layer counters (blocks, device losses, degraded blocks), on a
-//     faulty run.
+//   * Registry equals log — for every EventKind, the events, bytes and
+//     simulated-nanosecond series equal the log's count, bytes and summed
+//     per-event nanoseconds, after a faulty Engine evaluation and after a
+//     faulty DistributedEngine evaluation.
+//   * Engine and DistributedEngine — the report equals the registry's
+//     totals (a fresh registry per test, so deltas) over the same
+//     evaluation, on clean AND faulty runs (the distributed one including
+//     the dist-layer counters).
 //   * EvalService — the registry-backed snapshot must equal what the
 //     resolved tickets say happened.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -50,47 +52,121 @@ struct Workload {
   }
 };
 
-/// Recomputes an EvaluationReport's device counters the way the seed code
-/// did — straight from the profiling log and the injector.
-struct SeedEraCounts {
-  std::uint64_t dev_writes, dev_reads, kernel_execs, command_timeouts,
-      checksum_mismatches, command_retries, injected_faults;
-
-  static SeedEraCounts from(const vcl::ProfilingLog& log,
-                            const vcl::Device& device) {
-    SeedEraCounts counts{};
-    counts.dev_writes = log.count(vcl::EventKind::host_to_device);
-    counts.dev_reads = log.count(vcl::EventKind::device_to_host);
-    counts.kernel_execs = log.count(vcl::EventKind::kernel_exec);
-    counts.command_timeouts = log.count(vcl::EventKind::timeout);
-    counts.checksum_mismatches = log.count(vcl::EventKind::integrity);
-    for (const vcl::Event& event : log.events()) {
-      if (event.kind == vcl::EventKind::fault &&
-          event.label.rfind("retry:", 0) == 0) {
-        ++counts.command_retries;
-      }
-    }
-    counts.injected_faults = device.fault().run_faults();
-    return counts;
-  }
-};
-
-void expect_report_matches(const EvaluationReport& report,
-                           const SeedEraCounts& want) {
-  EXPECT_EQ(report.dev_writes, want.dev_writes);
-  EXPECT_EQ(report.dev_reads, want.dev_reads);
-  EXPECT_EQ(report.kernel_execs, want.kernel_execs);
-  EXPECT_EQ(report.command_timeouts, want.command_timeouts);
-  EXPECT_EQ(report.checksum_mismatches, want.checksum_mismatches);
-  EXPECT_EQ(report.command_retries, want.command_retries);
-  EXPECT_EQ(report.injected_faults, want.injected_faults);
+/// One series' total in the current registry. Each test installs a fresh
+/// ScopedMetricsRegistry, so this is the delta over its evaluations.
+std::uint64_t series(const char* name, obs::Labels labels) {
+  obs::MetricsRegistry& reg = obs::metrics();
+  return reg.counter_value(reg.counter(name, std::move(labels)));
 }
 
-TEST(ReportParity, EngineReportEqualsLogRecomputationOnCleanRuns) {
+/// One device's series of one event kind.
+std::uint64_t of_kind(const char* name, const std::string& device,
+                      const char* kind) {
+  return series(name, {{"device", device}, {"kind", kind}});
+}
+
+std::uint64_t events_of(const std::string& device, const char* kind) {
+  return of_kind("dfgen_vcl_events_total", device, kind);
+}
+
+void expect_report_equals_registry(const EvaluationReport& report,
+                                   const std::string& device) {
+  EXPECT_EQ(report.dev_writes, events_of(device, "host_to_device"));
+  EXPECT_EQ(report.dev_reads, events_of(device, "device_to_host"));
+  EXPECT_EQ(report.kernel_execs, events_of(device, "kernel_exec"));
+  EXPECT_EQ(report.command_timeouts, events_of(device, "timeout"));
+  EXPECT_EQ(report.checksum_mismatches, events_of(device, "integrity"));
+  EXPECT_EQ(report.command_retries,
+            series("dfgen_vcl_command_retries_total", {{"device", device}}));
+  EXPECT_EQ(report.injected_faults,
+            series("dfgen_vcl_faults_injected_total", {{"device", device}}));
+}
+
+/// Every kind's events, bytes and simulated nanoseconds in the registry
+/// equal what `logs` (all from devices named `device`) hold: count, bytes,
+/// and the sum of each event's own nanoseconds.
+void expect_registry_equals_logs(const std::vector<vcl::ProfilingLog>& logs,
+                                 const std::string& device) {
+  for (int k = 0; k < vcl::kEventKindCount; ++k) {
+    const auto kind = static_cast<vcl::EventKind>(k);
+    const char* slug = vcl::event_kind_slug(kind);
+    std::uint64_t count = 0, bytes = 0, nanos = 0;
+    for (const vcl::ProfilingLog& log : logs) {
+      count += log.count(kind);
+      bytes += log.bytes(kind);
+      for (const vcl::Event& event : log.events()) {
+        if (event.kind == kind) nanos += obs::sim_nanos(event.sim_seconds);
+      }
+    }
+    EXPECT_EQ(events_of(device, slug), count) << slug;
+    EXPECT_EQ(of_kind("dfgen_vcl_bytes_total", device, slug), bytes) << slug;
+    EXPECT_EQ(of_kind("dfgen_vcl_sim_nanos_total", device, slug), nanos)
+        << slug;
+  }
+}
+
+/// A fault plan that, on a resilient fusion Q-criterion evaluation,
+/// produces every event kind: a transient write fault (one injected fault
+/// plus one retry), a hang the watchdog abandons, and a bit flip the
+/// transfer checksum catches.
+vcl::FaultPlan every_kind_plan() {
+  vcl::FaultPlan plan;
+  plan.fail_write_index = 2;
+  plan.transient_count = 1;
+  plan.hang_command_index = 5;
+  plan.corrupt_write_index = 3;
+  return plan;
+}
+
+TEST(ReportParity, RegistryEqualsLogForEveryKindAfterFaultyEngineRun) {
+  obs::ScopedMetricsRegistry scoped;
+  Workload wl;
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  device.fault().arm(every_kind_plan());
+  EngineOptions options;
+  options.strategy = StrategyKind::fusion;
+  options.fallback = runtime::FallbackPolicy::resilient();
+  Engine engine(device, options);
+  wl.bind(engine);
+  const EvaluationReport report = engine.evaluate(expressions::kQCriterion);
+
+  for (int k = 0; k < vcl::kEventKindCount; ++k) {
+    EXPECT_GT(engine.log().count(static_cast<vcl::EventKind>(k)), 0u)
+        << vcl::event_kind_slug(static_cast<vcl::EventKind>(k));
+  }
+  expect_registry_equals_logs({engine.log()}, device.spec().name);
+  expect_report_equals_registry(report, device.spec().name);
+}
+
+TEST(ReportParity, RegistryEqualsLogForEveryKindAfterFaultyDistributedRun) {
+  obs::ScopedMetricsRegistry scoped;
+  mesh::RectilinearMesh mesh = mesh::RectilinearMesh::uniform({8, 8, 8});
+  mesh::VectorField field = mesh::rayleigh_taylor_flow(mesh);
+  distrib::ClusterConfig config;
+  config.nodes = 2;
+  config.devices_per_node = 2;
+  config.device_spec = vcl::tesla_m2050_scaled();
+  config.fault_plan = every_kind_plan();
+  config.fault_plan.lose_device_after = 12;  // and a device replacement
+  distrib::DistributedEngine engine(
+      mesh, distrib::GridDecomposition(mesh.dims(), 2, 2, 2), config);
+  engine.bind_global("u", field.u);
+  engine.bind_global("v", field.v);
+  engine.bind_global("w", field.w);
+  const distrib::DistributedReport report =
+      engine.evaluate(expressions::kQCriterion, StrategyKind::fusion);
+
+  EXPECT_GE(report.device_losses, 1u);
+  EXPECT_GE(report.command_retries, 1u);
+  expect_registry_equals_logs(engine.rank_logs(), config.device_spec.name);
+}
+
+TEST(ReportParity, EngineReportEqualsRegistryDeltasOnCleanRuns) {
   Workload wl;
   for (const StrategyKind kind :
        {StrategyKind::roundtrip, StrategyKind::staged, StrategyKind::fusion,
         StrategyKind::streamed}) {
+    obs::ScopedMetricsRegistry scoped;
     vcl::Device device(vcl::xeon_x5660_scaled());
     EngineOptions options;
     options.strategy = kind;
@@ -98,13 +174,14 @@ TEST(ReportParity, EngineReportEqualsLogRecomputationOnCleanRuns) {
     wl.bind(engine);
     const EvaluationReport report =
         engine.evaluate(expressions::kQCriterion);
-    expect_report_matches(report, SeedEraCounts::from(engine.log(), device));
+    expect_report_equals_registry(report, device.spec().name);
     EXPECT_GT(report.dev_writes, 0u);
     EXPECT_GT(report.kernel_execs, 0u);
   }
 }
 
-TEST(ReportParity, EngineReportEqualsLogRecomputationUnderFaults) {
+TEST(ReportParity, EngineReportEqualsRegistryDeltasUnderFaults) {
+  obs::ScopedMetricsRegistry scoped;
   Workload wl;
   vcl::Device device(vcl::xeon_x5660_scaled());
   vcl::FaultPlan plan;
@@ -118,16 +195,15 @@ TEST(ReportParity, EngineReportEqualsLogRecomputationUnderFaults) {
   Engine engine(device, options);
   wl.bind(engine);
   const EvaluationReport report = engine.evaluate(expressions::kQCriterion);
-  const SeedEraCounts want = SeedEraCounts::from(engine.log(), device);
-  EXPECT_GE(want.command_retries, 1u);
-  EXPECT_GE(want.injected_faults, 1u);
-  expect_report_matches(report, want);
+  EXPECT_EQ(report.command_retries, 1u);
+  EXPECT_EQ(report.injected_faults, 1u);
+  expect_report_equals_registry(report, device.spec().name);
 }
 
 TEST(ReportParity, EngineResidentCountersEqualRegistryDeltas) {
-  // The resident counters are registry-backed like the rest of the report:
-  // their per-evaluation deltas must equal the device pool's cumulative
-  // stats deltas sampled around the evaluate call.
+  // The resident counters are the device pool's stats deltas over the
+  // evaluate call, and the pool publishes the same traffic to its
+  // dfgen_resident_* series.
   obs::ScopedMetricsRegistry scoped;
   Workload wl;
   vcl::Device device(vcl::xeon_x5660_scaled());
@@ -136,10 +212,24 @@ TEST(ReportParity, EngineResidentCountersEqualRegistryDeltas) {
   Engine engine(device, options);
   wl.bind(engine);
 
+  const auto pool_series = [&](const char* name) {
+    return series(name, {{"device", device.spec().name}});
+  };
   for (int run = 0; run < 3; ++run) {
     const vcl::ResidentPool::Stats before = device.resident().stats();
+    const std::uint64_t hits_before = pool_series("dfgen_resident_hits_total");
+    const std::uint64_t misses_before =
+        pool_series("dfgen_resident_misses_total");
+    const std::uint64_t saved_before =
+        pool_series("dfgen_resident_upload_bytes_saved");
     const EvaluationReport report = engine.evaluate(expressions::kQCriterion);
     const vcl::ResidentPool::Stats after = device.resident().stats();
+    EXPECT_EQ(report.resident_hits,
+              pool_series("dfgen_resident_hits_total") - hits_before);
+    EXPECT_EQ(report.resident_misses,
+              pool_series("dfgen_resident_misses_total") - misses_before);
+    EXPECT_EQ(report.resident_upload_bytes_saved,
+              pool_series("dfgen_resident_upload_bytes_saved") - saved_before);
     EXPECT_EQ(report.resident_hits, after.hits - before.hits);
     EXPECT_EQ(report.resident_misses, after.misses - before.misses);
     EXPECT_EQ(report.resident_evictions, after.evictions - before.evictions);
@@ -147,16 +237,17 @@ TEST(ReportParity, EngineResidentCountersEqualRegistryDeltas) {
               after.invalidations - before.invalidations);
     EXPECT_EQ(report.resident_upload_bytes_saved,
               after.upload_bytes_saved - before.upload_bytes_saved);
-    if (run > 0) EXPECT_GT(report.resident_hits, 0u);
+    if (run > 0) {
+      EXPECT_GT(report.resident_hits, 0u);
+    }
   }
 }
 
 TEST(ReportParity, DistributedReportEqualsRegistryDeltasUnderFaults) {
-  // Fresh registry: the evaluation runs entirely on this thread, so the
-  // registry's thread-shard sums over all devices must equal the report's
-  // per-rank log scans exactly.
+  // Fresh registry: its totals over every rank's device (all ranks share
+  // one spec, so one device label) must equal the report's per-rank log
+  // tallies exactly.
   obs::ScopedMetricsRegistry scoped;
-  obs::MetricsRegistry& reg = scoped.registry();
 
   mesh::RectilinearMesh mesh = mesh::RectilinearMesh::uniform({8, 8, 8});
   mesh::VectorField field = mesh::rayleigh_taylor_flow(mesh);
@@ -175,30 +266,24 @@ TEST(ReportParity, DistributedReportEqualsRegistryDeltasUnderFaults) {
   const distrib::DistributedReport report =
       engine.evaluate(expressions::kQCriterion, StrategyKind::fusion);
 
-  const auto events = [&](const char* kind) {
-    return reg.thread_counter_sum("dfgen_vcl_events_total",
-                                  {{"kind", kind}});
-  };
-  EXPECT_EQ(report.total_dev_writes, events("host_to_device"));
-  EXPECT_EQ(report.total_dev_reads, events("device_to_host"));
-  EXPECT_EQ(report.total_kernel_execs, events("kernel_exec"));
-  EXPECT_EQ(report.command_timeouts, events("timeout"));
-  EXPECT_EQ(report.checksum_mismatches, events("integrity"));
+  const std::string& device = config.device_spec.name;
+  EXPECT_EQ(report.total_dev_writes, events_of(device, "host_to_device"));
+  EXPECT_EQ(report.total_dev_reads, events_of(device, "device_to_host"));
+  EXPECT_EQ(report.total_kernel_execs, events_of(device, "kernel_exec"));
+  EXPECT_EQ(report.command_timeouts, events_of(device, "timeout"));
+  EXPECT_EQ(report.checksum_mismatches, events_of(device, "integrity"));
   EXPECT_EQ(report.command_retries,
-            reg.thread_counter_sum("dfgen_vcl_command_retries_total"));
+            series("dfgen_vcl_command_retries_total", {{"device", device}}));
   EXPECT_EQ(report.injected_faults,
-            reg.thread_counter_sum("dfgen_vcl_faults_injected_total"));
+            series("dfgen_vcl_faults_injected_total", {{"device", device}}));
   EXPECT_GE(report.injected_faults, 1u);
   EXPECT_GE(report.device_losses, 1u);
 
-  const auto dist_total = [&](const char* name, obs::Labels labels = {}) {
-    return reg.counter_value(reg.counter(name, std::move(labels)));
-  };
-  EXPECT_EQ(report.blocks, dist_total("dfgen_dist_blocks_executed_total"));
+  EXPECT_EQ(report.blocks, series("dfgen_dist_blocks_executed_total", {}));
   EXPECT_EQ(report.device_losses,
-            dist_total("dfgen_dist_device_losses_total"));
+            series("dfgen_dist_device_losses_total", {}));
   EXPECT_EQ(report.degraded_blocks,
-            dist_total("dfgen_dist_degraded_blocks_total"));
+            series("dfgen_dist_degraded_blocks_total", {}));
 }
 
 TEST(ReportParity, ServiceSnapshotEqualsResolvedTickets) {

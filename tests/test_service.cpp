@@ -341,6 +341,30 @@ TEST(Service, PerRequestDeadlineArmsTheWatchdog) {
       << "the tight deadline must abandon the slowed commands";
 }
 
+// A batch that fails still counts every device incident it caused: here a
+// read is retried twice after transient faults, then the third fault
+// escapes the strict (no-fallback) ladder and fails the request.
+TEST(Service, FailedBatchCountsItsRetriesAndFaults) {
+  Fixture fx;
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  vcl::FaultPlan plan;
+  plan.fail_read_index = 1;
+  plan.transient_count = 3;  // the whole retry budget of the first read
+  device.fault().arm(plan);
+  ServiceOptions options;
+  options.fallback = runtime::FallbackPolicy{};
+  EvalService svc({&device}, options);
+
+  const ServiceReport report =
+      svc.submit(fx.request(expressions::kVelocityMagnitude)).wait();
+  ASSERT_EQ(report.status, RequestStatus::failed);
+  const ServiceSnapshot snapshot = svc.snapshot();
+  EXPECT_EQ(snapshot.failed_requests, 1u);
+  EXPECT_EQ(snapshot.command_retries, 2u);
+  EXPECT_EQ(snapshot.injected_faults, 3u);
+  EXPECT_EQ(snapshot.command_timeouts, 0u);
+}
+
 // Every batch runs under the service's fallback policy: turning that
 // policy's watchdog off lets crawling commands finish (the service
 // analogue of Watchdog.DisabledWatchdogLetsSlowCommandsFinish).

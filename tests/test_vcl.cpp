@@ -158,14 +158,14 @@ TEST(ProfilingLog, CategorisesEvents) {
   EXPECT_EQ(log.count(EventKind::host_to_device), 2u);
   EXPECT_EQ(log.count(EventKind::device_to_host), 1u);
   EXPECT_EQ(log.count(EventKind::kernel_exec), 1u);
-  EXPECT_EQ(log.total_count(), 4u);
+  EXPECT_EQ(log.events().size(), 4u);
   EXPECT_DOUBLE_EQ(log.sim_seconds(EventKind::host_to_device), 0.75);
   EXPECT_DOUBLE_EQ(log.total_sim_seconds(), 1.375);
   EXPECT_NEAR(log.total_wall_seconds(), 0.4, 1e-12);
   EXPECT_EQ(log.bytes(EventKind::host_to_device), 150u);
   EXPECT_EQ(log.total_flops(), 77u);
   log.clear();
-  EXPECT_EQ(log.total_count(), 0u);
+  EXPECT_EQ(log.events().size(), 0u);
   EXPECT_DOUBLE_EQ(log.total_sim_seconds(), 0.0);
 }
 
