@@ -17,7 +17,8 @@ namespace dfg::dataflow {
 /// Translates a parsed expression script to a network spec. The last
 /// statement's value becomes the network output. Unknown function names,
 /// arity mismatches and component-shape violations throw NetworkError with
-/// the offending name in the message.
+/// the offending name in the message, and so does a network that would
+/// exceed kMaxNetworkNodes.
 NetworkSpec build_network(const expr::Script& script, SpecOptions options = {});
 
 /// Convenience: parse + build in one call.

@@ -11,6 +11,11 @@ namespace dfg::dataflow {
 NetworkSpec::NetworkSpec(SpecOptions options) : options_(options) {}
 
 int NetworkSpec::push_node(SpecNode node) {
+  if (nodes_.size() == kMaxNetworkNodes) {
+    throw NetworkError("network has more than " +
+                       std::to_string(kMaxNetworkNodes) +
+                       " nodes, the limit per network");
+  }
   node.id = static_cast<int>(nodes_.size());
   if (node.label.empty()) {
     node.label = "t" + std::to_string(next_temp_++);

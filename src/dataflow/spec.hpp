@@ -13,6 +13,7 @@
 // paper's parser transformations.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <string_view>
@@ -26,6 +27,10 @@ namespace dfg::dataflow {
 /// materialised intermediates (kernels::materialized_param_name).
 /// add_field_source rejects field names that start with it.
 inline constexpr std::string_view kReservedFieldPrefix = "__m";
+
+/// Most nodes a network may hold (lambda2, the largest in the tree, has
+/// 139); adding one more throws NetworkError while the network is built.
+inline constexpr std::size_t kMaxNetworkNodes = 16384;
 
 enum class NodeType { field_source, constant, filter };
 

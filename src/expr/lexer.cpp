@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "expr/parser.hpp"
 #include "support/error.hpp"
 
 namespace dfg::expr {
@@ -77,6 +78,7 @@ std::vector<Token> tokenize(std::string_view source) {
   int line = 1;
   int column = 1;
   std::size_t i = 0;
+  int statements = 0;
 
   const auto advance = [&](std::size_t n = 1) {
     for (std::size_t k = 0; k < n; ++k) {
@@ -224,6 +226,12 @@ std::vector<Token> tokenize(std::string_view source) {
         break;
       case '=':
         kind = TokenKind::assign;
+        if (++statements > kMaxScriptStatements) {
+          throw ParseError("script has more than " +
+                               std::to_string(kMaxScriptStatements) +
+                               " statements, the limit per script",
+                           tok_line, tok_column);
+        }
         break;
       case '<':
         kind = TokenKind::less;

@@ -13,8 +13,8 @@
 namespace dfg::expr {
 
 /// Tokenises the whole input. The returned stream always ends with an
-/// end_of_input token. Throws ParseError on unknown characters or malformed
-/// number literals.
+/// end_of_input token. Throws ParseError on unknown characters, malformed
+/// number literals, or more than kMaxScriptStatements '=' tokens.
 std::vector<Token> tokenize(std::string_view source);
 
 }  // namespace dfg::expr

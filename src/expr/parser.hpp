@@ -23,7 +23,8 @@
 // a stack overflow in the parser or in any later pass over the tree. A
 // flat operator chain (`u + u + ...`) adds one tree level per operand; one
 // that crosses the bound is reported as a chain-length error naming the
-// chain's full operand count.
+// chain's full operand count. Longer scripts than kMaxScriptStatements
+// are a ParseError too.
 #pragma once
 
 #include <string_view>
@@ -39,9 +40,14 @@ namespace dfg::expr {
 /// tree level of network building about 2 KB.
 inline constexpr int kMaxSyntaxDepth = 256;
 
+/// Most statements a script may hold (the Q-criterion, the longest in the
+/// tree, has 18). The lexer counts them, one '=' each, as it scans, so a
+/// runaway script is refused before it is even tokenised in full.
+inline constexpr int kMaxScriptStatements = 4096;
+
 /// Parses a full expression script (one or more assignment statements).
 /// Throws ParseError with source positions on syntax errors, including
-/// input deeper than kMaxSyntaxDepth.
+/// input deeper than kMaxSyntaxDepth or longer than kMaxScriptStatements.
 Script parse(std::string_view source);
 
 /// Parses a single expression (no assignment); used by tests and by hosts

@@ -1,7 +1,8 @@
 // Kernel layer: native code generation for the jit backend.
 //
 // Turns one fused Program into a compiled shared object: render the C
-// translation unit (source_printer::to_c_source), invoke the system C
+// translation unit (to_c_source, the source emitter's C dialect), invoke
+// the system C
 // compiler (DFGEN_JIT_CC, `cc` by default), dlopen the result and resolve
 // the entry point. This is the paper's runtime-codegen story made literal —
 // where the PyOpenCL framework hands generated OpenCL C to the vendor

@@ -29,8 +29,9 @@ struct PrimitiveInfo {
   int result_components = 1;
   /// Required components of each input (1 or 3); empty entries default to 1.
   std::vector<int> input_components;
-  /// The OpenCL-C device function implementing the primitive, written once
-  /// and reused by every strategy (embedded in generated kernel sources).
+  /// The OpenCL-C device function implementing the primitive, written once.
+  /// to_opencl_source embeds grad3d's in the kernels that take a gradient;
+  /// the other primitives print as operators and built-ins.
   std::string ocl_source;
 };
 

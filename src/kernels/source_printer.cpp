@@ -3,9 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <set>
-#include <sstream>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/primitives.hpp"
@@ -16,261 +14,339 @@ namespace dfg::kernels {
 
 namespace {
 
-std::string reg(std::uint16_t r) { return "r" + std::to_string(r); }
+// One walk renders both dialects: one statement per lane the dialect shows
+// (the C: live lanes only, from live_lane_masks), spelled through the
+// Dialect table below.
+//
+// Bit-exactness discipline: every statement mirrors one interpreter
+// operation operand-for-operand. The C dialect's float libm entry points
+// (sqrtf, powf, fminf, ...) are the functions the C++ std:: float overloads
+// resolve to, so the compiled object and the interpreters execute the same
+// library code; division, comparison and negation are IEEE-defined; the
+// gradient spans replicate the tiled VM's row loop including its boundary
+// peeling. Compilation passes -ffp-contract=off so no statement fuses into
+// an fma the interpreters would not perform.
 
-/// Primitive whose device function the preamble must include for an opcode;
-/// empty when the opcode lowers to an operator or built-in.
-const char* preamble_primitive(Op op) {
-  switch (op) {
-    case Op::grad3d:
-      return "grad3d";
-    default:
-      return nullptr;
-  }
+/// What the instructions a dialect shows need from the preamble.
+struct Uses {
+  bool grad = false;
+  bool constant = false;
+  bool libm = false;
+};
+
+/// What the OpenCL view and the jit's C spell differently. The functions
+/// append to the source being rendered, except the per-instruction buffer
+/// and constant spellings.
+struct Dialect {
+  const char* indent;       ///< statement indentation
+  const char* libm_suffix;  ///< "" for OpenCL built-ins, "f" for C99 libm
+  /// The lanes of each instruction that get a statement.
+  std::vector<std::uint8_t> (*lanes)(const Program& program);
+  void (*lane)(std::string& out, std::uint16_t reg, int lane);
+  std::string (*buffer)(const Program& program, std::uint16_t slot);
+  std::string (*constant)(float value);
+  /// Header, preamble, signature and work-item index: all before the locals.
+  void (*open)(std::string& out, const Program& program,
+               const std::vector<std::uint8_t>& masks, const Uses& uses);
+  /// Declares the locals: `written[r]` holds the lanes of register r that
+  /// shown definitions write. Registers are reused after coalescing, so
+  /// declarations precede all statements.
+  void (*declare)(std::string& out, const std::vector<std::uint8_t>& written);
+  void (*grad3d)(std::string& out, const Program& program, std::size_t pc,
+                 std::uint8_t mask);
+  const char* close;
+};
+
+void append_reg(std::string& out, std::size_t r) {
+  out += 'r';
+  out += std::to_string(r);
 }
 
-const char* infix_operator(Op op) {
+/// How a lane-wise opcode is spelled.
+struct Spelling {
+  enum Form {
+    none,        ///< not a lane-wise opcode
+    prefix,      ///< `-a`
+    infix,       ///< `a + b`
+    comparison,  ///< `(a > b) ? 1.0f : 0.0f`, lane 0 only
+    call,        ///< `sqrt(a)`, before the dialect's float suffix
+  } form;
+  const char* token;
+};
+
+Spelling spelling(Op op) {
   switch (op) {
+    case Op::neg:
+      return {Spelling::prefix, "-"};
     case Op::add:
-      return "+";
+      return {Spelling::infix, "+"};
     case Op::sub:
-      return "-";
+      return {Spelling::infix, "-"};
     case Op::mul:
-      return "*";
+      return {Spelling::infix, "*"};
     case Op::div:
-      return "/";
-    default:
-      return nullptr;
-  }
-}
-
-const char* comparison_operator(Op op) {
-  switch (op) {
+      return {Spelling::infix, "/"};
     case Op::cmp_gt:
-      return ">";
+      return {Spelling::comparison, ">"};
     case Op::cmp_lt:
-      return "<";
+      return {Spelling::comparison, "<"};
     case Op::cmp_ge:
-      return ">=";
+      return {Spelling::comparison, ">="};
     case Op::cmp_le:
-      return "<=";
+      return {Spelling::comparison, "<="};
     case Op::cmp_eq:
-      return "==";
+      return {Spelling::comparison, "=="};
     case Op::cmp_ne:
-      return "!=";
+      return {Spelling::comparison, "!="};
+    case Op::sqrt:
+      return {Spelling::call, "sqrt"};
+    case Op::abs:
+      return {Spelling::call, "fabs"};
+    case Op::sin:
+      return {Spelling::call, "sin"};
+    case Op::cos:
+      return {Spelling::call, "cos"};
+    case Op::tan:
+      return {Spelling::call, "tan"};
+    case Op::acos:
+      return {Spelling::call, "acos"};
+    case Op::exp:
+      return {Spelling::call, "exp"};
+    case Op::log:
+      return {Spelling::call, "log"};
+    case Op::tanh:
+      return {Spelling::call, "tanh"};
+    case Op::floor:
+      return {Spelling::call, "floor"};
+    case Op::ceil:
+      return {Spelling::call, "ceil"};
+    case Op::min:
+      return {Spelling::call, "fmin"};
+    case Op::max:
+      return {Spelling::call, "fmax"};
+    case Op::pow:
+      return {Spelling::call, "pow"};
     default:
-      return nullptr;
+      return {Spelling::none, nullptr};
   }
 }
 
-void print_instr(std::ostringstream& os, const Program& program,
-                 const Instr& in, bool declare) {
-  const auto& params = program.params();
-  // After register coalescing a register may be redefined; declare it at
-  // its first definition only so the emitted source stays valid OpenCL C.
-  const std::string dst =
-      declare ? "float4 " + reg(in.dst) : reg(in.dst);
-  os << "    ";
-  if (const char* op = infix_operator(in.op)) {
-    os << dst << " = " << reg(in.args[0]) << " " << op
-       << " " << reg(in.args[1]) << ";";
-  } else if (const char* cmp = comparison_operator(in.op)) {
-    os << dst << " = (float4)((" << reg(in.args[0])
-       << ".s0 " << cmp << " " << reg(in.args[1])
-       << ".s0) ? 1.0f : 0.0f, 0.0f, 0.0f, 0.0f);";
-  } else {
-    switch (in.op) {
-      case Op::load_global:
-        os << dst << " = (float4)("
-           << params[in.args[0]].name << "[gid], 0.0f, 0.0f, 0.0f);";
-        break;
-      case Op::load_global_vec:
-        os << dst << " = vload4(gid, "
-           << params[in.args[0]].name << ");";
-        break;
-      case Op::load_const:
-        // Source-code-level constant insertion.
-        os << dst << " = (float4)("
-           << support::format_float(in.imm) << "f, 0.0f, 0.0f, 0.0f);";
-        break;
-      case Op::sqrt:
-        os << dst << " = sqrt(" << reg(in.args[0])
-           << ");";
-        break;
-      case Op::neg:
-        os << dst << " = -" << reg(in.args[0]) << ";";
-        break;
-      case Op::abs:
-        os << dst << " = fabs(" << reg(in.args[0])
-           << ");";
-        break;
-      case Op::sin:
-      case Op::cos:
-      case Op::tan:
-      case Op::acos:
-      case Op::exp:
-      case Op::log:
-      case Op::tanh:
-      case Op::floor:
-      case Op::ceil:
-        os << dst << " = " << op_name(in.op) << "("
-           << reg(in.args[0]) << ");";
-        break;
-      case Op::min:
-        os << dst << " = fmin(" << reg(in.args[0])
-           << ", " << reg(in.args[1]) << ");";
-        break;
-      case Op::max:
-        os << dst << " = fmax(" << reg(in.args[0])
-           << ", " << reg(in.args[1]) << ");";
-        break;
-      case Op::pow:
-        os << dst << " = pow(" << reg(in.args[0])
-           << ", " << reg(in.args[1]) << ");";
-        break;
-      case Op::component:
-        // Source-level decompose: an OpenCL vector sub-component select.
-        os << dst << " = (float4)(" << reg(in.args[0])
-           << ".s" << in.args[1] << ", 0.0f, 0.0f, 0.0f);";
-        break;
-      case Op::select:
-        os << dst << " = (" << reg(in.args[0])
-           << ".s0 != 0.0f) ? " << reg(in.args[1]) << " : " << reg(in.args[2])
-           << ";";
-        break;
-      case Op::pack:
-        os << dst << " = (float4)(" << reg(in.args[0]) << ".s0, "
-           << reg(in.args[1]) << ".s0, " << reg(in.args[2]) << ".s0, 0.0f);";
-        break;
-      case Op::grad3d:
-        os << dst << " = grad3d("
-           << params[in.args[0]].name << ", " << params[in.args[1]].name
-           << ", " << params[in.args[2]].name << ", "
-           << params[in.args[3]].name << ", " << params[in.args[4]].name
-           << ", gid);";
-        break;
-      case Op::store:
-        os << "out[gid] = " << reg(in.args[0]) << ".s0;";
-        break;
-      case Op::store_vec:
-        os << "vstore4(" << reg(in.args[0]) << ", gid, out);";
-        break;
-      default:
-        os << "/* " << op_name(in.op) << " */";
-        break;
+/// A register lane inside a statement, spelled by the dialect.
+struct Lane {
+  std::uint16_t reg;
+  int lane;
+};
+
+/// Emits one statement per lane of `mask`. Ordering inside an
+/// instruction mirrors the tiled VM where aliasing matters: select and pack
+/// lanes descend so the lane-0 operands (which register coalescing may
+/// alias with the destination) are consumed before lane 0 overwrites them,
+/// and the lane-0 value of a scalar producer is written before its high
+/// lanes are zeroed.
+void emit_instr(std::string& out, const Dialect& d, const Program& program,
+                std::size_t pc, std::uint8_t mask) {
+  const Instr& in = program.code()[pc];
+  const auto live = [mask](int lane) { return (mask & (1u << lane)) != 0; };
+  // One statement from its pieces: text, or a register lane.
+  const auto stmt = [&](const auto&... pieces) {
+    out += d.indent;
+    const auto put = [&](const auto& piece) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(piece)>, Lane>) {
+        d.lane(out, piece.reg, piece.lane);
+      } else {
+        out += piece;
+      }
+    };
+    (put(pieces), ...);
+    out += '\n';
+  };
+  const auto dst = [&](int lane) { return Lane{in.dst, lane}; };
+  const auto arg = [&](std::size_t i, int lane) {
+    return Lane{in.args[i], lane};
+  };
+  const auto digit = [](int lane) { return static_cast<char>('0' + lane); };
+  // A scalar producer: lane 0 gets the value, the high lanes zero.
+  const auto scalar = [&](const auto&... value) {
+    if (live(0)) stmt(dst(0), " = ", value..., ";");
+    for (int lane = 1; lane < 4; ++lane) {
+      if (live(lane)) stmt(dst(lane), " = 0.0f;");
     }
-  }
-  os << "\n";
-}
+  };
 
-}  // namespace
-
-std::string to_opencl_body(const Program& program) {
-  std::ostringstream os;
-  os << "__kernel void " << program.name() << "(\n";
-  for (const BufferParam& p : program.params()) {
-    os << "    __global const float *" << p.name << ",\n";
+  const auto [form, token] = spelling(in.op);
+  if (form == Spelling::comparison) {
+    scalar("(", arg(0, 0), " ", token, " ", arg(1, 0), ") ? 1.0f : 0.0f");
+    return;
   }
-  os << "    __global float *out)\n{\n";
-  os << "    int gid = get_global_id(0);\n";
-  std::set<std::uint16_t> declared;
-  for (const Instr& in : program.code()) {
-    const bool declare =
-        op_defines_register(in.op) && declared.insert(in.dst).second;
-    print_instr(os, program, in, declare);
-  }
-  os << "}\n";
-  return os.str();
-}
-
-std::string to_opencl_source(const Program& program) {
-  std::ostringstream os;
-  os << "/* generated by dfgen: kernel '" << program.name() << "', "
-     << program.code().size() << " instructions, peak "
-     << program.max_live_scalar_registers() << " live scalar registers */\n";
-  std::set<std::string> included;
-  for (const Instr& in : program.code()) {
-    if (const char* prim = preamble_primitive(in.op)) {
-      if (included.insert(prim).second) {
-        const PrimitiveInfo* info = find_primitive(prim);
-        if (info != nullptr) os << info->ocl_source << "\n";
+  if (form != Spelling::none) {
+    for (int l = 0; l < 4; ++l) {
+      if (!live(l)) continue;
+      if (form == Spelling::prefix) {
+        stmt(dst(l), " = ", token, arg(0, l), ";");
+      } else if (form == Spelling::infix) {
+        stmt(dst(l), " = ", arg(0, l), " ", token, " ", arg(1, l), ";");
+      } else if (op_is_binary(in.op)) {
+        stmt(dst(l), " = ", token, d.libm_suffix, "(", arg(0, l), ", ",
+             arg(1, l), ");");
+      } else {
+        stmt(dst(l), " = ", token, d.libm_suffix, "(", arg(0, l), ");");
       }
     }
+    return;
   }
-  os << to_opencl_body(program);
-  return os.str();
-}
-
-namespace {
-
-// ---- C translation-unit emission (jit backend) ----------------------------
-//
-// Bit-exactness discipline: every statement below mirrors one interpreter
-// operation operand-for-operand. The float libm entry points (sqrtf, powf,
-// fminf, ...) are the functions the C++ std:: float overloads resolve to,
-// so the compiled object and the interpreters execute the same library
-// code; division, comparison and negation are IEEE-defined; the gradient
-// spans replicate the tiled VM's row loop including its boundary peeling.
-// Compilation passes -ffp-contract=off so no statement fuses into an fma
-// the interpreters would not perform.
-
-std::string c_lane(std::uint16_t r, int lane) {
-  return "r" + std::to_string(r) + "_" + std::to_string(lane);
-}
-
-std::string c_buf(std::uint16_t slot) { return "b" + std::to_string(slot); }
-
-/// Exact float literal as a bit pattern: format_float round-trips decimals,
-/// but a bit cast can never be misread by a foreign compiler's strtof, and
-/// it represents NaN/inf immediates too.
-std::string c_const(float value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "dfgen_bits(0x%08xu) /* %s */",
-                std::bit_cast<std::uint32_t>(value),
-                support::format_float(value).c_str());
-  return buf;
-}
-
-const char* c_unary_fn(Op op) {
-  switch (op) {
-    case Op::sqrt:
-      return "sqrtf";
-    case Op::abs:
-      return "fabsf";
-    case Op::sin:
-      return "sinf";
-    case Op::cos:
-      return "cosf";
-    case Op::tan:
-      return "tanf";
-    case Op::acos:
-      return "acosf";
-    case Op::exp:
-      return "expf";
-    case Op::log:
-      return "logf";
-    case Op::tanh:
-      return "tanhf";
-    case Op::floor:
-      return "floorf";
-    case Op::ceil:
-      return "ceilf";
+  switch (in.op) {
+    case Op::load_global:
+      scalar(d.buffer(program, in.args[0]), "[gid]");
+      break;
+    case Op::load_global_vec: {
+      const std::string buffer = d.buffer(program, in.args[0]);
+      for (int l = 0; l < 4; ++l) {
+        if (live(l)) stmt(dst(l), " = ", buffer, "[gid * 4 + ", digit(l), "];");
+      }
+      break;
+    }
+    case Op::load_const:
+      // Source-code-level constant insertion.
+      scalar(d.constant(in.imm));
+      break;
+    case Op::component:
+      scalar(arg(0, static_cast<int>(in.args[1])));
+      break;
+    case Op::select:
+      for (int l = 3; l >= 0; --l) {
+        if (live(l)) {
+          stmt(dst(l), " = (", arg(0, 0), " != 0.0f) ? ", arg(1, l), " : ",
+               arg(2, l), ";");
+        }
+      }
+      break;
+    case Op::pack:
+      if (live(3)) stmt(dst(3), " = 0.0f;");
+      for (int l = 2; l >= 0; --l) {
+        if (live(l)) stmt(dst(l), " = ", arg(std::size_t(l), 0), ";");
+      }
+      break;
+    case Op::store:
+      stmt("out[gid] = ", arg(0, 0), ";");
+      break;
+    case Op::store_vec:
+      for (int l = 0; l < 4; ++l) {
+        stmt("out[gid * 4 + ", digit(l), "] = ", arg(0, l), ";");
+      }
+      break;
+    case Op::grad3d:
+      d.grad3d(out, program, pc, mask);
+      break;
     default:
-      return nullptr;
+      break;
   }
 }
 
-const char* c_binary_fn(Op op) {
-  switch (op) {
-    case Op::min:
-      return "fminf";
-    case Op::max:
-      return "fmaxf";
-    case Op::pow:
-      return "powf";
-    default:
-      return nullptr;
+std::string render(const Program& program, const Dialect& d) {
+  const std::vector<std::uint8_t> masks = d.lanes(program);
+  const std::vector<Instr>& code = program.code();
+  Uses uses;
+  std::vector<std::uint8_t> written(program.register_count(), 0);
+  for (std::size_t pc = 0; pc < code.size(); ++pc) {
+    const Op op = code[pc].op;
+    if (!op_defines_register(op) || masks[pc] == 0) continue;
+    uses.grad = uses.grad || op == Op::grad3d;
+    uses.constant = uses.constant || op == Op::load_const;
+    uses.libm = uses.libm || spelling(op).form == Spelling::call;
+    written[code[pc].dst] |= masks[pc];
   }
+
+  std::string out;
+  out.reserve(4096 + 64 * code.size());
+  d.open(out, program, masks, uses);
+  d.declare(out, written);
+  for (std::size_t pc = 0; pc < code.size(); ++pc) {
+    if (masks[pc] == 0 && op_defines_register(code[pc].op)) continue;
+    emit_instr(out, d, program, pc, masks[pc]);
+  }
+  out += d.close;
+  return out;
+}
+
+// ---- OpenCL C: the inspectable view ----------------------------------------
+
+/// Every instruction the program holds, as the paper's framework computes
+/// every statement the script wrote: a dead value shows at lane 0.
+std::vector<std::uint8_t> ocl_lanes(const Program& program) {
+  std::vector<std::uint8_t> masks = live_lane_masks(program);
+  for (std::uint8_t& mask : masks) {
+    if (mask == 0) mask = 0x1;
+  }
+  return masks;
+}
+
+void ocl_open(std::string& out, const Program& program,
+              const std::vector<std::uint8_t>&, const Uses& uses) {
+  out += "/* generated by dfgen: kernel '" + program.name() + "', " +
+         std::to_string(program.code().size()) + " instructions, peak " +
+         std::to_string(program.max_live_scalar_registers()) +
+         " live scalar registers */\n";
+  const PrimitiveInfo* grad = uses.grad ? find_primitive("grad3d") : nullptr;
+  if (grad != nullptr) out += grad->ocl_source + "\n";
+  out += "__kernel void " + program.name() + "(\n";
+  for (const BufferParam& p : program.params()) {
+    out += "    __global const float *" + p.name + ",\n";
+  }
+  out += "    __global float *out)\n{\n    int gid = get_global_id(0);\n";
+}
+
+void ocl_declare(std::string& out, const std::vector<std::uint8_t>& written) {
+  for (std::size_t r = 0; r < written.size(); ++r) {
+    if (written[r] == 0) continue;
+    out += "    float4 ";
+    append_reg(out, r);
+    out += ";\n";
+  }
+}
+
+void ocl_grad3d(std::string& out, const Program& program, std::size_t pc,
+                std::uint8_t) {
+  const Instr& in = program.code()[pc];
+  const auto& params = program.params();
+  out += "    ";
+  append_reg(out, in.dst);
+  out += " = grad3d(" + params[in.args[0]].name + ", " +
+         params[in.args[1]].name + ", " + params[in.args[2]].name + ", " +
+         params[in.args[3]].name + ", " + params[in.args[4]].name +
+         ", gid);\n";
+}
+
+constexpr Dialect kOpenCL{
+    .indent = "    ",
+    .libm_suffix = "",
+    .lanes = ocl_lanes,
+    .lane = [](std::string& out, std::uint16_t r, int lane) {
+      append_reg(out, r);
+      out += ".s";
+      out += static_cast<char>('0' + lane);
+    },
+    .buffer = [](const Program& program, std::uint16_t slot) {
+      return program.params()[slot].name;
+    },
+    .constant = [](float value) { return support::format_float(value) + "f"; },
+    .open = ocl_open,
+    .declare = ocl_declare,
+    .grad3d = ocl_grad3d,
+    .close = "}\n",
+};
+
+// ---- C: the jit backend's translation unit ---------------------------------
+
+void c_lane(std::string& out, std::uint16_t r, int lane) {
+  append_reg(out, r);
+  out += '_';
+  out += static_cast<char>('0' + lane);
+}
+
+std::string c_buf(std::size_t slot) {
+  std::string name = "b";
+  name += std::to_string(slot);
+  return name;
 }
 
 /// The axis_derivative + row-span helpers, verbatim ports of the VM's
@@ -376,162 +452,20 @@ static void dfgen_grad_rows(const float* field, const float* x,
 }
 )";
 
-/// Emits one fused-loop statement per live lane of `in`. Ordering inside
-/// an instruction mirrors the tiled VM where aliasing matters: select
-/// lanes descend so the condition local (which register coalescing may
-/// alias with the destination) is consumed before lane 0 overwrites it,
-/// and the lane-0 value of a scalar producer is written before its high
-/// lanes are zeroed.
-void emit_c_instr(std::ostringstream& os, const Instr& in,
-                  std::uint8_t mask) {
-  const auto stmt = [&os](const std::string& text) {
-    os << "      " << text << "\n";
-  };
-  const auto zero_high = [&](std::uint16_t r) {
-    for (int lane = 1; lane < 4; ++lane) {
-      if (mask & (1u << lane)) stmt(c_lane(r, lane) + " = 0.0f;");
-    }
-  };
-  if (const char* op = [&]() -> const char* {
-        switch (in.op) {
-          case Op::add:
-            return "+";
-          case Op::sub:
-            return "-";
-          case Op::mul:
-            return "*";
-          case Op::div:
-            return "/";
-          default:
-            return nullptr;
-        }
-      }()) {
-    for (int lane = 0; lane < 4; ++lane) {
-      if (!(mask & (1u << lane))) continue;
-      stmt(c_lane(in.dst, lane) + " = " + c_lane(in.args[0], lane) + " " +
-           op + " " + c_lane(in.args[1], lane) + ";");
-    }
-    return;
-  }
-  if (const char* fn = c_binary_fn(in.op)) {
-    for (int lane = 0; lane < 4; ++lane) {
-      if (!(mask & (1u << lane))) continue;
-      stmt(c_lane(in.dst, lane) + " = " + fn + "(" +
-           c_lane(in.args[0], lane) + ", " + c_lane(in.args[1], lane) + ");");
-    }
-    return;
-  }
-  if (in.op == Op::neg) {
-    for (int lane = 0; lane < 4; ++lane) {
-      if (!(mask & (1u << lane))) continue;
-      stmt(c_lane(in.dst, lane) + " = -" + c_lane(in.args[0], lane) + ";");
-    }
-    return;
-  }
-  if (const char* fn = c_unary_fn(in.op)) {
-    for (int lane = 0; lane < 4; ++lane) {
-      if (!(mask & (1u << lane))) continue;
-      stmt(c_lane(in.dst, lane) + " = " + fn + "(" +
-           c_lane(in.args[0], lane) + ");");
-    }
-    return;
-  }
-  if (const char* cmp = comparison_operator(in.op)) {
-    if (mask & 0x1) {
-      stmt(c_lane(in.dst, 0) + " = (" + c_lane(in.args[0], 0) + " " + cmp +
-           " " + c_lane(in.args[1], 0) + ") ? 1.0f : 0.0f;");
-    }
-    zero_high(in.dst);
-    return;
-  }
-  switch (in.op) {
-    case Op::load_global:
-      if (mask & 0x1) {
-        stmt(c_lane(in.dst, 0) + " = " + c_buf(in.args[0]) + "[gid];");
-      }
-      zero_high(in.dst);
-      break;
-    case Op::load_global_vec:
-      for (int lane = 0; lane < 4; ++lane) {
-        if (!(mask & (1u << lane))) continue;
-        stmt(c_lane(in.dst, lane) + " = " + c_buf(in.args[0]) + "[gid * 4 + " +
-             std::to_string(lane) + "];");
-      }
-      break;
-    case Op::load_const:
-      if (mask & 0x1) {
-        stmt(c_lane(in.dst, 0) + " = " + c_const(in.imm) + ";");
-      }
-      zero_high(in.dst);
-      break;
-    case Op::component:
-      if (mask & 0x1) {
-        stmt(c_lane(in.dst, 0) + " = " +
-             c_lane(in.args[0], static_cast<int>(in.args[1])) + ";");
-      }
-      zero_high(in.dst);
-      break;
-    case Op::select:
-      for (int lane = 3; lane >= 0; --lane) {
-        if (!(mask & (1u << lane))) continue;
-        stmt(c_lane(in.dst, lane) + " = (" + c_lane(in.args[0], 0) +
-             " != 0.0f) ? " + c_lane(in.args[1], lane) + " : " +
-             c_lane(in.args[2], lane) + ";");
-      }
-      break;
-    case Op::pack:
-      // Descending lanes: the lane-0 operand locals (which coalescing may
-      // alias with dst lane 0) are consumed before lane 0 is overwritten.
-      if (mask & 0x8) stmt(c_lane(in.dst, 3) + " = 0.0f;");
-      for (int lane = 2; lane >= 0; --lane) {
-        if (!(mask & (1u << lane))) continue;
-        stmt(c_lane(in.dst, lane) + " = " +
-             c_lane(in.args[static_cast<std::size_t>(lane)], 0) + ";");
-      }
-      break;
-    case Op::store:
-      stmt("out[gid] = " + c_lane(in.args[0], 0) + ";");
-      break;
-    case Op::store_vec:
-      for (int lane = 0; lane < 4; ++lane) {
-        stmt("out[gid * 4 + " + std::to_string(lane) + "] = " +
-             c_lane(in.args[0], lane) + ";");
-      }
-      break;
-    default:
-      break;  // grad3d is hoisted to the tile preamble
-  }
-}
 
-}  // namespace
-
-std::string to_c_source(const Program& program) {
-  const std::vector<std::uint8_t> masks = live_lane_masks(program);
+void c_open(std::string& out, const Program& program,
+            const std::vector<std::uint8_t>& masks, const Uses& uses) {
   const std::vector<Instr>& code = program.code();
-
-  bool uses_grad = false;
-  bool uses_const = false;
-  bool uses_libm = false;
-  for (std::size_t pc = 0; pc < code.size(); ++pc) {
-    if (masks[pc] == 0 && op_defines_register(code[pc].op)) continue;
-    if (code[pc].op == Op::grad3d) uses_grad = true;
-    if (code[pc].op == Op::load_const) uses_const = true;
-    if (c_unary_fn(code[pc].op) != nullptr ||
-        c_binary_fn(code[pc].op) != nullptr) {
-      uses_libm = true;
-    }
-  }
-
-  std::ostringstream os;
-  os << "/* generated by dfgen jit backend: kernel '" << program.name()
-     << "', fingerprint 0x" << std::hex << program.fingerprint() << std::dec
-     << " */\n";
-  os << "#include <stddef.h>\n";
-  if (uses_const) os << "#include <string.h>\n";
-  if (uses_libm) os << "#include <math.h>\n";
-  os << "\n#define DFGEN_TILE " << kTileSize << "\n";
-  if (uses_const) {
-    os << R"(
+  char fingerprint[17];
+  std::snprintf(fingerprint, sizeof(fingerprint), "%llx",
+                static_cast<unsigned long long>(program.fingerprint()));
+  out += "/* generated by dfgen jit backend: kernel '" + program.name() +
+         "', fingerprint 0x" + fingerprint + " */\n#include <stddef.h>\n";
+  if (uses.constant) out += "#include <string.h>\n";
+  if (uses.libm) out += "#include <math.h>\n";
+  out += "\n#define DFGEN_TILE " + std::to_string(kTileSize) + "\n";
+  if (uses.constant) {
+    out += R"(
 static float dfgen_bits(unsigned int u) {
   float f;
   memcpy(&f, &u, sizeof(f));
@@ -539,84 +473,107 @@ static float dfgen_bits(unsigned int u) {
 }
 )";
   }
-  if (uses_grad) os << kGradHelpers;
-
-  os << "\nvoid " << kJitEntryName
-     << "(const float* const* restrict bufs, float* restrict out,\n"
-     << "     size_t begin, size_t end) {\n";
+  if (uses.grad) out += kGradHelpers;
+  out += std::string("\nvoid ") + kJitEntryName +
+         "(const float* const* restrict bufs, float* restrict out,\n"
+         "     size_t begin, size_t end) {\n";
   // Hoist the slot loads: read-only inputs, so restrict stays valid even
   // when the resident pool hands two parameter names the same buffer.
   for (std::size_t slot = 0; slot < program.params().size(); ++slot) {
-    os << "  const float* restrict " << c_buf(static_cast<std::uint16_t>(slot))
-       << " = bufs[" << slot << "]; /* " << program.params()[slot].name
-       << " */\n";
+    out += "  const float* restrict " + c_buf(slot) + " = bufs[" +
+           std::to_string(slot) + "]; /* " + program.params()[slot].name +
+           " */\n";
   }
-
-  os << "  for (size_t t0 = begin; t0 < end; t0 += DFGEN_TILE) {\n"
-     << "    const size_t count =\n"
-     << "        end - t0 < DFGEN_TILE ? end - t0 : (size_t)DFGEN_TILE;\n";
+  out +=
+      "  for (size_t t0 = begin; t0 < end; t0 += DFGEN_TILE) {\n"
+      "    const size_t count =\n"
+      "        end - t0 < DFGEN_TILE ? end - t0 : (size_t)DFGEN_TILE;\n";
 
   // Tile preamble: every live gradient fills per-tile SoA columns through
   // the row-span helper before the fused element loop runs.
   for (std::size_t pc = 0; pc < code.size(); ++pc) {
     const Instr& in = code[pc];
     if (in.op != Op::grad3d || masks[pc] == 0) continue;
-    const std::string g = "g" + std::to_string(pc) + "_";
     std::string args;
     for (int lane = 0; lane < 3; ++lane) {
+      std::string column = "g";
+      column += std::to_string(pc) + "_" + std::to_string(lane);
       if (masks[pc] & (1u << lane)) {
-        os << "    float " << g << lane << "[DFGEN_TILE];\n";
-        args += ", " + g + std::to_string(lane);
+        out += "    float " + column + "[DFGEN_TILE];\n";
+        args += ", " + column;
       } else {
         args += ", (float*)0";
       }
     }
-    os << "    {\n"
-       << "      const float* dims = " << c_buf(in.args[1]) << ";\n"
-       << "      dfgen_grad_rows(" << c_buf(in.args[0]) << ", "
-       << c_buf(in.args[2]) << ", " << c_buf(in.args[3]) << ", "
-       << c_buf(in.args[4]) << ",\n"
-       << "                      (size_t)dims[0], (size_t)dims[1], "
-       << "(size_t)dims[2],\n"
-       << "                      t0, count" << args << ");\n"
-       << "    }\n";
+    out += "    {\n      const float* dims = " + c_buf(in.args[1]) +
+           ";\n      dfgen_grad_rows(" + c_buf(in.args[0]) + ", " +
+           c_buf(in.args[2]) + ", " + c_buf(in.args[3]) + ", " +
+           c_buf(in.args[4]) +
+           ",\n                      (size_t)dims[0], (size_t)dims[1], "
+           "(size_t)dims[2],\n                      t0, count" +
+           args + ");\n    }\n";
   }
-
-  os << "    for (size_t e = 0; e < count; ++e) {\n"
-     << "      const size_t gid = t0 + e;\n";
-  // Declare every (register, lane) local some live definition writes.
-  // Registers are reused after coalescing, so declarations precede all
-  // statements instead of annotating first definitions.
-  std::set<std::pair<std::uint16_t, int>> locals;
-  for (std::size_t pc = 0; pc < code.size(); ++pc) {
-    if (!op_defines_register(code[pc].op)) continue;
-    for (int lane = 0; lane < 4; ++lane) {
-      if (masks[pc] & (1u << lane)) locals.insert({code[pc].dst, lane});
-    }
-  }
-  for (const auto& [r, lane] : locals) {
-    os << "      float " << c_lane(r, lane) << ";\n";
-  }
-  for (std::size_t pc = 0; pc < code.size(); ++pc) {
-    const Instr& in = code[pc];
-    if (masks[pc] == 0 && op_defines_register(in.op)) continue;
-    if (in.op == Op::grad3d) {
-      const std::string g = "g" + std::to_string(pc) + "_";
-      for (int lane = 0; lane < 3; ++lane) {
-        if (masks[pc] & (1u << lane)) {
-          os << "      " << c_lane(in.dst, lane) << " = " << g << lane
-             << "[e];\n";
-        }
-      }
-      if (masks[pc] & 0x8) {
-        os << "      " << c_lane(in.dst, 3) << " = 0.0f;\n";
-      }
-      continue;
-    }
-    emit_c_instr(os, in, masks[pc]);
-  }
-  os << "    }\n  }\n}\n";
-  return os.str();
+  out +=
+      "    for (size_t e = 0; e < count; ++e) {\n"
+      "      const size_t gid = t0 + e;\n";
 }
+
+void c_declare(std::string& out, const std::vector<std::uint8_t>& written) {
+  for (std::size_t r = 0; r < written.size(); ++r) {
+    for (int lane = 0; lane < 4; ++lane) {
+      if (!(written[r] & (1u << lane))) continue;
+      out += "      float ";
+      c_lane(out, static_cast<std::uint16_t>(r), lane);
+      out += ";\n";
+    }
+  }
+}
+
+/// The element loop reads the tile preamble's gradient columns.
+void c_grad3d(std::string& out, const Program& program, std::size_t pc,
+              std::uint8_t mask) {
+  const std::uint16_t dst = program.code()[pc].dst;
+  for (int lane = 0; lane < 4; ++lane) {
+    if (!(mask & (1u << lane))) continue;
+    out += "      ";
+    c_lane(out, dst, lane);
+    if (lane == 3) {
+      out += " = 0.0f;\n";
+    } else {
+      out += " = g";
+      out += std::to_string(pc) + "_" + std::to_string(lane) + "[e];\n";
+    }
+  }
+}
+
+constexpr Dialect kC{
+    .indent = "      ",
+    .libm_suffix = "f",
+    .lanes = live_lane_masks,
+    .lane = c_lane,
+    .buffer = [](const Program&, std::uint16_t slot) { return c_buf(slot); },
+    // Exact float literal as a bit pattern: format_float round-trips
+    // decimals, but a bit cast can never be misread by a foreign compiler's
+    // strtof, and it represents NaN/inf immediates too.
+    .constant = [](float value) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "dfgen_bits(0x%08xu) /* %s */",
+                    std::bit_cast<std::uint32_t>(value),
+                    support::format_float(value).c_str());
+      return std::string(buf);
+    },
+    .open = c_open,
+    .declare = c_declare,
+    .grad3d = c_grad3d,
+    .close = "    }\n  }\n}\n",
+};
+
+}  // namespace
+
+std::string to_opencl_source(const Program& program) {
+  return render(program, kOpenCL);
+}
+
+std::string to_c_source(const Program& program) { return render(program, kC); }
 
 }  // namespace dfg::kernels

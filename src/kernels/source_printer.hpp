@@ -1,10 +1,11 @@
-// Kernel layer: OpenCL-C source rendering.
+// Kernel layer: kernel source rendering.
 //
-// Renders a bytecode Program as the equivalent OpenCL C kernel source. The
-// paper's framework generates real OpenCL C at runtime; our VM executes
-// bytecode instead, and this printer recovers the human-inspectable source
-// view — used by documentation, diagnostics, tests and the Engine's report
-// (the analogue of the paper's optional script dump).
+// The paper's framework generates real OpenCL C at runtime. One emitter
+// renders a bytecode Program in two dialects, walking it once by its lane
+// liveness (live_lane_masks) with one statement per lane: the OpenCL C
+// view for documentation, diagnostics, tests and the Engine's report (the
+// analogue of the paper's optional script dump), and the C translation
+// unit the jit backend compiles.
 #pragma once
 
 #include <string>
@@ -13,22 +14,20 @@
 
 namespace dfg::kernels {
 
-/// Full kernel source: primitive device-function preamble (each primitive
-/// used, written once) followed by the __kernel function body with one
-/// statement per instruction.
+/// The OpenCL C dialect: the grad3d primitive's device function when the
+/// kernel takes a gradient, then the __kernel function, whose float4
+/// registers are written lane by lane (`r3.s0 = ...`). It shows every
+/// instruction: its live lanes, and a dead value at lane 0.
 std::string to_opencl_source(const Program& program);
-
-/// Just the kernel body (no device-function preamble); used by tests.
-std::string to_opencl_body(const Program& program);
 
 /// Name of the entry point to_c_source exports.
 inline constexpr const char* kJitEntryName = "dfgen_kernel";
 
-/// The same program as a self-contained C translation unit for the jit
-/// backend: tile-loop outer structure (kernels::kTileSize), grad3d hoisted
-/// to per-tile SoA column arrays filled by the VM's row-wise spans, and
-/// every remaining instruction fused into one per-element loop over scalar
-/// locals (live lanes only, from live_lane_masks). Exported entry point:
+/// The C dialect: a self-contained translation unit for the jit backend.
+/// Tile-loop outer structure (kernels::kTileSize), grad3d hoisted to
+/// per-tile SoA column arrays filled by the VM's row-wise spans, and every
+/// remaining instruction fused into one per-element loop over scalar
+/// locals (`r3_0`, live lanes only). Exported entry point:
 ///
 ///   void dfgen_kernel(const float* const* bufs, float* out,
 ///                     size_t begin, size_t end);

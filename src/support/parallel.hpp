@@ -1,9 +1,10 @@
 // Minimal shared-memory parallel loop support.
 //
 // Kernel NDRange execution in the virtual compute layer is divided into
-// contiguous chunks processed by a small pool of worker threads, mirroring
-// how an OpenCL CPU runtime maps work-items onto cores. The pool degrades
-// gracefully to serial execution on single-core hosts.
+// contiguous chunks, mirroring how an OpenCL CPU runtime maps work-items
+// onto cores. There is no pool: each call starts one thread per chunk (at
+// most worker_count()) and joins them before it returns; with one worker
+// or one grain of work the body runs on the calling thread.
 //
 // Chunks are multiples of a caller-supplied *grain* (except the final
 // partial chunk), defaulting to the kernel VM's tile size: a tile of

@@ -2,6 +2,8 @@
 // AST translation, topological initialization and reference counting.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/expressions.hpp"
 #include "dataflow/builder.hpp"
 #include "dataflow/network.hpp"
@@ -197,6 +199,15 @@ TEST(Spec, ScriptDumpListsAllApiCalls) {
   EXPECT_NE(script.find("# scaled"), std::string::npos);
 }
 
+TEST(Spec, NodeCapIsExact) {
+  NetworkSpec spec;
+  for (std::size_t i = 0; i < kMaxNetworkNodes; ++i) {
+    spec.add_constant(static_cast<double>(i));
+  }
+  EXPECT_EQ(spec.nodes().size(), kMaxNetworkNodes);
+  EXPECT_THROW(spec.add_constant(-1.0), NetworkError);
+}
+
 // ----- AST translation -----
 
 TEST(Builder, TranslatesArithmeticToFilters) {
@@ -205,6 +216,27 @@ TEST(Builder, TranslatesArithmeticToFilters) {
   EXPECT_EQ(spec.source_count(), 3u);
   EXPECT_EQ(spec.node(spec.output_id()).kind, "mult");
   EXPECT_EQ(spec.node(spec.output_id()).label, "r");
+}
+
+TEST(Builder, NodeCapRefusesRunawayNetworks) {
+  // Each statement sums 201 distinct constants: 401 nodes, so 41
+  // statements, well within the statement cap, cross the node cap.
+  std::string script;
+  int next = 0;
+  for (int s = 0; s < 41; ++s) {
+    script += "t" + std::to_string(s) + " = " + std::to_string(next++);
+    for (int k = 0; k < 200; ++k) script += " + " + std::to_string(next++);
+    script += "\n";
+  }
+  try {
+    build_network(script);
+    FAIL() << "expected NetworkError";
+  } catch (const NetworkError& err) {
+    EXPECT_NE(std::string(err.what()).find(
+                  "more than " + std::to_string(kMaxNetworkNodes) + " nodes"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(Builder, AssignedNamesResolveBeforeFieldFallback) {

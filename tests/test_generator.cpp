@@ -1,12 +1,15 @@
 // Unit tests for the fusion kernel generator and the OpenCL source printer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/expressions.hpp"
 #include "dataflow/builder.hpp"
 #include "dataflow/network.hpp"
 #include "kernels/generator.hpp"
+#include "kernels/optimizer.hpp"
 #include "kernels/source_printer.hpp"
 #include "kernels/vm.hpp"
 #include "support/error.hpp"
@@ -136,9 +139,27 @@ TEST(Generator, RegisterPressureGrowsWithExpressionComplexity) {
 
 // ----- Source printer -----
 
+/// The OpenCL text from the __kernel line on, so an assertion cannot be
+/// satisfied by the grad3d device function in the preamble.
+std::string kernel_text(const Program& prog) {
+  const std::string src = to_opencl_source(prog);
+  const std::size_t at = src.find("__kernel");
+  EXPECT_NE(at, std::string::npos);
+  return at == std::string::npos ? std::string() : src.substr(at);
+}
+
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 TEST(SourcePrinter, KernelSignatureListsParams) {
   const Program prog = fuse(dfg::expressions::kVelocityMagnitude);
-  const std::string src = to_opencl_body(prog);
+  const std::string src = kernel_text(prog);
   EXPECT_NE(src.find("__kernel void fused_expression"), std::string::npos);
   EXPECT_NE(src.find("__global const float *u"), std::string::npos);
   EXPECT_NE(src.find("__global float *out"), std::string::npos);
@@ -148,14 +169,14 @@ TEST(SourcePrinter, KernelSignatureListsParams) {
 
 TEST(SourcePrinter, ConstantsAppearAsLiterals) {
   const Program prog = fuse("r = 0.5 * u");
-  const std::string src = to_opencl_body(prog);
+  const std::string src = kernel_text(prog);
   EXPECT_NE(src.find("0.5f"), std::string::npos);
 }
 
 TEST(SourcePrinter, DecomposePrintsVectorComponentAccess) {
   const Program prog =
       fuse("du = grad3d(u, dims, x, y, z)\nr = du[1] * du[1]");
-  const std::string src = to_opencl_body(prog);
+  const std::string src = kernel_text(prog);
   EXPECT_NE(src.find(".s1"), std::string::npos);
 }
 
@@ -173,7 +194,7 @@ TEST(SourcePrinter, GradPreambleIncludedExactlyOnce) {
 
 TEST(SourcePrinter, SqrtAndSelectRendered) {
   const Program prog = fuse("r = if (u > 1.0) then (sqrt(u)) else (u)");
-  const std::string src = to_opencl_body(prog);
+  const std::string src = kernel_text(prog);
   EXPECT_NE(src.find("sqrt("), std::string::npos);
   EXPECT_NE(src.find("!= 0.0f) ?"), std::string::npos);
 }
@@ -182,6 +203,34 @@ TEST(SourcePrinter, HeaderStatesRegisterPressure) {
   const Program prog = fuse(dfg::expressions::kQCriterion);
   const std::string src = to_opencl_source(prog);
   EXPECT_NE(src.find("live scalar registers"), std::string::npos);
+}
+
+TEST(SourcePrinter, CTextIsByteStable) {
+  // The jit compiles this text and bit-exactness across backends rests on
+  // it, so a printer change must leave it byte for byte as it is.
+  struct Case {
+    const char* script;
+    bool optimized;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {dfg::expressions::kVelocityMagnitude, false, 0xdfc9866726221490ull},
+      {dfg::expressions::kVelocityMagnitude, true, 0xfae0868f7755ec92ull},
+      {dfg::expressions::kVorticityMagnitude, false, 0x54c8c6bb273d99aaull},
+      {dfg::expressions::kVorticityMagnitude, true, 0x2efc51ff1da5217dull},
+      {dfg::expressions::kQCriterion, false, 0x6d0c33a66912aa48ull},
+      {dfg::expressions::kQCriterion, true, 0x3f6b8be76f739c2full},
+      // JitBackend.GeneratedSourceIsSelfContained's program.
+      {"q = select(u > v, sin(u), grad3d(w, dims, x, y, z)[0])", true,
+       0x1c8e669e0fe9c684ull},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Program fused = fuse(cases[i].script);
+    const std::string text =
+        to_c_source(cases[i].optimized ? optimize_program(fused) : fused);
+    EXPECT_EQ(fnv1a64(text), cases[i].digest)
+        << "case " << i << ": 0x" << std::hex << fnv1a64(text);
+  }
 }
 
 }  // namespace

@@ -68,9 +68,13 @@ TEST_P(MathPrimitiveTest, AllStrategiesMatchStdReference) {
 TEST_P(MathPrimitiveTest, FusedSourceRendersBuiltinCall) {
   const std::string expression = std::string("r = ") + GetParam().name + "(u)";
   const dataflow::Network network(dataflow::build_network(expression));
+  // The text after __kernel: the assertion must hold in the kernel body.
   const std::string src =
-      kernels::to_opencl_body(kernels::generate_fused(network));
-  EXPECT_NE(src.find(std::string(GetParam().name) + "("), std::string::npos);
+      kernels::to_opencl_source(kernels::generate_fused(network));
+  const std::size_t body = src.find("__kernel");
+  ASSERT_NE(body, std::string::npos);
+  EXPECT_NE(src.find(std::string(GetParam().name) + "(", body),
+            std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(

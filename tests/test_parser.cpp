@@ -2,6 +2,7 @@
 // error reporting.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 #include "expr/ast.hpp"
@@ -235,6 +236,40 @@ TEST(Parser, GenuineNestingReportsDepth) {
         << what;
     EXPECT_EQ(what.find("chain"), std::string::npos) << what;
   }
+}
+
+/// `statements` reassignments of q, one per line.
+std::string reassignments(int statements) {
+  std::string source = "q = u\n";
+  for (int i = 1; i < statements; ++i) source += "q = q + u\n";
+  return source;
+}
+
+TEST(Parser, StatementCapCountsStatementsExactly) {
+  EXPECT_EQ(parse(reassignments(kMaxScriptStatements)).statements.size(),
+            static_cast<std::size_t>(kMaxScriptStatements));
+  try {
+    parse(reassignments(kMaxScriptStatements + 1));
+    FAIL() << "expected ParseError";
+  } catch (const dfg::ParseError& err) {
+    EXPECT_NE(std::string(err.what()).find(
+                  "more than " + std::to_string(kMaxScriptStatements) +
+                  " statements"),
+              std::string::npos)
+        << err.what();
+    EXPECT_EQ(err.line(), kMaxScriptStatements + 1);
+  }
+}
+
+TEST(Parser, RunawayScriptIsRefusedWithinFiftyMilliseconds) {
+  // 100k reassignments: refused by the statement cap before the input is
+  // tokenised in full, instead of running into the register allocator.
+  const std::string source = reassignments(100000);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(parse(source), dfg::ParseError);
+  const std::chrono::duration<double, std::milli> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LE(took.count(), 50.0);
 }
 
 TEST(Parser, PositionsPropagateToNodes) {

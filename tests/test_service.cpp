@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <string>
@@ -20,6 +21,7 @@
 #include "core/expressions.hpp"
 #include "dataflow/builder.hpp"
 #include "dataflow/network.hpp"
+#include "expr/parser.hpp"
 #include "mesh/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -239,6 +241,27 @@ TEST(Service, ReservedFieldNamesFailAtSubmit) {
     EXPECT_EQ(report.evaluation, nullptr);
     EXPECT_EQ(report.dispatch_index, 0u);
   }
+  EXPECT_EQ(svc.snapshot().admitted, 0u);
+}
+
+TEST(Service, OversizedScriptFailsAtSubmitWithinFiftyMilliseconds) {
+  Fixture fx;
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  EvalService svc({&device}, ServiceOptions{});
+  std::string script = "q = u\n";
+  for (int i = 1; i < 100000; ++i) script += "q = q + u\n";
+  const auto start = std::chrono::steady_clock::now();
+  Ticket ticket = svc.submit(fx.request(script));
+  const ServiceReport& report = ticket.wait();
+  const std::chrono::duration<double, std::milli> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(report.status, RequestStatus::failed);
+  EXPECT_NE(report.error.find("more than " +
+                              std::to_string(expr::kMaxScriptStatements) +
+                              " statements"),
+            std::string::npos)
+      << report.error;
+  EXPECT_LE(took.count(), 50.0);
   EXPECT_EQ(svc.snapshot().admitted, 0u);
 }
 
