@@ -67,6 +67,12 @@ class Translator {
         const auto it = names_.find(ident.name);
         if (it != names_.end()) return it->second;
         // Unassigned identifiers are host-bound field arrays.
+        if (ident.name.starts_with(kMemoFieldPrefix)) {
+          throw NetworkError("field name '" + ident.name +
+                             "' uses the prefix '" +
+                             std::string(kMemoFieldPrefix) +
+                             "', reserved for memoized intermediates");
+        }
         return spec_.add_field_source(ident.name);
       }
       case expr::NodeKind::binary: {

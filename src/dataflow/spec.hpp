@@ -28,6 +28,11 @@ namespace dfg::dataflow {
 /// add_field_source rejects field names that start with it.
 inline constexpr std::string_view kReservedFieldPrefix = "__m";
 
+/// Prefix of the field sources the memo layer splices in for cached
+/// subtrees. The expression front end rejects field names that start with
+/// it; splice_materialized and script_io still build them.
+inline constexpr std::string_view kMemoFieldPrefix = "_memo_";
+
 /// Most nodes a network may hold (lambda2, the largest in the tree, has
 /// 139); adding one more throws NetworkError while the network is built.
 inline constexpr std::size_t kMaxNetworkNodes = 16384;

@@ -22,17 +22,13 @@ obs::MetricId memo_counter(const std::string& svc, const char* name) {
   return obs::metrics().counter(name, {{"svc", svc}});
 }
 
-/// Spliced field sources are named after the cache key. The "_memo_"
-/// prefix cannot collide with user fields from the expression front end
-/// (identifiers there never start with an underscore by convention, and
-/// the full 16-hex key makes accidental collision astronomically
-/// unlikely) nor with the generator's reserved "__m<id>" materialized
-/// parameters.
+/// Spliced field sources are named after the cache key, under the prefix
+/// the expression front end reserves (dataflow::kMemoFieldPrefix).
 std::string memo_field_name(std::uint64_t key) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "_memo_%016llx",
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(key));
-  return buf;
+  return std::string(dataflow::kMemoFieldPrefix) + buf;
 }
 
 void mark_covered(const dataflow::NetworkSpec& spec, int root,

@@ -1,11 +1,58 @@
 #include "vcl/buffer.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "vcl/device.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace dfg::vcl {
+
+// A waiting spare is poisoned, so a read through a released buffer's old
+// view still fails under AddressSanitizer.
+static void set_poisoned([[maybe_unused]] const std::vector<float>& block,
+                         [[maybe_unused]] bool poisoned) {
+#if defined(__SANITIZE_ADDRESS__)
+  (poisoned ? __asan_poison_memory_region : __asan_unpoison_memory_region)(
+      block.data(), block.capacity() * sizeof(float));
+#endif
+}
+
+SpareBlocks::~SpareBlocks() {
+  for (const std::vector<float>& block : blocks_) set_poisoned(block, false);
+}
+
+std::vector<float> SpareBlocks::take(std::size_t elements) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
+    if (it->size() != elements) continue;
+    std::vector<float> block = std::move(*it);
+    blocks_.erase(std::next(it).base());
+    set_poisoned(block, false);
+    return block;
+  }
+  return {};
+}
+
+void SpareBlocks::give(std::vector<float> block) {
+  if (block.empty()) return;
+  set_poisoned(block, true);
+  std::lock_guard<std::mutex> lock(mutex_);
+  blocks_.push_back(std::move(block));
+  if (blocks_.size() <= kMaxBlocks) return;
+  block = std::move(blocks_.front());  // freed once the lock is released
+  set_poisoned(block, false);
+  blocks_.erase(blocks_.begin());
+}
+
+std::size_t SpareBlocks::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return blocks_.size();
+}
 
 Buffer::Buffer(Device& device, std::size_t elements) : device_(&device) {
   const std::size_t bytes = elements * sizeof(float);
@@ -21,8 +68,9 @@ Buffer::Buffer(Device& device, std::size_t elements) : device_(&device) {
                             {{"device", device_->spec().name}}),
                   device_->memory().high_water());
   }
-  // Reserve happened first: if it throws, no storage is allocated and the
-  // tracker is untouched.
+  // Reserve happened first: if it throws, no storage is taken and the
+  // tracker is untouched. A recycled block is zero-filled like a new one.
+  storage_ = device_->spares().take(elements);
   storage_.assign(elements, 0.0f);
 }
 
@@ -47,9 +95,8 @@ Buffer& Buffer::operator=(Buffer&& other) noexcept {
 void Buffer::release() {
   if (device_ != nullptr) {
     device_->memory().release(bytes());
+    device_->spares().give(std::move(storage_));  // leaves storage_ empty
     device_ = nullptr;
-    storage_.clear();
-    storage_.shrink_to_fit();
   }
 }
 

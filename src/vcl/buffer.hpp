@@ -6,6 +6,13 @@
 // behave exactly like real device buffers. Host code must move data in and
 // out through CommandQueue::write/read so transfers are profiled; direct
 // access to the backing store is reserved for the kernel executor.
+//
+// Storage is recycled per device: release() gives the host block to the
+// device's SpareBlocks (at most kMaxBlocks, oldest dropped first), and the
+// next buffer of the same element count takes it instead of faulting in
+// fresh pages. Accounting, high water and fault injection are unchanged,
+// and every buffer still starts zero-filled, so no evaluation's data can
+// show through in another's buffer.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +43,8 @@ class Buffer {
   std::span<float> device_view() { return storage_; }
   std::span<const float> device_view() const { return storage_; }
 
-  /// Releases the allocation early (idempotent). Equivalent to destroying
-  /// the buffer.
+  /// Releases the allocation early (idempotent) and gives the storage to
+  /// the device's spare list. Equivalent to destroying the buffer.
   void release();
 
  private:

@@ -20,6 +20,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "support/error.hpp"
 #include "vcl/fault.hpp"
@@ -117,10 +118,34 @@ class MemoryTracker {
   std::size_t high_water_ = 0;
 };
 
+/// Host storage of released buffers, kept for the next allocation of the
+/// same element count (vcl/buffer.hpp): at most kMaxBlocks, the oldest
+/// dropped first. Internally synchronized, like the tracker.
+class SpareBlocks {
+ public:
+  static constexpr std::size_t kMaxBlocks = 4;
+
+  SpareBlocks() = default;
+  SpareBlocks(const SpareBlocks&) = delete;
+  SpareBlocks& operator=(const SpareBlocks&) = delete;
+  ~SpareBlocks();
+
+  /// The newest spare of exactly `elements` floats, else an empty vector.
+  std::vector<float> take(std::size_t elements);
+  void give(std::vector<float> block);
+  std::size_t size() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<std::vector<float>> blocks_;  // oldest first
+};
+
 class Buffer;
 
 /// A virtual OpenCL device: a spec plus an allocator. Buffers reference the
-/// device that created them and must not outlive it.
+/// device that created them and must not outlive it. Released storage waits
+/// in spares() (at most SpareBlocks::kMaxBlocks blocks) for the next buffer
+/// of its size, so an in-situ allocate/release loop stops page-faulting.
 class Device {
  public:
   explicit Device(DeviceSpec spec)
@@ -188,6 +213,8 @@ class Device {
   /// pool's own uploads allocate here too.
   Buffer allocate(std::size_t elements);
 
+  SpareBlocks& spares() { return spares_; }
+
  private:
   DeviceSpec spec_;
   MemoryTracker memory_;
@@ -195,8 +222,9 @@ class Device {
   RetryPolicy retry_;
   double watchdog_factor_ = 8.0;
   std::shared_ptr<kernels::ExecutionBackend> backend_;
-  /// Declared last: destroyed first, while the tracker is still alive to
-  /// account the released resident bytes.
+  SpareBlocks spares_;
+  /// Declared last: destroyed first, while the tracker and the spare list
+  /// are still alive to take the released resident buffers.
   ResidentPool resident_;
 };
 

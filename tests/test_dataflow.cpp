@@ -7,6 +7,7 @@
 #include "core/expressions.hpp"
 #include "dataflow/builder.hpp"
 #include "dataflow/network.hpp"
+#include "dataflow/script_io.hpp"
 #include "dataflow/spec.hpp"
 #include "support/error.hpp"
 
@@ -284,6 +285,24 @@ TEST(Builder, UnknownFunctionNamed) {
   } catch (const NetworkError& err) {
     EXPECT_NE(std::string(err.what()).find("curl"), std::string::npos);
   }
+}
+
+TEST(Builder, MemoPrefixIsReservedForSplicedInputs) {
+  // The memo layer binds "_memo_<key>" for each cached subtree it splices
+  // in; a caller field of that name would alias the cached value.
+  try {
+    build_network("r = _memo_00000000deadbeef * 2.0");
+    FAIL() << "expected NetworkError";
+  } catch (const NetworkError& err) {
+    EXPECT_NE(std::string(err.what()).find("'_memo_'"), std::string::npos)
+        << err.what();
+  }
+  // Names merely containing the prefix stay legal, and a network-definition
+  // script still builds such sources, as the memo layer's splice does.
+  EXPECT_NO_THROW(build_network("r = u_memo_x * 2.0"));
+  const NetworkSpec spec = parse_script(
+      "n0 = net.add_field_source(\"_memo_00000000deadbeef\")\n");
+  EXPECT_EQ(spec.source_count(), 1u);
 }
 
 TEST(Builder, LastStatementIsOutput) {

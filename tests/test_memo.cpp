@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -395,6 +397,52 @@ TEST(MemoService, RepeatTrafficServesFromCacheAcrossRounds) {
   const ServiceSnapshot snap = svc.snapshot();
   EXPECT_GE(snap.memo_hits, 3u);
   EXPECT_GT(snap.memo_recompute_saved_nanos, 0u);
+}
+
+TEST(MemoService, CallerFieldNamedLikeASplicedInputIsRefused) {
+  // The memoizer splices a cached subtree in as the field "_memo_<key>"
+  // and binds it on the batch's engine, over any caller binding of that
+  // name. A caller field named after a live key would alias the cached
+  // value (r = ke + ke instead of r = ke + own), so the front end refuses
+  // the prefix before anything is queued.
+  ServiceFixture fx;
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  ServiceOptions options;
+  options.start_paused = true;
+  options.memo = true;
+  EvalService svc({&device}, options);
+  const Ticket ta = svc.submit(fx.request(fx.expr_a, "alice"));
+  const Ticket tb = svc.submit(fx.request(fx.expr_b, "bob"));
+  svc.resume();
+  svc.drain();
+  ASSERT_GE(svc.snapshot().memo_admits, 1u);
+
+  // The key ke is cached under: the same subtree over the same arrays.
+  const dataflow::Network net(dataflow::build_network(fx.expr_a));
+  memo::EvalContext ctx;
+  ctx.network = &net;
+  ctx.mesh = &fx.mesh;
+  ctx.elements = fx.mesh.cell_count();
+  ctx.fields = {{"u", fx.field.u.data(), fx.field.u.size()},
+                {"v", fx.field.v.data(), fx.field.v.size()},
+                {"w", fx.field.w.data(), fx.field.w.size()}};
+  std::uint64_t key = 0;
+  for (const memo::Candidate& candidate : memo::enumerate_candidates(ctx)) {
+    if (net.spec().node(candidate.root).label == "ke") key = candidate.key;
+  }
+  ASSERT_NE(key, 0u);
+  char name[32];
+  std::snprintf(name, sizeof(name), "_memo_%016llx",
+                static_cast<unsigned long long>(key));
+
+  const std::vector<float> own(fx.mesh.cell_count(), 1000.0f);
+  Request request = fx.request(fx.shared + "r = ke + " + name, "carol");
+  request.fields.push_back({name, own});
+  const Ticket tc = svc.submit(request);
+  const ServiceReport& rc = tc.wait();
+  EXPECT_EQ(rc.status, RequestStatus::failed);
+  EXPECT_NE(rc.error.find("'_memo_'"), std::string::npos) << rc.error;
+  EXPECT_EQ(rc.evaluation, nullptr);
 }
 
 }  // namespace

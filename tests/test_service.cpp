@@ -244,6 +244,39 @@ TEST(Service, ReservedFieldNamesFailAtSubmit) {
   EXPECT_EQ(svc.snapshot().admitted, 0u);
 }
 
+TEST(Service, BackToBackSessionsOnOneDeviceGetTheirOwnResults) {
+  // The second session's buffers reuse the first session's released
+  // device storage; each result must still match its own reference.
+  Fixture fx;
+  const mesh::VectorField other = mesh::rayleigh_taylor_flow(fx.mesh, 11);
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  EvalService svc({&device}, ServiceOptions{});
+  const std::string first = "r = sqrt(u*u + v*v) - w";
+  const std::string second = "r = a * b - 3.0";
+  const Ticket ta = svc.submit(fx.request(first, "alice"));
+  svc.drain();
+  EXPECT_GT(device.spares().size(), 0u);
+  Request request;
+  request.expression = second;
+  request.mesh = &fx.mesh;
+  request.fields = {{"a", other.u}, {"b", other.w}};
+  request.session = "bob";
+  const Ticket tb = svc.submit(request);
+  svc.drain();
+  const ServiceReport& ra = ta.wait();
+  const ServiceReport& rb = tb.wait();
+  ASSERT_EQ(ra.status, RequestStatus::completed) << ra.error;
+  ASSERT_EQ(rb.status, RequestStatus::completed) << rb.error;
+  expect_bitwise_equal(ra.evaluation->values, fx.reference(first));
+
+  vcl::Device reference_device(vcl::xeon_x5660_scaled());
+  Engine engine(reference_device);
+  engine.bind_mesh(fx.mesh);
+  engine.bind("a", other.u);
+  engine.bind("b", other.w);
+  expect_bitwise_equal(rb.evaluation->values, engine.evaluate(second).values);
+}
+
 TEST(Service, OversizedScriptFailsAtSubmitWithinFiftyMilliseconds) {
   Fixture fx;
   vcl::Device device(vcl::xeon_x5660_scaled());

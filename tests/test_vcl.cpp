@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/checksum.hpp"
@@ -106,6 +109,96 @@ TEST(Buffer, ExplicitReleaseIsIdempotent) {
   EXPECT_EQ(device.memory().in_use(), 0u);
   EXPECT_FALSE(a.valid());
 }
+
+TEST(Buffer, RecycledStorageIsZeroedBeforeReuse) {
+  Device device(tiny_device(4096));
+  ProfilingLog log;
+  CommandQueue queue(device, log);
+  std::vector<float> pattern(64);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = i % 2 == 0 ? std::numeric_limits<float>::quiet_NaN()
+                            : static_cast<float>(i) + 0.5f;
+  }
+  {
+    Buffer buffer = device.allocate(64);
+    queue.write(buffer, pattern, "in");
+  }
+  ASSERT_EQ(device.spares().size(), 1u) << "release keeps the storage";
+  Buffer again = device.allocate(64);
+  EXPECT_EQ(device.spares().size(), 0u) << "the spare block is reused";
+  std::vector<float> back(64, -1.0f);
+  queue.read(again, back, "out");
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    std::uint32_t word = 1;
+    std::memcpy(&word, &back[i], sizeof(word));
+    EXPECT_EQ(word, 0u) << "word " << i;
+  }
+}
+
+TEST(Buffer, RecyclingIsBoundedAndThreadSafe) {
+  {
+    // Recycling moves no accounting: allocate N, release, allocate N peaks
+    // at one buffer's bytes, as it did before storage was recycled.
+    Device device(tiny_device(4096));
+    device.allocate(256).release();
+    const Buffer buffer = device.allocate(256);
+    EXPECT_EQ(device.memory().in_use(), 1024u);
+    EXPECT_EQ(device.memory().high_water(), 1024u);
+  }
+  // Four threads allocate and release 16 distinct sizes on one device; a
+  // resident handle can be dropped on any thread, so the spare list must
+  // stay consistent and bounded under contention. Every buffer, recycled
+  // or not, starts zeroed.
+  Device device(tiny_device(std::size_t{1} << 24));
+  std::atomic<std::size_t> most_spares{0};
+  std::atomic<std::size_t> dirty_buffers{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < 1000; ++round) {
+        const std::size_t elements = 32 + 8 * ((round + 5 * t) % 16);
+        Buffer buffer = device.allocate(elements);
+        const std::span<float> view = buffer.device_view();
+        if (std::any_of(view.begin(), view.end(),
+                        [](float x) { return x != 0.0f; })) {
+          ++dirty_buffers;
+        }
+        std::fill(view.begin(), view.end(), static_cast<float>(round + 1));
+        buffer.release();
+        const std::size_t spares = device.spares().size();
+        std::size_t seen = most_spares.load();
+        while (spares > seen &&
+               !most_spares.compare_exchange_weak(seen, spares)) {
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(device.memory().in_use(), 0u);
+  EXPECT_EQ(dirty_buffers.load(), 0u);
+  EXPECT_GT(most_spares.load(), 0u);
+  EXPECT_LE(most_spares.load(), SpareBlocks::kMaxBlocks);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Built only under AddressSanitizer: a spare block is poisoned while it
+// waits, so a stale view of a released buffer still reports, as it would
+// if the storage had been freed.
+TEST(BufferDeathTest, ReadThroughAReleasedViewIsCaught) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Device device(tiny_device(4096));
+  Buffer buffer = device.allocate(64);
+  const std::span<const float> stale = buffer.device_view();
+  buffer.release();
+  ASSERT_EQ(device.spares().size(), 1u);
+  EXPECT_DEATH(
+      {
+        const volatile float word = stale[3];
+        (void)word;
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(CostModel, TransferIsLatencyPlusBandwidth) {
   DeviceSpec spec = tiny_device(1 << 20);
