@@ -37,7 +37,8 @@ std::string node_label(const SpecNode& node) {
 }
 
 /// Short hex tag of a subtree fingerprint (low 32 bits — plenty to make
-/// shared subtrees visually matchable in a rendered diagram).
+/// shared subtrees visually matchable in a rendered diagram; a hash is
+/// enough for a label nobody computes with).
 std::string short_hex(std::uint64_t fp) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%08x",

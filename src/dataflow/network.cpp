@@ -2,68 +2,82 @@
 
 #include <bit>
 #include <queue>
+#include <utility>
 
 #include "support/checksum.hpp"
 
 namespace dfg::dataflow {
 
-namespace {
-
-std::uint64_t fingerprint_spec(const NetworkSpec& spec) {
-  std::uint64_t hash = support::kFnvOffsetBasis;
-  const auto mix_int = [&hash](std::int64_t value) {
-    hash = support::fnv1a(&value, sizeof(value), hash);
-  };
-  const auto mix_str = [&hash](const std::string& text) {
-    const std::size_t size = text.size();
-    hash = support::fnv1a(&size, sizeof(size), hash);
-    hash = support::fnv1a(text.data(), text.size(), hash);
-  };
-  mix_int(static_cast<std::int64_t>(spec.nodes().size()));
-  for (const SpecNode& node : spec.nodes()) {
-    mix_int(node.id);
-    mix_int(static_cast<std::int64_t>(node.type));
-    mix_str(node.kind);
-    mix_str(node.field_name);
-    mix_int(static_cast<std::int64_t>(
-        std::bit_cast<std::uint64_t>(node.const_value)));
-    mix_int(node.component);
-    mix_int(static_cast<std::int64_t>(node.inputs.size()));
-    for (const int input : node.inputs) mix_int(input);
-    mix_int(node.components);
-    mix_str(node.label);
+void put_uint(std::string& out, std::uint64_t value) {
+  for (; value >= 0x80; value >>= 7) {
+    out.push_back(static_cast<char>(value | 0x80));
   }
-  mix_int(spec.output_id());
-  return hash;
+  out.push_back(static_cast<char>(value));
 }
 
-}  // namespace
+void put_text(std::string& out, std::string_view text) {
+  put_uint(out, text.size());
+  out.append(text);
+}
+
+void put_node(std::string& out, const SpecNode& node) {
+  put_uint(out, static_cast<std::uint64_t>(node.type));
+  put_text(out, node.kind);
+  put_uint(out, static_cast<std::uint32_t>(node.components));
+  switch (node.type) {
+    case NodeType::field_source:
+      put_text(out, node.field_name);
+      break;
+    case NodeType::constant: {
+      const auto bits = std::bit_cast<std::uint64_t>(node.const_value);
+      for (int shift = 0; shift < 64; shift += 8) {
+        out.push_back(static_cast<char>(bits >> shift));
+      }
+      break;
+    }
+    case NodeType::filter:
+      put_uint(out, static_cast<std::uint32_t>(node.component));
+      break;
+  }
+}
+
+std::uint64_t identity_hash(std::string_view bytes) {
+  return support::fnv1a(bytes);
+}
+
+std::string subtree_identity(const NetworkSpec& spec, int root) {
+  // Iterative post-order walk: a node is numbered once its inputs are.
+  std::vector<int> index(spec.nodes().size(), -1);
+  std::vector<std::pair<int, std::size_t>> stack{{root, 0}};
+  std::string nodes;
+  int count = 0;
+  while (!stack.empty()) {
+    auto& [id, next] = stack.back();
+    const SpecNode& node = spec.node(id);
+    if (next < node.inputs.size()) {
+      const int input = node.inputs[next++];
+      if (index[input] < 0) stack.emplace_back(input, 0);
+      continue;
+    }
+    index[id] = count++;
+    put_node(nodes, node);
+    put_uint(nodes, node.inputs.size());
+    for (const int input : node.inputs) put_uint(nodes, index[input]);
+    stack.pop_back();
+  }
+  std::string out;
+  put_uint(out, count);
+  return out + nodes;
+}
 
 std::vector<std::uint64_t> subtree_fingerprints(const NetworkSpec& spec) {
   std::vector<std::uint64_t> fps(spec.nodes().size(), 0);
+  std::string bytes;
   for (const SpecNode& node : spec.nodes()) {
-    std::uint64_t hash = support::kFnvOffsetBasis;
-    const auto mix_int = [&hash](std::int64_t value) {
-      hash = support::fnv1a(&value, sizeof(value), hash);
-    };
-    const auto mix_str = [&hash](const std::string& text) {
-      const std::size_t size = text.size();
-      hash = support::fnv1a(&size, sizeof(size), hash);
-      hash = support::fnv1a(text.data(), text.size(), hash);
-    };
-    mix_int(static_cast<std::int64_t>(node.type));
-    mix_str(node.kind);
-    mix_str(node.field_name);
-    mix_int(static_cast<std::int64_t>(
-        std::bit_cast<std::uint64_t>(node.const_value)));
-    mix_int(node.component);
-    mix_int(node.components);
-    mix_int(static_cast<std::int64_t>(node.inputs.size()));
-    for (const int input : node.inputs) {
-      mix_int(static_cast<std::int64_t>(
-          fps[static_cast<std::size_t>(input)]));
-    }
-    fps[static_cast<std::size_t>(node.id)] = hash;
+    bytes.clear();
+    put_node(bytes, node);
+    for (const int input : node.inputs) put_uint(bytes, fps[input]);
+    fps[node.id] = identity_hash(bytes);
   }
   return fps;
 }
@@ -107,7 +121,16 @@ Network::Network(NetworkSpec spec) : spec_(std::move(spec)) {
     throw NetworkError("network contains a dependency cycle");
   }
 
-  fingerprint_ = fingerprint_spec(spec_);
+  put_uint(identity_, n);
+  for (const SpecNode& node : nodes) {
+    put_uint(identity_, node.id);
+    put_node(identity_, node);
+    put_uint(identity_, node.inputs.size());
+    for (const int input : node.inputs) put_uint(identity_, input);
+    put_text(identity_, node.label);
+  }
+  put_uint(identity_, spec_.output_id());
+  fingerprint_ = identity_hash(identity_);
   subtree_fingerprints_ = dataflow::subtree_fingerprints(spec_);
 }
 

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataflow/spec.hpp"
@@ -33,12 +35,15 @@ class Network {
 
   int output_id() const { return spec_.output_id(); }
 
-  /// Canonical structural fingerprint of the network: an FNV-1a hash over
-  /// every spec node's identity-relevant fields (type, kind, bound field
-  /// name, constant bits, component selections, input wiring, label) and
-  /// the output marker. Two networks share a fingerprint exactly when the
-  /// kernel generator would produce identical programs for them, so it
-  /// serves as the fused-program cache key. Computed once at construction.
+  /// Canonical content identity of the network: every spec node (its id,
+  /// put_node fields, input ids and label) and the output id, encoded once
+  /// at construction. Equal bytes mean the kernel generator produces
+  /// identical programs, so caches keyed on a network store these bytes
+  /// and compare them on every hit.
+  const std::string& identity() const { return identity_; }
+
+  /// identity_hash(identity()): the lookup hash of network-keyed caches.
+  /// Distinct networks can share it, so a hit must also compare identity().
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Per-node *subtree* fingerprint: names the canonical value node `id`
@@ -55,21 +60,31 @@ class Network {
   NetworkSpec spec_;
   std::vector<int> topo_order_;
   std::vector<int> use_counts_;
+  std::string identity_;
   std::uint64_t fingerprint_ = 0;
   std::vector<std::uint64_t> subtree_fingerprints_;
 };
 
-/// Per-node subtree fingerprints of a spec, indexed by node id: an FNV-1a
-/// hash over each node's identity-relevant fields (type, kind, bound field
-/// name, constant bits, component selection, component count) combined
-/// with its inputs' subtree fingerprints in argument order. Unlike the
-/// whole-network fingerprint, labels are deliberately excluded — two
-/// differently named nodes computing the same value share a subtree
-/// fingerprint, which is exactly what cross-request memoization keys on:
-/// two networks containing equal subtree fingerprints compute the same
-/// value at those roots whenever the same host arrays are bound to the
-/// subtree's field leaves. Node ids are construction order (producers
-/// precede consumers), so a single forward pass suffices.
+// The one canonical encoder behind every content-identity key: LEB128
+// integers, length-prefixed text, constants as 8 little-endian bytes.
+// Caches store these bytes and compare them on a hit; identity_hash is
+// only their lookup hash.
+void put_uint(std::string& out, std::uint64_t value);
+void put_text(std::string& out, std::string_view text);
+/// A node's identity fields: type, kind, component count, then its field
+/// name, constant bits or component. Id, inputs and label are the caller's.
+void put_node(std::string& out, const SpecNode& node);
+std::uint64_t identity_hash(std::string_view bytes);
+
+/// The value node `root` computes: a post-order walk emitting each distinct
+/// node once, inputs as post-order indices. Ids and labels are left out, so
+/// `a = u*u` and `b = u*u` share it, whatever the statement order.
+std::string subtree_identity(const NetworkSpec& spec, int root);
+
+/// Per-node subtree hashes, indexed by node id: put_node's bytes and the
+/// inputs' hashes, hashed. Only policy code reads them (popularity,
+/// near-miss counting, diagram tags), where a collision bends a policy but
+/// never serves a wrong value.
 std::vector<std::uint64_t> subtree_fingerprints(const NetworkSpec& spec);
 
 }  // namespace dfg::dataflow

@@ -91,9 +91,9 @@ std::vector<Token> tokenize(std::string_view source) {
       ++i;
     }
   };
-  const auto push = [&](TokenKind kind, std::string text, int tok_line,
+  const auto push = [&](TokenKind kind, std::string_view text, int tok_line,
                         int tok_column, double value = 0.0) {
-    tokens.push_back(Token{kind, std::move(text), value, tok_line, tok_column});
+    tokens.push_back(Token{kind, text, value, tok_line, tok_column});
   };
 
   while (i < source.size()) {
@@ -113,7 +113,7 @@ std::vector<Token> tokenize(std::string_view source) {
     if (is_ident_start(c)) {
       std::size_t start = i;
       while (i < source.size() && is_ident_char(source[i])) advance();
-      std::string text(source.substr(start, i - start));
+      const std::string_view text = source.substr(start, i - start);
       TokenKind kind = TokenKind::identifier;
       if (text == "if") {
         kind = TokenKind::kw_if;
@@ -122,7 +122,7 @@ std::vector<Token> tokenize(std::string_view source) {
       } else if (text == "else") {
         kind = TokenKind::kw_else;
       }
-      push(kind, std::move(text), tok_line, tok_column);
+      push(kind, text, tok_line, tok_column);
       continue;
     }
 
@@ -168,7 +168,8 @@ std::vector<Token> tokenize(std::string_view source) {
         throw ParseError("malformed number literal '" + text + "'", tok_line,
                          tok_column);
       }
-      push(TokenKind::number, text, tok_line, tok_column, value);
+      push(TokenKind::number, source.substr(start, i - start), tok_line,
+           tok_column, value);
       continue;
     }
 
@@ -243,7 +244,7 @@ std::vector<Token> tokenize(std::string_view source) {
         throw ParseError(std::string("unexpected character '") + c + "'",
                          tok_line, tok_column);
     }
-    push(kind, std::string(1, c), tok_line, tok_column);
+    push(kind, source.substr(i, 1), tok_line, tok_column);
     advance();
   }
 

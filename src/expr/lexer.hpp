@@ -14,7 +14,8 @@ namespace dfg::expr {
 
 /// Tokenises the whole input. The returned stream always ends with an
 /// end_of_input token. Throws ParseError on unknown characters, malformed
-/// number literals, or more than kMaxScriptStatements '=' tokens.
+/// number literals, or more than kMaxScriptStatements '=' tokens. Token
+/// texts point into `source`, which must outlive the tokens.
 std::vector<Token> tokenize(std::string_view source);
 
 }  // namespace dfg::expr

@@ -83,7 +83,8 @@ class Parser {
       const Token& t = peek();
       throw ParseError(std::string("expected ") + token_kind_name(kind) + " " +
                            context + ", found " + token_kind_name(t.kind) +
-                           (t.text.empty() ? "" : " '" + t.text + "'"),
+                           (t.text.empty() ? ""
+                                           : " '" + std::string(t.text) + "'"),
                        t.line, t.column);
     }
     return consume();
@@ -223,10 +224,10 @@ class Parser {
           }
           expect(TokenKind::rparen, "to close argument list");
           return bounded(std::make_unique<CallNode>(
-              tok.text, std::move(args), tok.line, tok.column));
+              std::string(tok.text), std::move(args), tok.line, tok.column));
         }
-        return std::make_unique<IdentifierNode>(tok.text, tok.line,
-                                                tok.column);
+        return std::make_unique<IdentifierNode>(std::string(tok.text),
+                                                tok.line, tok.column);
       }
       case TokenKind::lparen: {
         consume();
@@ -254,7 +255,9 @@ class Parser {
       default:
         throw ParseError(std::string("expected an expression, found ") +
                              token_kind_name(t.kind) +
-                             (t.text.empty() ? "" : " '" + t.text + "'"),
+                             (t.text.empty()
+                                  ? ""
+                                  : " '" + std::string(t.text) + "'"),
                          t.line, t.column);
     }
   }

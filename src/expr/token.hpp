@@ -7,7 +7,7 @@
 // paper's introduction example).
 #pragma once
 
-#include <string>
+#include <string_view>
 
 namespace dfg::expr {
 
@@ -40,8 +40,9 @@ const char* token_kind_name(TokenKind kind);
 
 struct Token {
   TokenKind kind = TokenKind::end_of_input;
-  /// Raw source text (identifier name or number literal).
-  std::string text;
+  /// Raw source text (identifier name or number literal): a view into the
+  /// tokenized source, valid for as long as the source is.
+  std::string_view text;
   /// Parsed value for number tokens.
   double value = 0.0;
   /// 1-based source position of the token's first character.

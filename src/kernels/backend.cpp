@@ -74,6 +74,7 @@ class ScalarBackend final : public ExecutionBackend {
 /// code runs interpreted instead, warned to stderr once per program
 /// fingerprint (the compile failure itself — with the toolchain's output —
 /// was already reported by the module cache when it was negative-cached).
+/// A hash is enough: a collision only drops one duplicate warning.
 void note_jit_fallback(const Program& program) {
   obs::MetricsRegistry& reg = obs::metrics();
   reg.add(reg.counter("dfgen_jit_fallbacks_total"));

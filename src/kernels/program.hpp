@@ -59,9 +59,9 @@ class Program {
   /// Content fingerprint of the executable semantics: an FNV-1a hash over
   /// the instruction sequence (opcodes, registers, immediate bits), the
   /// parameter shapes (count and is_vec flags — names excluded, buffers
-  /// bind positionally) and the output shape. Two programs share a
-  /// fingerprint exactly when a code generator would emit identical
-  /// kernels for them, so it keys the jit module cache: structurally
+  /// bind positionally) and the output shape. Programs a code generator
+  /// emits identically share it, but so can different programs: the jit
+  /// module cache looks up by it and then compares those fields, so
   /// identical programs reuse one compiled object regardless of how their
   /// buffers are named. Computed once at assemble().
   std::uint64_t fingerprint() const { return fingerprint_; }

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <tuple>
 #include <utility>
 
 #include "kernels/primitives.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "support/checksum.hpp"
 #include "support/error.hpp"
 
 namespace dfg::kernels {
@@ -46,11 +46,17 @@ void count_jit(const char* name, std::uint64_t delta = 1) {
   reg.add(reg.counter(name), delta);
 }
 
-/// Module-cache key: flipping DFGEN_JIT_CC must both invalidate modules
-/// built by another toolchain and retry negative-cached failures from a
-/// broken one.
-std::uint64_t jit_key(const Program& program, const std::string& cc) {
-  return program.fingerprint() ^ support::fnv1a(cc.data(), cc.size());
+/// Programs emit the same C exactly when their code (immediates bit for
+/// bit), parameter shapes and output shape agree; names are left out as
+/// in Program::fingerprint.
+bool same_content(const Program& a, const Program& b) {
+  const auto fields = [](const Instr& i) {
+    return std::tuple(i.op, i.dst, i.args, std::bit_cast<std::uint32_t>(i.imm));
+  };
+  const auto shape = &BufferParam::is_vec;
+  return a.out_components() == b.out_components() &&
+         std::ranges::equal(a.code(), b.code(), {}, fields, fields) &&
+         std::ranges::equal(a.params(), b.params(), {}, shape, shape);
 }
 
 }  // namespace
@@ -82,9 +88,15 @@ ProgramCache::~ProgramCache() {
 std::shared_ptr<const FusedPipeline> ProgramCache::fused_pipeline(
     const dataflow::Network& network, const std::string& kernel_name) {
   std::unique_lock lock(mutex_);
-  const PipelineKey key{network.fingerprint(), kernel_name};
-  const auto it = pipelines_.find(key);
-  if (it != pipelines_.end()) {
+  const auto find_locked = [&] {
+    const auto [first, last] = pipelines_.equal_range(network.fingerprint());
+    const auto it = std::find_if(first, last, [&](const auto& slot) {
+      return slot.second.kernel_name == kernel_name &&
+             slot.second.identity == network.identity();
+    });
+    return it == last ? pipelines_.end() : it;
+  };
+  if (const auto it = find_locked(); it != pipelines_.end()) {
     it->second.last_use = ++tick_;
     ++stats_.pipeline_hits;
     count_request("pipeline", "hit");
@@ -93,12 +105,16 @@ std::shared_ptr<const FusedPipeline> ProgramCache::fused_pipeline(
   ++stats_.pipeline_misses;
   count_request("pipeline", "miss");
   // Generation can be slow; run it outside the lock (a racing thread may
-  // generate the same pipeline — both results are identical, last wins).
+  // generate the same pipeline — both results are identical, first wins).
   lock.unlock();
   auto pipeline = std::make_shared<const FusedPipeline>(
       generate_fused_pipeline(network, kernel_name));
   lock.lock();
-  pipelines_[key] = PipelineSlot{pipeline, ++tick_};
+  if (const auto it = find_locked(); it != pipelines_.end()) {
+    return it->second.pipeline;  // a racing thread published first
+  }
+  PipelineSlot slot{network.identity(), kernel_name, pipeline, ++tick_};
+  pipelines_.emplace(network.fingerprint(), std::move(slot));
   if (pipelines_.size() > kPipelineCapacity) {
     // Callers hold the shared_ptr they were handed, so dropping the entry
     // never frees a pipeline in use.
@@ -146,11 +162,9 @@ std::shared_ptr<const Program> ProgramCache::standalone(
 std::shared_ptr<const jit::Module> ProgramCache::jit_module(
     const Program& program) {
   const std::string cc = jit::compiler_command();
-  const std::uint64_t key = jit_key(program, cc);
 
   std::unique_lock lock(mutex_);
-  const auto it = jit_modules_.find(key);
-  if (it != jit_modules_.end()) {
+  if (const auto it = find_jit_locked(program, cc); it != jit_modules_.end()) {
     it->second.last_use = ++tick_;
     ++jit_stats_.hits;
     count_jit("dfgen_jit_cache_hits_total");
@@ -160,19 +174,18 @@ std::shared_ptr<const jit::Module> ProgramCache::jit_module(
     lock.unlock();
     return ready.get();
   }
-  ModulePromise promise = open_slot_locked(key);
+  auto shared = std::make_shared<const Program>(program);
+  ModulePromise promise = open_slot_locked(shared, cc);
   lock.unlock();
-  return compile_into(program, cc, promise);
+  return compile_into(*shared, cc, promise);
 }
 
 std::optional<std::shared_ptr<const jit::Module>>
 ProgramCache::tiered_jit_module(const Program& program) {
-  std::string cc = jit::compiler_command();
-  const std::uint64_t key = jit_key(program, cc);
+  const std::string cc = jit::compiler_command();
 
   std::unique_lock lock(mutex_);
-  const auto it = jit_modules_.find(key);
-  if (it != jit_modules_.end()) {
+  if (const auto it = find_jit_locked(program, cc); it != jit_modules_.end()) {
     it->second.last_use = ++tick_;
     ++jit_stats_.hits;
     count_jit("dfgen_jit_cache_hits_total");
@@ -180,7 +193,10 @@ ProgramCache::tiered_jit_module(const Program& program) {
     return it->second.ready.get();
   }
   // A program launched once is not worth a compile: most never come back,
-  // and their compiles would only crowd out the ones that do.
+  // and their compiles would only crowd out the ones that do. The ring
+  // holds hashes: a collision only queues a compile one launch early.
+  const std::uint64_t key =
+      program.fingerprint() ^ dataflow::identity_hash(cc);
   const auto seen_end =
       seen_.begin() + static_cast<std::ptrdiff_t>(
                           std::min(seen_count_, seen_.size()));
@@ -188,8 +204,9 @@ ProgramCache::tiered_jit_module(const Program& program) {
     seen_[seen_count_++ % seen_.size()] = key;
     return std::nullopt;
   }
+  auto shared = std::make_shared<const Program>(program);
   compile_queue_.push_back(
-      CompileJob{program, std::move(cc), open_slot_locked(key)});
+      CompileJob{shared, cc, open_slot_locked(shared, cc)});
   if (!compiler_.joinable()) {
     compiler_ = std::thread([this] { compile_loop(); });
   }
@@ -198,14 +215,23 @@ ProgramCache::tiered_jit_module(const Program& program) {
   return std::nullopt;
 }
 
+std::multimap<std::uint64_t, ProgramCache::JitSlot>::iterator
+ProgramCache::find_jit_locked(const Program& program, const std::string& cc) {
+  const auto [first, last] = jit_modules_.equal_range(program.fingerprint());
+  const auto it = std::find_if(first, last, [&](const auto& slot) {
+    return slot.second.cc == cc && same_content(*slot.second.program, program);
+  });
+  return it == last ? jit_modules_.end() : it;
+}
+
 ProgramCache::ModulePromise ProgramCache::open_slot_locked(
-    std::uint64_t key) {
+    std::shared_ptr<const Program> program, std::string cc) {
   ++jit_stats_.misses;
   count_jit("dfgen_jit_cache_misses_total");
   ModulePromise promise;
-  JitSlot& slot = jit_modules_[key];
-  slot.ready = promise.get_future().share();
-  slot.last_use = ++tick_;
+  const std::uint64_t key = program->fingerprint();
+  jit_modules_.emplace(key, JitSlot{promise.get_future().share(), ++tick_,
+                                    std::move(program), std::move(cc)});
   return promise;
 }
 
@@ -256,7 +282,7 @@ void ProgramCache::compile_loop() {
     CompileJob job = std::move(compile_queue_.front());
     compile_queue_.pop_front();
     lock.unlock();
-    compile_into(job.program, job.cc, job.promise);
+    compile_into(*job.program, job.cc, job.promise);
     lock.lock();
   }
 }

@@ -2,7 +2,7 @@
 //
 // Kernel generation (and optimisation) is pure: the same network structure
 // always yields the same programs. The cache memoises generate_fused_pipeline
-// results keyed by the network's canonical fingerprint, so repeated
+// results keyed by the network's identity bytes, so repeated
 // Engine::evaluate calls, the planner's estimate replays, and every block of
 // a distributed run generate each pipeline once while it stays among the
 // kPipelineCapacity most recently used. Standalone primitive programs (used
@@ -11,7 +11,7 @@
 //
 // The cache also owns the process's compiled jit modules (jit_module):
 // shared objects are expensive to produce (a full toolchain invocation),
-// so they are memoised by program fingerprint + compiler command with LRU
+// so they are memoised by program content + compiler command with LRU
 // eviction over a bounded capacity (64 modules; set_jit_capacity changes
 // it) — compile-once, run-many. The auto backend's tiered lookup
 // (tiered_jit_module) never blocks: it hands a program launched a second
@@ -107,9 +107,10 @@ class ProgramCache {
   /// The compiled jit module for `program`, or nullptr when compilation
   /// failed (failures are negative-cached, so a broken toolchain costs one
   /// compiler invocation per program, not one per launch). Entries are
-  /// keyed by Program::fingerprint() xor a hash of the compiler command:
-  /// changing DFGEN_JIT_CC both invalidates stale successes and retries
-  /// past failures. Concurrent requests for the same key join one
+  /// keyed by the program's content and the compiler command, found by
+  /// Program::fingerprint() and compared on every hit: changing
+  /// DFGEN_JIT_CC both invalidates stale successes and retries past
+  /// failures. Concurrent requests for the same key join one
   /// in-flight compile (it runs outside the cache lock; joiners block on a
   /// shared future and count as hits). At most jit_capacity() modules stay
   /// resident — least-recently-used entries are evicted first, and an
@@ -161,11 +162,12 @@ class ProgramCache {
  private:
   ProgramCache();
 
-  using PipelineKey = std::tuple<std::uint64_t, std::string>;
   using StandaloneKey = std::tuple<std::string, int, std::uint32_t>;
   using ModulePromise = std::promise<std::shared_ptr<const jit::Module>>;
 
   struct PipelineSlot {
+    std::string identity;  ///< dataflow::Network::identity()
+    std::string kernel_name;
     std::shared_ptr<const FusedPipeline> pipeline;
     std::uint64_t last_use = 0;
   };
@@ -177,6 +179,9 @@ class ProgramCache {
   struct JitSlot {
     std::shared_future<std::shared_ptr<const jit::Module>> ready;
     std::uint64_t last_use = 0;
+    /// Compared on every hit; shared with the CompileJob that builds it.
+    std::shared_ptr<const Program> program;
+    std::string cc;
     /// The compile is queued or running: `ready` has no value yet.
     bool in_flight() const {
       return ready.wait_for(std::chrono::seconds(0)) !=
@@ -184,17 +189,21 @@ class ProgramCache {
     }
   };
 
-  /// A compile queued for the background thread. It owns copies of the
-  /// program and of the compiler command taken when it was queued.
+  /// A compile queued for the background thread: the slot's program and
+  /// a copy of the compiler command taken when it was queued.
   struct CompileJob {
-    Program program;
+    std::shared_ptr<const Program> program;
     std::string cc;
     ModulePromise promise;
   };
 
-  /// Counts a miss and inserts an in-flight slot for `key`; the returned
-  /// promise publishes into it. Requires mutex_ held.
-  ModulePromise open_slot_locked(std::uint64_t key);
+  /// The slot of exactly `program` and `cc`, or end(). Requires mutex_.
+  std::multimap<std::uint64_t, JitSlot>::iterator find_jit_locked(
+      const Program& program, const std::string& cc);
+  /// Counts a miss and inserts an in-flight slot for `program`; the
+  /// returned promise publishes into it. Requires mutex_ held.
+  ModulePromise open_slot_locked(std::shared_ptr<const Program> program,
+                                 std::string cc);
   /// Runs the toolchain and publishes the result through `promise`.
   /// Called without mutex_ held.
   std::shared_ptr<const jit::Module> compile_into(const Program& program,
@@ -210,13 +219,14 @@ class ProgramCache {
   void evict_jit_locked();
 
   mutable std::mutex mutex_;
-  std::map<PipelineKey, PipelineSlot> pipelines_;
+  std::multimap<std::uint64_t, PipelineSlot> pipelines_;
   std::map<StandaloneKey, std::shared_ptr<const Program>> standalones_;
-  std::map<std::uint64_t, JitSlot> jit_modules_;
+  std::multimap<std::uint64_t, JitSlot> jit_modules_;
   std::uint64_t tick_ = 0;
   std::size_t jit_capacity_ = 64;
   std::once_flag reaped_;
-  /// Ring of keys launched once under the tiered lookup; seen_count_ is the
+  /// Ring of hashes of programs launched once under the tiered lookup
+  /// (fingerprint xor the compiler command's hash); seen_count_ is the
   /// number of marks ever written since the last clear().
   std::array<std::uint64_t, kSeenCapacity> seen_{};
   std::size_t seen_count_ = 0;

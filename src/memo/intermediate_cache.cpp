@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "dataflow/network.hpp"
 #include "vcl/resident_pool.hpp"
 
 namespace dfg::memo {
@@ -13,8 +14,15 @@ IntermediateCache::IntermediateCache(Options options) : options_(options) {}
 
 IntermediateCache::~IntermediateCache() { clear(); }
 
-void IntermediateCache::drop_locked(
-    std::map<std::uint64_t, std::shared_ptr<Entry>>::iterator it) {
+IntermediateCache::Entries::iterator IntermediateCache::find_locked(
+    std::string_view key) {
+  const auto [first, last] = entries_.equal_range(dataflow::identity_hash(key));
+  const auto it = std::find_if(
+      first, last, [key](const auto& slot) { return slot.second->key == key; });
+  return it == last ? entries_.end() : it;
+}
+
+void IntermediateCache::drop_locked(Entries::iterator it) {
   // Bump the storage's own generation tag: any device-resident copy keyed
   // by this address goes stale immediately, and an unrelated array that
   // later reuses the address can never stale-hit. The storage itself is
@@ -24,9 +32,9 @@ void IntermediateCache::drop_locked(
   entries_.erase(it);
 }
 
-IntermediateCache::EntryPtr IntermediateCache::lookup(std::uint64_t key) {
+IntermediateCache::EntryPtr IntermediateCache::lookup(std::string_view key) {
   std::scoped_lock lock(mutex_);
-  const auto it = entries_.find(key);
+  const auto it = find_locked(key);
   if (it == entries_.end()) {
     ++stats_.misses;
     return nullptr;
@@ -73,24 +81,25 @@ void IntermediateCache::evict_to_fit_locked(std::size_t incoming_bytes) {
 }
 
 IntermediateCache::EntryPtr IntermediateCache::admit(
-    std::uint64_t key, std::vector<float> values, double recompute_seconds,
+    std::string key, std::vector<float> values, double recompute_seconds,
     std::vector<std::pair<const void*, std::uint64_t>> deps) {
   std::scoped_lock lock(mutex_);
-  if (const auto it = entries_.find(key); it != entries_.end()) {
+  if (const auto it = find_locked(key); it != entries_.end()) {
     return it->second;  // a concurrent worker won the materialization race
   }
   const std::size_t bytes = values.size() * sizeof(float);
   if (bytes > options_.capacity_bytes) return nullptr;
   evict_to_fit_locked(bytes);
   auto entry = std::make_shared<Entry>();
-  entry->key = key;
+  const std::uint64_t hash = dataflow::identity_hash(key);
+  entry->key = std::move(key);
   entry->values = std::move(values);
   entry->recompute_seconds = recompute_seconds;
   entry->deps = std::move(deps);
   entry->last_use = ++tick_;
   resident_bytes_ += bytes;
   ++stats_.admits;
-  entries_.emplace(key, entry);
+  entries_.emplace(hash, entry);
   return entry;
 }
 

@@ -1,8 +1,8 @@
 // Memo layer: the materialized-intermediate cache.
 //
 // Holds the materialized outputs of memoized subtrees — one float per
-// element, host-canonical — keyed by the subgraph key (structure ⊕
-// bound-array content identity). Device residency is not duplicated here:
+// element, host-canonical — keyed by the candidate identity bytes (found by
+// their hash, compared on a hit). Device residency is not duplicated here:
 // a consumer binds the entry's host array like any other field, so the
 // per-device ResidentPool keeps it resident with its usual content-
 // identity discipline, pin scopes and watermark — and drops it on device
@@ -33,6 +33,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -58,7 +60,7 @@ class IntermediateCache {
   };
 
   struct Entry {
-    std::uint64_t key = 0;
+    std::string key;
     std::vector<float> values;
     /// Planner-estimated sim-seconds to recompute this subtree (backend-
     /// efficiency-aware); drives eviction scoring and the bench's
@@ -83,7 +85,7 @@ class IntermediateCache {
   /// Coherent lookup: null on miss. An entry whose recorded dependency
   /// generations no longer match the live tags is dropped (counted as an
   /// invalidation) and reported as a miss.
-  EntryPtr lookup(std::uint64_t key);
+  EntryPtr lookup(std::string_view key);
 
   /// Inserts a materialized value (dependencies' generations are recorded
   /// by the caller *before* materialization, so a mutation racing the
@@ -91,7 +93,7 @@ class IntermediateCache {
   /// LRU-with-cost until it fits. Values larger than capacity are not
   /// admitted (null). An existing entry under `key` is kept (first write
   /// wins; concurrent workers may materialize the same subtree).
-  EntryPtr admit(std::uint64_t key, std::vector<float> values,
+  EntryPtr admit(std::string key, std::vector<float> values,
                  double recompute_seconds,
                  std::vector<std::pair<const void*, std::uint64_t>> deps);
 
@@ -110,13 +112,15 @@ class IntermediateCache {
 
  private:
   // The *_locked helpers assume mutex_ is held.
-  void drop_locked(std::map<std::uint64_t, std::shared_ptr<Entry>>::iterator
-                       it);
+  using Entries = std::multimap<std::uint64_t, std::shared_ptr<Entry>>;
+  /// The entry stored under exactly `key`, or entries_.end().
+  Entries::iterator find_locked(std::string_view key);
+  void drop_locked(Entries::iterator it);
   void evict_to_fit_locked(std::size_t incoming_bytes);
 
   Options options_;
   mutable std::mutex mutex_;
-  std::map<std::uint64_t, std::shared_ptr<Entry>> entries_;
+  Entries entries_;
   std::size_t resident_bytes_ = 0;
   std::uint64_t tick_ = 0;
   Stats stats_;

@@ -22,12 +22,14 @@ obs::MetricId memo_counter(const std::string& svc, const char* name) {
   return obs::metrics().counter(name, {{"svc", svc}});
 }
 
-/// Spliced field sources are named after the cache key, under the prefix
-/// the expression front end reserves (dataflow::kMemoFieldPrefix).
-std::string memo_field_name(std::uint64_t key) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(key));
+/// Spliced field sources are named after the key's hash (stable when an
+/// entry is admitted again), under the prefix the front end reserves
+/// (dataflow::kMemoFieldPrefix); the `clash`-th selection of a request with
+/// that hash gets a suffix, so each entry binds its own name.
+std::string memo_field_name(std::uint64_t key, int clash) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), clash == 0 ? "%016llx" : "%016llx_%d",
+                static_cast<unsigned long long>(key), clash);
   return std::string(dataflow::kMemoFieldPrefix) + buf;
 }
 
@@ -134,7 +136,7 @@ EvaluationReport Memoizer::evaluate(Engine& engine, const EvalContext& ctx,
   // chosen subtree covers (and thereby skips) all of its sub-candidates.
   for (const Candidate& candidate : candidates) {
     if (covered[static_cast<std::size_t>(candidate.root)]) continue;
-    if (IntermediateCache::EntryPtr entry = cache_.lookup(candidate.key)) {
+    if (auto entry = cache_.lookup(candidate.identity)) {
       bytes_saved += entry->bytes();
       recompute_saved += entry->recompute_seconds;
       selected.push_back({candidate, std::move(entry), 0.0});
@@ -145,6 +147,7 @@ EvaluationReport Memoizer::evaluate(Engine& engine, const EvalContext& ctx,
     // whole-network fingerprints have presented this subtree), and only
     // when recomputing it — priced by the planner at the armed backend's
     // efficiency — costs more than one transfer of the materialized bytes.
+    // Popularity is by hash: a collision can only admit a key early.
     if (index_.popularity(candidate.key).networks < 2) continue;
     double estimate = 0.0;
     try {
@@ -200,7 +203,7 @@ EvaluationReport Memoizer::evaluate(Engine& engine, const EvalContext& ctx,
     fold(sub_totals, sub);
     have_sub = true;
     selection.entry =
-        cache_.admit(selection.candidate.key, std::move(sub.values),
+        cache_.admit(selection.candidate.identity, std::move(sub.values),
                      selection.estimate_seconds, std::move(deps));
   }
 
@@ -208,9 +211,11 @@ EvaluationReport Memoizer::evaluate(Engine& engine, const EvalContext& ctx,
   // selection whose admit was refused (value larger than the cache) stays
   // in the network and is evaluated inline like before.
   std::map<int, std::string> replacements;
+  std::map<std::uint64_t, int> clashes;
   for (const Selection& selection : selected) {
     if (selection.entry == nullptr) continue;
-    const std::string name = memo_field_name(selection.candidate.key);
+    const std::string name = memo_field_name(
+        selection.candidate.key, clashes[selection.candidate.key]++);
     engine.bind(name, std::span<const float>(selection.entry->values));
     replacements.emplace(selection.candidate.root, name);
   }

@@ -8,7 +8,8 @@
 //   1. greedily selects maximal non-overlapping memoizable subtrees of
 //      the leader's network (enumerate_candidates order);
 //   2. serves selected subtrees from the IntermediateCache when their
-//      key (structure ⊕ bound-array content identity) hits — coherently:
+//      key (structure, then bound-array content identity) hits — exactly,
+//      the cache compares the key bytes — and coherently:
 //      the cache re-checks every dependency's generation tag;
 //   3. on a miss, admits by cost model once the SubgraphIndex has seen
 //      the key from two or more distinct networks *and* the planner's

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "support/checksum.hpp"
 
 namespace dfg::memo {
 
@@ -21,7 +20,6 @@ bool is_mesh_name(const std::string& name) {
 
 std::vector<Candidate> enumerate_candidates(const EvalContext& ctx) {
   const NetworkSpec& spec = ctx.network->spec();
-  const std::vector<std::uint64_t>& fps = ctx.network->subtree_fingerprints();
   std::map<std::string, const BoundInput*> bound;
   for (const BoundInput& field : ctx.fields) {
     bound.emplace(field.name, &field);
@@ -68,28 +66,27 @@ std::vector<Candidate> enumerate_candidates(const EvalContext& ctx) {
 
     Candidate candidate;
     candidate.root = root.id;
-    candidate.subtree_fp = fps[static_cast<std::size_t>(root.id)];
     candidate.filters = filters;
-    std::uint64_t hash = support::kFnvOffsetBasis;
-    const auto mix = [&hash](std::uint64_t value) {
-      hash = support::fnv1a(&value, sizeof(value), hash);
-    };
-    mix(candidate.subtree_fp);
-    mix(static_cast<std::uint64_t>(ctx.elements));
+    std::string& key = candidate.identity;
+    key = dataflow::subtree_identity(spec, root.id);
+    dataflow::put_uint(key, ctx.elements);
     for (const std::string& name : leaves) {
-      hash = support::fnv1a(name.data(), name.size(), hash);
+      dataflow::put_text(key, name);
       if (const auto it = bound.find(name); it != bound.end()) {
-        mix(reinterpret_cast<std::uintptr_t>(it->second->data));
-        mix(static_cast<std::uint64_t>(it->second->len));
+        dataflow::put_uint(key, 1);
+        dataflow::put_uint(key,
+                           reinterpret_cast<std::uintptr_t>(it->second->data));
+        dataflow::put_uint(key, it->second->len);
         candidate.deps.push_back(it->second->data);
       } else {
         // Mesh coordinates: identified by the mesh object itself (the
         // service regenerates the x/y/z arrays per engine, so their
         // pointers are not stable identities — the mesh is).
-        mix(reinterpret_cast<std::uintptr_t>(ctx.mesh));
+        dataflow::put_uint(key, 0);
+        dataflow::put_uint(key, reinterpret_cast<std::uintptr_t>(ctx.mesh));
       }
     }
-    candidate.key = hash;
+    candidate.key = dataflow::identity_hash(key);
     out.push_back(std::move(candidate));
   }
 
@@ -207,6 +204,7 @@ bool SubgraphIndex::observe(const dataflow::Network& network,
 
   // Near-miss check before this network's own fingerprints register, so a
   // request only counts against *previously seen different* networks.
+  // Hashes suffice here and in keys_: a collision skews a count, never a value.
   bool near_miss = false;
   for (const SpecNode& node : spec.nodes()) {
     if (node.type != NodeType::filter) continue;

@@ -1,7 +1,7 @@
 // Memo layer: cross-request subgraph analysis.
 //
 // The EvalService's coalescer (PR 4) deduplicates *identical* requests —
-// same whole-network fingerprint, same bound arrays. Real traffic overlaps
+// same network identity, same bound arrays. Real traffic overlaps
 // partially: v_mag, vorticity_mag and q_crit all hang off the same grad3d
 // subtrees. This module generalizes "same request" to "same work": it
 // names the memoizable subtrees of a request (enumerate_candidates), keys
@@ -56,11 +56,12 @@ struct EvalContext {
 struct Candidate {
   /// Spec node id of the subtree root.
   int root = -1;
-  /// Structural subtree fingerprint (dataflow::subtree_fingerprints).
-  std::uint64_t subtree_fp = 0;
-  /// Cache key: subtree_fp ⊕ element count ⊕ the content identity of every
-  /// host array the subtree reads (sorted by field name). Equal keys name
-  /// the same floats.
+  /// Cache key: the subtree's identity (dataflow::subtree_identity), the
+  /// element count, then every host array the subtree reads, sorted by
+  /// field name (name, data pointer, extent; mesh leaves by mesh pointer).
+  /// Equal bytes name the same floats.
+  std::string identity;
+  /// identity_hash(identity): the SubgraphIndex popularity key.
   std::uint64_t key = 0;
   /// Filters inside the subtree (recompute-cost proxy for ranking).
   std::size_t filters = 0;

@@ -8,7 +8,7 @@ CoalesceKey make_coalesce_key(const Request& request,
                               const dataflow::Network& network,
                               std::size_t resolved_elements) {
   CoalesceKey key;
-  key.network_fingerprint = network.fingerprint();
+  key.network = network.identity();
   key.mesh = request.mesh;
   key.elements = resolved_elements;
   key.strategy = request.strategy;

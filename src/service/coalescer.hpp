@@ -4,8 +4,8 @@
 // serve many) applied to whole evaluation requests: concurrently-queued
 // requests that would execute the *same* evaluation are batched, executed
 // once, and the result fanned out. Two requests coalesce exactly when
-//   * their networks share a canonical fingerprint (same generated
-//     programs — the fused-program cache key),
+//   * their networks have equal identity bytes (same generated programs;
+//     equal fingerprints alone are not enough),
 //   * they bind the same mesh object and resolve the same element count,
 //   * they bind the identical host arrays (pointer + extent identity: the
 //     in-situ contract hands the service views of host memory, so view
@@ -29,7 +29,7 @@
 namespace dfg::service {
 
 struct CoalesceKey {
-  std::uint64_t network_fingerprint = 0;
+  std::string network;  ///< dataflow::Network::identity()
   const mesh::RectilinearMesh* mesh = nullptr;
   std::size_t elements = 0;
   runtime::StrategyKind strategy{};

@@ -10,7 +10,7 @@
 //     floor. Rejection is backpressure the caller can act on, instead of
 //     unbounded queueing.
 //   * Request coalescing — concurrently-queued requests with equal
-//     CoalesceKeys (same network fingerprint, mesh, element count, bound
+//     CoalesceKeys (same network identity, mesh, element count, bound
 //     arrays, strategy) execute once and fan the shared report out to every
 //     ticket. Piggybacks the fused-program cache: followers cost zero
 //     device work, the leader usually hits the cache.

@@ -432,6 +432,50 @@ TEST(JitBackend, ConcurrentPreparesOfOneFingerprintCompileExactlyOnce) {
   }
 }
 
+/// q = (u * a + b) * c, the constants as immediates.
+kernels::Program affine_program(float a, float b, float c) {
+  kernels::ProgramBuilder builder("affine");
+  const std::uint16_t u = builder.emit_load_global(builder.add_param("u"));
+  const std::uint16_t ra = builder.emit_load_const(a);
+  const std::uint16_t rb = builder.emit_load_const(b);
+  const std::uint16_t rc = builder.emit_load_const(c);
+  const std::uint16_t scaled = builder.emit_binary(kernels::Op::mul, u, ra);
+  const std::uint16_t shifted =
+      builder.emit_binary(kernels::Op::add, scaled, rb);
+  return builder.finish(builder.emit_binary(kernels::Op::mul, shifted, rc), 1);
+}
+
+TEST(JitBackend, ProgramsSharingAFingerprintGetTheirOwnModules) {
+  // Found offline by a rho search over the immediates' bytes: the two
+  // programs share fingerprint 0x1517ee3353b8ca08.
+  const kernels::Program first =
+      affine_program(0x1.03c5p+0f, 0x1.a9b9e8p+0f, 0x1.22b5f6p-7f);
+  const kernels::Program second =
+      affine_program(0x1.3dcc76p+0f, 0x1.d7493cp+0f, -0x1.22b47ap+3f);
+  ASSERT_EQ(first.fingerprint(), second.fingerprint());
+
+  JitFixture fx;
+  kernels::ProgramCache& cache = kernels::ProgramCache::instance();
+  const auto jit = kernels::backend_for(kernels::BackendKind::jit);
+  for (const bool tiered : {false, true}) {
+    cache.clear();
+    for (const kernels::Program* program : {&first, &second}) {
+      const auto kernel =
+          tiered ? prepare_until_jit(*program) : jit->prepare(*program);
+      ASSERT_NE(kernel, nullptr);
+      ASSERT_EQ(kernel->kind(), kernels::BackendKind::jit);
+      fx.expect_matches_scalar(*kernel, *program);
+    }
+    // Both modules stay cached: asking again compiles nothing.
+    const std::uint64_t compiles = cache.jit_stats().compiles;
+    const auto module_first = cache.jit_module(first);
+    const auto module_second = cache.jit_module(second);
+    EXPECT_NE(module_first, nullptr);
+    EXPECT_NE(module_first, module_second);
+    EXPECT_EQ(cache.jit_stats().compiles, compiles);
+  }
+}
+
 TEST(JitBackend, GeneratedSourceIsSelfContained) {
   JitFixture fx;
   const kernels::Program program =

@@ -44,6 +44,14 @@ void expect_bitwise_equal(const std::vector<float>& got,
   }
 }
 
+// The ServiceFixture's shared subtree, then the same subtree under other
+// labels and with its statements in another order.
+const std::string kSharedSubtree = "ke = u*u + v*v + w*w\n";
+const std::string kRelabeledSubtree =
+    "uu = u*u\nvv = v*v\nke = uu + vv + w*w\n";
+const std::string kReorderedSubtree =
+    "vv = v*v\nuu = u*u\nke = uu + vv + w*w\n";
+
 // ---------------------------------------------------------------------------
 // Subtree fingerprints
 
@@ -78,6 +86,22 @@ TEST(SubtreeFingerprint, LabelInsensitiveConstantAndComponentSensitive) {
   EXPECT_NE(fp_of_output("r = u * 2"), fp_of_output("r = u * 3"));
   EXPECT_NE(fp_of_output("du = grad3d(u, dims, x, y, z)\nr = du[0]"),
             fp_of_output("du = grad3d(u, dims, x, y, z)\nr = du[1]"));
+
+  // The exact subtree identity keeps those matches: other labels inside
+  // the subtree, and its statements in another order, still name ke.
+  const auto ke_identity = [](const std::string& script) {
+    const dataflow::Network net(dataflow::build_network(script));
+    for (const auto& node : net.spec().nodes()) {
+      if (node.label == "ke") {
+        return dataflow::subtree_identity(net.spec(), node.id);
+      }
+    }
+    return std::string();
+  };
+  const std::string ke = ke_identity(kSharedSubtree + "r = sqrt(ke)");
+  ASSERT_FALSE(ke.empty());
+  EXPECT_EQ(ke_identity(kRelabeledSubtree + "r = sqrt(ke)"), ke);
+  EXPECT_EQ(ke_identity(kReorderedSubtree + "r = sqrt(ke)"), ke);
 }
 
 // ---------------------------------------------------------------------------
@@ -161,14 +185,15 @@ TEST(SubgraphRewrites, ExtractAndSpliceRoundTripBitExactly) {
 
 TEST(IntermediateCache, AdmitLookupAndOversizeRefusal) {
   memo::IntermediateCache cache({1024});
-  EXPECT_EQ(cache.lookup(1), nullptr);  // miss
-  const auto entry = cache.admit(1, std::vector<float>(8, 2.0f), 0.5, {});
+  EXPECT_EQ(cache.lookup("k1"), nullptr);  // miss
+  const auto entry = cache.admit("k1", std::vector<float>(8, 2.0f), 0.5, {});
   ASSERT_NE(entry, nullptr);
-  const auto hit = cache.lookup(1);
+  const auto hit = cache.lookup("k1");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->values[0], 2.0f);
   // A value larger than the whole cache is refused outright.
-  EXPECT_EQ(cache.admit(2, std::vector<float>(1024, 0.0f), 9.0, {}), nullptr);
+  EXPECT_EQ(cache.admit("k2", std::vector<float>(1024, 0.0f), 9.0, {}),
+            nullptr);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -179,14 +204,14 @@ TEST(IntermediateCache, AdmitLookupAndOversizeRefusal) {
 TEST(IntermediateCache, EvictsLeastRecomputeSavedPerByte) {
   // Capacity fits exactly two 8-float entries.
   memo::IntermediateCache cache({2 * 8 * sizeof(float)});
-  ASSERT_NE(cache.admit(1, std::vector<float>(8, 1.0f), 0.001, {}), nullptr);
-  ASSERT_NE(cache.admit(2, std::vector<float>(8, 2.0f), 9.0, {}), nullptr);
+  ASSERT_NE(cache.admit("k1", std::vector<float>(8, 1.0f), 0.001, {}), nullptr);
+  ASSERT_NE(cache.admit("k2", std::vector<float>(8, 2.0f), 9.0, {}), nullptr);
   // Admitting a third evicts the cheapest-to-recompute entry (key 1).
-  ASSERT_NE(cache.admit(3, std::vector<float>(8, 3.0f), 1.0, {}), nullptr);
+  ASSERT_NE(cache.admit("k3", std::vector<float>(8, 3.0f), 1.0, {}), nullptr);
   EXPECT_EQ(cache.entry_count(), 2u);
-  EXPECT_EQ(cache.lookup(1), nullptr);
-  EXPECT_NE(cache.lookup(2), nullptr);
-  EXPECT_NE(cache.lookup(3), nullptr);
+  EXPECT_EQ(cache.lookup("k1"), nullptr);
+  EXPECT_NE(cache.lookup("k2"), nullptr);
+  EXPECT_NE(cache.lookup("k3"), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
@@ -194,14 +219,14 @@ TEST(IntermediateCache, DependencyMutationInvalidatesOnLookup) {
   std::vector<float> input(8, 1.0f);
   memo::IntermediateCache cache({1024});
   const std::uint64_t generation = vcl::host_generation(input.data());
-  ASSERT_NE(cache.admit(7, std::vector<float>(8, 2.0f), 1.0,
+  ASSERT_NE(cache.admit("k7", std::vector<float>(8, 2.0f), 1.0,
                         {{input.data(), generation}}),
             nullptr);
-  ASSERT_NE(cache.lookup(7), nullptr);
+  ASSERT_NE(cache.lookup("k7"), nullptr);
   // The host mutates the dependency: the cached value is stale.
   input[0] = 42.0f;
   vcl::note_host_mutation(input.data());
-  EXPECT_EQ(cache.lookup(7), nullptr);
+  EXPECT_EQ(cache.lookup("k7"), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1u);
   EXPECT_EQ(cache.entry_count(), 0u);
 }
@@ -209,13 +234,13 @@ TEST(IntermediateCache, DependencyMutationInvalidatesOnLookup) {
 TEST(IntermediateCache, InvalidateDependentsDropsEagerly) {
   std::vector<float> a(8, 1.0f), b(8, 2.0f);
   memo::IntermediateCache cache({1024});
-  cache.admit(1, std::vector<float>(8, 0.0f), 1.0,
+  cache.admit("k1", std::vector<float>(8, 0.0f), 1.0,
               {{a.data(), vcl::host_generation(a.data())}});
-  cache.admit(2, std::vector<float>(8, 0.0f), 1.0,
+  cache.admit("k2", std::vector<float>(8, 0.0f), 1.0,
               {{b.data(), vcl::host_generation(b.data())}});
   cache.invalidate_dependents(a.data());
   EXPECT_EQ(cache.entry_count(), 1u);
-  EXPECT_NE(cache.lookup(2), nullptr);
+  EXPECT_NE(cache.lookup("k2"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +288,7 @@ struct ServiceFixture {
   mesh::RectilinearMesh mesh = mesh::RectilinearMesh::uniform({12, 10, 8});
   mesh::VectorField field;
   // Two different networks hanging off the same heavy subtree.
-  std::string shared = "ke = u*u + v*v + w*w\n";
+  std::string shared = kSharedSubtree;
   std::string expr_a = shared + "r = sqrt(ke)";
   std::string expr_b = shared + "r = ke * 0.5 + u";
 
@@ -397,6 +422,95 @@ TEST(MemoService, RepeatTrafficServesFromCacheAcrossRounds) {
   const ServiceSnapshot snap = svc.snapshot();
   EXPECT_GE(snap.memo_hits, 3u);
   EXPECT_GT(snap.memo_recompute_saved_nanos, 0u);
+}
+
+TEST(MemoService, RelabeledAndReorderedSubtreesStillHit) {
+  ServiceFixture fx;
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  ServiceOptions options;
+  options.memo = true;
+  EvalService svc({&device}, options);
+  const Ticket ta = svc.submit(fx.request(fx.expr_a, "alice"));
+  const Ticket tb = svc.submit(fx.request(fx.expr_b, "bob"));
+  svc.drain();
+  ASSERT_GE(svc.snapshot().memo_admits, 1u);
+
+  // Each with its own tail: a tail shared by two requests would make the
+  // larger subtree over ke popular, and it would be admitted instead.
+  for (const std::string& expression :
+       {kRelabeledSubtree + "r = sqrt(ke) + w",
+        kReorderedSubtree + "r = ke * 0.25 + v"}) {
+    const std::uint64_t hits = svc.snapshot().memo_hits;
+    const Ticket ticket = svc.submit(fx.request(expression, "carol"));
+    svc.drain();
+    const ServiceReport& report = ticket.wait();
+    ASSERT_EQ(report.status, RequestStatus::completed) << report.error;
+    expect_bitwise_equal(report.evaluation->values,
+                         fx.reference(expression));
+    EXPECT_EQ(svc.snapshot().memo_hits, hits + 1) << expression;
+  }
+}
+
+TEST(MemoService, SubtreesSharingAKeyHashGetTheirOwnValues) {
+  // Found offline by a rho search over the constant's bytes: the two ke
+  // subtrees share an identity hash, so their cache keys over the same
+  // arrays do too.
+  const std::string first =
+      "ke = (u*u + v*v + w*w) * 8.4696427476686205e-18\n";
+  const std::string second =
+      "ke = (u*u + v*v + w*w) * 100372240605252.09\n";
+  ServiceFixture fx;
+  const auto ke_candidate = [&](const dataflow::Network& net) {
+    memo::EvalContext ctx;
+    ctx.network = &net;
+    ctx.mesh = &fx.mesh;
+    ctx.elements = fx.mesh.cell_count();
+    ctx.fields = {{"u", fx.field.u.data(), fx.field.u.size()},
+                  {"v", fx.field.v.data(), fx.field.v.size()},
+                  {"w", fx.field.w.data(), fx.field.w.size()}};
+    for (const memo::Candidate& candidate : memo::enumerate_candidates(ctx)) {
+      if (net.spec().node(candidate.root).label == "ke") return candidate;
+    }
+    return memo::Candidate{};
+  };
+  const dataflow::Network first_net(
+      dataflow::build_network(first + "r = ke + u"));
+  const dataflow::Network second_net(
+      dataflow::build_network(second + "r = ke + u"));
+  const memo::Candidate first_key = ke_candidate(first_net);
+  const memo::Candidate second_key = ke_candidate(second_net);
+  ASSERT_EQ(first_key.key, second_key.key);
+  EXPECT_NE(first_key.identity, second_key.identity);
+
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  ServiceOptions options;
+  options.memo = true;
+  EvalService svc({&device}, options);
+  const auto run = [&](const std::vector<std::string>& expressions) {
+    std::vector<Ticket> tickets;
+    for (const std::string& expression : expressions) {
+      tickets.push_back(svc.submit(fx.request(expression, "alice")));
+    }
+    svc.drain();
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      const ServiceReport& report = tickets[i].wait();
+      ASSERT_EQ(report.status, RequestStatus::completed) << report.error;
+      expect_bitwise_equal(report.evaluation->values,
+                           fx.reference(expressions[i]));
+    }
+  };
+  // Two networks over each ke make it popular enough to admit.
+  run({first + "r = ke + u", first + "r = ke * 0.5 + v"});
+  const std::uint64_t admits = svc.snapshot().memo_admits;
+  ASSERT_GE(admits, 1u);
+  // The second ke misses the first one's entry and is admitted beside it.
+  run({second + "r = ke + u", second + "r = ke * 0.5 + v"});
+  EXPECT_EQ(svc.snapshot().memo_admits, admits + 1);
+  // Neither overwrote the other: each hits its own entry.
+  const std::uint64_t hits = svc.snapshot().memo_hits;
+  run({first + "r = ke + u", second + "r = ke + u"});
+  EXPECT_EQ(svc.snapshot().memo_hits, hits + 2);
+  EXPECT_EQ(svc.snapshot().memo_admits, admits + 1);
 }
 
 TEST(MemoService, CallerFieldNamedLikeASplicedInputIsRefused) {
