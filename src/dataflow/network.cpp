@@ -131,7 +131,6 @@ Network::Network(NetworkSpec spec) : spec_(std::move(spec)) {
   }
   put_uint(identity_, spec_.output_id());
   fingerprint_ = identity_hash(identity_);
-  subtree_fingerprints_ = dataflow::subtree_fingerprints(spec_);
 }
 
 }  // namespace dfg::dataflow

@@ -46,23 +46,12 @@ class Network {
   /// Distinct networks can share it, so a hit must also compare identity().
   std::uint64_t fingerprint() const { return fingerprint_; }
 
-  /// Per-node *subtree* fingerprint: names the canonical value node `id`
-  /// computes given the same bound inputs (see subtree_fingerprints below).
-  /// Computed once at construction alongside fingerprint().
-  std::uint64_t subtree_fingerprint(int id) const {
-    return subtree_fingerprints_[static_cast<std::size_t>(id)];
-  }
-  const std::vector<std::uint64_t>& subtree_fingerprints() const {
-    return subtree_fingerprints_;
-  }
-
  private:
   NetworkSpec spec_;
   std::vector<int> topo_order_;
   std::vector<int> use_counts_;
   std::string identity_;
   std::uint64_t fingerprint_ = 0;
-  std::vector<std::uint64_t> subtree_fingerprints_;
 };
 
 // The one canonical encoder behind every content-identity key: LEB128

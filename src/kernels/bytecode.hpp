@@ -12,9 +12,20 @@
 // Register model: every register is a float4 (the paper represents
 // multi-value results with built-in OpenCL vector types). Scalar values
 // occupy lane s0. The gradient primitive produces lanes s0..s2.
+//
+// Every fact about an opcode that is not how to execute it lives in one
+// table row (kernels/program.cpp, read through op_info): its name, the
+// primitive kind it implements, its form and register operands, its cost,
+// and its source spelling. The builder, the optimizer, lane liveness, the
+// register-pressure scan and both source dialects dispatch on the row, not
+// on the opcode. Adding an opcode touches the enum, one row, and one body
+// in each interpreter: vm.cpp's element-wise step (run_scalar runs it, and
+// the constant folder through eval_register_op) and run()'s tiled loop; a
+// memory opcode also needs a source_printer case.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace dfg::kernels {
@@ -98,24 +109,62 @@ struct Instr {
   float imm = 0.0f;
 };
 
-/// Structural helpers shared by the builder, the bytecode optimizer and the
-/// VM: opcode arity classification and register-operand layout.
-bool op_is_binary(Op op);
-bool op_is_unary(Op op);
+inline constexpr std::size_t kOpCount =
+    static_cast<std::size_t>(Op::grad3d) + 1;
+
+/// How an opcode's result lanes depend on its register operands. Lane
+/// liveness, the register-pressure scan and the constant folder dispatch on
+/// this.
+enum class OpForm : std::uint8_t {
+  read,        ///< lane 0 from a buffer; lanes 1..3 zero
+  read_vec,    ///< lanes 0..3 from buffers (load_global_vec, grad3d)
+  constant,    ///< lane 0 = imm; lanes 1..3 zero
+  write,       ///< out = lane 0 of the operand
+  write_vec,   ///< out = all four lanes of the operand
+  lanewise,    ///< lane l = f(lane l of every operand)
+  comparison,  ///< lane 0 = (a.s0 OP b.s0) ? 1 : 0; lanes 1..3 zero
+  component,   ///< lane 0 = lane args[1] of the operand; lanes 1..3 zero
+  select,      ///< every lane of args[1] or args[2], by lane 0 of args[0]
+  pack,        ///< lane l = lane 0 of operand l; lane 3 zero
+};
+
+/// How the source printer writes a lane of a lane-wise or comparison
+/// opcode; other opcodes are printed by their form.
+enum class Spell : std::uint8_t {
+  none,
+  prefix,  ///< `-a`
+  infix,   ///< `a + b`, and the comparison `(a > b) ? 1.0f : 0.0f`
+  call,    ///< `sqrt(a)`, `fmin(a, b)`: a libm function, float-suffixed in C
+};
+
+/// One opcode's row of the opcode table.
+struct OpInfo {
+  Op op;
+  const char* name;  ///< diagnostic name ("add", "grad3d", ...)
+  /// The dataflow primitive kind the opcode implements ("mult" for mul),
+  /// or nullptr for the memory opcodes.
+  const char* kind;
+  OpForm form;
+  /// Leading `args` entries holding register indices; the rest are buffer
+  /// slots or literals (component's lane index, grad3d's five slots).
+  std::uint8_t operands;
+  std::uint8_t flops;         ///< per-element flop cost (cost model)
+  std::uint8_t global_bytes;  ///< per-element global-memory traffic
+  Spell spell = Spell::none;
+  const char* token = nullptr;  ///< the operator or libm function printed
+};
+
+/// The opcode's table row.
+const OpInfo& op_info(Op op);
+
+/// Accessors over the table.
+bool op_is_binary(Op op);  ///< lane-wise or comparison, two operands
+bool op_is_unary(Op op);   ///< lane-wise, one operand
 /// True for every opcode that writes a register (everything but stores).
 bool op_defines_register(Op op);
-/// Number of leading `args` entries holding register indices; the rest are
-/// buffer-parameter slots or literals (component's lane index, grad3d's
-/// five buffer slots).
 int instr_register_operands(const Instr& instr);
-
-/// Per-element flop cost charged for an opcode by the cost model.
 std::uint64_t op_flops(Op op);
-
-/// Per-element global-memory traffic (bytes) generated by an opcode.
 std::uint64_t op_global_bytes(Op op);
-
-/// Diagnostic opcode name ("add", "grad3d", ...).
 const char* op_name(Op op);
 
 }  // namespace dfg::kernels

@@ -2,203 +2,19 @@
 
 #include <array>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
+
+#include "kernels/vm.hpp"
 
 namespace dfg::kernels {
 
 namespace {
 
 constexpr std::uint16_t kNoReg = UINT16_MAX;
-
-/// Backward observed-lane analysis: for each register, the set of lanes
-/// (bit l = lane l) whose value some consumer can see. A constant fold may
-/// only replace an instruction with load_const — which zeroes lanes 1..3 —
-/// when no *observed* lane changes bit pattern. The code is SSA, so one
-/// backward sweep finalises each mask before its definition is visited.
-std::vector<std::uint8_t> observed_lanes(const std::vector<Instr>& code,
-                                         std::uint16_t num_regs) {
-  std::vector<std::uint8_t> observed(num_regs, 0);
-  for (std::size_t idx = code.size(); idx-- > 0;) {
-    const Instr& in = code[idx];
-    switch (in.op) {
-      case Op::store:
-        observed[in.args[0]] |= 0x1;
-        break;
-      case Op::store_vec:
-        observed[in.args[0]] |= 0xF;
-        break;
-      case Op::component:
-        if (observed[in.dst] & 0x1) {
-          observed[in.args[0]] |=
-              static_cast<std::uint8_t>(1u << in.args[1]);
-        }
-        break;
-      case Op::cmp_gt:
-      case Op::cmp_lt:
-      case Op::cmp_ge:
-      case Op::cmp_le:
-      case Op::cmp_eq:
-      case Op::cmp_ne:
-        if (observed[in.dst] & 0x1) {
-          observed[in.args[0]] |= 0x1;
-          observed[in.args[1]] |= 0x1;
-        }
-        break;
-      case Op::select:
-        if (observed[in.dst] != 0) {
-          observed[in.args[0]] |= 0x1;
-          observed[in.args[1]] |= observed[in.dst];
-          observed[in.args[2]] |= observed[in.dst];
-        }
-        break;
-      case Op::pack:
-        // Lane l of a pack exposes lane 0 of operand l; the constant zero
-        // in lane 3 observes nothing.
-        for (int l = 0; l < 3; ++l) {
-          if (observed[in.dst] & (1u << l)) {
-            observed[in.args[static_cast<std::size_t>(l)]] |= 0x1;
-          }
-        }
-        break;
-      default:
-        if (op_is_binary(in.op)) {
-          observed[in.args[0]] |= observed[in.dst];
-          observed[in.args[1]] |= observed[in.dst];
-        } else if (op_is_unary(in.op)) {
-          observed[in.args[0]] |= observed[in.dst];
-        }
-        // Loads and grad3d have no register operands.
-        break;
-    }
-  }
-  return observed;
-}
-
-/// Lane-wise evaluation with exactly the single-precision calls run() uses,
-/// so folded constants are bit-identical to what the VM would compute.
-template <typename F>
-Vec4 lanewise(const Vec4& a, const Vec4& b, F f) {
-  Vec4 r;
-  for (int i = 0; i < 4; ++i) r[i] = f(a[i], b[i]);
-  return r;
-}
-
-template <typename F>
-Vec4 lanewise1(const Vec4& a, F f) {
-  Vec4 r;
-  for (int i = 0; i < 4; ++i) r[i] = f(a[i]);
-  return r;
-}
-
-Vec4 scalar_result(float value) {
-  Vec4 r;
-  r[0] = value;
-  return r;
-}
-
-/// Computes the value an instruction produces when every register operand
-/// holds a known value. Returns nullopt for unfoldable opcodes (memory ops,
-/// grad3d, select — the latter is handled by copy propagation instead).
-std::optional<Vec4> fold_value(
-    const Instr& in, const std::vector<std::optional<Vec4>>& known) {
-  const auto k = [&](int idx) { return known[in.args[idx]]; };
-  switch (in.op) {
-    case Op::load_const:
-      return scalar_result(in.imm);
-    case Op::add:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return lanewise(*k(0), *k(1), [](float a, float b) { return a + b; });
-    case Op::sub:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return lanewise(*k(0), *k(1), [](float a, float b) { return a - b; });
-    case Op::mul:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return lanewise(*k(0), *k(1), [](float a, float b) { return a * b; });
-    case Op::div:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return lanewise(*k(0), *k(1), [](float a, float b) { return a / b; });
-    case Op::min:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return lanewise(*k(0), *k(1),
-                      [](float a, float b) { return std::fmin(a, b); });
-    case Op::max:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return lanewise(*k(0), *k(1),
-                      [](float a, float b) { return std::fmax(a, b); });
-    case Op::pow:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return lanewise(*k(0), *k(1),
-                      [](float a, float b) { return std::pow(a, b); });
-    case Op::sqrt:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return std::sqrt(a); });
-    case Op::neg:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return -a; });
-    case Op::abs:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return std::fabs(a); });
-    case Op::sin:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return std::sin(a); });
-    case Op::cos:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return std::cos(a); });
-    case Op::tan:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return std::tan(a); });
-    case Op::acos:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return std::acos(a); });
-    case Op::pack:
-      if (!k(0) || !k(1) || !k(2)) return std::nullopt;
-      return Vec4{{(*k(0))[0], (*k(1))[0], (*k(2))[0], 0.0f}};
-    case Op::exp:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return std::exp(a); });
-    case Op::log:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return std::log(a); });
-    case Op::tanh:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return std::tanh(a); });
-    case Op::floor:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return std::floor(a); });
-    case Op::ceil:
-      if (!k(0)) return std::nullopt;
-      return lanewise1(*k(0), [](float a) { return std::ceil(a); });
-    case Op::component:
-      if (!k(0)) return std::nullopt;
-      return scalar_result((*k(0))[in.args[1]]);
-    case Op::cmp_gt:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return scalar_result((*k(0))[0] > (*k(1))[0] ? 1.0f : 0.0f);
-    case Op::cmp_lt:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return scalar_result((*k(0))[0] < (*k(1))[0] ? 1.0f : 0.0f);
-    case Op::cmp_ge:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return scalar_result((*k(0))[0] >= (*k(1))[0] ? 1.0f : 0.0f);
-    case Op::cmp_le:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return scalar_result((*k(0))[0] <= (*k(1))[0] ? 1.0f : 0.0f);
-    case Op::cmp_eq:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return scalar_result((*k(0))[0] == (*k(1))[0] ? 1.0f : 0.0f);
-    case Op::cmp_ne:
-      if (!k(0) || !k(1)) return std::nullopt;
-      return scalar_result((*k(0))[0] != (*k(1))[0] ? 1.0f : 0.0f);
-    default:
-      return std::nullopt;
-  }
-}
 
 using CseKey = std::tuple<std::uint8_t, std::uint16_t, std::uint16_t,
                           std::uint16_t, std::uint16_t, std::uint16_t,
@@ -217,8 +33,17 @@ CseKey cse_key(const Instr& in) {
 /// merged registers always hold bit-identical values on every lane.
 bool forward_pass(std::vector<Instr>& code, std::uint16_t num_regs,
                   OptimizerStats* stats) {
-  const std::vector<std::uint8_t> observed = observed_lanes(code, num_regs);
-  std::vector<std::optional<Vec4>> known(num_regs);
+  // The code is SSA, so a register's observed lanes are the live-lane mask
+  // of its one definition.
+  const std::vector<std::uint8_t> masks = live_lane_masks(code, num_regs);
+  std::vector<std::uint8_t> observed(num_regs, 0);
+  for (std::size_t idx = 0; idx < code.size(); ++idx) {
+    const Instr& in = code[idx];
+    if (op_defines_register(in.op)) observed[in.dst] = masks[idx];
+  }
+  // values[r] is meaningful where known[r]: the value every element holds.
+  std::vector<Vec4> values(num_regs);
+  std::vector<char> known(num_regs, 0);
   std::vector<std::uint16_t> alias(num_regs);
   for (std::uint16_t r = 0; r < num_regs; ++r) alias[r] = r;
   std::map<CseKey, std::uint16_t> seen;
@@ -229,40 +54,46 @@ bool forward_pass(std::vector<Instr>& code, std::uint16_t num_regs,
   for (const Instr& original : code) {
     Instr in = original;
     const int nops = instr_register_operands(in);
+    bool operands_known = true;
     for (int k = 0; k < nops; ++k) {
-      const std::uint16_t resolved = alias[in.args[static_cast<std::size_t>(k)]];
-      if (resolved != in.args[static_cast<std::size_t>(k)]) {
-        in.args[static_cast<std::size_t>(k)] = resolved;
-      }
+      std::uint16_t& arg = in.args[static_cast<std::size_t>(k)];
+      arg = alias[arg];
+      operands_known = operands_known && known[arg];
     }
 
     // Select with a compile-time condition: forward the chosen branch (the
     // VM copies all four lanes of it, so aliasing is exact).
     if (in.op == Op::select && known[in.args[0]]) {
       const std::uint16_t chosen =
-          (*known[in.args[0]])[0] != 0.0f ? in.args[1] : in.args[2];
+          values[in.args[0]][0] != 0.0f ? in.args[1] : in.args[2];
       alias[in.dst] = chosen;
       ++stats->propagated_copies;
       changed = true;
       continue;
     }
 
-    std::optional<Vec4> value = fold_value(in, known);
-    if (value && in.op != Op::load_const) {
+    // Instructions that read only registers fold when every operand is
+    // known, through the interpreter's own scalar semantics.
+    const OpForm form = op_info(in.op).form;
+    const bool foldable = operands_known && op_defines_register(in.op) &&
+                          form != OpForm::read && form != OpForm::read_vec;
+    if (foldable) eval_register_op(in, values.data());
+    if (foldable && in.op != Op::load_const) {
+      Vec4& value = values[in.dst];
       // Replacing with load_const zeroes lanes 1..3; only legal when no
       // observed lane's bit pattern changes (+0.0 exactly — a NaN or -0.0
       // in an observed lane blocks the fold).
       bool replace = true;
       for (int lane = 1; lane < 4; ++lane) {
         if ((observed[in.dst] & (1u << lane)) != 0 &&
-            std::bit_cast<std::uint32_t>((*value)[lane]) != 0) {
+            std::bit_cast<std::uint32_t>(value[lane]) != 0) {
           replace = false;
           break;
         }
       }
       if (replace) {
-        in = Instr{Op::load_const, in.dst, {}, (*value)[0]};
-        value = scalar_result((*value)[0]);
+        in = Instr{Op::load_const, in.dst, {}, value[0]};
+        value = Vec4{{value[0], 0.0f, 0.0f, 0.0f}};
         ++stats->folded_constants;
         changed = true;
       }
@@ -279,7 +110,7 @@ bool forward_pass(std::vector<Instr>& code, std::uint16_t num_regs,
         continue;
       }
       seen.emplace(cse_key(in), in.dst);
-      known[in.dst] = value;
+      known[in.dst] = foldable;
     }
     out.push_back(in);
   }

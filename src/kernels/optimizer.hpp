@@ -13,10 +13,11 @@
 //   * register coalescing via linear scan, shrinking register_count() so
 //     the tiled VM touches a smaller workspace.
 //
-// Every transform is bit-exact: folded values are computed with the same
-// single-precision std:: calls the VM executes, and a fold is only allowed
-// to replace an instruction when no consumer observes a lane the
-// replacement would change.
+// Every transform is bit-exact: a folded value is computed by
+// eval_register_op, the scalar interpreter's own opcode bodies, and a fold
+// is only allowed to replace an instruction when no consumer observes a
+// lane the replacement would change (live_lane_masks, the VM's lane
+// liveness, read on SSA code).
 #pragma once
 
 #include <cstddef>

@@ -146,39 +146,27 @@ const std::unordered_map<std::string, const PrimitiveInfo*>& index() {
   return *map;
 }
 
+/// The lane-wise or comparison opcode with `operands` register operands
+/// that implements primitive `kind`.
+Op opcode_for(const std::string& kind, int operands, const char* what) {
+  for (std::size_t i = 0; i < kOpCount; ++i) {
+    const OpInfo& info = op_info(static_cast<Op>(i));
+    if ((info.form == OpForm::lanewise || info.form == OpForm::comparison) &&
+        info.operands == operands && kind == info.kind) {
+      return info.op;
+    }
+  }
+  throw KernelError("'" + kind + "' is not a " + what + " primitive");
+}
+
 }  // namespace
 
 Op unary_opcode_for(const std::string& kind) {
-  if (kind == "neg") return Op::neg;
-  if (kind == "sqrt") return Op::sqrt;
-  if (kind == "abs") return Op::abs;
-  if (kind == "sin") return Op::sin;
-  if (kind == "cos") return Op::cos;
-  if (kind == "tan") return Op::tan;
-  if (kind == "acos") return Op::acos;
-  if (kind == "exp") return Op::exp;
-  if (kind == "log") return Op::log;
-  if (kind == "tanh") return Op::tanh;
-  if (kind == "floor") return Op::floor;
-  if (kind == "ceil") return Op::ceil;
-  throw KernelError("'" + kind + "' is not a unary primitive");
+  return opcode_for(kind, 1, "unary");
 }
 
 Op binary_opcode_for(const std::string& kind) {
-  if (kind == "add") return Op::add;
-  if (kind == "sub") return Op::sub;
-  if (kind == "mult") return Op::mul;
-  if (kind == "div") return Op::div;
-  if (kind == "min") return Op::min;
-  if (kind == "max") return Op::max;
-  if (kind == "pow") return Op::pow;
-  if (kind == "cmp_gt") return Op::cmp_gt;
-  if (kind == "cmp_lt") return Op::cmp_lt;
-  if (kind == "cmp_ge") return Op::cmp_ge;
-  if (kind == "cmp_le") return Op::cmp_le;
-  if (kind == "cmp_eq") return Op::cmp_eq;
-  if (kind == "cmp_ne") return Op::cmp_ne;
-  throw KernelError("'" + kind + "' is not a binary primitive");
+  return opcode_for(kind, 2, "binary");
 }
 
 const std::vector<PrimitiveInfo>& all_primitives() {

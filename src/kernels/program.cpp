@@ -2,249 +2,123 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 
 #include "support/checksum.hpp"
 #include "support/error.hpp"
 
 namespace dfg::kernels {
 
-std::uint64_t op_flops(Op op) {
-  switch (op) {
-    case Op::load_global:
-    case Op::load_global_vec:
-    case Op::load_const:
-    case Op::store:
-    case Op::store_vec:
-    case Op::component:
-      return 0;
-    case Op::add:
-    case Op::sub:
-    case Op::mul:
-    case Op::div:
-    case Op::neg:
-    case Op::abs:
-    case Op::min:
-    case Op::max:
-    case Op::cmp_gt:
-    case Op::cmp_lt:
-    case Op::cmp_ge:
-    case Op::cmp_le:
-    case Op::cmp_eq:
-    case Op::cmp_ne:
-    case Op::select:
-      return 1;
-    case Op::pack:
-      return 0;
-    case Op::sqrt:
-      return 4;  // sqrt costs several fma-equivalents on both targets
-    case Op::floor:
-    case Op::ceil:
-      return 1;
-    case Op::sin:
-    case Op::cos:
-    case Op::tan:
-    case Op::acos:
-    case Op::exp:
-    case Op::log:
-    case Op::tanh:
-      return 8;  // transcendental special-function units / polynomial cost
-    case Op::pow:
-      return 16;
-    case Op::grad3d:
-      // Per axis: one field difference, cell-center reconstruction from node
-      // coordinates (2 adds + 2 muls), one coordinate difference, one divide.
-      return 30;
-  }
-  return 0;
-}
-
-std::uint64_t op_global_bytes(Op op) {
-  switch (op) {
-    case Op::load_global:
-      return sizeof(float);
-    case Op::load_global_vec:
-      return 4 * sizeof(float);
-    case Op::store:
-      return sizeof(float);
-    case Op::store_vec:
-      return 4 * sizeof(float);
-    case Op::grad3d:
-      // Six stencil reads of the field plus six node-coordinate reads; the
-      // tiny dims buffer is treated as cached.
-      return 12 * sizeof(float);
-    default:
-      return 0;
-  }
-}
-
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::load_global:
-      return "load_global";
-    case Op::load_global_vec:
-      return "load_global_vec";
-    case Op::load_const:
-      return "load_const";
-    case Op::store:
-      return "store";
-    case Op::store_vec:
-      return "store_vec";
-    case Op::add:
-      return "add";
-    case Op::sub:
-      return "sub";
-    case Op::mul:
-      return "mul";
-    case Op::div:
-      return "div";
-    case Op::sqrt:
-      return "sqrt";
-    case Op::neg:
-      return "neg";
-    case Op::abs:
-      return "abs";
-    case Op::sin:
-      return "sin";
-    case Op::cos:
-      return "cos";
-    case Op::tan:
-      return "tan";
-    case Op::acos:
-      return "acos";
-    case Op::exp:
-      return "exp";
-    case Op::log:
-      return "log";
-    case Op::tanh:
-      return "tanh";
-    case Op::floor:
-      return "floor";
-    case Op::ceil:
-      return "ceil";
-    case Op::min:
-      return "min";
-    case Op::max:
-      return "max";
-    case Op::pow:
-      return "pow";
-    case Op::component:
-      return "component";
-    case Op::cmp_gt:
-      return "cmp_gt";
-    case Op::cmp_lt:
-      return "cmp_lt";
-    case Op::cmp_ge:
-      return "cmp_ge";
-    case Op::cmp_le:
-      return "cmp_le";
-    case Op::cmp_eq:
-      return "cmp_eq";
-    case Op::cmp_ne:
-      return "cmp_ne";
-    case Op::select:
-      return "select";
-    case Op::pack:
-      return "pack";
-    case Op::grad3d:
-      return "grad3d";
-  }
-  return "?";
-}
-
-bool op_is_binary(Op op) {
-  switch (op) {
-    case Op::add:
-    case Op::sub:
-    case Op::mul:
-    case Op::div:
-    case Op::min:
-    case Op::max:
-    case Op::pow:
-    case Op::cmp_gt:
-    case Op::cmp_lt:
-    case Op::cmp_ge:
-    case Op::cmp_le:
-    case Op::cmp_eq:
-    case Op::cmp_ne:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool op_is_unary(Op op) {
-  switch (op) {
-    case Op::sqrt:
-    case Op::neg:
-    case Op::abs:
-    case Op::sin:
-    case Op::cos:
-    case Op::tan:
-    case Op::acos:
-    case Op::exp:
-    case Op::log:
-    case Op::tanh:
-    case Op::floor:
-    case Op::ceil:
-      return true;
-    default:
-      return false;
-  }
-}
-
-int instr_register_operands(const Instr& instr) {
-  if (op_is_binary(instr.op)) return 2;
-  if (op_is_unary(instr.op) || instr.op == Op::component ||
-      instr.op == Op::store || instr.op == Op::store_vec) {
-    return 1;
-  }
-  if (instr.op == Op::select || instr.op == Op::pack) return 3;
-  return 0;
-}
-
-bool op_defines_register(Op op) {
-  return op != Op::store && op != Op::store_vec;
-}
-
 namespace {
 
+using F = OpForm;
+using S = Spell;
+
+// One row per opcode, in enum order. Costs: sqrt costs several
+// fma-equivalents on both targets; transcendentals pay special-function
+// units or a polynomial; grad3d per axis pays one field difference,
+// cell-center reconstruction from node coordinates (2 adds + 2 muls), one
+// coordinate difference and one divide, and reads six field and six
+// coordinate values (the tiny dims buffer is treated as cached).
+constexpr OpInfo kOps[] = {
+    // op, name, kind, form, operands, flops, bytes[, spelling, token]
+    {Op::load_global, "load_global", nullptr, F::read, 0, 0, 4},
+    {Op::load_global_vec, "load_global_vec", nullptr, F::read_vec, 0, 0, 16},
+    {Op::load_const, "load_const", "const_fill", F::constant, 0, 0, 0},
+    {Op::store, "store", nullptr, F::write, 1, 0, 4},
+    {Op::store_vec, "store_vec", nullptr, F::write_vec, 1, 0, 16},
+    {Op::add, "add", "add", F::lanewise, 2, 1, 0, S::infix, "+"},
+    {Op::sub, "sub", "sub", F::lanewise, 2, 1, 0, S::infix, "-"},
+    {Op::mul, "mul", "mult", F::lanewise, 2, 1, 0, S::infix, "*"},
+    {Op::div, "div", "div", F::lanewise, 2, 1, 0, S::infix, "/"},
+    {Op::sqrt, "sqrt", "sqrt", F::lanewise, 1, 4, 0, S::call, "sqrt"},
+    {Op::neg, "neg", "neg", F::lanewise, 1, 1, 0, S::prefix, "-"},
+    {Op::abs, "abs", "abs", F::lanewise, 1, 1, 0, S::call, "fabs"},
+    {Op::sin, "sin", "sin", F::lanewise, 1, 8, 0, S::call, "sin"},
+    {Op::cos, "cos", "cos", F::lanewise, 1, 8, 0, S::call, "cos"},
+    {Op::tan, "tan", "tan", F::lanewise, 1, 8, 0, S::call, "tan"},
+    {Op::acos, "acos", "acos", F::lanewise, 1, 8, 0, S::call, "acos"},
+    {Op::exp, "exp", "exp", F::lanewise, 1, 8, 0, S::call, "exp"},
+    {Op::log, "log", "log", F::lanewise, 1, 8, 0, S::call, "log"},
+    {Op::tanh, "tanh", "tanh", F::lanewise, 1, 8, 0, S::call, "tanh"},
+    {Op::floor, "floor", "floor", F::lanewise, 1, 1, 0, S::call, "floor"},
+    {Op::ceil, "ceil", "ceil", F::lanewise, 1, 1, 0, S::call, "ceil"},
+    {Op::min, "min", "min", F::lanewise, 2, 1, 0, S::call, "fmin"},
+    {Op::max, "max", "max", F::lanewise, 2, 1, 0, S::call, "fmax"},
+    {Op::pow, "pow", "pow", F::lanewise, 2, 16, 0, S::call, "pow"},
+    {Op::component, "component", "decompose", F::component, 1, 0, 0},
+    {Op::cmp_gt, "cmp_gt", "cmp_gt", F::comparison, 2, 1, 0, S::infix, ">"},
+    {Op::cmp_lt, "cmp_lt", "cmp_lt", F::comparison, 2, 1, 0, S::infix, "<"},
+    {Op::cmp_ge, "cmp_ge", "cmp_ge", F::comparison, 2, 1, 0, S::infix, ">="},
+    {Op::cmp_le, "cmp_le", "cmp_le", F::comparison, 2, 1, 0, S::infix, "<="},
+    {Op::cmp_eq, "cmp_eq", "cmp_eq", F::comparison, 2, 1, 0, S::infix, "=="},
+    {Op::cmp_ne, "cmp_ne", "cmp_ne", F::comparison, 2, 1, 0, S::infix, "!="},
+    {Op::select, "select", "select", F::select, 3, 1, 0},
+    {Op::pack, "pack", "pack3", F::pack, 3, 0, 0},
+    {Op::grad3d, "grad3d", "grad3d", F::read_vec, 0, 30, 48},
+};
+static_assert(std::size(kOps) == kOpCount, "one opcode table row per Op");
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kOpCount; ++i) {
+        if (static_cast<std::size_t>(kOps[i].op) != i) return false;
+      }
+      return true;
+    }(),
+    "opcode table rows are in enum order");
+
 /// Lanes a register holds as live scalars: vector-valued producers hold 3,
-/// scalar producers 1.
+/// scalar producers 1, lane-wise results as many as their widest operand.
 int result_width(const Instr& instr, const std::vector<int>& widths) {
-  switch (instr.op) {
-    case Op::grad3d:
-    case Op::load_global_vec:
-    case Op::pack:
+  const OpInfo& info = op_info(instr.op);
+  switch (info.form) {
+    case F::read_vec:
+    case F::pack:
       return 3;
-    case Op::select:
+    case F::select:
       return std::max(widths[instr.args[1]], widths[instr.args[2]]);
-    case Op::add:
-    case Op::sub:
-    case Op::mul:
-    case Op::div:
-    case Op::min:
-    case Op::max:
-    case Op::pow:
-      return std::max(widths[instr.args[0]], widths[instr.args[1]]);
-    case Op::sqrt:
-    case Op::neg:
-    case Op::abs:
-    case Op::sin:
-    case Op::cos:
-    case Op::tan:
-    case Op::acos:
-    case Op::exp:
-    case Op::log:
-    case Op::tanh:
-    case Op::floor:
-    case Op::ceil:
-      return widths[instr.args[0]];
+    case F::lanewise: {
+      int width = 1;
+      for (int k = 0; k < info.operands; ++k) {
+        const std::uint16_t reg = instr.args[static_cast<std::size_t>(k)];
+        width = std::max(width, widths[reg]);
+      }
+      return width;
+    }
     default:
       return 1;
   }
 }
 
 }  // namespace
+
+const OpInfo& op_info(Op op) { return kOps[static_cast<std::size_t>(op)]; }
+
+bool op_is_binary(Op op) {
+  const OpInfo& info = op_info(op);
+  return info.operands == 2 &&
+         (info.form == OpForm::lanewise || info.form == OpForm::comparison);
+}
+
+bool op_is_unary(Op op) {
+  const OpInfo& info = op_info(op);
+  return info.operands == 1 && info.form == OpForm::lanewise;
+}
+
+bool op_defines_register(Op op) {
+  const OpForm form = op_info(op).form;
+  return form != OpForm::write && form != OpForm::write_vec;
+}
+
+int instr_register_operands(const Instr& instr) {
+  return op_info(instr.op).operands;
+}
+
+std::uint64_t op_flops(Op op) { return op_info(op).flops; }
+
+std::uint64_t op_global_bytes(Op op) { return op_info(op).global_bytes; }
+
+const char* op_name(Op op) { return op_info(op).name; }
 
 ProgramBuilder::ProgramBuilder(std::string name) : name_(std::move(name)) {}
 

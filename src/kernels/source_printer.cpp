@@ -62,75 +62,6 @@ void append_reg(std::string& out, std::size_t r) {
   out += std::to_string(r);
 }
 
-/// How a lane-wise opcode is spelled.
-struct Spelling {
-  enum Form {
-    none,        ///< not a lane-wise opcode
-    prefix,      ///< `-a`
-    infix,       ///< `a + b`
-    comparison,  ///< `(a > b) ? 1.0f : 0.0f`, lane 0 only
-    call,        ///< `sqrt(a)`, before the dialect's float suffix
-  } form;
-  const char* token;
-};
-
-Spelling spelling(Op op) {
-  switch (op) {
-    case Op::neg:
-      return {Spelling::prefix, "-"};
-    case Op::add:
-      return {Spelling::infix, "+"};
-    case Op::sub:
-      return {Spelling::infix, "-"};
-    case Op::mul:
-      return {Spelling::infix, "*"};
-    case Op::div:
-      return {Spelling::infix, "/"};
-    case Op::cmp_gt:
-      return {Spelling::comparison, ">"};
-    case Op::cmp_lt:
-      return {Spelling::comparison, "<"};
-    case Op::cmp_ge:
-      return {Spelling::comparison, ">="};
-    case Op::cmp_le:
-      return {Spelling::comparison, "<="};
-    case Op::cmp_eq:
-      return {Spelling::comparison, "=="};
-    case Op::cmp_ne:
-      return {Spelling::comparison, "!="};
-    case Op::sqrt:
-      return {Spelling::call, "sqrt"};
-    case Op::abs:
-      return {Spelling::call, "fabs"};
-    case Op::sin:
-      return {Spelling::call, "sin"};
-    case Op::cos:
-      return {Spelling::call, "cos"};
-    case Op::tan:
-      return {Spelling::call, "tan"};
-    case Op::acos:
-      return {Spelling::call, "acos"};
-    case Op::exp:
-      return {Spelling::call, "exp"};
-    case Op::log:
-      return {Spelling::call, "log"};
-    case Op::tanh:
-      return {Spelling::call, "tanh"};
-    case Op::floor:
-      return {Spelling::call, "floor"};
-    case Op::ceil:
-      return {Spelling::call, "ceil"};
-    case Op::min:
-      return {Spelling::call, "fmin"};
-    case Op::max:
-      return {Spelling::call, "fmax"};
-    case Op::pow:
-      return {Spelling::call, "pow"};
-    default:
-      return {Spelling::none, nullptr};
-  }
-}
-
 /// A register lane inside a statement, spelled by the dialect.
 struct Lane {
   std::uint16_t reg;
@@ -173,19 +104,20 @@ void emit_instr(std::string& out, const Dialect& d, const Program& program,
     }
   };
 
-  const auto [form, token] = spelling(in.op);
-  if (form == Spelling::comparison) {
+  const OpInfo& info = op_info(in.op);
+  const char* token = info.token;
+  if (info.form == OpForm::comparison) {
     scalar("(", arg(0, 0), " ", token, " ", arg(1, 0), ") ? 1.0f : 0.0f");
     return;
   }
-  if (form != Spelling::none) {
+  if (info.form == OpForm::lanewise) {
     for (int l = 0; l < 4; ++l) {
       if (!live(l)) continue;
-      if (form == Spelling::prefix) {
+      if (info.spell == Spell::prefix) {
         stmt(dst(l), " = ", token, arg(0, l), ";");
-      } else if (form == Spelling::infix) {
+      } else if (info.spell == Spell::infix) {
         stmt(dst(l), " = ", arg(0, l), " ", token, " ", arg(1, l), ";");
-      } else if (op_is_binary(in.op)) {
+      } else if (info.operands == 2) {
         stmt(dst(l), " = ", token, d.libm_suffix, "(", arg(0, l), ", ",
              arg(1, l), ");");
       } else {
@@ -252,7 +184,7 @@ std::string render(const Program& program, const Dialect& d) {
     if (!op_defines_register(op) || masks[pc] == 0) continue;
     uses.grad = uses.grad || op == Op::grad3d;
     uses.constant = uses.constant || op == Op::load_const;
-    uses.libm = uses.libm || spelling(op).form == Spelling::call;
+    uses.libm = uses.libm || op_info(op).spell == Spell::call;
     written[code[pc].dst] |= masks[pc];
   }
 
@@ -268,12 +200,17 @@ std::string render(const Program& program, const Dialect& d) {
   return out;
 }
 
+/// The lanes a consumer can observe.
+std::vector<std::uint8_t> live_lanes(const Program& program) {
+  return live_lane_masks(program.code(), program.register_count());
+}
+
 // ---- OpenCL C: the inspectable view ----------------------------------------
 
 /// Every instruction the program holds, as the paper's framework computes
 /// every statement the script wrote: a dead value shows at lane 0.
 std::vector<std::uint8_t> ocl_lanes(const Program& program) {
-  std::vector<std::uint8_t> masks = live_lane_masks(program);
+  std::vector<std::uint8_t> masks = live_lanes(program);
   for (std::uint8_t& mask : masks) {
     if (mask == 0) mask = 0x1;
   }
@@ -549,7 +486,7 @@ void c_grad3d(std::string& out, const Program& program, std::size_t pc,
 constexpr Dialect kC{
     .indent = "      ",
     .libm_suffix = "f",
-    .lanes = live_lane_masks,
+    .lanes = live_lanes,
     .lane = c_lane,
     .buffer = [](const Program&, std::uint16_t slot) { return c_buf(slot); },
     // Exact float literal as a bit pattern: format_float round-trips

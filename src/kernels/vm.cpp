@@ -183,6 +183,117 @@ inline Vec4 lanewise1(const Vec4& a, F f) {
   return r;
 }
 
+/// Executes one instruction on a float4 register file: the register-only
+/// opcodes here, anything touching a buffer through `memory(in)`. One
+/// dispatch per instruction, forced inline so run_scalar's element loop
+/// pays no call. Each case assigns the destination once, from a value
+/// computed whole, so a destination that aliases an operand reads
+/// correctly.
+template <typename Memory>
+[[gnu::always_inline]] inline void step(const Instr& in, Vec4* regs,
+                                        Memory&& memory) {
+  Vec4& d = regs[in.dst];
+  // Register operand k; buffer slots are never read as registers.
+  const auto r = [&](std::size_t k) -> const Vec4& {
+    return regs[in.args[k]];
+  };
+  const auto scalar = [](float v) { return Vec4{{v, 0.0f, 0.0f, 0.0f}}; };
+  const auto binary = [&](auto f) { d = lanewise(r(0), r(1), f); };
+  const auto unary = [&](auto f) { d = lanewise1(r(0), f); };
+  switch (in.op) {
+    case Op::load_const:
+      d = scalar(in.imm);
+      break;
+    case Op::add:
+      binary([](float x, float y) { return x + y; });
+      break;
+    case Op::sub:
+      binary([](float x, float y) { return x - y; });
+      break;
+    case Op::mul:
+      binary([](float x, float y) { return x * y; });
+      break;
+    case Op::div:
+      binary([](float x, float y) { return x / y; });
+      break;
+    case Op::min:
+      binary([](float x, float y) { return std::fmin(x, y); });
+      break;
+    case Op::max:
+      binary([](float x, float y) { return std::fmax(x, y); });
+      break;
+    case Op::pow:
+      binary([](float x, float y) { return std::pow(x, y); });
+      break;
+    case Op::sqrt:
+      unary([](float x) { return std::sqrt(x); });
+      break;
+    case Op::neg:
+      unary([](float x) { return -x; });
+      break;
+    case Op::abs:
+      unary([](float x) { return std::fabs(x); });
+      break;
+    case Op::sin:
+      unary([](float x) { return std::sin(x); });
+      break;
+    case Op::cos:
+      unary([](float x) { return std::cos(x); });
+      break;
+    case Op::tan:
+      unary([](float x) { return std::tan(x); });
+      break;
+    case Op::acos:
+      unary([](float x) { return std::acos(x); });
+      break;
+    case Op::exp:
+      unary([](float x) { return std::exp(x); });
+      break;
+    case Op::log:
+      unary([](float x) { return std::log(x); });
+      break;
+    case Op::tanh:
+      unary([](float x) { return std::tanh(x); });
+      break;
+    case Op::floor:
+      unary([](float x) { return std::floor(x); });
+      break;
+    case Op::ceil:
+      unary([](float x) { return std::ceil(x); });
+      break;
+    case Op::component:
+      d = scalar(r(0)[in.args[1]]);
+      break;
+    case Op::cmp_gt:
+      d = scalar(r(0)[0] > r(1)[0] ? 1.0f : 0.0f);
+      break;
+    case Op::cmp_lt:
+      d = scalar(r(0)[0] < r(1)[0] ? 1.0f : 0.0f);
+      break;
+    case Op::cmp_ge:
+      d = scalar(r(0)[0] >= r(1)[0] ? 1.0f : 0.0f);
+      break;
+    case Op::cmp_le:
+      d = scalar(r(0)[0] <= r(1)[0] ? 1.0f : 0.0f);
+      break;
+    case Op::cmp_eq:
+      d = scalar(r(0)[0] == r(1)[0] ? 1.0f : 0.0f);
+      break;
+    case Op::cmp_ne:
+      d = scalar(r(0)[0] != r(1)[0] ? 1.0f : 0.0f);
+      break;
+    case Op::select:
+      d = r(0)[0] != 0.0f ? r(1) : r(2);
+      break;
+    case Op::pack:
+      d = Vec4{{r(0)[0], r(1)[0], r(2)[0], 0.0f}};
+      break;
+    default:
+      memory(in);
+      break;
+  }
+}
+
 }  // namespace
 
 void validate_launch(const Program& program,
@@ -194,54 +305,50 @@ void validate_launch(const Program& program,
 
 /// Exact backward lane-liveness, one 4-bit mask per instruction: bit l set
 /// when some later consumer can observe lane l of the value this
-/// instruction defines. Unlike the optimizer's SSA-only analysis this
-/// clears a register's mask at every definition, so it is exact for
-/// coalesced (register-reusing) straight-line code too. The tiled
-/// interpreter skips dead lanes — and whole dead instructions — which is
-/// safe precisely because nothing can read what was skipped.
-std::vector<std::uint8_t> live_lane_masks(const Program& program) {
-  const std::vector<Instr>& code = program.code();
-  std::vector<std::uint8_t> live(program.register_count(), 0);
+/// instruction defines. It clears a register's mask at every definition, so
+/// it is exact for coalesced (register-reusing) straight-line code as well
+/// as for SSA. The tiled interpreter skips dead lanes — and whole dead
+/// instructions — which is safe precisely because nothing can read what
+/// was skipped.
+std::vector<std::uint8_t> live_lane_masks(std::span<const Instr> code,
+                                          std::uint16_t num_regs) {
+  std::vector<std::uint8_t> live(num_regs, 0);
   std::vector<std::uint8_t> masks(code.size(), 0);
   for (std::size_t idx = code.size(); idx-- > 0;) {
     const Instr& in = code[idx];
-    if (in.op == Op::store) {
-      live[in.args[0]] |= 0x1;
+    const OpInfo& info = op_info(in.op);
+    if (!op_defines_register(in.op)) {
+      live[in.args[0]] |= info.form == OpForm::write ? 0x1 : 0xF;
       masks[idx] = 0xF;  // stores always execute
-      continue;
-    }
-    if (in.op == Op::store_vec) {
-      live[in.args[0]] |= 0xF;
-      masks[idx] = 0xF;
       continue;
     }
     const std::uint8_t m = live[in.dst];
     masks[idx] = m;
     live[in.dst] = 0;
     if (m == 0) continue;  // dead definition: operands stay unobserved
-    switch (in.op) {
-      case Op::component:
-        if (m & 0x1) {
-          live[in.args[0]] |= static_cast<std::uint8_t>(1u << in.args[1]);
+    switch (info.form) {
+      case OpForm::lanewise:
+        for (int k = 0; k < info.operands; ++k) {
+          live[in.args[static_cast<std::size_t>(k)]] |= m;
         }
         break;
-      case Op::cmp_gt:
-      case Op::cmp_lt:
-      case Op::cmp_ge:
-      case Op::cmp_le:
-      case Op::cmp_eq:
-      case Op::cmp_ne:
+      case OpForm::comparison:
         if (m & 0x1) {
           live[in.args[0]] |= 0x1;
           live[in.args[1]] |= 0x1;
         }
         break;
-      case Op::select:
+      case OpForm::component:
+        if (m & 0x1) {
+          live[in.args[0]] |= static_cast<std::uint8_t>(1u << in.args[1]);
+        }
+        break;
+      case OpForm::select:
         live[in.args[0]] |= 0x1;
         live[in.args[1]] |= m;
         live[in.args[2]] |= m;
         break;
-      case Op::pack:
+      case OpForm::pack:
         // Lane l of the packed value comes from lane 0 of operand l; lane 3
         // is a constant zero and observes nothing.
         for (int l = 0; l < 3; ++l) {
@@ -249,17 +356,19 @@ std::vector<std::uint8_t> live_lane_masks(const Program& program) {
         }
         break;
       default:
-        if (op_is_binary(in.op)) {
-          live[in.args[0]] |= m;
-          live[in.args[1]] |= m;
-        } else if (op_is_unary(in.op)) {
-          live[in.args[0]] |= m;
-        }
-        // Loads and grad3d read buffers, not registers.
+        // Loads, constants and grad3d read buffers or the immediate, not
+        // registers.
         break;
     }
   }
   return masks;
+}
+
+void eval_register_op(const Instr& in, Vec4* regs) {
+  step(in, regs, [](const Instr& other) {
+    throw KernelError(std::string("eval_register_op called with opcode ") +
+                      op_name(other.op));
+  });
 }
 
 void run(const Program& program, std::span<const BufferBinding> inputs,
@@ -267,7 +376,8 @@ void run(const Program& program, std::span<const BufferBinding> inputs,
          std::size_t end) {
   const std::vector<GradContext> grads =
       prevalidate(program, inputs, out_elements, begin, end);
-  const std::vector<std::uint8_t> masks = live_lane_masks(program);
+  const std::vector<std::uint8_t> masks =
+      live_lane_masks(program.code(), program.register_count());
 
   // Per-tile register file: column arrays in structure-of-arrays layout,
   // kTileSize floats per lane, the four lanes of a register contiguous.
@@ -594,173 +704,36 @@ void run_scalar(const Program& program, std::span<const BufferBinding> inputs,
   std::vector<Vec4> regs(program.register_count());
   for (std::size_t gid = begin; gid < end; ++gid) {
     for (std::size_t pc = 0; pc < program.code().size(); ++pc) {
-      const Instr& in = program.code()[pc];
-      switch (in.op) {
-        case Op::load_global:
-          regs[in.dst] = Vec4{};
-          regs[in.dst][0] = inputs[in.args[0]].data[gid];
-          break;
-        case Op::load_global_vec: {
-          const float* p = inputs[in.args[0]].data + gid * 4;
-          regs[in.dst] = Vec4{{p[0], p[1], p[2], p[3]}};
-          break;
+      step(program.code()[pc], regs.data(), [&](const Instr& in) {
+        switch (in.op) {
+          case Op::load_global:
+            regs[in.dst] = Vec4{};
+            regs[in.dst][0] = inputs[in.args[0]].data[gid];
+            break;
+          case Op::load_global_vec: {
+            const float* p = inputs[in.args[0]].data + gid * 4;
+            regs[in.dst] = Vec4{{p[0], p[1], p[2], p[3]}};
+            break;
+          }
+          case Op::grad3d:
+            regs[in.dst] = eval_grad(grads[pc], gid);
+            break;
+          case Op::store:
+            out[gid] = regs[in.args[0]][0];
+            break;
+          case Op::store_vec: {
+            float* p = out + gid * 4;
+            const Vec4& v = regs[in.args[0]];
+            p[0] = v[0];
+            p[1] = v[1];
+            p[2] = v[2];
+            p[3] = v[3];
+            break;
+          }
+          default:
+            break;  // step ran the register-only opcodes
         }
-        case Op::load_const:
-          regs[in.dst] = Vec4{};
-          regs[in.dst][0] = in.imm;
-          break;
-        case Op::add:
-          regs[in.dst] = lanewise(regs[in.args[0]], regs[in.args[1]],
-                                  [](float a, float b) { return a + b; });
-          break;
-        case Op::sub:
-          regs[in.dst] = lanewise(regs[in.args[0]], regs[in.args[1]],
-                                  [](float a, float b) { return a - b; });
-          break;
-        case Op::mul:
-          regs[in.dst] = lanewise(regs[in.args[0]], regs[in.args[1]],
-                                  [](float a, float b) { return a * b; });
-          break;
-        case Op::div:
-          regs[in.dst] = lanewise(regs[in.args[0]], regs[in.args[1]],
-                                  [](float a, float b) { return a / b; });
-          break;
-        case Op::min:
-          regs[in.dst] = lanewise(regs[in.args[0]], regs[in.args[1]],
-                                  [](float a, float b) { return std::fmin(a, b); });
-          break;
-        case Op::max:
-          regs[in.dst] = lanewise(regs[in.args[0]], regs[in.args[1]],
-                                  [](float a, float b) { return std::fmax(a, b); });
-          break;
-        case Op::pow:
-          regs[in.dst] = lanewise(regs[in.args[0]], regs[in.args[1]],
-                                  [](float a, float b) { return std::pow(a, b); });
-          break;
-        case Op::sqrt:
-          regs[in.dst] =
-              lanewise1(regs[in.args[0]], [](float a) { return std::sqrt(a); });
-          break;
-        case Op::neg:
-          regs[in.dst] =
-              lanewise1(regs[in.args[0]], [](float a) { return -a; });
-          break;
-        case Op::abs:
-          regs[in.dst] =
-              lanewise1(regs[in.args[0]], [](float a) { return std::fabs(a); });
-          break;
-        case Op::sin:
-          regs[in.dst] =
-              lanewise1(regs[in.args[0]], [](float a) { return std::sin(a); });
-          break;
-        case Op::cos:
-          regs[in.dst] =
-              lanewise1(regs[in.args[0]], [](float a) { return std::cos(a); });
-          break;
-        case Op::tan:
-          regs[in.dst] =
-              lanewise1(regs[in.args[0]], [](float a) { return std::tan(a); });
-          break;
-        case Op::acos:
-          regs[in.dst] =
-              lanewise1(regs[in.args[0]], [](float a) { return std::acos(a); });
-          break;
-        case Op::exp:
-          regs[in.dst] =
-              lanewise1(regs[in.args[0]], [](float a) { return std::exp(a); });
-          break;
-        case Op::log:
-          regs[in.dst] =
-              lanewise1(regs[in.args[0]], [](float a) { return std::log(a); });
-          break;
-        case Op::tanh:
-          regs[in.dst] = lanewise1(regs[in.args[0]],
-                                   [](float a) { return std::tanh(a); });
-          break;
-        case Op::floor:
-          regs[in.dst] = lanewise1(regs[in.args[0]],
-                                   [](float a) { return std::floor(a); });
-          break;
-        case Op::ceil:
-          regs[in.dst] = lanewise1(regs[in.args[0]],
-                                   [](float a) { return std::ceil(a); });
-          break;
-        case Op::component: {
-          const float value = regs[in.args[0]][in.args[1]];
-          regs[in.dst] = Vec4{};
-          regs[in.dst][0] = value;
-          break;
-        }
-        case Op::cmp_gt: {
-          const float value =
-              regs[in.args[0]][0] > regs[in.args[1]][0] ? 1.0f : 0.0f;
-          regs[in.dst] = Vec4{};
-          regs[in.dst][0] = value;
-          break;
-        }
-        case Op::cmp_lt: {
-          const float value =
-              regs[in.args[0]][0] < regs[in.args[1]][0] ? 1.0f : 0.0f;
-          regs[in.dst] = Vec4{};
-          regs[in.dst][0] = value;
-          break;
-        }
-        case Op::cmp_ge: {
-          const float value =
-              regs[in.args[0]][0] >= regs[in.args[1]][0] ? 1.0f : 0.0f;
-          regs[in.dst] = Vec4{};
-          regs[in.dst][0] = value;
-          break;
-        }
-        case Op::cmp_le: {
-          const float value =
-              regs[in.args[0]][0] <= regs[in.args[1]][0] ? 1.0f : 0.0f;
-          regs[in.dst] = Vec4{};
-          regs[in.dst][0] = value;
-          break;
-        }
-        case Op::cmp_eq: {
-          const float value =
-              regs[in.args[0]][0] == regs[in.args[1]][0] ? 1.0f : 0.0f;
-          regs[in.dst] = Vec4{};
-          regs[in.dst][0] = value;
-          break;
-        }
-        case Op::cmp_ne: {
-          const float value =
-              regs[in.args[0]][0] != regs[in.args[1]][0] ? 1.0f : 0.0f;
-          regs[in.dst] = Vec4{};
-          regs[in.dst][0] = value;
-          break;
-        }
-        case Op::select: {
-          const Vec4 picked = regs[in.args[0]][0] != 0.0f ? regs[in.args[1]]
-                                                          : regs[in.args[2]];
-          regs[in.dst] = picked;
-          break;
-        }
-        case Op::pack: {
-          const Vec4 packed{{regs[in.args[0]][0], regs[in.args[1]][0],
-                             regs[in.args[2]][0], 0.0f}};
-          regs[in.dst] = packed;
-          break;
-        }
-        case Op::grad3d:
-          regs[in.dst] = eval_grad(grads[pc], gid);
-          break;
-        case Op::store:
-          out[gid] = regs[in.args[0]][0];
-          break;
-        case Op::store_vec: {
-          float* p = out + gid * 4;
-          const Vec4& v = regs[in.args[0]];
-          p[0] = v[0];
-          p[1] = v[1];
-          p[2] = v[2];
-          p[3] = v[3];
-          break;
-        }
-      }
+      });
     }
   }
 }

@@ -71,11 +71,23 @@ void validate_launch(const Program& program,
                      std::size_t out_elements, std::size_t begin,
                      std::size_t end);
 
-/// Exact backward lane-liveness, one 4-bit mask per instruction: bit l set
-/// when some later consumer can observe lane l of the value the
-/// instruction defines (stores carry 0xF). Exact for coalesced
-/// register-reusing code, not just SSA. Shared by the tiled VM (skips dead
-/// lanes) and the C code generator (emits live lanes only).
-std::vector<std::uint8_t> live_lane_masks(const Program& program);
+/// Exact backward lane-liveness over `code` (registers below `num_regs`),
+/// one 4-bit mask per instruction: bit l set when some later consumer can
+/// observe lane l of the value the instruction defines (stores carry 0xF).
+/// Exact for coalesced register-reusing code and for SSA code, where a
+/// register's observed lanes are the mask of its one definition. Shared by
+/// the tiled VM (skips dead lanes), the C code generator (emits live lanes
+/// only) and the optimizer (a constant fold may only change unobserved
+/// lanes).
+std::vector<std::uint8_t> live_lane_masks(std::span<const Instr> code,
+                                          std::uint16_t num_regs);
+
+/// Executes one register-only instruction (load_const, a lane-wise or
+/// comparison opcode, component, select or pack) on the register file
+/// `regs`, writing regs[in.dst]. The one scalar
+/// meaning of these opcodes: run_scalar runs it per element, and the
+/// optimizer's constant folder runs it on the registers whose value it
+/// knows. Other opcodes throw KernelError.
+void eval_register_op(const Instr& in, Vec4* regs);
 
 }  // namespace dfg::kernels

@@ -194,13 +194,13 @@ dataflow::NetworkSpec splice_materialized(
 
 bool SubgraphIndex::observe(const dataflow::Network& network,
                             const std::vector<Candidate>& candidates) {
+  const std::uint64_t net_fp = network.fingerprint();
+  const NetworkSpec& spec = network.spec();
+  const std::vector<std::uint64_t> fps = dataflow::subtree_fingerprints(spec);
+
   std::scoped_lock lock(mutex_);
   if (keys_.size() > kMaxKeys) keys_.clear();
   if (subtree_networks_.size() > kMaxKeys) subtree_networks_.clear();
-
-  const std::uint64_t net_fp = network.fingerprint();
-  const NetworkSpec& spec = network.spec();
-  const std::vector<std::uint64_t>& fps = network.subtree_fingerprints();
 
   // Near-miss check before this network's own fingerprints register, so a
   // request only counts against *previously seen different* networks.

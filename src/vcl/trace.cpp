@@ -1,6 +1,8 @@
 #include "vcl/trace.hpp"
 
+#include <charconv>
 #include <sstream>
+#include <string>
 
 #include "support/string_util.hpp"
 
@@ -41,6 +43,16 @@ int track_id(EventKind kind) {
     default:
       return 1;
   }
+}
+
+/// Seconds as microseconds in the shortest fixed-point text that reads back
+/// to the same double: a stream's default six significant digits would
+/// round every timestamp past one second to tens of microseconds.
+std::string micros(double seconds) {
+  char buf[400];  // the longest fixed-point double, a subnormal, needs ~330
+  const auto result = std::to_chars(buf, buf + sizeof(buf), seconds * kMicro,
+                                    std::chars_format::fixed);
+  return std::string(buf, result.ptr);
 }
 
 }  // namespace
@@ -88,8 +100,8 @@ std::string to_chrome_trace(const ProfilingLog& log) {
     row << "{\"ph\":\"X\",\"pid\":" << kPid
         << ",\"tid\":" << track_id(event.kind) << ",\"name\":\""
         << support::json_escape(event.label) << "\",\"cat\":\""
-        << event_kind_name(event.kind) << "\",\"ts\":" << t * kMicro
-        << ",\"dur\":" << event.sim_seconds * kMicro
+        << event_kind_name(event.kind) << "\",\"ts\":" << micros(t)
+        << ",\"dur\":" << micros(event.sim_seconds)
         << ",\"args\":{\"bytes\":" << event.bytes
         << ",\"flops\":" << event.flops << "}}";
     emit(row.str());

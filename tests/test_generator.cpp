@@ -233,4 +233,27 @@ TEST(SourcePrinter, CTextIsByteStable) {
   }
 }
 
+TEST(SourcePrinter, EveryOpcodeTextIsByteStable) {
+  // One program calling every lane-wise opcode and every comparison, so
+  // each opcode's spelling in both dialects is pinned, not only the ones
+  // the paper expressions use.
+  const char* script =
+      "r = sin(u) + cos(v) * tan(w) - acos(u) / exp(v) + log(w) - tanh(u)"
+      " + floor(v) * ceil(w) + abs(u) * -w + sqrt(v) + min(u, v) + max(v, w)"
+      " + pow(u, w) + (u > v) + (u < w) + (v >= w) + (u <= v) + (v == w)"
+      " + (u != w) + select(u > w, u, v)";
+  const Program fused = fuse(script);
+  const Program optimized = optimize_program(fused);
+  const std::uint64_t digests[] = {
+      fnv1a64(to_c_source(fused)), fnv1a64(to_opencl_source(fused)),
+      fnv1a64(to_c_source(optimized)), fnv1a64(to_opencl_source(optimized))};
+  const std::uint64_t expected[] = {
+      0xb54abcc4e61f70e8ull, 0xd4b97564f959cc7cull, 0x84138549c66eb716ull,
+      0x054295369425e425ull};
+  for (std::size_t i = 0; i < std::size(digests); ++i) {
+    EXPECT_EQ(digests[i], expected[i])
+        << "text " << i << ": 0x" << std::hex << digests[i];
+  }
+}
+
 }  // namespace

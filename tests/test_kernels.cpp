@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "kernels/primitives.hpp"
 #include "kernels/program.hpp"
+#include "kernels/source_printer.hpp"
 #include "kernels/vm.hpp"
 #include "support/error.hpp"
 
@@ -352,6 +355,42 @@ TEST(OpMetadata, NamesAndCosts) {
   EXPECT_GT(op_flops(Op::grad3d), op_flops(Op::sqrt));
   EXPECT_EQ(op_global_bytes(Op::store_vec), 16u);
   EXPECT_EQ(op_global_bytes(Op::add), 0u);
+}
+
+TEST(OpMetadata, EveryOpcodeFactIsPinned) {
+  // Every per-opcode fact the kernel layer states, read through its public
+  // accessors and hashed: name, cost, traffic, arity and register operands
+  // of each opcode, the opcode each primitive kind lowers to, and both
+  // dialects' text of every one-primitive kernel (each opcode's spelling).
+  std::string facts;
+  for (int i = 0; i <= static_cast<int>(Op::grad3d); ++i) {
+    const Op op = static_cast<Op>(i);
+    facts += std::string(op_name(op)) + " " + std::to_string(op_flops(op)) +
+             " " + std::to_string(op_global_bytes(op)) + " " +
+             std::to_string(op_is_binary(op)) +
+             std::to_string(op_is_unary(op)) +
+             std::to_string(op_defines_register(op)) +
+             std::to_string(instr_register_operands(Instr{op})) + "\n";
+  }
+  for (const PrimitiveInfo& prim : all_primitives()) {
+    facts += prim.name;
+    for (Op (*lower)(const std::string&) :
+         {&unary_opcode_for, &binary_opcode_for}) {
+      try {
+        facts += std::string(" ") + op_name(lower(prim.name));
+      } catch (const dfg::KernelError&) {
+        facts += " -";
+      }
+    }
+    const Program prog = make_standalone_program(prim.name);
+    facts += "\n" + to_c_source(prog) + to_opencl_source(prog);
+  }
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  for (const char c : facts) {
+    digest ^= static_cast<unsigned char>(c);
+    digest *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(digest, 0x950d41f9b1d21805ull) << "0x" << std::hex << digest;
 }
 
 }  // namespace

@@ -132,11 +132,17 @@ TEST(Trace, TimelineIsMonotonic) {
   log.record({vcl::EventKind::host_to_device, "a", 100, 0, 0.25, 0.0});
   log.record({vcl::EventKind::kernel_exec, "k", 100, 10, 0.5, 0.0});
   log.record({vcl::EventKind::device_to_host, "b", 100, 0, 0.25, 0.0});
+  log.record({vcl::EventKind::kernel_exec, "late", 100, 10, 0.234375, 0.0});
+  log.record({vcl::EventKind::kernel_exec, "later", 100, 10, 0.5, 0.0});
   const std::string trace = vcl::to_chrome_trace(log);
   // Timestamps in microseconds: 0, 250000, 750000.
   EXPECT_NE(trace.find("\"ts\":0,"), std::string::npos);
   EXPECT_NE(trace.find("\"ts\":250000,"), std::string::npos);
   EXPECT_NE(trace.find("\"ts\":750000,"), std::string::npos);
+  // Past one second every microsecond still shows: no rounding to six
+  // significant digits.
+  EXPECT_NE(trace.find("\"ts\":1000000,\"dur\":234375,"), std::string::npos);
+  EXPECT_NE(trace.find("\"ts\":1234375,"), std::string::npos);
 }
 
 TEST(Trace, LabelsEscaped) {

@@ -309,6 +309,59 @@ TEST(Optimizer, NanLanesBlockFoldingOnlyWhenObserved) {
   }
 }
 
+TEST(Optimizer, EveryFoldableOpcodeMatchesTheTiledVm) {
+  // Each lane-wise and comparison opcode, folded over constant operands,
+  // must store exactly the bits the unoptimized program computes on the
+  // tiled interpreter.
+  const float operands[] = {0.0f,
+                            -0.0f,
+                            1.0f,
+                            -1.0f,
+                            0.5f,
+                            std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            3e38f};
+  const TestInputs none;
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < kOpCount; ++i) {
+    const OpInfo& info = op_info(static_cast<Op>(i));
+    if (info.form != OpForm::lanewise && info.form != OpForm::comparison) {
+      continue;
+    }
+    for (const float a : operands) {
+      for (const float b : operands) {
+        if (info.operands == 1 && std::bit_cast<std::uint32_t>(b) != 0) {
+          continue;  // a unary opcode reads only its first operand
+        }
+        ProgramBuilder builder("fold");
+        const auto ca = builder.emit_load_const(a);
+        const auto cb = builder.emit_load_const(b);
+        const auto r = info.operands == 1
+                           ? builder.emit_unary(info.op, ca)
+                           : builder.emit_binary(info.op, ca, cb);
+        const Program raw = builder.finish(r, 1);
+        OptimizerStats stats;
+        const Program opt = optimize_program(raw, &stats);
+        SCOPED_TRACE(std::string(info.name) + "(" + std::to_string(a) + ", " +
+                     std::to_string(b) + ")");
+        EXPECT_EQ(stats.folded_constants, 1u);
+        ASSERT_EQ(opt.code().size(), 2u);
+        EXPECT_EQ(opt.code()[0].op, Op::load_const);
+        const float want = run_tiled(raw, none, 1)[0];
+        const float got = run_tiled(opt, none, 1)[0];
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got),
+                  std::bit_cast<std::uint32_t>(want))
+            << got << " vs " << want;
+        ++checked;
+      }
+    }
+  }
+  // 12 unary opcodes over 10 operands, 13 binary ones over 100 pairs.
+  EXPECT_EQ(checked, 12u * 10u + 13u * 100u);
+}
+
 TEST(Optimizer, EliminatesCommonSubexpressions) {
   ProgramBuilder b("cse");
   const auto pa = b.add_param("a");
