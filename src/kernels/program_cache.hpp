@@ -3,7 +3,7 @@
 // Kernel generation (and optimisation) is pure: the same network structure
 // always yields the same programs. The cache memoises generate_fused_pipeline
 // results keyed by the network's identity bytes, so repeated
-// Engine::evaluate calls, the planner's estimate replays, and every block of
+// Engine::evaluate calls, the planner's estimate walks, and every block of
 // a distributed run generate each pipeline once while it stays among the
 // kPipelineCapacity most recently used. Standalone primitive programs (used
 // by the staged and roundtrip strategies) are memoised the same way, keyed
@@ -146,7 +146,7 @@ class ProgramCache {
   /// totals, which race under concurrency: a delta of stats() spanning
   /// another engine's evaluation charges this report with that engine's
   /// hits and misses. Every cache request an evaluation makes (strategies,
-  /// planner replays, the engine's source dump) happens on the evaluating
+  /// planner walks, the engine's source dump) happens on the evaluating
   /// thread, so thread deltas are exact — including for a service worker
   /// thread reused across sessions, where each evaluation's delta window
   /// opens after the previous session's traffic is already in the base

@@ -2,10 +2,11 @@
 //
 // The paper's discussion (§V-D) concludes that hosts must "select from
 // multiple execution strategies and target devices" under memory
-// constraints. This module makes that selection analytical: it replays
-// each strategy's device command stream (allocations, releases,
-// transfers, launches, in the order the strategy issues them) from the
-// network alone — no execution, no trial allocation. One replay per
+// constraints. This module makes that selection analytical: it runs each
+// strategy's own device walk (runtime/walk.hpp, the code Strategy::execute
+// runs) against a Tally target, which records the allocations, releases,
+// transfers and launches in the order the strategy issues them without
+// executing any — no trial allocation, no field value read. One walk per
 // strategy yields both estimates: the device-memory high-water mark and,
 // priced by the cost model, the simulated duration. Both equal what the
 // executed strategy measures on the cold path (locked in by tests), so a
@@ -47,8 +48,9 @@ std::size_t estimate_high_water(const dataflow::Network& network,
 /// differ. Pass an explicit chunk to predict an explicitly chunked run.
 ///
 /// Both estimators throw KernelError when `kind` cannot execute the
-/// network (streamed on gradients of computed values), exactly as the
-/// strategy would.
+/// network (streamed on gradients of computed values), and NetworkError
+/// on bindings the walk refuses (unbound or too-short arrays), exactly as
+/// the strategy would.
 double estimate_sim_seconds(const dataflow::Network& network,
                             const FieldBindings& bindings,
                             std::size_t elements, const vcl::DeviceSpec& spec,
@@ -57,7 +59,7 @@ double estimate_sim_seconds(const dataflow::Network& network,
                             double compute_efficiency);
 
 /// The fastest strategy whose predicted working set fits the device's
-/// *free* memory, in preference order fusion > streamed > staged >
+/// *free* memory, in kMemoryLadder order fusion > streamed > staged >
 /// roundtrip (the simulated-runtime ordering measured in the benchmarks).
 /// Throws DeviceOutOfMemory when none fits.
 StrategyKind select_strategy(const dataflow::Network& network,

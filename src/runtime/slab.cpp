@@ -1,15 +1,11 @@
 #include "runtime/slab.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
-#include "kernels/vm.hpp"
-#include "runtime/strategy.hpp"
 #include "support/error.hpp"
-#include "vcl/buffer.hpp"
-#include "vcl/queue.hpp"
 
 namespace dfg::runtime {
 
@@ -75,12 +71,6 @@ std::size_t chunk_planes_for(const SlabPlan& plan, std::size_t budget_cells) {
   return std::min(planes, plan.total_planes);
 }
 
-SlabBounds slab_bounds(const SlabPlan& plan, std::size_t begin_plane,
-                       std::size_t end_plane) {
-  return {begin_plane > plan.halo ? begin_plane - plan.halo : 0,
-          std::min(plan.total_planes, end_plane + plan.halo)};
-}
-
 std::vector<SlabParam> resolve_slab_params(const kernels::Program& program,
                                            const FieldBindings& bindings) {
   const std::set<std::uint16_t> dims = dims_slots(program);
@@ -89,81 +79,12 @@ std::vector<SlabParam> resolve_slab_params(const kernels::Program& program,
   for (std::size_t slot = 0; slot < program.params().size(); ++slot) {
     SlabParam param;
     param.name = program.params()[slot].name;
+    param.label = param.name + "@slab";
     param.is_dims = dims.count(static_cast<std::uint16_t>(slot)) != 0;
     if (!param.is_dims) param.view = bindings.get(param.name);
     params.push_back(std::move(param));
   }
   return params;
-}
-
-void run_fused_slab(const kernels::Program& program,
-                    std::span<const SlabParam> params, const SlabPlan& plan,
-                    std::size_t begin_plane, std::size_t end_plane,
-                    vcl::Device& device, vcl::ProfilingLog& log,
-                    std::span<float> out_global) {
-  if (begin_plane >= end_plane || end_plane > plan.total_planes) {
-    throw NetworkError("invalid slab plane range");
-  }
-  if (out_global.size() < plan.total_elements()) {
-    throw NetworkError("slab output array smaller than the global grid");
-  }
-
-  const SlabBounds slab = slab_bounds(plan, begin_plane, end_plane);
-  const std::size_t slab_cells = slab.planes() * plan.plane_cells;
-
-  vcl::CommandQueue queue(device, log);
-
-  // The per-slab dims array: local plane count, same transverse shape.
-  const std::vector<float> local_dims{static_cast<float>(plan.nx),
-                                      static_cast<float>(plan.ny),
-                                      static_cast<float>(slab.planes())};
-
-  // The handles pin resident sub-range buffers while this chunk's kernel
-  // can still read them; they drop at return, so a scan larger than the
-  // pool watermark recycles LRU slabs between chunks.
-  std::vector<std::shared_ptr<const vcl::Buffer>> inputs;
-  std::vector<kernels::BufferBinding> vm_bindings;
-  inputs.reserve(params.size());
-  vm_bindings.reserve(params.size());
-  for (const SlabParam& param : params) {
-    if (param.is_dims) {
-      // The dims array is a stack temporary rewritten per slab: never
-      // pool-eligible.
-      inputs.push_back(stage_input(queue, local_dims, param.name + "@slab",
-                                   /*poolable=*/false));
-    } else {
-      const std::size_t offset = slab.lo * plan.plane_cells;
-      if (param.view.size() < offset + slab_cells) {
-        throw NetworkError("field '" + param.name +
-                           "' too small for the requested slab");
-      }
-      // Sub-range uploads key the pool on the slab pointer but follow the
-      // *base* array's generation tag, so mutating the bound field
-      // invalidates every one of its slabs.
-      inputs.push_back(stage_input(queue,
-                                   param.view.subspan(offset, slab_cells),
-                                   param.name + "@slab", /*poolable=*/true,
-                                   /*generation_key=*/param.view.data()));
-    }
-    vm_bindings.push_back(binding_of(*inputs.back()));
-  }
-
-  vcl::Buffer out_buffer =
-      device.allocate(slab_cells * program.out_stride());
-  launch_program(queue, program, std::move(vm_bindings),
-                 out_buffer.device_view(), slab_cells);
-
-  // Read the whole slab back (one transfer) and keep the interior planes.
-  std::vector<float> slab_result(out_buffer.size());
-  queue.read(out_buffer, slab_result, program.name() + "@slab");
-  const std::size_t interior_offset =
-      (begin_plane - slab.lo) * plan.plane_cells;
-  const std::size_t interior_cells =
-      (end_plane - begin_plane) * plan.plane_cells;
-  std::copy_n(slab_result.begin() + static_cast<long>(interior_offset),
-              interior_cells,
-              out_global.begin() +
-                  static_cast<long>(begin_plane * plan.plane_cells));
 }
 
 }  // namespace dfg::runtime

@@ -1,9 +1,10 @@
-// Runtime layer: slab execution of fused kernels.
+// Runtime layer: slab decomposition of fused kernels.
 //
-// The machinery behind the streamed strategy, the paper's first
-// future-work item (streaming on one device). A fused kernel is run over a
-// contiguous range of z-planes: each buffer parameter uploads only its
-// slab sub-range (plus halo planes when the kernel contains gradients,
+// The plan behind the streamed strategy, the paper's first future-work
+// item (streaming on one device); its walk (walk_streamed in walk.hpp)
+// executes the chunks and the planner prices them. A fused kernel is run
+// over a contiguous range of z-planes: each buffer parameter uploads only
+// its slab sub-range (plus halo planes when the kernel contains gradients,
 // whose stencil reaches one plane up and down), the kernel executes over
 // the slab, and only the interior planes of the result are kept. The
 // gradient's `dims` argument is rewritten per slab so the stencil
@@ -17,11 +18,11 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "kernels/program.hpp"
 #include "runtime/bindings.hpp"
-#include "vcl/device.hpp"
-#include "vcl/profiling.hpp"
 
 namespace dfg::runtime {
 
@@ -52,30 +53,17 @@ SlabPlan make_slab_plan(const kernels::Program& program,
 /// Interior planes per chunk for a slab working set of `budget_cells`
 /// cells: the planes that fit, minus the halo planes on each side, clamped
 /// to [1, total_planes]. A budget of 0 (or under one plane) yields one
-/// plane. The streamed strategy executes this chunking and the planner
-/// prices it.
+/// plane. The streamed strategy sizes its chunks with this, and the planner
+/// prices the same chunking.
 std::size_t chunk_planes_for(const SlabPlan& plan, std::size_t budget_cells);
 
-/// The planes one chunk's slab spans: the chunk's planes plus `plan.halo`
-/// planes on each side, clamped at the domain faces.
-struct SlabBounds {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-
-  std::size_t planes() const { return hi - lo; }
-};
-
-/// The slab of the chunk [begin_plane, end_plane). run_fused_slab
-/// executes it and the planner prices it.
-SlabBounds slab_bounds(const SlabPlan& plan, std::size_t begin_plane,
-                       std::size_t end_plane);
-
 /// One buffer parameter of a program resolved for slab execution: the
-/// bound host view (name lookups done once per program, not once per slab)
-/// and whether the slot carries a grad3d `dims` argument, which is
-/// rewritten per slab rather than slabbed.
+/// bound host view and event label (name lookups done once per program,
+/// not once per slab) and whether the slot carries a grad3d `dims`
+/// argument, which is rewritten per slab rather than slabbed.
 struct SlabParam {
   std::string name;
+  std::string label;  ///< name + "@slab"
   bool is_dims = false;
   std::span<const float> view;  ///< empty for dims slots
 };
@@ -85,17 +73,5 @@ struct SlabParam {
 /// NetworkError on unbound fields.
 std::vector<SlabParam> resolve_slab_params(const kernels::Program& program,
                                            const FieldBindings& bindings);
-
-/// Executes `program` over planes [begin_plane, end_plane), uploading slab
-/// sub-ranges of every parameter, dispatching one kernel, and copying the
-/// interior result into out_global (a full-size array indexed by global
-/// cell id). All traffic is profiled against `log`; allocations count
-/// against `device` and are released before returning. `params` must come
-/// from resolve_slab_params on the same program.
-void run_fused_slab(const kernels::Program& program,
-                    std::span<const SlabParam> params, const SlabPlan& plan,
-                    std::size_t begin_plane, std::size_t end_plane,
-                    vcl::Device& device, vcl::ProfilingLog& log,
-                    std::span<float> out_global);
 
 }  // namespace dfg::runtime

@@ -1,10 +1,16 @@
 #include "runtime/strategy.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "kernels/backend.hpp"
+#include "kernels/program_cache.hpp"
 #include "kernels/vm.hpp"
+#include "runtime/slab.hpp"
+#include "runtime/walk.hpp"
 #include "support/error.hpp"
 
 namespace dfg::runtime {
@@ -38,23 +44,69 @@ std::unique_ptr<Strategy> make_strategy(StrategyKind kind,
   throw Error("unknown strategy kind");
 }
 
-kernels::BufferBinding binding_of(const vcl::Buffer& buffer) {
-  return kernels::BufferBinding{buffer.device_view().data(), buffer.size()};
+void check_output_extent(const dataflow::Network& network,
+                         const FieldBindings& bindings, std::size_t elements) {
+  const dataflow::SpecNode& out = network.spec().node(network.output_id());
+  if (out.type != dataflow::NodeType::field_source) return;
+  const std::size_t bound = bindings.get(out.field_name).size();
+  if (bound < elements) {
+    throw NetworkError("output field '" + out.field_name + "' holds " +
+                       std::to_string(bound) + " values, fewer than the " +
+                       std::to_string(elements) + " output cells");
+  }
 }
 
-std::shared_ptr<const vcl::Buffer> stage_input(
-    vcl::CommandQueue& queue, std::span<const float> host,
-    const std::string& label, bool poolable, const void* generation_key) {
-  vcl::Device& device = queue.device();
+DeviceTarget::Host DeviceTarget::host_slice(const Host& in, int lane,
+                                            std::size_t count) {
+  std::vector<float> sliced(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    sliced[i] = in.view[i * 4 + static_cast<std::size_t>(lane)];
+  }
+  return Host(std::move(sliced));
+}
+
+void DeviceTarget::host_copy(const Host& from, std::size_t offset,
+                             std::size_t count, Host& to, std::size_t at) {
+  std::copy_n(from.view.begin() + static_cast<long>(offset), count,
+              to.owned.begin() + static_cast<long>(at));
+}
+
+DeviceTarget::Result DeviceTarget::result(Host&& host, std::size_t elements) {
+  if (host.owned.empty()) {
+    return Result(host.view.begin(),
+                  host.view.begin() + static_cast<long>(elements));
+  }
+  host.owned.resize(elements);
+  return std::move(host.owned);
+}
+
+DeviceTarget::Value DeviceTarget::upload(std::span<const float> host,
+                                         const std::string& label,
+                                         bool poolable,
+                                         const void* generation_key) {
+  vcl::Device& device = queue_.device();
   if (poolable) {
-    if (std::shared_ptr<const vcl::Buffer> resident =
-            device.resident().acquire(queue, host, label, generation_key)) {
+    if (Value resident =
+            device.resident().acquire(queue_, host, label, generation_key)) {
       return resident;
     }
   }
   vcl::Buffer buffer = device.allocate(host.size());
-  queue.write(buffer, host, label);
+  queue_.write(buffer, host, label);
   return std::make_shared<const vcl::Buffer>(std::move(buffer));
+}
+
+void DeviceTarget::launch(const kernels::Program& program, Args&& args,
+                          const Output& out, std::size_t items) {
+  launch_program(queue_, program, std::move(args.bindings),
+                 out->device_view(), items);
+}
+
+DeviceTarget::Host DeviceTarget::read(const Value& buffer,
+                                      const std::string& label) {
+  std::vector<float> host(buffer->size());
+  queue_.read(*buffer, host, label);
+  return Host(std::move(host));
 }
 
 void launch_program(vcl::CommandQueue& queue, const kernels::Program& program,
@@ -83,6 +135,70 @@ void launch_program(vcl::CommandQueue& queue, const kernels::Program& program,
     kernel->run(program, bindings, out_data, out_elements, begin, end);
   };
   queue.launch(launch);
+}
+
+
+std::vector<float> RoundtripStrategy::execute(const dataflow::Network& network,
+                                              const FieldBindings& bindings,
+                                              std::size_t elements,
+                                              vcl::Device& device,
+                                              vcl::ProfilingLog& log) const {
+  DeviceTarget target(device, log);
+  return walk_roundtrip(network, bindings, elements, target);
+}
+
+std::vector<float> StagedStrategy::execute(const dataflow::Network& network,
+                                           const FieldBindings& bindings,
+                                           std::size_t elements,
+                                           vcl::Device& device,
+                                           vcl::ProfilingLog& log) const {
+  DeviceTarget target(device, log);
+  return walk_staged(network, bindings, elements, target);
+}
+
+std::vector<float> FusionStrategy::execute(const dataflow::Network& network,
+                                           const FieldBindings& bindings,
+                                           std::size_t elements,
+                                           vcl::Device& device,
+                                           vcl::ProfilingLog& log) const {
+  executed_pipeline_ =
+      kernels::ProgramCache::instance().fused_pipeline(network);
+  DeviceTarget target(device, log);
+  return walk_fusion(network, *executed_pipeline_, bindings, elements,
+                     target);
+}
+
+StreamedFusionStrategy::StreamedFusionStrategy(std::size_t max_chunk_cells)
+    : max_chunk_cells_(max_chunk_cells) {}
+
+std::size_t StreamedFusionStrategy::pick_chunk_planes(
+    const SlabPlan& plan, const kernels::Program& program,
+    vcl::Device& device) const {
+  std::size_t budget_cells;
+  if (max_chunk_cells_ != 0) {
+    budget_cells = max_chunk_cells_;
+  } else {
+    // Auto: target half the device's free memory for the slab working set
+    // (inputs + output), leaving room for the host's other buffers. The
+    // effective headroom respects an injected synthetic capacity, so a
+    // degraded run sizes its chunks to the capacity that actually binds.
+    const std::size_t budget_bytes = device.effective_available() / 2;
+    const std::size_t bytes_per_cell =
+        (plan.slabbed_params + program.out_stride()) * sizeof(float);
+    budget_cells = budget_bytes / std::max<std::size_t>(bytes_per_cell, 1);
+  }
+  return chunk_planes_for(plan, budget_cells);
+}
+
+std::vector<float> StreamedFusionStrategy::execute(
+    const dataflow::Network& network, const FieldBindings& bindings,
+    std::size_t elements, vcl::Device& device, vcl::ProfilingLog& log) const {
+  executed_pipeline_ = kernels::ProgramCache::instance().fused_single(network);
+  const kernels::Program& program = executed_pipeline_->stages.front().program;
+  const SlabPlan plan = make_slab_plan(program, bindings, elements);
+  DeviceTarget target(device, log);
+  return walk_streamed(program, plan, pick_chunk_planes(plan, program, device),
+                       bindings, target);
 }
 
 }  // namespace dfg::runtime

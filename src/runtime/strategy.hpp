@@ -25,6 +25,10 @@
 //  * streamed — the fused kernel executed over z-plane slabs sized to a
 //    device budget (gradient halos included), bounding device memory at
 //    O(chunk) so data sets larger than the device still run.
+//
+// Each strategy's command order is written once, as a walk template in
+// runtime/walk.hpp: execute() runs it on a DeviceTarget, and the planner
+// runs the same walk on a Tally to price it.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +62,8 @@ class Strategy {
   /// the bindings and producing the derived field on the host. All device
   /// traffic goes through `device` and is recorded in `log`. Throws
   /// DeviceOutOfMemory when the strategy's working set exceeds the device
-  /// (the paper's failed GPU test cases), NetworkError on unbound fields.
+  /// (the paper's failed GPU test cases), NetworkError on unbound fields
+  /// and on a bare field output bound shorter than `elements`.
   virtual std::vector<float> execute(const dataflow::Network& network,
                                      const FieldBindings& bindings,
                                      std::size_t elements, vcl::Device& device,
@@ -137,25 +142,5 @@ class StreamedFusionStrategy final : public Strategy {
 void launch_program(vcl::CommandQueue& queue, const kernels::Program& program,
                     std::vector<kernels::BufferBinding> inputs,
                     std::span<float> out, std::size_t elements);
-
-/// The kernel argument viewing `buffer`'s device storage.
-kernels::BufferBinding binding_of(const vcl::Buffer& buffer);
-
-/// Stages `host` on the queue's device under `label` and returns the
-/// device buffer. When `poolable` and the device's resident pool is
-/// enabled, the pool is consulted first — a hit eliminates the transfer
-/// entirely, a miss uploads and leaves the buffer resident, and either way
-/// the returned handle keeps the entry from eviction while it is held.
-/// Otherwise (and always when the pool is disabled, the default) this is
-/// exactly the cold path: allocate + one profiled write, and the caller's
-/// handle is the buffer's only owner. Only bindings-backed field arrays may
-/// pass poolable = true; transient host intermediates must not, so a
-/// freed-and-reused host address can never alias a live pool entry.
-/// `generation_key` follows ResidentPool::acquire (slab sub-ranges pass the
-/// base array).
-std::shared_ptr<const vcl::Buffer> stage_input(
-    vcl::CommandQueue& queue, std::span<const float> host,
-    const std::string& label, bool poolable = true,
-    const void* generation_key = nullptr);
 
 }  // namespace dfg::runtime

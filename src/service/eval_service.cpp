@@ -180,8 +180,18 @@ Ticket EvalService::submit(Request request) {
   std::size_t floor = kNoFloor;
   memo::EvalContext memo_ctx;
   if (failure.empty()) {
-    floor = projected_floor_bytes(*network, probe, elements, request.strategy,
-                                  options_.fallback.enabled);
+    // The projection walks each rung against the bindings, so it refuses
+    // what execution would (an unbound field, a short output array): the
+    // ticket fails with that message, as a parse error does.
+    try {
+      floor = projected_floor_bytes(*network, probe, elements,
+                                    request.strategy,
+                                    options_.fallback.enabled);
+    } catch (const std::exception& error) {
+      failure = error.what();
+    }
+  }
+  if (failure.empty()) {
     // Snapshot the request's identity for the memoizer before std::move
     // below; only the admitted path uses it.
     memo_ctx.network = network.get();

@@ -638,7 +638,7 @@ TEST(FuzzExpressions, StrategiesMatchScalarReference) {
   }
 }
 
-// The planner's replays against the strategies they mirror: for every
+// The planner's tallied walks against the executed ones: for every
 // fuzzed network and strategy, on the cold path with an explicit streamed
 // chunk, the predicted footprint equals the measured high-water mark and
 // the predicted simulated time, priced at the executing backend's

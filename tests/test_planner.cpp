@@ -138,6 +138,26 @@ const PlannerCase kCases[] = {
      StrategyKind::staged},
     {"Partitioned_roundtrip", expressions::kSpeedFrontStrength,
      StrategyKind::roundtrip},
+    // Degenerate networks: a bare source output (no filter consumes it)
+    // and repeated operands (roundtrip uploads each occurrence).
+    {"BareField_roundtrip", "r = u", StrategyKind::roundtrip},
+    {"BareField_staged", "r = u", StrategyKind::staged},
+    {"BareField_fusion", "r = u", StrategyKind::fusion},
+    {"BareField_streamed_3planes", "r = u", StrategyKind::streamed, 3},
+    {"BareConstant_roundtrip", "r = 3.0", StrategyKind::roundtrip},
+    {"BareConstant_staged", "r = 3.0", StrategyKind::staged},
+    {"BareConstant_fusion", "r = 3.0", StrategyKind::fusion},
+    {"BareConstant_streamed_3planes", "r = 3.0", StrategyKind::streamed, 3},
+    {"Square_roundtrip", "r = u * u", StrategyKind::roundtrip},
+    {"Square_staged", "r = u * u", StrategyKind::staged},
+    {"Square_fusion", "r = u * u", StrategyKind::fusion},
+    {"Square_streamed_3planes", "r = u * u", StrategyKind::streamed, 3},
+    {"RepeatedConstant_roundtrip", "r = u + 3.0 + 3.0",
+     StrategyKind::roundtrip},
+    {"RepeatedConstant_staged", "r = u + 3.0 + 3.0", StrategyKind::staged},
+    {"RepeatedConstant_fusion", "r = u + 3.0 + 3.0", StrategyKind::fusion},
+    {"RepeatedConstant_streamed_3planes", "r = u + 3.0 + 3.0",
+     StrategyKind::streamed, 3},
 };
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, PlannerExactness,

@@ -594,6 +594,46 @@ TEST(Service, MalformedExpressionFailsTheTicketWithoutDispatch) {
   EXPECT_EQ(svc.snapshot().executed_evaluations, 0u);
 }
 
+TEST(Service, UnboundFieldFailsTheTicketAtSubmit) {
+  Fixture fx;
+  vcl::Device device(vcl::xeon_x5660_scaled());
+  EvalService svc({&device}, ServiceOptions{});
+  Ticket ticket;
+  ASSERT_NO_THROW(ticket = svc.submit(fx.request("r = foo * 2.0")));
+  const ServiceReport& report = ticket.wait();
+  EXPECT_EQ(report.status, RequestStatus::failed);
+  EXPECT_NE(report.error.find("'foo'"), std::string::npos) << report.error;
+  EXPECT_EQ(svc.snapshot().admitted, 0u);
+}
+
+// A bare field output bound shorter than the grid fails the ticket under
+// every requested strategy, and no device memory stays in use.
+TEST(Service, ShortBareFieldOutputFailsTheTicket) {
+  const mesh::RectilinearMesh mesh =
+      mesh::RectilinearMesh::uniform({10, 12, 14});
+  const std::vector<float> short_u(100, 1.5f);
+  for (const char* expression : {"r = dims", "r = u"}) {
+    for (const StrategyKind kind : runtime::kMemoryLadder) {
+      vcl::Device device(vcl::xeon_x5660_scaled());
+      EvalService svc({&device}, ServiceOptions{});
+      Request request;
+      request.expression = expression;
+      request.mesh = &mesh;
+      if (expression == std::string("r = u")) {
+        request.fields = {{"u", short_u}};
+      }
+      request.strategy = kind;
+      Ticket ticket = svc.submit(std::move(request));
+      const ServiceReport& report = ticket.wait();
+      EXPECT_EQ(report.status, RequestStatus::failed)
+          << expression << " under " << runtime::strategy_name(kind);
+      EXPECT_FALSE(report.error.empty());
+      svc.drain();
+      EXPECT_EQ(device.memory().in_use(), 0u) << expression;
+    }
+  }
+}
+
 TEST(Service, WaitOnATemporaryTicketReturnsAnOwnedReport) {
   static_assert(std::is_same_v<decltype(std::declval<Ticket>().wait()),
                                ServiceReport>);

@@ -12,6 +12,7 @@
 #include "dataflow/network.hpp"
 #include "mesh/generators.hpp"
 #include "runtime/strategy.hpp"
+#include "support/error.hpp"
 #include "vcl/catalog.hpp"
 
 namespace {
@@ -108,6 +109,59 @@ TEST(Strategies, ConstantExpressionFillsField) {
                           StrategyKind::fusion}) {
     const auto result = evaluate(fx, kind, "r = 2.0 * 3.0");
     for (const float v : result) ASSERT_EQ(v, 6.0f);
+  }
+}
+
+constexpr StrategyKind kAllStrategies[] = {
+    StrategyKind::roundtrip, StrategyKind::staged, StrategyKind::fusion,
+    StrategyKind::streamed};
+
+// A bare field output bound shorter than the grid: every strategy refuses
+// it with a typed error and releases every buffer. Roundtrip and staged
+// refuse it before any device command (roundtrip once copied past the end
+// of the binding; staged returned the binding padded with zeros).
+TEST(Strategies, ShortBareFieldOutputThrowsOnEveryStrategy) {
+  const mesh::RectilinearMesh mesh =
+      mesh::RectilinearMesh::uniform({10, 12, 14});
+  const std::vector<float> short_u(100, 1.5f);
+  runtime::FieldBindings bindings;
+  bindings.bind_mesh(mesh);
+  bindings.bind("u", short_u);
+  for (const char* expression : {"r = dims", "r = u"}) {
+    const dataflow::Network network(dataflow::build_network(expression));
+    for (const StrategyKind kind : kAllStrategies) {
+      vcl::Device device(vcl::xeon_x5660_scaled());
+      vcl::ProfilingLog log;
+      EXPECT_THROW(runtime::make_strategy(kind)->execute(
+                       network, bindings, mesh.cell_count(), device, log),
+                   Error)
+          << expression << " under " << runtime::strategy_name(kind);
+      EXPECT_EQ(device.memory().in_use(), 0u) << expression;
+      if (kind == StrategyKind::roundtrip || kind == StrategyKind::staged) {
+        EXPECT_TRUE(log.events().empty()) << expression;
+      }
+    }
+  }
+}
+
+// A binding longer than the grid stays legal: the result is its prefix.
+TEST(Strategies, LongBareFieldOutputIsTruncatedToTheGrid) {
+  const std::size_t cells = 60;
+  std::vector<float> long_u(cells + 7);
+  for (std::size_t i = 0; i < long_u.size(); ++i) {
+    long_u[i] = static_cast<float>(i);
+  }
+  runtime::FieldBindings bindings;
+  bindings.bind("u", long_u);
+  const dataflow::Network network(dataflow::build_network("r = u"));
+  for (const StrategyKind kind : kAllStrategies) {
+    vcl::Device device(vcl::xeon_x5660_scaled());
+    vcl::ProfilingLog log;
+    const std::vector<float> result = runtime::make_strategy(kind)->execute(
+        network, bindings, cells, device, log);
+    EXPECT_EQ(result, std::vector<float>(long_u.begin(),
+                                         long_u.begin() + cells))
+        << runtime::strategy_name(kind);
   }
 }
 
