@@ -18,10 +18,12 @@
 // primitive kind it implements, its form and register operands, its cost,
 // and its source spelling. The builder, the optimizer, lane liveness, the
 // register-pressure scan and both source dialects dispatch on the row, not
-// on the opcode. Adding an opcode touches the enum, one row, and one body
-// in each interpreter: vm.cpp's element-wise step (run_scalar runs it, and
-// the constant folder through eval_register_op) and run()'s tiled loop; a
-// memory opcode also needs a source_printer case.
+// on the opcode. How a lane-wise opcode or comparison computes is one float
+// function in vm.cpp's dispatch, the one switch over Op that both loop
+// shapes run: the element-wise step (run_scalar, and the constant folder
+// through eval_register_op) and run()'s tiled loop. So adding a lane-wise
+// opcode touches the enum, one row and one function; any other opcode also
+// needs code in both loop shapes and a source_printer case.
 #pragma once
 
 #include <array>

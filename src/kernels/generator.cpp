@@ -123,46 +123,18 @@ class FusionEmitter {
     return reg;
   }
 
+  /// Emits a filter through the primitives' shared lowering. Operands are
+  /// bound in argument order (function-argument evaluation order is
+  /// unspecified, and the parameter list is user-visible). A gradient's
+  /// operands are buffer slots: its field may be a field source or a
+  /// materialised value, and either way the stencil reads the buffer.
   std::uint16_t emit_filter(const dataflow::SpecNode& node) {
-    const std::string& kind = node.kind;
-    if (kind == "grad3d") {
-      // Bind parameters in argument order (function-argument evaluation
-      // order is unspecified, and the parameter list is user-visible).
-      // The field operand may be a field source or a materialised value;
-      // either way the stencil reads its buffer directly.
-      const std::uint16_t field = param_slot(node.inputs[0]);
-      const std::uint16_t dims = param_slot(node.inputs[1]);
-      const std::uint16_t x = param_slot(node.inputs[2]);
-      const std::uint16_t y = param_slot(node.inputs[3]);
-      const std::uint16_t z = param_slot(node.inputs[4]);
-      return builder_.emit_grad3d(field, dims, x, y, z);
+    const bool buffers = node.kind == "grad3d";
+    std::vector<std::uint16_t> operands;
+    for (const int input : node.inputs) {
+      operands.push_back(buffers ? param_slot(input) : reg_of(input));
     }
-    if (kind == "decompose") {
-      return builder_.emit_component(reg_of(node.inputs[0]), node.component);
-    }
-    if (kind == "select") {
-      const std::uint16_t cond = reg_of(node.inputs[0]);
-      const std::uint16_t then_value = reg_of(node.inputs[1]);
-      const std::uint16_t else_value = reg_of(node.inputs[2]);
-      return builder_.emit_select(cond, then_value, else_value);
-    }
-    if (kind == "pack3") {
-      const std::uint16_t a = reg_of(node.inputs[0]);
-      const std::uint16_t b = reg_of(node.inputs[1]);
-      const std::uint16_t c = reg_of(node.inputs[2]);
-      return builder_.emit_pack(a, b, c);
-    }
-    const PrimitiveInfo* info = find_primitive(kind);
-    if (info != nullptr && info->arity == 1) {
-      return builder_.emit_unary(unary_opcode_for(kind),
-                                 reg_of(node.inputs[0]));
-    }
-    if (info != nullptr && info->arity == 2) {
-      const std::uint16_t lhs = reg_of(node.inputs[0]);
-      const std::uint16_t rhs = reg_of(node.inputs[1]);
-      return builder_.emit_binary(binary_opcode_for(kind), lhs, rhs);
-    }
-    throw KernelError("fusion generator cannot emit filter '" + kind + "'");
+    return emit_primitive(builder_, node.kind, operands, node.component);
   }
 
   const dataflow::Network& network_;

@@ -14,10 +14,10 @@
 //     the tiled VM touches a smaller workspace.
 //
 // Every transform is bit-exact: a folded value is computed by
-// eval_register_op, the scalar interpreter's own opcode bodies, and a fold
-// is only allowed to replace an instruction when no consumer observes a
-// lane the replacement would change (live_lane_masks, the VM's lane
-// liveness, read on SSA code).
+// eval_register_op, which runs the opcode bodies both VM loop shapes share,
+// and a fold is only allowed to replace an instruction when no consumer
+// observes a lane the replacement would change (live_lane_masks, the VM's
+// lane liveness, read on SSA code).
 #pragma once
 
 #include <cstddef>

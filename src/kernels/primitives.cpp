@@ -179,8 +179,21 @@ const PrimitiveInfo* find_primitive(const std::string& name) {
   return it == index().end() ? nullptr : it->second;
 }
 
-bool is_comparison(const std::string& name) {
-  return name.rfind("cmp_", 0) == 0 && find_primitive(name) != nullptr;
+std::uint16_t emit_primitive(ProgramBuilder& b, const std::string& kind,
+                             std::span<const std::uint16_t> in,
+                             int component) {
+  const PrimitiveInfo* info = find_primitive(kind);
+  if (info == nullptr || kind == "const_fill" ||
+      in.size() != static_cast<std::size_t>(info->arity)) {
+    throw KernelError("no bytecode for primitive '" + kind + "' with " +
+                      std::to_string(in.size()) + " operands");
+  }
+  if (kind == "grad3d") return b.emit_grad3d(in[0], in[1], in[2], in[3], in[4]);
+  if (kind == "decompose") return b.emit_component(in[0], component);
+  if (kind == "select") return b.emit_select(in[0], in[1], in[2]);
+  if (kind == "pack3") return b.emit_pack(in[0], in[1], in[2]);
+  if (info->arity == 1) return b.emit_unary(unary_opcode_for(kind), in[0]);
+  return b.emit_binary(binary_opcode_for(kind), in[0], in[1]);
 }
 
 Program make_standalone_program(const std::string& kind, int component,
@@ -190,44 +203,26 @@ Program make_standalone_program(const std::string& kind, int component,
     throw KernelError("unknown primitive '" + kind + "'");
   }
   ProgramBuilder b(kind);
-  if (kind == "decompose") {
-    const std::uint16_t in = b.add_param("in0", /*is_vec=*/true);
-    const std::uint16_t v = b.emit_load_global_vec(in);
-    return b.finish(b.emit_component(v, component), 1);
-  }
-  if (kind == "grad3d") {
-    const std::uint16_t field = b.add_param("field");
-    const std::uint16_t dims = b.add_param("dims");
-    const std::uint16_t x = b.add_param("x");
-    const std::uint16_t y = b.add_param("y");
-    const std::uint16_t z = b.add_param("z");
-    return b.finish(b.emit_grad3d(field, dims, x, y, z), 3);
-  }
   if (kind == "const_fill") {
     return b.finish(b.emit_load_const(value), 1);
   }
-  if (kind == "select") {
-    const std::uint16_t c = b.emit_load_global(b.add_param("in0"));
-    const std::uint16_t t = b.emit_load_global(b.add_param("in1"));
-    const std::uint16_t e = b.emit_load_global(b.add_param("in2"));
-    return b.finish(b.emit_select(c, t, e), 1);
+  // Parameters first, then the one instruction the fused kernels splice.
+  std::vector<std::uint16_t> operands;
+  if (kind == "grad3d") {
+    for (const char* name : {"field", "dims", "x", "y", "z"}) {
+      operands.push_back(b.add_param(name));
+    }
+  } else if (kind == "decompose") {
+    const std::uint16_t in = b.add_param("in0", /*is_vec=*/true);
+    operands.push_back(b.emit_load_global_vec(in));
+  } else {
+    for (int i = 0; i < info->arity; ++i) {
+      operands.push_back(
+          b.emit_load_global(b.add_param("in" + std::to_string(i))));
+    }
   }
-  if (kind == "pack3") {
-    const std::uint16_t a = b.emit_load_global(b.add_param("in0"));
-    const std::uint16_t c = b.emit_load_global(b.add_param("in1"));
-    const std::uint16_t d = b.emit_load_global(b.add_param("in2"));
-    return b.finish(b.emit_pack(a, c, d), 3);
-  }
-  if (info->arity == 1) {
-    const std::uint16_t a = b.emit_load_global(b.add_param("in0"));
-    return b.finish(b.emit_unary(unary_opcode_for(kind), a), 1);
-  }
-  if (info->arity == 2) {
-    const std::uint16_t a = b.emit_load_global(b.add_param("in0"));
-    const std::uint16_t c = b.emit_load_global(b.add_param("in1"));
-    return b.finish(b.emit_binary(binary_opcode_for(kind), a, c), 1);
-  }
-  throw KernelError("no standalone kernel for primitive '" + kind + "'");
+  return b.finish(emit_primitive(b, kind, operands, component),
+                  info->result_components);
 }
 
 }  // namespace dfg::kernels

@@ -6,13 +6,16 @@
 // This registry is that library: every dataflow filter kind is described by
 // a PrimitiveInfo (arity, component shape, flop cost, and the OpenCL-C
 // device-function source kept for documentation and the source printer),
-// and make_standalone_program() materialises the one-primitive kernel used
-// by the roundtrip and staged strategies. The fusion strategy emits the
-// same primitives inline via the KernelGenerator — the primitive
+// and emit_primitive() is the one lowering from a filter kind to its
+// bytecode instruction. make_standalone_program() loads a primitive's
+// parameters and calls it to build the one-primitive kernel of the
+// roundtrip and staged strategies; the fusion generator splices the same
+// lowering inline on registers it already holds — the primitive
 // definitions themselves are strategy-independent, as in the paper.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,9 +44,6 @@ const std::vector<PrimitiveInfo>& all_primitives();
 /// Looks up a primitive by dataflow kind; nullptr when unknown.
 const PrimitiveInfo* find_primitive(const std::string& name);
 
-/// True for the six comparison kinds ("cmp_gt", ...).
-bool is_comparison(const std::string& name);
-
 /// Bytecode opcode implementing a two-input primitive ("add" -> Op::add).
 /// Throws KernelError for kinds that are not binary.
 Op binary_opcode_for(const std::string& kind);
@@ -51,6 +51,17 @@ Op binary_opcode_for(const std::string& kind);
 /// Bytecode opcode implementing a one-input primitive ("sqrt" -> Op::sqrt).
 /// Throws KernelError for kinds that are not unary.
 Op unary_opcode_for(const std::string& kind);
+
+/// The one lowering from filter kind to bytecode: emits the instruction
+/// implementing `kind` on operand registers `in` (buffer slots field, dims,
+/// x, y, z for "grad3d") and returns its destination register. `component`
+/// selects the lane for "decompose". Both the standalone kernels and the
+/// fusion generator emit every filter through it. Throws KernelError for
+/// an unknown kind, "const_fill", or an operand count that is not the
+/// kind's arity.
+std::uint16_t emit_primitive(ProgramBuilder& b, const std::string& kind,
+                             std::span<const std::uint16_t> in,
+                             int component = 0);
 
 /// Builds the standalone one-primitive kernel for the staged/roundtrip
 /// strategies. `component` selects the lane for "decompose"; `value` is the

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "support/error.hpp"
 
@@ -183,12 +184,100 @@ inline Vec4 lanewise1(const Vec4& a, F f) {
   return r;
 }
 
+/// An opcode as a type, so a shape resolves its own code at compile time.
+template <Op kOp>
+using OpTag = std::integral_constant<Op, kOp>;
+
+/// The one dispatch over Op, and the float meaning of every lane-wise
+/// opcode and comparison, stated once. Calls `binary(f)` with a lane-wise
+/// `float f(float, float)`, `unary(f)` with a lane-wise `float f(float)`,
+/// `compare(p)` with a comparison's `bool p(float, float)`, and
+/// `other(OpTag<op>())` for the opcodes whose code depends on the loop
+/// shape (loads, stores, load_const, component, select, pack, grad3d).
+/// Both shapes run it: step applies the function to the four lanes of a
+/// Vec4, run() over each live lane's column of a tile. Forced inline, so
+/// in run_scalar's element loop it is the one switch per instruction.
+template <typename Binary, typename Unary, typename Compare, typename Other>
+[[gnu::always_inline]] inline void dispatch(Op op, Binary&& binary,
+                                            Unary&& unary, Compare&& compare,
+                                            Other&& other) {
+  switch (op) {
+    case Op::add:
+      return binary([](float x, float y) { return x + y; });
+    case Op::sub:
+      return binary([](float x, float y) { return x - y; });
+    case Op::mul:
+      return binary([](float x, float y) { return x * y; });
+    case Op::div:
+      return binary([](float x, float y) { return x / y; });
+    case Op::min:
+      return binary([](float x, float y) { return std::fmin(x, y); });
+    case Op::max:
+      return binary([](float x, float y) { return std::fmax(x, y); });
+    case Op::pow:
+      return binary([](float x, float y) { return std::pow(x, y); });
+    case Op::sqrt:
+      return unary([](float x) { return std::sqrt(x); });
+    case Op::neg:
+      return unary([](float x) { return -x; });
+    case Op::abs:
+      return unary([](float x) { return std::fabs(x); });
+    case Op::sin:
+      return unary([](float x) { return std::sin(x); });
+    case Op::cos:
+      return unary([](float x) { return std::cos(x); });
+    case Op::tan:
+      return unary([](float x) { return std::tan(x); });
+    case Op::acos:
+      return unary([](float x) { return std::acos(x); });
+    case Op::exp:
+      return unary([](float x) { return std::exp(x); });
+    case Op::log:
+      return unary([](float x) { return std::log(x); });
+    case Op::tanh:
+      return unary([](float x) { return std::tanh(x); });
+    case Op::floor:
+      return unary([](float x) { return std::floor(x); });
+    case Op::ceil:
+      return unary([](float x) { return std::ceil(x); });
+    case Op::cmp_gt:
+      return compare([](float x, float y) { return x > y; });
+    case Op::cmp_lt:
+      return compare([](float x, float y) { return x < y; });
+    case Op::cmp_ge:
+      return compare([](float x, float y) { return x >= y; });
+    case Op::cmp_le:
+      return compare([](float x, float y) { return x <= y; });
+    case Op::cmp_eq:
+      return compare([](float x, float y) { return x == y; });
+    case Op::cmp_ne:
+      return compare([](float x, float y) { return x != y; });
+    case Op::load_global:
+      return other(OpTag<Op::load_global>());
+    case Op::load_global_vec:
+      return other(OpTag<Op::load_global_vec>());
+    case Op::load_const:
+      return other(OpTag<Op::load_const>());
+    case Op::store:
+      return other(OpTag<Op::store>());
+    case Op::store_vec:
+      return other(OpTag<Op::store_vec>());
+    case Op::component:
+      return other(OpTag<Op::component>());
+    case Op::select:
+      return other(OpTag<Op::select>());
+    case Op::pack:
+      return other(OpTag<Op::pack>());
+    case Op::grad3d:
+      return other(OpTag<Op::grad3d>());
+  }
+}
+
 /// Executes one instruction on a float4 register file: the register-only
-/// opcodes here, anything touching a buffer through `memory(in)`. One
-/// dispatch per instruction, forced inline so run_scalar's element loop
-/// pays no call. Each case assigns the destination once, from a value
-/// computed whole, so a destination that aliases an operand reads
-/// correctly.
+/// opcodes here, anything touching a buffer through `memory(in, tag)`.
+/// Forced inline, so run_scalar's element loop pays no call and one
+/// switch. Each case assigns the destination once, from a value computed
+/// whole, so a destination that aliases an operand reads correctly.
 template <typename Memory>
 [[gnu::always_inline]] inline void step(const Instr& in, Vec4* regs,
                                         Memory&& memory) {
@@ -198,100 +287,23 @@ template <typename Memory>
     return regs[in.args[k]];
   };
   const auto scalar = [](float v) { return Vec4{{v, 0.0f, 0.0f, 0.0f}}; };
-  const auto binary = [&](auto f) { d = lanewise(r(0), r(1), f); };
-  const auto unary = [&](auto f) { d = lanewise1(r(0), f); };
-  switch (in.op) {
-    case Op::load_const:
-      d = scalar(in.imm);
-      break;
-    case Op::add:
-      binary([](float x, float y) { return x + y; });
-      break;
-    case Op::sub:
-      binary([](float x, float y) { return x - y; });
-      break;
-    case Op::mul:
-      binary([](float x, float y) { return x * y; });
-      break;
-    case Op::div:
-      binary([](float x, float y) { return x / y; });
-      break;
-    case Op::min:
-      binary([](float x, float y) { return std::fmin(x, y); });
-      break;
-    case Op::max:
-      binary([](float x, float y) { return std::fmax(x, y); });
-      break;
-    case Op::pow:
-      binary([](float x, float y) { return std::pow(x, y); });
-      break;
-    case Op::sqrt:
-      unary([](float x) { return std::sqrt(x); });
-      break;
-    case Op::neg:
-      unary([](float x) { return -x; });
-      break;
-    case Op::abs:
-      unary([](float x) { return std::fabs(x); });
-      break;
-    case Op::sin:
-      unary([](float x) { return std::sin(x); });
-      break;
-    case Op::cos:
-      unary([](float x) { return std::cos(x); });
-      break;
-    case Op::tan:
-      unary([](float x) { return std::tan(x); });
-      break;
-    case Op::acos:
-      unary([](float x) { return std::acos(x); });
-      break;
-    case Op::exp:
-      unary([](float x) { return std::exp(x); });
-      break;
-    case Op::log:
-      unary([](float x) { return std::log(x); });
-      break;
-    case Op::tanh:
-      unary([](float x) { return std::tanh(x); });
-      break;
-    case Op::floor:
-      unary([](float x) { return std::floor(x); });
-      break;
-    case Op::ceil:
-      unary([](float x) { return std::ceil(x); });
-      break;
-    case Op::component:
-      d = scalar(r(0)[in.args[1]]);
-      break;
-    case Op::cmp_gt:
-      d = scalar(r(0)[0] > r(1)[0] ? 1.0f : 0.0f);
-      break;
-    case Op::cmp_lt:
-      d = scalar(r(0)[0] < r(1)[0] ? 1.0f : 0.0f);
-      break;
-    case Op::cmp_ge:
-      d = scalar(r(0)[0] >= r(1)[0] ? 1.0f : 0.0f);
-      break;
-    case Op::cmp_le:
-      d = scalar(r(0)[0] <= r(1)[0] ? 1.0f : 0.0f);
-      break;
-    case Op::cmp_eq:
-      d = scalar(r(0)[0] == r(1)[0] ? 1.0f : 0.0f);
-      break;
-    case Op::cmp_ne:
-      d = scalar(r(0)[0] != r(1)[0] ? 1.0f : 0.0f);
-      break;
-    case Op::select:
-      d = r(0)[0] != 0.0f ? r(1) : r(2);
-      break;
-    case Op::pack:
-      d = Vec4{{r(0)[0], r(1)[0], r(2)[0], 0.0f}};
-      break;
-    default:
-      memory(in);
-      break;
-  }
+  dispatch(
+      in.op, [&](auto f) { d = lanewise(r(0), r(1), f); },
+      [&](auto f) { d = lanewise1(r(0), f); },
+      [&](auto p) { d = scalar(p(r(0)[0], r(1)[0]) ? 1.0f : 0.0f); },
+      [&](auto op) {
+        if constexpr (op == Op::load_const) {
+          d = scalar(in.imm);
+        } else if constexpr (op == Op::component) {
+          d = scalar(r(0)[in.args[1]]);
+        } else if constexpr (op == Op::select) {
+          d = r(0)[0] != 0.0f ? r(1) : r(2);
+        } else if constexpr (op == Op::pack) {
+          d = Vec4{{r(0)[0], r(1)[0], r(2)[0], 0.0f}};
+        } else {
+          memory(in, op);
+        }
+      });
 }
 
 }  // namespace
@@ -365,7 +377,7 @@ std::vector<std::uint8_t> live_lane_masks(std::span<const Instr> code,
 }
 
 void eval_register_op(const Instr& in, Vec4* regs) {
-  step(in, regs, [](const Instr& other) {
+  step(in, regs, [](const Instr& other, auto) {
     throw KernelError(std::string("eval_register_op called with opcode ") +
                       op_name(other.op));
   });
@@ -402,9 +414,9 @@ void run(const Program& program, std::span<const BufferBinding> inputs,
         }
       }
     };
-    // Lane-wise binary/unary bodies over the live lanes only. Element-wise
-    // read-before-write keeps them correct when register coalescing makes
-    // dst alias an operand.
+    // dispatch's float functions, applied over the live lanes' columns
+    // only. Element-wise read-before-write keeps them correct when register
+    // coalescing makes dst alias an operand.
     const auto binary = [&](const Instr& in, std::uint8_t mask, auto f) {
       for (int lane = 0; lane < 4; ++lane) {
         if (!(mask & (1u << lane))) continue;
@@ -440,6 +452,17 @@ void run(const Program& program, std::span<const BufferBinding> inputs,
       // A definition nothing can observe needs no work at all (stores and
       // the out-buffer writes always carry mask 0xF).
       if (mask == 0 && op_defines_register(in.op)) continue;
+      // dispatch hands loads, stores, load_const, component, select, pack
+      // and grad3d back to this shape's own switch below. The switch stays
+      // in the loop body: moved into the callback, which is instantiated
+      // once per opcode, it made Q-Crit's tiled kernel measurably slower.
+      bool own_code = false;
+      dispatch(
+          in.op, [&](auto f) { binary(in, mask, f); },
+          [&](auto f) { unary(in, mask, f); },
+          [&](auto p) { compare(in, mask, p); },
+          [&](auto) { own_code = true; });
+      if (!own_code) continue;
       switch (in.op) {
         case Op::load_global: {
           if (mask & 0x1) {
@@ -468,63 +491,6 @@ void run(const Program& program, std::span<const BufferBinding> inputs,
           zero_high(in.dst, mask);
           break;
         }
-        case Op::add:
-          binary(in, mask, [](float a, float b) { return a + b; });
-          break;
-        case Op::sub:
-          binary(in, mask, [](float a, float b) { return a - b; });
-          break;
-        case Op::mul:
-          binary(in, mask, [](float a, float b) { return a * b; });
-          break;
-        case Op::div:
-          binary(in, mask, [](float a, float b) { return a / b; });
-          break;
-        case Op::min:
-          binary(in, mask, [](float a, float b) { return std::fmin(a, b); });
-          break;
-        case Op::max:
-          binary(in, mask, [](float a, float b) { return std::fmax(a, b); });
-          break;
-        case Op::pow:
-          binary(in, mask, [](float a, float b) { return std::pow(a, b); });
-          break;
-        case Op::sqrt:
-          unary(in, mask, [](float a) { return std::sqrt(a); });
-          break;
-        case Op::neg:
-          unary(in, mask, [](float a) { return -a; });
-          break;
-        case Op::abs:
-          unary(in, mask, [](float a) { return std::fabs(a); });
-          break;
-        case Op::sin:
-          unary(in, mask, [](float a) { return std::sin(a); });
-          break;
-        case Op::cos:
-          unary(in, mask, [](float a) { return std::cos(a); });
-          break;
-        case Op::tan:
-          unary(in, mask, [](float a) { return std::tan(a); });
-          break;
-        case Op::acos:
-          unary(in, mask, [](float a) { return std::acos(a); });
-          break;
-        case Op::exp:
-          unary(in, mask, [](float a) { return std::exp(a); });
-          break;
-        case Op::log:
-          unary(in, mask, [](float a) { return std::log(a); });
-          break;
-        case Op::tanh:
-          unary(in, mask, [](float a) { return std::tanh(a); });
-          break;
-        case Op::floor:
-          unary(in, mask, [](float a) { return std::floor(a); });
-          break;
-        case Op::ceil:
-          unary(in, mask, [](float a) { return std::ceil(a); });
-          break;
         case Op::component: {
           if (mask & 0x1) {
             const float* src = col(in.args[0], static_cast<int>(in.args[1]));
@@ -534,24 +500,6 @@ void run(const Program& program, std::span<const BufferBinding> inputs,
           zero_high(in.dst, mask);
           break;
         }
-        case Op::cmp_gt:
-          compare(in, mask, [](float a, float b) { return a > b; });
-          break;
-        case Op::cmp_lt:
-          compare(in, mask, [](float a, float b) { return a < b; });
-          break;
-        case Op::cmp_ge:
-          compare(in, mask, [](float a, float b) { return a >= b; });
-          break;
-        case Op::cmp_le:
-          compare(in, mask, [](float a, float b) { return a <= b; });
-          break;
-        case Op::cmp_eq:
-          compare(in, mask, [](float a, float b) { return a == b; });
-          break;
-        case Op::cmp_ne:
-          compare(in, mask, [](float a, float b) { return a != b; });
-          break;
         case Op::select: {
           // Lane 0 last: when coalescing makes dst alias the condition
           // register, the condition column must survive the lane-1..3
@@ -690,6 +638,8 @@ void run(const Program& program, std::span<const BufferBinding> inputs,
           }
           break;
         }
+        default:
+          break;  // dispatch ran the lane-wise and comparison opcodes
       }
     }
   }
@@ -704,34 +654,25 @@ void run_scalar(const Program& program, std::span<const BufferBinding> inputs,
   std::vector<Vec4> regs(program.register_count());
   for (std::size_t gid = begin; gid < end; ++gid) {
     for (std::size_t pc = 0; pc < program.code().size(); ++pc) {
-      step(program.code()[pc], regs.data(), [&](const Instr& in) {
-        switch (in.op) {
-          case Op::load_global:
-            regs[in.dst] = Vec4{};
-            regs[in.dst][0] = inputs[in.args[0]].data[gid];
-            break;
-          case Op::load_global_vec: {
-            const float* p = inputs[in.args[0]].data + gid * 4;
-            regs[in.dst] = Vec4{{p[0], p[1], p[2], p[3]}};
-            break;
-          }
-          case Op::grad3d:
-            regs[in.dst] = eval_grad(grads[pc], gid);
-            break;
-          case Op::store:
-            out[gid] = regs[in.args[0]][0];
-            break;
-          case Op::store_vec: {
-            float* p = out + gid * 4;
-            const Vec4& v = regs[in.args[0]];
-            p[0] = v[0];
-            p[1] = v[1];
-            p[2] = v[2];
-            p[3] = v[3];
-            break;
-          }
-          default:
-            break;  // step ran the register-only opcodes
+      step(program.code()[pc], regs.data(), [&](const Instr& in, auto op) {
+        if constexpr (op == Op::load_global) {
+          regs[in.dst] = Vec4{};
+          regs[in.dst][0] = inputs[in.args[0]].data[gid];
+        } else if constexpr (op == Op::load_global_vec) {
+          const float* p = inputs[in.args[0]].data + gid * 4;
+          regs[in.dst] = Vec4{{p[0], p[1], p[2], p[3]}};
+        } else if constexpr (op == Op::grad3d) {
+          regs[in.dst] = eval_grad(grads[pc], gid);
+        } else if constexpr (op == Op::store) {
+          out[gid] = regs[in.args[0]][0];
+        } else {
+          static_assert(op == Op::store_vec);
+          float* p = out + gid * 4;
+          const Vec4& v = regs[in.args[0]];
+          p[0] = v[0];
+          p[1] = v[1];
+          p[2] = v[2];
+          p[3] = v[3];
         }
       });
     }

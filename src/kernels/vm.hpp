@@ -84,8 +84,8 @@ std::vector<std::uint8_t> live_lane_masks(std::span<const Instr> code,
 
 /// Executes one register-only instruction (load_const, a lane-wise or
 /// comparison opcode, component, select or pack) on the register file
-/// `regs`, writing regs[in.dst]. The one scalar
-/// meaning of these opcodes: run_scalar runs it per element, and the
+/// `regs`, writing regs[in.dst], with the opcode bodies run() and
+/// run_scalar share: run_scalar runs the same step per element, and the
 /// optimizer's constant folder runs it on the registers whose value it
 /// knows. Other opcodes throw KernelError.
 void eval_register_op(const Instr& in, Vec4* regs);

@@ -211,8 +211,9 @@ void check_output_extent(const dataflow::Network& network,
 /// One kernel dispatch per filter, with *every* kernel argument uploaded at
 /// dispatch time (an argument used twice is written twice) and every result
 /// transferred straight back to the host. Intermediates therefore live in
-/// host memory and the device only ever holds one kernel's working set —
-/// the least-constrained strategy, at the cost of maximal PCIe traffic.
+/// host memory, each dropped once its last consumer has uploaded it, and
+/// the device only ever holds one kernel's working set — the
+/// least-constrained strategy, at the cost of maximal PCIe traffic.
 /// Decompose runs on the host as array slicing, and constants are
 /// materialised as host arrays uploaded per use (both per the device-event
 /// accounting of the paper's Table II).
@@ -222,8 +223,15 @@ typename Target::Result walk_roundtrip(const dataflow::Network& network,
                                        std::size_t elements, Target& target) {
   check_output_extent(network, bindings, elements);
   const auto& spec = network.spec();
-  // Every node's value is held on the host.
+  // Every node's value is held on the host, until its last consumer has
+  // taken it (the output's extra use keeps it to the end).
   std::vector<typename Target::Host> values(spec.nodes().size());
+  std::vector<int> refs = network.use_counts();
+  const auto consumed = [&](const dataflow::SpecNode& node) {
+    for (const int in : node.inputs) {
+      if (--refs[in] == 0) values[in] = typename Target::Host();
+    }
+  };
 
   for (const int id : network.topo_order()) {
     const dataflow::SpecNode& node = spec.node(id);
@@ -246,6 +254,7 @@ typename Target::Result walk_roundtrip(const dataflow::Network& network,
       // already holds the intermediate on the host, so no kernel is needed.
       values[id] =
           target.host_slice(values[node.inputs[0]], node.component, elements);
+      consumed(node);
       continue;
     }
 
@@ -266,6 +275,7 @@ typename Target::Result walk_roundtrip(const dataflow::Network& network,
           values[input], node.kind + ":" + spec.node(input).label, poolable));
       args.add(arg_buffers.back());
     }
+    consumed(node);
 
     const typename Target::Output out =
         target.allocate(elements * program->out_stride());

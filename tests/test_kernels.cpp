@@ -331,13 +331,6 @@ TEST(Primitives, Grad3dSourceIsTheFiftyLinePrimitive) {
   EXPECT_NE(src.find("float4 grad3d"), std::string::npos);
 }
 
-TEST(Primitives, IsComparisonClassifier) {
-  EXPECT_TRUE(is_comparison("cmp_gt"));
-  EXPECT_TRUE(is_comparison("cmp_ne"));
-  EXPECT_FALSE(is_comparison("add"));
-  EXPECT_FALSE(is_comparison("cmp_bogus"));
-}
-
 TEST(Primitives, BinaryOpcodeForRejectsNonBinary) {
   EXPECT_THROW(binary_opcode_for("sqrt"), dfg::KernelError);
   EXPECT_EQ(binary_opcode_for("mult"), Op::mul);

@@ -309,10 +309,47 @@ TEST(Optimizer, NanLanesBlockFoldingOnlyWhenObserved) {
   }
 }
 
+/// Each lane-wise opcode's and comparison's meaning, stated apart from the
+/// VM's one set of bodies: one std:: call or C operator per row.
+float reference_value(Op op, float a, float b) {
+  switch (op) {
+    case Op::add: return a + b;
+    case Op::sub: return a - b;
+    case Op::mul: return a * b;
+    case Op::div: return a / b;
+    case Op::min: return std::fmin(a, b);
+    case Op::max: return std::fmax(a, b);
+    case Op::pow: return std::pow(a, b);
+    case Op::sqrt: return std::sqrt(a);
+    case Op::neg: return -a;
+    case Op::abs: return std::fabs(a);
+    case Op::sin: return std::sin(a);
+    case Op::cos: return std::cos(a);
+    case Op::tan: return std::tan(a);
+    case Op::acos: return std::acos(a);
+    case Op::exp: return std::exp(a);
+    case Op::log: return std::log(a);
+    case Op::tanh: return std::tanh(a);
+    case Op::floor: return std::floor(a);
+    case Op::ceil: return std::ceil(a);
+    case Op::cmp_gt: return a > b ? 1.0f : 0.0f;
+    case Op::cmp_lt: return a < b ? 1.0f : 0.0f;
+    case Op::cmp_ge: return a >= b ? 1.0f : 0.0f;
+    case Op::cmp_le: return a <= b ? 1.0f : 0.0f;
+    case Op::cmp_eq: return a == b ? 1.0f : 0.0f;
+    case Op::cmp_ne: return a != b ? 1.0f : 0.0f;
+    default: break;
+  }
+  ADD_FAILURE() << "no reference for " << op_name(op);
+  return 0.0f;
+}
+
 TEST(Optimizer, EveryFoldableOpcodeMatchesTheTiledVm) {
-  // Each lane-wise and comparison opcode, folded over constant operands,
-  // must store exactly the bits the unoptimized program computes on the
-  // tiled interpreter.
+  // Each lane-wise and comparison opcode, over constant operands, must give
+  // exactly the reference's bits three ways: folded by the optimizer, and
+  // computed by the unoptimized program on the tiled interpreter and on the
+  // element interpreter. The VM's two loop shapes and the folder share one
+  // body per opcode, so only the reference can catch a wrong body.
   const float operands[] = {0.0f,
                             -0.0f,
                             1.0f,
@@ -348,18 +385,24 @@ TEST(Optimizer, EveryFoldableOpcodeMatchesTheTiledVm) {
                      std::to_string(b) + ")");
         EXPECT_EQ(stats.folded_constants, 1u);
         ASSERT_EQ(opt.code().size(), 2u);
-        EXPECT_EQ(opt.code()[0].op, Op::load_const);
-        const float want = run_tiled(raw, none, 1)[0];
-        const float got = run_tiled(opt, none, 1)[0];
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(got),
-                  std::bit_cast<std::uint32_t>(want))
-            << got << " vs " << want;
-        ++checked;
+        ASSERT_EQ(opt.code()[0].op, Op::load_const);
+        const float want = reference_value(info.op, a, b);
+        const std::pair<const char*, float> results[] = {
+            {"folded", opt.code()[0].imm},
+            {"run", run_tiled(raw, none, 1)[0]},
+            {"run_scalar", run_reference(raw, none, 1)[0]}};
+        for (const auto& [shape, got] : results) {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(got),
+                    std::bit_cast<std::uint32_t>(want))
+              << shape << ": " << got << " vs " << want;
+          ++checked;
+        }
       }
     }
   }
-  // 12 unary opcodes over 10 operands, 13 binary ones over 100 pairs.
-  EXPECT_EQ(checked, 12u * 10u + 13u * 100u);
+  // 12 unary opcodes over 10 operands, 13 binary ones over 100 pairs, each
+  // checked folded, on run() and on run_scalar().
+  EXPECT_EQ(checked, 3u * (12u * 10u + 13u * 100u));
 }
 
 TEST(Optimizer, EliminatesCommonSubexpressions) {
