@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "runtime/walk.hpp"
 #include "support/error.hpp"
 
 namespace dfg::runtime {
@@ -101,13 +102,14 @@ FallbackOutcome run_ladder(const dataflow::Network& network,
           {kind, kMemoryLadder[pos + 1], std::string(category) + ": " + what});
     };
     try {
-      const auto strategy = make_strategy(kind, streamed_chunk_cells);
-      // A throw below unwinds the strategy's RAII buffers, releasing all
+      // A throw below unwinds the walk's RAII buffers, releasing all
       // partially-written device state before the next rung re-plans.
-      outcome.values =
-          strategy->execute(network, bindings, elements, device, log);
+      DeviceTarget target(device, log);
+      Walked<DeviceTarget> walked = walk(kind, network, bindings, elements,
+                                         streamed_chunk_cells, target);
+      outcome.values = std::move(walked.result);
       outcome.executed = kind;
-      outcome.pipeline = strategy->executed_pipeline();
+      outcome.pipeline = std::move(walked.pipeline);
       finish_attempt("ok");
       return outcome;
     } catch (const DeviceOutOfMemory& err) {

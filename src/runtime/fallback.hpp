@@ -102,9 +102,11 @@ inline constexpr StrategyKind kMemoryLadder[] = {
 std::size_t ladder_position(StrategyKind kind);
 
 /// Executes `network` starting at `requested`, degrading along the ladder
-/// per `policy`. With the policy disabled this is exactly
-/// make_strategy(requested)->execute(...): same command stream, same
-/// errors. Throws the last rung's error when no rung succeeds.
+/// per `policy`. Each rung runs runtime::walk on a DeviceTarget, as
+/// Strategy::execute does, so with the policy disabled this equals
+/// make_strategy(requested, streamed_chunk_cells)->execute(...): same
+/// command stream, same result, same errors (a test holds it to that).
+/// Throws the last rung's error when no rung succeeds.
 /// On return and on a throw alike, the events this call appended to `log`
 /// are published to the device's dfgen_vcl_* series. Every evaluation path
 /// runs here, so the series count each device event once; a strategy run

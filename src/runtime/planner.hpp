@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
 #include "dataflow/network.hpp"
 #include "runtime/bindings.hpp"
@@ -26,9 +27,10 @@ namespace dfg::runtime {
 /// Predicted device-memory high-water mark (bytes) of executing `network`
 /// over `elements` cells under `kind`. For the streamed strategy the
 /// prediction assumes the given chunk size (0 = the minimal viable chunk,
-/// i.e. the strategy's memory floor). Bindings are consulted for array
-/// extents only; no data is read. Throws KernelError where `kind` cannot
-/// execute the network (see estimate_sim_seconds).
+/// i.e. the strategy's memory floor; see Tally::chunk_planes). Bindings
+/// are consulted for array extents only; no data is read. Throws
+/// KernelError where `kind` cannot execute the network (see
+/// estimate_sim_seconds).
 std::size_t estimate_high_water(const dataflow::Network& network,
                                 const FieldBindings& bindings,
                                 std::size_t elements, StrategyKind kind,
@@ -40,23 +42,31 @@ std::size_t estimate_high_water(const dataflow::Network& network,
 /// fraction of peak flop rate (ExecutionBackend::compute_efficiency). The
 /// memo layer prices subtrees with this.
 ///
-/// The estimate equals the executed strategy's simulated time (same cost
-/// model, same command sequence) with one deliberate exception: a
-/// streamed estimate with `streamed_chunk_cells` = 0 prices one-plane
-/// chunks (the strategy's memory floor), while a streamed run with chunk
-/// 0 auto-sizes its chunks to half the device's free memory, so the two
-/// differ. Pass an explicit chunk to predict an explicitly chunked run.
+/// The estimate equals the executed strategy's simulated time: both run
+/// runtime::walk, with the same cost model. Streamed chunk sizing is the
+/// one target operation that differs, for chunk 0 only (Tally::chunk_planes
+/// against DeviceTarget::chunk_planes); pass an explicit chunk to predict
+/// an explicitly chunked run.
 ///
 /// Both estimators throw KernelError when `kind` cannot execute the
 /// network (streamed on gradients of computed values), and NetworkError
-/// on bindings the walk refuses (unbound or too-short arrays), exactly as
-/// the strategy would.
+/// on bindings the walk refuses (an unbound field, or one read over the
+/// grid that is too short), exactly as the strategy would.
 double estimate_sim_seconds(const dataflow::Network& network,
                             const FieldBindings& bindings,
                             std::size_t elements, const vcl::DeviceSpec& spec,
                             StrategyKind kind,
                             std::size_t streamed_chunk_cells,
                             double compute_efficiency);
+
+/// estimate_high_water of ladder rung `kind` at its memory floor, or
+/// nullopt when the rung cannot run this network (KernelError, e.g.
+/// streamed on gradients of computed values). The one rule by which the
+/// planner and admission skip a rung; other errors propagate.
+std::optional<std::size_t> rung_high_water(const dataflow::Network& network,
+                                           const FieldBindings& bindings,
+                                           std::size_t elements,
+                                           StrategyKind kind);
 
 /// The fastest strategy whose predicted working set fits the device's
 /// *free* memory, in kMemoryLadder order fusion > streamed > staged >

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "kernels/backend.hpp"
-#include "kernels/program_cache.hpp"
 #include "kernels/vm.hpp"
 #include "runtime/slab.hpp"
 #include "runtime/walk.hpp"
@@ -31,29 +30,57 @@ const char* strategy_name(StrategyKind kind) {
 
 std::unique_ptr<Strategy> make_strategy(StrategyKind kind,
                                         std::size_t streamed_chunk_cells) {
-  switch (kind) {
-    case StrategyKind::roundtrip:
-      return std::make_unique<RoundtripStrategy>();
-    case StrategyKind::staged:
-      return std::make_unique<StagedStrategy>();
-    case StrategyKind::fusion:
-      return std::make_unique<FusionStrategy>();
-    case StrategyKind::streamed:
-      return std::make_unique<StreamedFusionStrategy>(streamed_chunk_cells);
-  }
-  throw Error("unknown strategy kind");
+  return std::make_unique<Strategy>(kind, streamed_chunk_cells);
 }
 
-void check_output_extent(const dataflow::Network& network,
-                         const FieldBindings& bindings, std::size_t elements) {
-  const dataflow::SpecNode& out = network.spec().node(network.output_id());
-  if (out.type != dataflow::NodeType::field_source) return;
-  const std::size_t bound = bindings.get(out.field_name).size();
-  if (bound < elements) {
-    throw NetworkError("output field '" + out.field_name + "' holds " +
-                       std::to_string(bound) + " values, fewer than the " +
-                       std::to_string(elements) + " output cells");
+std::vector<float> Strategy::execute(const dataflow::Network& network,
+                                     const FieldBindings& bindings,
+                                     std::size_t elements, vcl::Device& device,
+                                     vcl::ProfilingLog& log) const {
+  DeviceTarget target(device, log);
+  return walk(kind_, network, bindings, elements, streamed_chunk_cells_,
+              target)
+      .result;
+}
+
+void check_bindings(const dataflow::Network& network,
+                    const FieldBindings& bindings, std::size_t elements) {
+  const dataflow::NetworkSpec& spec = network.spec();
+  // Which nodes are read over the grid: every filter operand except
+  // grad3d's dims, and the output.
+  std::vector<bool> gridded(spec.nodes().size(), false);
+  gridded[static_cast<std::size_t>(spec.output_id())] = true;
+  for (const dataflow::SpecNode& node : spec.nodes()) {
+    for (std::size_t i = 0; i < node.inputs.size(); ++i) {
+      const bool dims = node.kind == "grad3d" && i == 1;
+      if (!dims) gridded[static_cast<std::size_t>(node.inputs[i])] = true;
+    }
   }
+  for (const dataflow::SpecNode& node : spec.nodes()) {
+    if (node.type != dataflow::NodeType::field_source ||
+        network.use_count(node.id) == 0) {
+      continue;
+    }
+    const std::size_t bound = bindings.get(node.field_name).size();
+    if (gridded[static_cast<std::size_t>(node.id)] && bound < elements) {
+      throw NetworkError("field '" + node.field_name + "' holds " +
+                         std::to_string(bound) + " values, fewer than the " +
+                         std::to_string(elements) + " cells it is read over");
+    }
+  }
+}
+
+std::size_t DeviceTarget::chunk_planes(const SlabPlan& plan,
+                                       const kernels::Program& program,
+                                       std::size_t chunk_cells) {
+  if (chunk_cells == 0) {
+    const std::size_t budget_bytes =
+        queue_.device().effective_available() / 2;
+    const std::size_t bytes_per_cell =
+        (plan.slabbed_params + program.out_stride()) * sizeof(float);
+    chunk_cells = budget_bytes / std::max<std::size_t>(bytes_per_cell, 1);
+  }
+  return chunk_planes_for(plan, chunk_cells);
 }
 
 DeviceTarget::Host DeviceTarget::host_slice(const Host& in, int lane,
@@ -135,70 +162,6 @@ void launch_program(vcl::CommandQueue& queue, const kernels::Program& program,
     kernel->run(program, bindings, out_data, out_elements, begin, end);
   };
   queue.launch(launch);
-}
-
-
-std::vector<float> RoundtripStrategy::execute(const dataflow::Network& network,
-                                              const FieldBindings& bindings,
-                                              std::size_t elements,
-                                              vcl::Device& device,
-                                              vcl::ProfilingLog& log) const {
-  DeviceTarget target(device, log);
-  return walk_roundtrip(network, bindings, elements, target);
-}
-
-std::vector<float> StagedStrategy::execute(const dataflow::Network& network,
-                                           const FieldBindings& bindings,
-                                           std::size_t elements,
-                                           vcl::Device& device,
-                                           vcl::ProfilingLog& log) const {
-  DeviceTarget target(device, log);
-  return walk_staged(network, bindings, elements, target);
-}
-
-std::vector<float> FusionStrategy::execute(const dataflow::Network& network,
-                                           const FieldBindings& bindings,
-                                           std::size_t elements,
-                                           vcl::Device& device,
-                                           vcl::ProfilingLog& log) const {
-  executed_pipeline_ =
-      kernels::ProgramCache::instance().fused_pipeline(network);
-  DeviceTarget target(device, log);
-  return walk_fusion(network, *executed_pipeline_, bindings, elements,
-                     target);
-}
-
-StreamedFusionStrategy::StreamedFusionStrategy(std::size_t max_chunk_cells)
-    : max_chunk_cells_(max_chunk_cells) {}
-
-std::size_t StreamedFusionStrategy::pick_chunk_planes(
-    const SlabPlan& plan, const kernels::Program& program,
-    vcl::Device& device) const {
-  std::size_t budget_cells;
-  if (max_chunk_cells_ != 0) {
-    budget_cells = max_chunk_cells_;
-  } else {
-    // Auto: target half the device's free memory for the slab working set
-    // (inputs + output), leaving room for the host's other buffers. The
-    // effective headroom respects an injected synthetic capacity, so a
-    // degraded run sizes its chunks to the capacity that actually binds.
-    const std::size_t budget_bytes = device.effective_available() / 2;
-    const std::size_t bytes_per_cell =
-        (plan.slabbed_params + program.out_stride()) * sizeof(float);
-    budget_cells = budget_bytes / std::max<std::size_t>(bytes_per_cell, 1);
-  }
-  return chunk_planes_for(plan, budget_cells);
-}
-
-std::vector<float> StreamedFusionStrategy::execute(
-    const dataflow::Network& network, const FieldBindings& bindings,
-    std::size_t elements, vcl::Device& device, vcl::ProfilingLog& log) const {
-  executed_pipeline_ = kernels::ProgramCache::instance().fused_single(network);
-  const kernels::Program& program = executed_pipeline_->stages.front().program;
-  const SlabPlan plan = make_slab_plan(program, bindings, elements);
-  DeviceTarget target(device, log);
-  return walk_streamed(program, plan, pick_chunk_planes(plan, program, device),
-                       bindings, target);
 }
 
 }  // namespace dfg::runtime

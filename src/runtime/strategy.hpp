@@ -3,8 +3,8 @@
 // The paper's §III-C: a strategy controls data movement and how the
 // per-primitive kernels are composed to compute a network's result. Three
 // are provided — roundtrip, staged and fusion — all consuming the same
-// primitive library; adding a strategy means adding a class here, never
-// touching a kernel.
+// primitive library; adding a strategy means adding a StrategyKind, its
+// walk template and its case in runtime::walk(), never touching a kernel.
 //
 //  * roundtrip — one kernel per filter; every kernel-argument occurrence is
 //    uploaded, every result downloaded, so intermediates live in host
@@ -27,8 +27,9 @@
 //    O(chunk) so data sets larger than the device still run.
 //
 // Each strategy's command order is written once, as a walk template in
-// runtime/walk.hpp: execute() runs it on a DeviceTarget, and the planner
-// runs the same walk on a Tally to price it.
+// runtime/walk.hpp, and runtime::walk() there is the one map from a
+// StrategyKind to its walk: execute() and the fallback ladder run it on a
+// DeviceTarget, and the planner runs it on a Tally to price it.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +39,6 @@
 #include <vector>
 
 #include "dataflow/network.hpp"
-#include "kernels/generator.hpp"
 #include "kernels/program.hpp"
 #include "kernels/vm.hpp"
 #include "runtime/bindings.hpp"
@@ -51,90 +51,38 @@ enum class StrategyKind { roundtrip, staged, fusion, streamed };
 
 const char* strategy_name(StrategyKind kind);
 
+/// One execution strategy: its kind and, for streamed, the chunk size.
+/// execute() runs the kind's walk (runtime/walk.hpp) on the device.
 class Strategy {
  public:
-  virtual ~Strategy() = default;
+  /// `streamed_chunk_cells` applies to the streamed strategy only: the
+  /// target cells per chunk, 0 meaning auto-size from the device's free
+  /// memory.
+  explicit Strategy(StrategyKind kind, std::size_t streamed_chunk_cells = 0)
+      : kind_(kind), streamed_chunk_cells_(streamed_chunk_cells) {}
 
-  virtual StrategyKind kind() const = 0;
-  const char* name() const { return strategy_name(kind()); }
+  StrategyKind kind() const { return kind_; }
+  const char* name() const { return strategy_name(kind_); }
 
   /// Executes the network over `elements` output cells, pulling inputs from
   /// the bindings and producing the derived field on the host. All device
   /// traffic goes through `device` and is recorded in `log`. Throws
   /// DeviceOutOfMemory when the strategy's working set exceeds the device
-  /// (the paper's failed GPU test cases), NetworkError on unbound fields
-  /// and on a bare field output bound shorter than `elements`.
-  virtual std::vector<float> execute(const dataflow::Network& network,
-                                     const FieldBindings& bindings,
-                                     std::size_t elements, vcl::Device& device,
-                                     vcl::ProfilingLog& log) const = 0;
-
-  /// The fused pipeline the last execute() ran: set by the fusion and
-  /// streamed strategies, null for the others. Lets the engine render the
-  /// kernel source without a second program-cache request.
-  const std::shared_ptr<const kernels::FusedPipeline>& executed_pipeline()
-      const {
-    return executed_pipeline_;
-  }
-
- protected:
-  mutable std::shared_ptr<const kernels::FusedPipeline> executed_pipeline_;
-};
-
-/// `streamed_chunk_cells` applies to the streamed strategy only: the
-/// target cells per chunk, 0 meaning auto-size from the device's free
-/// memory.
-std::unique_ptr<Strategy> make_strategy(StrategyKind kind,
-                                        std::size_t streamed_chunk_cells = 0);
-
-class RoundtripStrategy final : public Strategy {
- public:
-  StrategyKind kind() const override { return StrategyKind::roundtrip; }
+  /// (the paper's failed GPU test cases), and NetworkError, before any
+  /// device command, on an unbound field or one the network reads that
+  /// holds fewer than `elements` values.
   std::vector<float> execute(const dataflow::Network& network,
                              const FieldBindings& bindings,
                              std::size_t elements, vcl::Device& device,
-                             vcl::ProfilingLog& log) const override;
-};
-
-class StagedStrategy final : public Strategy {
- public:
-  StrategyKind kind() const override { return StrategyKind::staged; }
-  std::vector<float> execute(const dataflow::Network& network,
-                             const FieldBindings& bindings,
-                             std::size_t elements, vcl::Device& device,
-                             vcl::ProfilingLog& log) const override;
-};
-
-class FusionStrategy final : public Strategy {
- public:
-  StrategyKind kind() const override { return StrategyKind::fusion; }
-  std::vector<float> execute(const dataflow::Network& network,
-                             const FieldBindings& bindings,
-                             std::size_t elements, vcl::Device& device,
-                             vcl::ProfilingLog& log) const override;
-};
-
-struct SlabPlan;
-
-class StreamedFusionStrategy final : public Strategy {
- public:
-  /// max_chunk_cells = 0 auto-sizes chunks to half the device's free
-  /// memory at execution time.
-  explicit StreamedFusionStrategy(std::size_t max_chunk_cells = 0);
-
-  StrategyKind kind() const override { return StrategyKind::streamed; }
-  std::vector<float> execute(const dataflow::Network& network,
-                             const FieldBindings& bindings,
-                             std::size_t elements, vcl::Device& device,
-                             vcl::ProfilingLog& log) const override;
+                             vcl::ProfilingLog& log) const;
 
  private:
-  std::size_t pick_chunk_planes(const SlabPlan& plan,
-                                const kernels::Program& program,
-                                vcl::Device& device) const;
-
-  std::size_t max_chunk_cells_;
+  StrategyKind kind_;
+  std::size_t streamed_chunk_cells_;
 };
+
+std::unique_ptr<Strategy> make_strategy(StrategyKind kind,
+                                        std::size_t streamed_chunk_cells = 0);
 
 /// Shared helper: dispatches `program` over `elements` items through the
 /// queue, with the VM as the kernel body. `inputs` views device buffers;

@@ -3,10 +3,11 @@
 // A walk is the ordered command stream a strategy issues (allocations,
 // transfers, launches, and releases as handles drop) plus the host-side
 // array work between them. Each strategy's walk is one function template
-// over a command target, defined below and instantiated twice:
+// over a command target, defined below, and walk() at the end maps a
+// StrategyKind to its walk. Every caller runs walk(), on one of two targets:
 //
 //  * DeviceTarget executes the commands on a device through one profiled
-//    queue — Strategy::execute;
+//    queue — Strategy::execute and the fallback ladder;
 //  * Tally records them without executing — the planner's estimates. It
 //    tracks live and peak device floats (a handle's floats return when it
 //    drops) and, when built with a cost model, sums each transfer's and
@@ -15,6 +16,8 @@
 //
 // Because both estimators run the very code that executes, the planner's
 // footprint and duration equal the cold-path measurement by construction.
+// The one place the targets differ is streamed chunk sizing
+// (chunk_planes): see there.
 #pragma once
 
 #include <algorithm>
@@ -34,6 +37,7 @@
 #include "kernels/vm.hpp"
 #include "runtime/bindings.hpp"
 #include "runtime/slab.hpp"
+#include "runtime/strategy.hpp"
 #include "support/error.hpp"
 #include "vcl/cost_model.hpp"
 #include "vcl/device.hpp"
@@ -112,6 +116,16 @@ class DeviceTarget {
               const Output& out, std::size_t items);
   Host read(const Value& buffer, const std::string& label);
 
+  /// Interior planes per streamed chunk for `chunk_cells` cells; 0
+  /// auto-sizes the slab working set (inputs + output of `program`) to
+  /// half the device's effective free memory, leaving room for the host's
+  /// other buffers. The effective headroom respects an injected synthetic
+  /// capacity, so a degraded run sizes its chunks to the capacity that
+  /// actually binds.
+  std::size_t chunk_planes(const SlabPlan& plan,
+                           const kernels::Program& program,
+                           std::size_t chunk_cells);
+
  private:
   vcl::CommandQueue queue_;
 };
@@ -133,7 +147,8 @@ class Tally {
   using Output = Reservation;
   /// A host array, reduced to its float count.
   using Host = std::size_t;
-  using Result = void;
+  /// The result's float count.
+  using Result = std::size_t;
 
   struct Args {
     explicit Args(std::size_t) {}
@@ -152,7 +167,7 @@ class Tally {
   static Host host_fill(std::size_t floats, float) { return floats; }
   static Host host_slice(Host, int, std::size_t count) { return count; }
   static void host_copy(Host, std::size_t, std::size_t, Host&, std::size_t) {}
-  static void result(Host, std::size_t) {}
+  static Result result(Host, std::size_t elements) { return elements; }
 
   Reservation upload(std::size_t floats, const std::string&,
                      bool = true, const void* = nullptr) {
@@ -182,6 +197,14 @@ class Tally {
     transfer(buffer.get_deleter().floats);
     return buffer.get_deleter().floats;
   }
+  /// Prices exactly the chunk asked for: 0 (or under one plane) is
+  /// one-plane chunks, the streamed strategy's memory floor. A tally sees
+  /// no device, so it cannot auto-size as DeviceTarget does.
+  static std::size_t chunk_planes(const SlabPlan& plan,
+                                  const kernels::Program&,
+                                  std::size_t chunk_cells) {
+    return chunk_planes_for(plan, chunk_cells);
+  }
 
   std::size_t high_water_bytes() const { return peak_ * sizeof(float); }
   double seconds() const { return seconds_; }
@@ -200,11 +223,39 @@ class Tally {
   double seconds_ = 0.0;
 };
 
-/// Throws NetworkError, before any device command, when the output is a
-/// bare bound field holding fewer than `elements` values. A longer binding
-/// is legal; the result keeps its first `elements` values.
-void check_output_extent(const dataflow::Network& network,
-                         const FieldBindings& bindings, std::size_t elements);
+/// Throws NetworkError, before any device command, when a field the
+/// network reads is unbound or holds fewer than `elements` values. A field
+/// read only as grad3d's `dims` operand is exempt from the length rule, a
+/// field no node reads is not checked, and a bare-field output counts as a
+/// read. A longer binding is legal; a bare-field result keeps its first
+/// `elements` values.
+void check_bindings(const dataflow::Network& network,
+                    const FieldBindings& bindings, std::size_t elements);
+
+/// The per-filter walks' one liveness rule: one value per network node,
+/// each dropped once its last consumer has taken it. The counts start at
+/// Network::use_counts(), whose extra use for the output keeps it to the
+/// end.
+template <class Value>
+class LiveValues {
+ public:
+  explicit LiveValues(const dataflow::Network& network)
+      : values_(network.spec().nodes().size()), refs_(network.use_counts()) {}
+
+  Value& operator[](int id) { return values_[static_cast<std::size_t>(id)]; }
+
+  /// Counts one use of each of `node`'s inputs, dropping the values whose
+  /// last consumer `node` is.
+  void consumed(const dataflow::SpecNode& node) {
+    for (const int in : node.inputs) {
+      if (--refs_[static_cast<std::size_t>(in)] == 0) (*this)[in] = Value();
+    }
+  }
+
+ private:
+  std::vector<Value> values_;
+  std::vector<int> refs_;
+};
 
 /// Roundtrip execution strategy (paper §III-C1).
 ///
@@ -221,17 +272,10 @@ template <class Target>
 typename Target::Result walk_roundtrip(const dataflow::Network& network,
                                        const FieldBindings& bindings,
                                        std::size_t elements, Target& target) {
-  check_output_extent(network, bindings, elements);
   const auto& spec = network.spec();
-  // Every node's value is held on the host, until its last consumer has
-  // taken it (the output's extra use keeps it to the end).
-  std::vector<typename Target::Host> values(spec.nodes().size());
-  std::vector<int> refs = network.use_counts();
-  const auto consumed = [&](const dataflow::SpecNode& node) {
-    for (const int in : node.inputs) {
-      if (--refs[in] == 0) values[in] = typename Target::Host();
-    }
-  };
+  // Every node's value is held on the host, dropped once the node's last
+  // consumer has uploaded (or sliced) it.
+  LiveValues<typename Target::Host> values(network);
 
   for (const int id : network.topo_order()) {
     const dataflow::SpecNode& node = spec.node(id);
@@ -254,7 +298,7 @@ typename Target::Result walk_roundtrip(const dataflow::Network& network,
       // already holds the intermediate on the host, so no kernel is needed.
       values[id] =
           target.host_slice(values[node.inputs[0]], node.component, elements);
-      consumed(node);
+      values.consumed(node);
       continue;
     }
 
@@ -275,7 +319,7 @@ typename Target::Result walk_roundtrip(const dataflow::Network& network,
           values[input], node.kind + ":" + spec.node(input).label, poolable));
       args.add(arg_buffers.back());
     }
-    consumed(node);
+    values.consumed(node);
 
     const typename Target::Output out =
         target.allocate(elements * program->out_stride());
@@ -303,12 +347,10 @@ template <class Target>
 typename Target::Result walk_staged(const dataflow::Network& network,
                                     const FieldBindings& bindings,
                                     std::size_t elements, Target& target) {
-  check_output_extent(network, bindings, elements);
   const auto& spec = network.spec();
   // One device value per node: filter outputs and constants are owned
   // here, a field may share a pool-resident upload.
-  std::vector<typename Target::Value> values(spec.nodes().size());
-  std::vector<int> refs = network.use_counts();
+  LiveValues<typename Target::Value> values(network);
 
   // Sources are materialised lazily, at their first consumer: each unique
   // external input still uploads exactly once and each unique constant is
@@ -361,9 +403,7 @@ typename Target::Result walk_staged(const dataflow::Network& network,
     // Dropping the sole owner frees the buffer; dropping a share of a
     // resident upload leaves it in the pool for the next evaluation — that
     // is the transfer saving.
-    for (const int in : node.inputs) {
-      if (--refs[in] == 0) values[in].reset();
-    }
+    values.consumed(node);
   }
 
   const int out_id = spec.output_id();
@@ -486,7 +526,9 @@ typename Target::Result walk_fusion(const dataflow::Network& network,
 /// results are bit-identical to single-kernel fusion.
 ///
 /// `program` is a single-kernel fused pipeline's stage; the caller picks
-/// `chunk_planes`, the interior planes per chunk.
+/// `chunk_planes`, the interior planes per chunk. Every slab lies inside
+/// the plan's `total_elements()`, which check_bindings guarantees each
+/// slabbed field holds.
 template <class Target>
 typename Target::Result walk_streamed(const kernels::Program& program,
                                       const SlabPlan& plan,
@@ -525,10 +567,6 @@ typename Target::Result walk_streamed(const kernels::Program& program,
                                        param.label, /*poolable=*/false));
       } else {
         const std::size_t offset = lo * plan.plane_cells;
-        if (param.view.size() < offset + slab_cells) {
-          throw NetworkError("field '" + param.name +
-                             "' too small for the requested slab");
-        }
         // Sub-range uploads key the pool on the slab pointer but follow the
         // *base* array's generation tag, so mutating the bound field
         // invalidates every one of its slabs.
@@ -550,6 +588,53 @@ typename Target::Result walk_streamed(const kernels::Program& program,
                      begin * plan.plane_cells);
   }
   return target.result(std::move(result), plan.total_elements());
+}
+
+/// What one walk() produced: the target's result and the fused pipeline
+/// the walk ran (fusion and streamed; null for roundtrip and staged).
+template <class Target>
+struct Walked {
+  typename Target::Result result;
+  std::shared_ptr<const kernels::FusedPipeline> pipeline;
+};
+
+/// Runs `kind`'s walk of `network` over `elements` cells on `target`: the
+/// one place a strategy kind is wired to its walk, its fused pipeline and
+/// its streamed chunking. Strategy::execute, the fallback ladder and the
+/// planner all run it. The bindings are checked first (check_bindings), so
+/// a short or unbound field is refused the same way on every strategy and
+/// target. `streamed_chunk_cells` applies to streamed only (see
+/// chunk_planes on each target).
+template <class Target>
+Walked<Target> walk(StrategyKind kind, const dataflow::Network& network,
+                    const FieldBindings& bindings, std::size_t elements,
+                    std::size_t streamed_chunk_cells, Target& target) {
+  check_bindings(network, bindings, elements);
+  kernels::ProgramCache& cache = kernels::ProgramCache::instance();
+  switch (kind) {
+    case StrategyKind::roundtrip:
+      return {walk_roundtrip(network, bindings, elements, target), nullptr};
+    case StrategyKind::staged:
+      return {walk_staged(network, bindings, elements, target), nullptr};
+    case StrategyKind::fusion: {
+      std::shared_ptr<const kernels::FusedPipeline> pipeline =
+          cache.fused_pipeline(network);
+      return {walk_fusion(network, *pipeline, bindings, elements, target),
+              std::move(pipeline)};
+    }
+    case StrategyKind::streamed: {
+      std::shared_ptr<const kernels::FusedPipeline> pipeline =
+          cache.fused_single(network);
+      const kernels::Program& program = pipeline->stages.front().program;
+      const SlabPlan plan = make_slab_plan(program, bindings, elements);
+      return {walk_streamed(program, plan,
+                            target.chunk_planes(plan, program,
+                                                streamed_chunk_cells),
+                            bindings, target),
+              std::move(pipeline)};
+    }
+  }
+  throw Error("unknown strategy kind");
 }
 
 }  // namespace dfg::runtime

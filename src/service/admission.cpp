@@ -1,10 +1,11 @@
 #include "service/admission.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "runtime/fallback.hpp"
 #include "runtime/planner.hpp"
-#include "support/error.hpp"
 
 namespace dfg::service {
 
@@ -18,14 +19,10 @@ std::size_t projected_floor_bytes(const dataflow::Network& network,
   const std::size_t last =
       fallback_enabled ? std::size(runtime::kMemoryLadder) : first + 1;
   for (std::size_t i = first; i < last; ++i) {
-    try {
-      floor = std::min(floor,
-                       runtime::estimate_high_water(
-                           network, bindings, elements,
-                           runtime::kMemoryLadder[i]));
-    } catch (const KernelError&) {
-      // Rung structurally unsupported for this network (e.g. streamed on
-      // gradients of computed values) — the ladder would skip it too.
+    // A rung that cannot run this network is skipped, as the ladder would.
+    if (const std::optional<std::size_t> needed = runtime::rung_high_water(
+            network, bindings, elements, runtime::kMemoryLadder[i])) {
+      floor = std::min(floor, *needed);
     }
   }
   return floor;

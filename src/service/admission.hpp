@@ -23,9 +23,10 @@ namespace dfg::service {
 /// The smallest planner-projected device high-water (bytes) over the
 /// ladder rungs reachable from `requested`: just `requested` itself when
 /// `fallback_enabled` is false, otherwise every rung at or below it.
-/// Rungs that cannot execute or estimate this network (KernelError) are
-/// skipped; SIZE_MAX means no rung could be estimated — admission then
-/// lets execution produce the canonical error instead of guessing.
+/// Rungs that cannot execute this network (runtime::rung_high_water
+/// returns nullopt) are skipped; SIZE_MAX means no rung could be
+/// estimated — admission then lets execution produce the canonical error
+/// instead of guessing.
 std::size_t projected_floor_bytes(const dataflow::Network& network,
                                   const runtime::FieldBindings& bindings,
                                   std::size_t elements,

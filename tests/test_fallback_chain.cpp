@@ -8,6 +8,7 @@
 // entry whose estimate fits.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -225,6 +226,88 @@ TEST(FallbackChain, QCriterionDegradesUnderTheAcceptanceCapacity) {
   EXPECT_EQ(report.degradations[0].from, "fusion");
   EXPECT_EQ(report.values, reference);
   EXPECT_LE(report.memory_high_water_bytes, fusion_high_water - 1);
+}
+
+// fallback.hpp's contract: with the policy disabled, execute_with_fallback
+// equals make_strategy(requested, chunk)->execute(...) — the same events
+// (kind, label, bytes, flops, simulated seconds) and the same result bits.
+TEST(FallbackChain, DisabledPolicyRunsExactlyTheRequestedStrategy) {
+  const mesh::RectilinearMesh mesh = mesh::RectilinearMesh::uniform({6, 5, 4});
+  const mesh::VectorField field = mesh::rayleigh_taylor_flow(mesh);
+  const std::size_t cells = mesh.cell_count();
+  runtime::FieldBindings bindings;
+  bindings.bind_mesh(mesh);
+  bindings.bind("u", field.u);
+  bindings.bind("v", field.v);
+  bindings.bind("w", field.w);
+
+  struct Run {
+    std::vector<float> values;
+    std::vector<vcl::Event> events;
+  };
+  const auto direct = [&](const dataflow::Network& network, StrategyKind kind,
+                          std::size_t chunk) {
+    vcl::Device device(vcl::xeon_x5660_scaled());
+    vcl::ProfilingLog log;
+    Run run;
+    run.values = runtime::make_strategy(kind, chunk)->execute(
+        network, bindings, cells, device, log);
+    run.events = log.events();
+    return run;
+  };
+  const auto laddered = [&](const dataflow::Network& network,
+                            StrategyKind kind, std::size_t chunk) {
+    vcl::Device device(vcl::xeon_x5660_scaled());
+    vcl::ProfilingLog log;
+    Run run;
+    const runtime::FallbackOutcome outcome = runtime::execute_with_fallback(
+        network, bindings, cells, device, log, kind, runtime::FallbackPolicy{},
+        chunk);
+    EXPECT_EQ(outcome.executed, kind);
+    EXPECT_TRUE(outcome.degradations.empty());
+    run.values = outcome.values;
+    run.events = log.events();
+    return run;
+  };
+
+  // A gradient of a computed value: fusion runs it as a partitioned
+  // pipeline, streamed cannot run it at all.
+  const std::string partitioned =
+      "t = u * v\ng = grad3d(t, dims, x, y, z)\nr = g[0] + t";
+  for (const StrategyKind kind : runtime::kMemoryLadder) {
+    std::vector<std::string> scripts{
+        expressions::kVelocityMagnitude, expressions::kVorticityMagnitude,
+        expressions::kQCriterion, "r = 3.0"};
+    if (kind == StrategyKind::fusion) scripts.push_back(partitioned);
+    // Streamed also at an explicit chunk: 3 interior planes plus 2 halo.
+    std::vector<std::size_t> chunks{0};
+    if (kind == StrategyKind::streamed) chunks.push_back(5 * 6 * 5);
+    for (const std::string& script : scripts) {
+      const dataflow::Network network(dataflow::build_network(script));
+      for (const std::size_t chunk : chunks) {
+        SCOPED_TRACE(script + " under " + runtime::strategy_name(kind) +
+                     ", chunk " + std::to_string(chunk));
+        const Run want = direct(network, kind, chunk);
+        const Run got = laddered(network, kind, chunk);
+        ASSERT_EQ(got.events.size(), want.events.size());
+        for (std::size_t i = 0; i < want.events.size(); ++i) {
+          EXPECT_EQ(got.events[i].kind, want.events[i].kind) << "event " << i;
+          EXPECT_EQ(got.events[i].label, want.events[i].label) << "event " << i;
+          EXPECT_EQ(got.events[i].bytes, want.events[i].bytes) << "event " << i;
+          EXPECT_EQ(got.events[i].flops, want.events[i].flops) << "event " << i;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.events[i].sim_seconds),
+                    std::bit_cast<std::uint64_t>(want.events[i].sim_seconds))
+              << "event " << i;
+        }
+        ASSERT_EQ(got.values.size(), want.values.size());
+        for (std::size_t i = 0; i < want.values.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got.values[i]),
+                    std::bit_cast<std::uint32_t>(want.values[i]))
+              << "cell " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

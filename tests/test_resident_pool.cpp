@@ -271,8 +271,8 @@ TEST(ResidentPool, InvalidationOfAPinnedEntryDefersEraseToUnpin) {
   EXPECT_EQ(device.resident().resident_bytes(), bytes);
 }
 
-// A stale re-acquire while the first handle is still held (RoundtripStrategy
-// acquires once per argument occurrence, so a mutation notice from another
+// A stale re-acquire while the first handle is still held (the roundtrip
+// walk acquires once per argument occurrence, so a mutation notice from another
 // thread can land between two acquires of one evaluation). The first
 // handle's storage must survive untouched, and the pool's byte count must
 // cover only the live entry.

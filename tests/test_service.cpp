@@ -606,6 +606,28 @@ TEST(Service, UnboundFieldFailsTheTicketAtSubmit) {
   EXPECT_EQ(svc.snapshot().admitted, 0u);
 }
 
+// An input field bound shorter than the grid fails the ticket at submit
+// under every requested strategy, naming the field, and nothing is
+// admitted.
+TEST(Service, ShortInputFieldFailsTheTicketAtSubmit) {
+  Fixture fx;
+  const std::vector<float> short_v(100, 1.5f);
+  for (const StrategyKind kind : runtime::kMemoryLadder) {
+    vcl::Device device(vcl::xeon_x5660_scaled());
+    EvalService svc({&device}, ServiceOptions{});
+    Request request = fx.request("r = u + v");
+    request.fields = {{"u", fx.field.u}, {"v", short_v}};
+    request.strategy = kind;
+    Ticket ticket;
+    ASSERT_NO_THROW(ticket = svc.submit(std::move(request)));
+    const ServiceReport& report = ticket.wait();
+    EXPECT_EQ(report.status, RequestStatus::failed)
+        << runtime::strategy_name(kind);
+    EXPECT_NE(report.error.find("'v'"), std::string::npos) << report.error;
+    EXPECT_EQ(svc.snapshot().admitted, 0u) << runtime::strategy_name(kind);
+  }
+}
+
 // A bare field output bound shorter than the grid fails the ticket under
 // every requested strategy, and no device memory stays in use.
 TEST(Service, ShortBareFieldOutputFailsTheTicket) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -11,6 +13,7 @@
 #include "dataflow/builder.hpp"
 #include "dataflow/network.hpp"
 #include "mesh/generators.hpp"
+#include "runtime/planner.hpp"
 #include "runtime/strategy.hpp"
 #include "support/error.hpp"
 #include "vcl/catalog.hpp"
@@ -117,9 +120,9 @@ constexpr StrategyKind kAllStrategies[] = {
     StrategyKind::streamed};
 
 // A bare field output bound shorter than the grid: every strategy refuses
-// it with a typed error and releases every buffer. Roundtrip and staged
-// refuse it before any device command (roundtrip once copied past the end
-// of the binding; staged returned the binding padded with zeros).
+// it with a typed error, before any device command, and releases every
+// buffer (roundtrip once copied past the end of the binding; staged
+// returned the binding padded with zeros).
 TEST(Strategies, ShortBareFieldOutputThrowsOnEveryStrategy) {
   const mesh::RectilinearMesh mesh =
       mesh::RectilinearMesh::uniform({10, 12, 14});
@@ -137,9 +140,57 @@ TEST(Strategies, ShortBareFieldOutputThrowsOnEveryStrategy) {
                    Error)
           << expression << " under " << runtime::strategy_name(kind);
       EXPECT_EQ(device.memory().in_use(), 0u) << expression;
-      if (kind == StrategyKind::roundtrip || kind == StrategyKind::staged) {
-        EXPECT_TRUE(log.events().empty()) << expression;
+      EXPECT_TRUE(log.events().empty())
+          << expression << " under " << runtime::strategy_name(kind);
+    }
+  }
+}
+
+// An input field bound shorter than the grid is a caller's mistake: every
+// strategy and the planner refuse it with a NetworkError naming the field,
+// before any device command. It must never surface as the KernelError
+// that the ladder, admission and select_strategy read as "this rung cannot
+// run the network".
+TEST(Strategies, ShortInputFieldThrowsBeforeAnyDeviceCommand) {
+  const mesh::RectilinearMesh mesh =
+      mesh::RectilinearMesh::uniform({10, 12, 14});
+  const std::size_t cells = mesh.cell_count();
+  const std::vector<float> full(cells, 0.5f);
+  const std::vector<float> short_field(100, 1.5f);
+  struct Case {
+    const char* expression;
+    const char* short_name;
+  };
+  for (const Case& c : {Case{"r = u + v", "v"}, Case{"r = u + v", "u"},
+                        Case{"r = grad3d(u, dims, x, y, z)[0]", "u"}}) {
+    runtime::FieldBindings bindings;
+    bindings.bind_mesh(mesh);
+    for (const char* name : {"u", "v"}) {
+      bindings.bind(name, name == std::string(c.short_name)
+                              ? std::span<const float>(short_field)
+                              : std::span<const float>(full));
+    }
+    const dataflow::Network network(dataflow::build_network(c.expression));
+    for (const StrategyKind kind : kAllStrategies) {
+      SCOPED_TRACE(std::string(c.expression) + " with short " +
+                   c.short_name + " under " + runtime::strategy_name(kind));
+      vcl::Device device(vcl::xeon_x5660_scaled());
+      vcl::ProfilingLog log;
+      try {
+        runtime::make_strategy(kind)->execute(network, bindings, cells,
+                                              device, log);
+        ADD_FAILURE() << "expected NetworkError";
+      } catch (const NetworkError& err) {
+        EXPECT_NE(std::string(err.what()).find("'" +
+                                               std::string(c.short_name) +
+                                               "'"),
+                  std::string::npos)
+            << err.what();
       }
+      EXPECT_TRUE(log.events().empty());
+      EXPECT_EQ(device.memory().in_use(), 0u);
+      EXPECT_THROW(runtime::estimate_high_water(network, bindings, cells, kind),
+                   NetworkError);
     }
   }
 }
