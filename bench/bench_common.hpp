@@ -5,6 +5,7 @@
 // default here is N=1, overridable with DFGEN_RUNS for wall-time studies).
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -191,6 +192,60 @@ inline CaseResult run_case(const dfg::mesh::RectilinearMesh& mesh,
   result.sim_seconds = sim / static_cast<double>(kept);
   result.wall_seconds = wall / static_cast<double>(kept);
   return result;
+}
+
+/// Interleaved pairs per full run of a paired wall-clock gate; odd, so the
+/// median is one pair's ratio. On a shared 4-vCPU host one pair's ratio
+/// spreads over an interquartile range of about ±8% even when both arms
+/// are identical; 1001 pairs put the median's noise well inside a 2%
+/// bound.
+inline constexpr int kGatePairs = 1001;
+
+inline double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
+struct PairedTiming {
+  int pairs = 0;
+  /// Each arm's median seconds over the pairs, for reading.
+  double a_median_seconds = 0.0;
+  double b_median_seconds = 0.0;
+  /// Median over the pairs of a's seconds / b's seconds: the gate.
+  double median_ratio = 1.0;
+};
+
+/// Times two arms against each other. Each arm runs once, returns the
+/// wall seconds it measured itself, and is warmed up once; then the arms
+/// run as `pairs` back-to-back pairs, alternating which goes first. Drift
+/// hits both halves of a pair alike, and the median of the per-pair
+/// ratios ignores the pairs a burst of load on a shared host distorted.
+template <typename ArmA, typename ArmB>
+PairedTiming time_pairs(int pairs, ArmA&& a, ArmB&& b) {
+  a();
+  b();
+  std::vector<double> a_seconds, b_seconds, ratios;
+  for (int p = 0; p < pairs; ++p) {
+    double ta = 0.0, tb = 0.0;
+    if (p % 2 == 0) {
+      ta = a();
+      tb = b();
+    } else {
+      tb = b();
+      ta = a();
+    }
+    a_seconds.push_back(ta);
+    b_seconds.push_back(tb);
+    ratios.push_back(ta / tb);
+  }
+  PairedTiming timing;
+  timing.pairs = pairs;
+  timing.a_median_seconds = median(a_seconds);
+  timing.b_median_seconds = median(b_seconds);
+  timing.median_ratio = median(ratios);
+  return timing;
 }
 
 /// Device specs scaled to the benchmark grids (capacity / kAxisScale^3).

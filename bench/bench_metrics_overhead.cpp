@@ -7,9 +7,10 @@
 // publishes its dfgen_vcl_* counters once, from its profiling log). The
 // arms run as kPairs back-to-back pairs of single evaluations, alternating
 // which arm goes first, and the overhead is read from the median of the
-// per-pair time ratios: drift hits both halves of a pair alike, and the
-// median ignores the pairs a burst of load on a shared host distorted. In
-// a full (non-smoke) run the median overhead must stay under 2%.
+// per-pair time ratios (dfgbench::time_pairs): drift hits both halves of a
+// pair alike, and the median ignores the pairs a burst of load on a shared
+// host distorted. In a full (non-smoke) run the median overhead must stay
+// under 2%.
 //
 // Section 2 re-runs the Table-II style workload under fresh registries at
 // several worker-pool widths, twice each, and requires every JSON snapshot
@@ -21,7 +22,6 @@
 // `dump_metrics()` summary table for the last enabled arm. DFGEN_SMOKE=1
 // shrinks the grid and skips the overhead threshold (CI smoke run);
 // determinism assertions always apply.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -34,12 +34,6 @@
 #include "support/parallel.hpp"
 
 namespace {
-
-/// Interleaved pairs per full run; odd, so the median is one pair's ratio.
-/// On a shared 4-vCPU host one pair's ratio spreads over an interquartile
-/// range of about ±8% even when both arms are identical; 1001 pairs put
-/// the median's noise well inside the 2% bound.
-constexpr int kPairs = 1001;
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -85,41 +79,21 @@ struct OverheadResult {
   double overhead_pct() const { return 100.0 * (1.0 - 1.0 / median_ratio); }
 };
 
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  return n % 2 == 1 ? values[n / 2]
-                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
-}
-
 OverheadResult run_overhead_study(const dfg::mesh::RectilinearMesh& mesh,
                                   const dfg::mesh::VectorField& field,
                                   int pairs) {
+  const dfgbench::PairedTiming timing = dfgbench::time_pairs(
+      pairs, [&] { return time_evaluation(true, mesh, field, false); },
+      [&] { return time_evaluation(false, mesh, field, false); });
+  time_evaluation(true, mesh, field, /*dump_after=*/true);
+
   OverheadResult result;
   result.cells = mesh.cell_count();
   result.pairs = pairs;
-
-  time_evaluation(true, mesh, field, false);  // warmup both arms
-  time_evaluation(false, mesh, field, false);
-  std::vector<double> on, off, ratios;
-  for (int p = 0; p < pairs; ++p) {
-    const bool dump = p + 1 == pairs;
-    double t_on = 0.0, t_off = 0.0;
-    if (p % 2 == 0) {
-      t_on = time_evaluation(true, mesh, field, dump);
-      t_off = time_evaluation(false, mesh, field, false);
-    } else {
-      t_off = time_evaluation(false, mesh, field, false);
-      t_on = time_evaluation(true, mesh, field, dump);
-    }
-    on.push_back(t_on);
-    off.push_back(t_off);
-    ratios.push_back(t_on / t_off);
-  }
   const double work = static_cast<double>(mesh.cell_count());
-  result.enabled_cells_per_sec = work / median(on);
-  result.disabled_cells_per_sec = work / median(off);
-  result.median_ratio = median(ratios);
+  result.enabled_cells_per_sec = work / timing.a_median_seconds;
+  result.disabled_cells_per_sec = work / timing.b_median_seconds;
+  result.median_ratio = timing.median_ratio;
   return result;
 }
 
@@ -191,7 +165,7 @@ int main() {
   const dfg::mesh::RectilinearMesh mesh = dfg::mesh::RectilinearMesh::uniform(
       smoke ? dfg::mesh::Dims{16, 16, 16} : dfg::mesh::Dims{48, 48, 48});
   const dfg::mesh::VectorField field = dfg::mesh::rayleigh_taylor_flow(mesh);
-  const int pairs = smoke ? 3 : kPairs;
+  const int pairs = smoke ? 3 : dfgbench::kGatePairs;
 
   std::printf("=== Metrics overhead: %zu cells, %d interleaved pairs ===\n",
               mesh.cell_count(), pairs);

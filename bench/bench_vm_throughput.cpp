@@ -22,16 +22,27 @@
 // evaluations and one distributed run: generator invocations (misses) must
 // be at least 10x rarer than requests.
 //
-// Section 3 times transfer integrity: support::checksum_floats (the
-// block-parallel, 8-lane FNV-1a every transfer pays twice) against a
-// serial one-lane FNV-1a reference kept here, both over the same 16 MB.
-// In a full run the library checksum must be at least 2.5x faster than
-// the reference; both are measured in this process, so the ratio holds
-// on any host.
+// Section 3 times transfer integrity and the worker team, each against a
+// reference kept here and measured in this process, so the ratios hold on
+// any host:
+//   * support::checksum_floats (the block-parallel, 8-lane FNV-1a) against
+//     a serial one-lane FNV-1a, both over the same 16 MB, best of 7; in a
+//     full run the library checksum must be at least 2.5x faster;
+//   * support::parallel_for over four empty tiles against a
+//     spawn-per-call parallel_for (one thread per chunk, started and
+//     joined on every call, the same partition); in a full run the worker
+//     team must be at least 3x faster;
+//   * a 16 MB CommandQueue write + read round trip against the same round
+//     trip as hash, serial std::copy, hash per direction; in a full run
+//     the queue's one-pass, team-parallel transfers must be at least 1.4x
+//     faster.
+// The last two gates read the median of dfgbench::kGatePairs interleaved
+// per-pair ratios (dfgbench::time_pairs).
 //
 // Results land in BENCH_vm.json in the working directory. DFGEN_SMOKE=1
-// shrinks the grid and skips the throughput and checksum thresholds (CI
-// smoke run); correctness assertions always apply.
+// shrinks the grid, runs 3 pairs instead of kGatePairs and skips the
+// throughput, checksum, team and transfer thresholds (CI smoke run);
+// correctness assertions always apply.
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -41,6 +52,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -55,6 +67,8 @@
 #include "kernels/vm.hpp"
 #include "runtime/bindings.hpp"
 #include "support/checksum.hpp"
+#include "support/parallel.hpp"
+#include "vcl/queue.hpp"
 
 namespace {
 
@@ -301,8 +315,105 @@ ChecksumResult run_checksum_study() {
   return result;
 }
 
+/// parallel_for without a worker team: the same partition, one thread
+/// started and joined per chunk on every call.
+template <typename Body>
+void spawn_per_call_parallel_for(std::size_t n, const Body& body,
+                                 std::size_t grain) {
+  const std::size_t tiles = (n + grain - 1) / grain;
+  const std::size_t workers = std::min(dfg::support::worker_count(), tiles);
+  if (workers <= 1) {
+    body(std::size_t{0}, n);
+    return;
+  }
+  const std::size_t chunk = ((tiles + workers - 1) / workers) * grain;
+  std::vector<std::thread> threads;
+  for (std::size_t begin = 0; begin < n; begin += chunk) {
+    threads.emplace_back(body, begin, std::min(n, begin + chunk));
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
+template <typename Fn>
+double seconds_of(Fn&& fn) {
+  const double t0 = now_seconds();
+  fn();
+  return now_seconds() - t0;
+}
+
+/// Arm a is the spawn-per-call reference, arm b the worker team, so the
+/// median ratio is the team's speedup.
+dfgbench::PairedTiming run_team_study(int pairs) {
+  const std::size_t n = 4 * dfg::support::kDefaultGrain;  // four tiles
+  const auto empty = [](std::size_t, std::size_t) {};
+  return dfgbench::time_pairs(
+      pairs,
+      [&] {
+        return seconds_of([&] {
+          spawn_per_call_parallel_for(n, empty, dfg::support::kDefaultGrain);
+        });
+      },
+      [&] {
+        return seconds_of([&] { dfg::support::parallel_for(n, empty); });
+      });
+}
+
+/// A transfer as hash source, serial std::copy, hash destination.
+void reference_transfer(std::span<const float> from, std::span<float> to) {
+  const std::uint64_t expected = dfg::support::checksum_floats(from);
+  std::copy(from.begin(), from.end(), to.begin());
+  if (dfg::support::checksum_floats(to) != expected) {
+    std::fprintf(stderr, "FAIL: reference transfer digest mismatch\n");
+    std::exit(1);
+  }
+}
+
+struct RoundTripResult {
+  double megabytes = 0.0;
+  /// Arm a is the reference round trip, arm b the queue's.
+  dfgbench::PairedTiming timing;
+};
+
+RoundTripResult run_round_trip_study(int pairs) {
+  constexpr std::size_t kWords = (std::size_t{16} << 20) / sizeof(float);
+  std::vector<float> host(kWords);
+  for (std::size_t i = 0; i < kWords; ++i) {
+    host[i] = static_cast<float>(i % 4099) * 0.125f;
+  }
+  std::vector<float> back(kWords), reference_device(kWords),
+      reference_back(kWords);
+  dfg::vcl::Device device(dfgbench::scaled_cpu());
+  dfg::vcl::ProfilingLog log;
+  dfg::vcl::CommandQueue queue(device, log);
+  dfg::vcl::Buffer buffer = device.allocate(kWords);
+
+  RoundTripResult result;
+  result.megabytes = static_cast<double>(kWords * sizeof(float)) / 1.0e6;
+  result.timing = dfgbench::time_pairs(
+      pairs,
+      [&] {
+        return seconds_of([&] {
+          reference_transfer(host, reference_device);
+          reference_transfer(reference_device, reference_back);
+        });
+      },
+      [&] {
+        return seconds_of([&] {
+          queue.write(buffer, host, "in");
+          queue.read(buffer, back, "out");
+        });
+      });
+  if (back != host || reference_back != host) {
+    std::fprintf(stderr, "FAIL: 16 MB round trip is not bit-exact\n");
+    std::exit(1);
+  }
+  return result;
+}
+
 void write_json(const std::vector<ExprResult>& exprs, const CacheResult& cache,
-                const ChecksumResult& checksum, bool smoke) {
+                const ChecksumResult& checksum,
+                const dfgbench::PairedTiming& team,
+                const RoundTripResult& round_trip, bool smoke) {
   std::FILE* f = std::fopen("BENCH_vm.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open BENCH_vm.json for writing\n");
@@ -339,12 +450,21 @@ void write_json(const std::vector<ExprResult>& exprs, const CacheResult& cache,
       "    \"distributed_hits\": %zu, \"distributed_misses\": %zu,\n"
       "    \"invocation_reduction\": %.1f\n  },\n"
       "  \"checksum\": {\"megabytes\": %.2f, \"checksum_ms_per_mb\": %.4f,\n"
-      "    \"reference_ms_per_mb\": %.4f, \"speedup\": %.2f}\n}\n",
+      "    \"reference_ms_per_mb\": %.4f, \"speedup\": %.2f},\n"
+      "  \"parallel_for\": {\"pairs\": %d, \"team_us\": %.2f,\n"
+      "    \"spawn_per_call_us\": %.2f, \"speedup\": %.2f},\n"
+      "  \"round_trip\": {\"megabytes\": %.2f, \"pairs\": %d,\n"
+      "    \"queue_ms\": %.3f, \"reference_ms\": %.3f, \"speedup\": %.2f}\n"
+      "}\n",
       cache.engine_evaluations, cache.engine_hits, cache.engine_misses,
       cache.distributed_hits, cache.distributed_misses,
       cache.invocation_reduction(), checksum.megabytes,
       checksum.library_ms_per_mb, checksum.reference_ms_per_mb,
-      checksum.speedup());
+      checksum.speedup(), team.pairs, team.b_median_seconds * 1.0e6,
+      team.a_median_seconds * 1.0e6, team.median_ratio, round_trip.megabytes,
+      round_trip.timing.pairs, round_trip.timing.b_median_seconds * 1.0e3,
+      round_trip.timing.a_median_seconds * 1.0e3,
+      round_trip.timing.median_ratio);
   std::fclose(f);
 }
 
@@ -391,7 +511,26 @@ int main() {
               checksum.library_ms_per_mb, checksum.reference_ms_per_mb,
               checksum.speedup());
 
-  write_json(results, cache, checksum, smoke);
+  const int pairs = smoke ? 3 : dfgbench::kGatePairs;
+  const dfgbench::PairedTiming team = run_team_study(pairs);
+  std::printf("\n=== Worker team: parallel_for over 4 empty tiles, %d pairs "
+              "===\n",
+              pairs);
+  std::printf("parallel_for_us: %.2f (spawn per call %.2f), %.2fx "
+              "(median pair ratio)\n",
+              team.b_median_seconds * 1.0e6, team.a_median_seconds * 1.0e6,
+              team.median_ratio);
+
+  const RoundTripResult round_trip = run_round_trip_study(pairs);
+  std::printf("\n=== Transfer round trip: %.1f MB write + read, %d pairs ===\n",
+              round_trip.megabytes, pairs);
+  std::printf("queue: %.3f ms (hash, serial copy, hash: %.3f ms), %.2fx "
+              "(median pair ratio)\n",
+              round_trip.timing.b_median_seconds * 1.0e3,
+              round_trip.timing.a_median_seconds * 1.0e3,
+              round_trip.timing.median_ratio);
+
+  write_json(results, cache, checksum, team, round_trip, smoke);
   std::printf("\nwrote BENCH_vm.json\n");
 
   // Correctness gates (bit-exactness already enforced per expression).
@@ -413,6 +552,20 @@ int main() {
                    checksum.speedup());
       return 1;
     }
+    if (team.median_ratio < 3.0) {
+      std::fprintf(stderr,
+                   "FAIL: parallel_for only %.2fx faster than spawning a "
+                   "thread per chunk (< 3x)\n",
+                   team.median_ratio);
+      return 1;
+    }
+    if (round_trip.timing.median_ratio < 1.4) {
+      std::fprintf(stderr,
+                   "FAIL: 16 MB queue round trip only %.2fx faster than hash, "
+                   "serial copy, hash (< 1.4x)\n",
+                   round_trip.timing.median_ratio);
+      return 1;
+    }
     const ExprResult& qcrit = results.back();  // Q-Crit is the last case
     if (qcrit.optimized_speedup() < 5.0) {
       std::fprintf(stderr,
@@ -432,6 +585,7 @@ int main() {
       return 1;
     }
   }
-  std::printf("all throughput, checksum and cache gates passed\n");
+  std::printf("all throughput, checksum, team, transfer and cache gates "
+              "passed\n");
   return 0;
 }

@@ -2,11 +2,11 @@
 //
 // Real many-core deployments treat silent data corruption — a flipped bit
 // on a DMA transfer, a marginal memory module — as a first-class fault. The
-// command queue computes a checksum of every transfer's source before the
-// copy and verifies the destination afterwards, so one corrupted word is
-// detected before it can propagate into a derived field. FNV-1a is chosen
-// for the same reason production transports use cheap non-cryptographic
-// checksums: one xor and one multiply per word.
+// command queue checksums every transfer's source as it copies it
+// (copy_checksum) and verifies the destination afterwards, so one
+// corrupted word is detected before it can propagate into a derived
+// field. FNV-1a is chosen for the same reason production transports use
+// cheap non-cryptographic checksums: one xor and one multiply per word.
 //
 // `checksum_floats` covers every word and is laid out for throughput:
 //   * the words are split into fixed blocks of kChecksumBlockWords; the
@@ -64,5 +64,13 @@ inline std::uint64_t fnv1a(const char* text,
 /// above). The digest depends only on the words, their count and `seed`.
 std::uint64_t checksum_floats(std::span<const float> values,
                               std::uint64_t seed = kFnvOffsetBasis);
+
+/// Copies `from` into the first from.size() words of `to` and returns
+/// checksum_floats(from, seed). One pass: each block is copied and then
+/// hashed while its source is still in cache, the blocks spread over
+/// support::parallel_for like checksum_floats'. `to` must hold at least
+/// from.size() words (else std::length_error) and must not overlap `from`.
+std::uint64_t copy_checksum(std::span<const float> from, std::span<float> to,
+                            std::uint64_t seed = kFnvOffsetBasis);
 
 }  // namespace dfg::support

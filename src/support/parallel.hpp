@@ -2,24 +2,30 @@
 //
 // Kernel NDRange execution in the virtual compute layer is divided into
 // contiguous chunks, mirroring how an OpenCL CPU runtime maps work-items
-// onto cores. There is no pool: each call starts one thread per chunk (at
-// most worker_count()) and joins them before it returns; with one worker
-// or one grain of work the body runs on the calling thread.
+// onto cores. Like such a runtime, and like the OpenMP code DaCe
+// generates, the process keeps one worker team: hardware_concurrency() - 1
+// threads, started on the first call that needs them and joined at exit.
+// Each call queues its chunks on the team and takes chunks itself until
+// none is left, then waits only for its own chunks still running on team
+// threads; concurrent callers share the team. Idle team threads block on
+// a condition variable, so they cost no CPU. If a team thread cannot be
+// started the team runs with the threads it has; with none, the caller
+// runs every chunk. With one worker or one grain of work, or when called
+// from inside a chunk, the call runs on the calling thread.
 //
 // Chunks are multiples of a caller-supplied *grain* (except the final
 // partial chunk), defaulting to the kernel VM's tile size: a tile of
 // work-items is never split across two workers, so the tiled interpreter
 // always sees full tiles except at the NDRange tail. A grain of 1
-// reproduces the historical ceil(n/workers) chunking exactly.
+// reproduces the historical ceil(n/workers) chunking exactly. The
+// partition depends only on (n, grain, worker_count()), never on which
+// thread runs a chunk.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <exception>
-#include <mutex>
-#include <thread>
-#include <utility>
-#include <vector>
+#include <memory>
+#include <type_traits>
 
 namespace dfg::support {
 
@@ -27,21 +33,34 @@ namespace dfg::support {
 /// independent constant so support/ does not depend on kernels/).
 inline constexpr std::size_t kDefaultGrain = 1024;
 
-/// Number of worker threads used by parallel_for. Defaults to
+/// Number of chunks parallel_for splits work into. Defaults to
 /// std::thread::hardware_concurrency() (at least 1).
 std::size_t worker_count();
 
 /// Overrides the worker count (useful for tests); pass 0 to restore the
-/// hardware default. Takes effect on the next parallel_for call.
+/// hardware default. Takes effect on the next parallel_for call: it sets
+/// the partition, not the size of the worker team.
 void set_worker_count(std::size_t workers);
+
+namespace detail {
+
+/// Runs body(index * chunk, min(n, (index + 1) * chunk)) for every chunk
+/// index covering [0, n) on the worker team and the calling thread, and
+/// returns once all of them are done, rethrowing the first exception a
+/// chunk threw. `run` calls the type-erased `body`.
+void run_chunks(std::size_t n, std::size_t chunk,
+                void (*run)(void* body, std::size_t begin, std::size_t end),
+                void* body);
+
+}  // namespace detail
 
 /// Invokes body(begin, end) over disjoint sub-ranges covering [0, n).
 /// The body must be safe to call concurrently on disjoint ranges; each
 /// range is a multiple of `grain` items except possibly the last.
 /// Exceptions thrown by the body are captured and the first one rethrown
-/// on the calling thread after all workers finish. Templated over the body
-/// so lambdas are invoked directly (no std::function allocation or
-/// indirect call per chunk).
+/// on the calling thread after all of the call's chunks finish. Templated
+/// over the body so lambdas are invoked directly (no std::function
+/// allocation or indirect call per chunk beyond one function pointer).
 template <typename Body>
 void parallel_for(std::size_t n, Body&& body,
                   std::size_t grain = kDefaultGrain) {
@@ -53,27 +72,14 @@ void parallel_for(std::size_t n, Body&& body,
     body(std::size_t{0}, n);
     return;
   }
-
+  using BodyType = std::remove_reference_t<Body>;
   const std::size_t chunk = ((tiles + workers - 1) / workers) * grain;
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    threads.emplace_back([&, begin, end] {
-      try {
-        body(begin, end);
-      } catch (...) {
-        std::scoped_lock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  detail::run_chunks(
+      n, chunk,
+      [](void* erased, std::size_t begin, std::size_t end) {
+        (*static_cast<BodyType*>(erased))(begin, end);
+      },
+      const_cast<void*>(static_cast<const void*>(std::addressof(body))));
 }
 
 }  // namespace dfg::support

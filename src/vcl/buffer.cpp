@@ -1,9 +1,11 @@
 #include "vcl/buffer.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "support/parallel.hpp"
 #include "vcl/device.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -11,6 +13,9 @@
 #endif
 
 namespace dfg::vcl {
+
+// Words per chunk of a recycled block's zero fill (256 KiB).
+static constexpr std::size_t kFillGrainWords = std::size_t{1} << 16;
 
 // A waiting spare is poisoned, so a read through a released buffer's old
 // view still fails under AddressSanitizer.
@@ -69,9 +74,21 @@ Buffer::Buffer(Device& device, std::size_t elements) : device_(&device) {
                   device_->memory().high_water());
   }
   // Reserve happened first: if it throws, no storage is taken and the
-  // tracker is untouched. A recycled block is zero-filled like a new one.
+  // tracker is untouched. A recycled block is zero-filled like a new one,
+  // on the worker team: its pages are already mapped, so the fill runs at
+  // memory speed. A fresh block's fill is dominated by page faults.
   storage_ = device_->spares().take(elements);
-  storage_.assign(elements, 0.0f);
+  if (storage_.empty()) {
+    storage_.assign(elements, 0.0f);
+    return;
+  }
+  float* words = storage_.data();
+  support::parallel_for(
+      elements,
+      [words](std::size_t begin, std::size_t end) {
+        std::fill(words + begin, words + end, 0.0f);
+      },
+      kFillGrainWords);
 }
 
 Buffer::~Buffer() { release(); }

@@ -1,8 +1,5 @@
 #include "vcl/queue.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "obs/span.hpp"
 #include "support/checksum.hpp"
 #include "support/error.hpp"
@@ -14,8 +11,7 @@ namespace dfg::vcl {
 void CommandQueue::run_command(
     EventKind site, const std::string& label, std::size_t bytes,
     std::uint64_t flops, double estimate_seconds,
-    const std::function<std::uint64_t()>& source_checksum,
-    const std::function<std::span<float>()>& execute) {
+    const std::function<Landed()>& execute) {
   FaultInjector& fault = device_->fault();
   const bool armed = fault.armed();
   const RetryPolicy& policy = device_->retry_policy();
@@ -73,18 +69,18 @@ void CommandQueue::run_command(
       continue;
     }
 
-    // The wall time covers the integrity work too: both checksums are host
-    // time the command costs.
+    // The wall time covers the integrity work too: hashing the source as
+    // it is copied and hashing the destination are host time the command
+    // costs.
     support::Stopwatch watch;
-    const std::uint64_t expected =
-        source_checksum ? source_checksum() : 0;
-    const std::span<float> destination = execute();
-    if (armed && perturbation.corrupt && !destination.empty()) {
-      fault.corrupt_word(site, label, destination);
+    const Landed landed = execute();
+    if (armed && perturbation.corrupt && !landed.destination.empty()) {
+      fault.corrupt_word(site, label, landed.destination);
     }
     const bool intact =
-        !source_checksum ||
-        support::checksum_floats(destination, integrity_seed_) == expected;
+        !landed.source_digest ||
+        support::checksum_floats(landed.destination, integrity_seed_) ==
+            *landed.source_digest;
     const double wall = watch.seconds();
 
     if (!intact) {
@@ -124,11 +120,11 @@ void CommandQueue::write(Buffer& buffer, std::span<const float> host,
   const std::size_t bytes = host.size() * sizeof(float);
   run_command(
       EventKind::host_to_device, label, bytes, 0,
-      cost_.transfer_seconds(bytes),
-      [&] { return support::checksum_floats(host, integrity_seed_); },
-      [&]() -> std::span<float> {
-        std::copy(host.begin(), host.end(), buffer.device_view().begin());
-        return buffer.device_view().first(host.size());
+      cost_.transfer_seconds(bytes), [&] {
+        const std::span<float> destination =
+            buffer.device_view().first(host.size());
+        return Landed{destination, support::copy_checksum(
+                                       host, destination, integrity_seed_)};
       });
 }
 
@@ -142,15 +138,11 @@ void CommandQueue::read(const Buffer& buffer, std::span<float> host,
   const std::size_t bytes = buffer.bytes();
   run_command(
       EventKind::device_to_host, label, bytes, 0,
-      cost_.transfer_seconds(bytes),
-      [&] {
-        return support::checksum_floats(buffer.device_view(),
-                                        integrity_seed_);
-      },
-      [&]() -> std::span<float> {
-        const auto view = buffer.device_view();
-        std::copy(view.begin(), view.end(), host.begin());
-        return host.first(buffer.size());
+      cost_.transfer_seconds(bytes), [&] {
+        const std::span<float> destination = host.first(buffer.size());
+        return Landed{destination,
+                      support::copy_checksum(buffer.device_view(),
+                                             destination, integrity_seed_)};
       });
 }
 
@@ -163,10 +155,10 @@ void CommandQueue::launch(const KernelLaunch& launch) {
       launch.flops,
       cost_.kernel_seconds(launch.flops, launch.global_bytes,
                            launch.registers_used, launch.compute_efficiency),
-      nullptr,  // kernel output integrity is covered by the readback
-      [&]() -> std::span<float> {
+      [&] {
         support::parallel_for(launch.ndrange, launch.body, launch.grain);
-        return {};
+        // Kernel output integrity is covered by the readback.
+        return Landed{};
       });
 }
 

@@ -17,13 +17,14 @@
 //     attempt probes the device); a slowdown escalates as DeviceTimeout
 //     immediately — it is a device-wide condition and re-probing would
 //     only burn another deadline;
-//   * end-to-end transfer integrity — a seeded checksum of every
-//     transfer's source is verified against its destination after the
-//     copy, on every transfer whether or not a fault plan is armed; a
+//   * end-to-end transfer integrity — every transfer's source is hashed
+//     as it is copied (support::copy_checksum: one pass, each 64 Ki-word
+//     block copied and then hashed while cache-hot, the blocks spread over
+//     the worker team), and the destination is hashed and compared after
+//     the copy, on every transfer whether or not a fault plan is armed; a
 //     mismatch (an injected bit-flip) is charged as a Chksum event and the
 //     transfer re-executed, then DataCorruption escapes. The checksum
-//     (support::checksum_floats) hashes fixed 64 Ki-word blocks in
-//     parallel, each as eight interleaved FNV-1a lanes, and still covers
+//     hashes each block as eight interleaved FNV-1a lanes and still covers
 //     every word: one changed word changes the digest with certainty.
 // Both layers are pure observers on a healthy device: the command stream,
 // event counts and simulated durations of a fault-free run are
@@ -33,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -97,18 +99,24 @@ class CommandQueue {
   void launch(const KernelLaunch& launch);
 
  private:
+  /// What one attempt of a command left behind: a transfer's destination
+  /// and the digest of the source it copied. A kernel leaves neither: its
+  /// output integrity is covered by the later readback checksum.
+  struct Landed {
+    std::span<float> destination;
+    std::optional<std::uint64_t> source_digest;
+  };
+
   /// Runs one command through the full defensive stack: fault-injection
   /// gate (transient retries with seeded backoff), watchdog deadline, the
   /// command body, integrity verification, and event recording. `execute`
-  /// performs the data movement / dispatch and returns the destination
-  /// span to verify (empty span = no verification, used by kernels whose
-  /// output integrity is covered by the later readback checksum).
-  /// `source_checksum` is recomputed per attempt for transfers.
+  /// performs the data movement / dispatch once per attempt; a transfer's
+  /// destination is then (under an armed plan) corrupted, hashed and
+  /// compared with the source digest.
   void run_command(EventKind site, const std::string& label,
                    std::size_t bytes, std::uint64_t flops,
                    double estimate_seconds,
-                   const std::function<std::uint64_t()>& source_checksum,
-                   const std::function<std::span<float>()>& execute);
+                   const std::function<Landed()>& execute);
 
   /// Marks a command complete (advances the device-loss countdown).
   void complete();

@@ -1,17 +1,25 @@
-// Unit tests for the support module: parallel_for, string helpers,
-// stopwatch.
+// Unit tests for the support module: parallel_for and its worker team,
+// string helpers, stopwatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <mutex>
 #include <numeric>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/engine.hpp"
+#include "core/expressions.hpp"
+#include "mesh/generators.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/stopwatch.hpp"
 #include "support/string_util.hpp"
+#include "vcl/catalog.hpp"
 
 namespace {
 
@@ -77,6 +85,150 @@ TEST(ParallelFor, ChunksAreDisjointAndOrdered) {
     covered = end;
   }
   EXPECT_EQ(covered, 97u);
+}
+
+using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// The (begin, end) chunks one parallel_for call hands its body, sorted.
+Ranges recorded_chunks(std::size_t n, std::size_t grain) {
+  std::mutex mutex;
+  Ranges ranges;
+  parallel_for(
+      n,
+      [&](std::size_t begin, std::size_t end) {
+        std::scoped_lock lock(mutex);
+        ranges.emplace_back(begin, end);
+      },
+      grain);
+  std::sort(ranges.begin(), ranges.end());
+  return ranges;
+}
+
+TEST(ParallelForTeam, PartitionIsTheDocumentedFormula) {
+  struct Setting {
+    std::size_t n, grain, workers;
+  };
+  // Worker counts below, at and above this host's core count: the
+  // partition must not depend on how many team threads exist.
+  const Setting settings[] = {{10, 1, 4},        {97, 1, 3},
+                              {5000, 1024, 4},   {1000, 1024, 4},
+                              {4096, 1024, 4},   {100, 1, 8},
+                              {3 * 65536 + 5, 1, 2},
+                              {1'000'003, 1024, 3}, {7, 1, 1}};
+  for (const Setting& s : settings) {
+    dfg::support::set_worker_count(s.workers);
+    const Ranges ranges = recorded_chunks(s.n, s.grain);
+    const std::size_t tiles = (s.n + s.grain - 1) / s.grain;
+    const std::size_t workers = std::min(s.workers, tiles);
+    Ranges expected;
+    if (workers <= 1) {
+      expected.emplace_back(0, s.n);
+    } else {
+      const std::size_t chunk = ((tiles + workers - 1) / workers) * s.grain;
+      for (std::size_t begin = 0; begin < s.n; begin += chunk) {
+        expected.emplace_back(begin, std::min(s.n, begin + chunk));
+      }
+    }
+    EXPECT_EQ(ranges, expected) << "n=" << s.n << " grain=" << s.grain
+                                << " workers=" << s.workers;
+  }
+  dfg::support::set_worker_count(0);
+}
+
+/// What one caller's chunk throws: the caller and call that raised it.
+struct Tagged {
+  int caller;
+  int call;
+};
+
+TEST(ParallelForTeam, ConcurrentCallersEachGetOnlyTheirOwnException) {
+  dfg::support::set_worker_count(4);
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 200;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  for (int caller = 0; caller < kCallers; ++caller) {
+    callers.emplace_back([caller, &failures] {
+      for (int call = 0; call < kCalls; ++call) {
+        const bool throws = call % 7 == 0;
+        std::atomic<std::size_t> covered{0};
+        try {
+          parallel_for(
+              4096,
+              [&](std::size_t begin, std::size_t end) {
+                covered.fetch_add(end - begin);
+                // One chunk of every 7th call throws.
+                if (throws && begin == 2048) throw Tagged{caller, call};
+              },
+              1024);
+          if (throws) failures.fetch_add(1);  // the exception was lost
+        } catch (const Tagged& tag) {
+          if (!throws || tag.caller != caller || tag.call != call) {
+            failures.fetch_add(1);  // another caller's exception
+          }
+        }
+        // Every chunk ran before the call returned, thrown or not.
+        if (covered.load() != 4096) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : callers) thread.join();
+  dfg::support::set_worker_count(0);
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ParallelForTeam, NestedCallRunsInlineOnTheChunksThread) {
+  dfg::support::set_worker_count(4);
+  std::atomic<int> foreign{0};
+  std::atomic<std::size_t> inner_total{0};
+  parallel_for(
+      4096,
+      [&](std::size_t, std::size_t) {
+        const std::thread::id outer = std::this_thread::get_id();
+        const Ranges inner = recorded_chunks(4096, 1024);
+        // Same partition as a top-level call: four chunks of one tile.
+        if (inner.size() != 4) foreign.fetch_add(1);
+        parallel_for(
+            4096,
+            [&](std::size_t begin, std::size_t end) {
+              if (std::this_thread::get_id() != outer) foreign.fetch_add(1);
+              inner_total.fetch_add(end - begin);
+            },
+            1024);
+      },
+      1024);
+  dfg::support::set_worker_count(0);
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(inner_total.load(), 4u * 4096u);
+}
+
+/// The process's thread count, from /proc/self/status (0 if unreadable).
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST(ParallelForTeam, ThreadCountStaysBoundedAcrossEvaluations) {
+  const std::size_t baseline = process_threads();
+  if (baseline == 0) GTEST_SKIP() << "/proc/self/status is not readable";
+  const auto mesh = dfg::mesh::RectilinearMesh::uniform({16, 16, 16});
+  const auto field = dfg::mesh::rayleigh_taylor_flow(mesh);
+  dfg::vcl::Device device(dfg::vcl::xeon_x5660_scaled());
+  dfg::Engine engine(device, {});
+  engine.bind_mesh(mesh);
+  engine.bind("u", field.u);
+  engine.bind("v", field.v);
+  engine.bind("w", field.w);
+  std::size_t peak = baseline;
+  for (int i = 0; i < 1000; ++i) {
+    engine.evaluate(dfg::expressions::kQCriterion);
+    peak = std::max(peak, process_threads());
+  }
+  EXPECT_LE(peak, baseline + dfg::support::worker_count());
 }
 
 TEST(StringUtil, JoinEmpty) { EXPECT_EQ(dfg::support::join({}, ", "), ""); }

@@ -111,27 +111,37 @@ TEST(Buffer, ExplicitReleaseIsIdempotent) {
 }
 
 TEST(Buffer, RecycledStorageIsZeroedBeforeReuse) {
-  Device device(tiny_device(4096));
-  ProfilingLog log;
-  CommandQueue queue(device, log);
-  std::vector<float> pattern(64);
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    pattern[i] = i % 2 == 0 ? std::numeric_limits<float>::quiet_NaN()
-                            : static_cast<float>(i) + 0.5f;
-  }
-  {
-    Buffer buffer = device.allocate(64);
-    queue.write(buffer, pattern, "in");
-  }
-  ASSERT_EQ(device.spares().size(), 1u) << "release keeps the storage";
-  Buffer again = device.allocate(64);
-  EXPECT_EQ(device.spares().size(), 0u) << "the spare block is reused";
-  std::vector<float> back(64, -1.0f);
-  queue.read(again, back, "out");
-  for (std::size_t i = 0; i < back.size(); ++i) {
-    std::uint32_t word = 1;
-    std::memcpy(&word, &back[i], sizeof(word));
-    EXPECT_EQ(word, 0u) << "word " << i;
+  // One small block, and one that the fill splits into several 64 Ki-word
+  // grains with a partial tail.
+  for (const std::size_t words :
+       {std::size_t{64}, 3 * dfg::support::kChecksumBlockWords + 5}) {
+    SCOPED_TRACE(words);
+    Device device(tiny_device(words * sizeof(float)));
+    ProfilingLog log;
+    CommandQueue queue(device, log);
+    std::vector<float> pattern(words);
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+      pattern[i] = i % 2 == 0 ? std::numeric_limits<float>::quiet_NaN()
+                              : static_cast<float>(i) + 0.5f;
+    }
+    {
+      Buffer buffer = device.allocate(words);
+      queue.write(buffer, pattern, "in");
+    }
+    ASSERT_EQ(device.spares().size(), 1u) << "release keeps the storage";
+    Buffer again = device.allocate(words);
+    EXPECT_EQ(device.spares().size(), 0u) << "the spare block is reused";
+    std::vector<float> back(words, -1.0f);
+    queue.read(again, back, "out");
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < back.size(); ++i) {
+      std::uint32_t word = 1;
+      std::memcpy(&word, &back[i], sizeof(word));
+      if (word != 0u) {
+        ADD_FAILURE() << "word " << i;
+        if (++nonzero == 8) break;
+      }
+    }
   }
 }
 

@@ -7,12 +7,15 @@
 // streams byte-identical to a policy-off run (the paper's Table II counts).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -312,6 +315,39 @@ TEST(Integrity, MultiBlockChecksumCoversEveryWordAtAnyWorkerCount) {
     EXPECT_EQ(support::checksum_floats({}, 42), empty);
   }
   support::set_worker_count(0);
+}
+
+TEST(Integrity, CopyChecksumCopiesBitExactlyAndReturnsTheSourceDigest) {
+  constexpr std::size_t kBlock = support::kChecksumBlockWords;
+  for (const std::size_t words :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+        kBlock - 1, kBlock, kBlock + 1, 3 * kBlock + 5}) {
+    std::vector<float> from(words);
+    for (std::size_t i = 0; i < words; ++i) {
+      // Arbitrary bit patterns, NaN payloads included: the copy moves bits.
+      const std::uint32_t bits =
+          static_cast<std::uint32_t>(i * 2654435761u) ^ 0x7fc00000u;
+      std::memcpy(&from[i], &bits, sizeof(bits));
+    }
+    const std::uint64_t expected = support::checksum_floats(from, 42);
+    for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
+      support::set_worker_count(workers);
+      // One word longer than the source: the tail must stay untouched.
+      std::vector<float> to(words + 1, 0.0f);
+      EXPECT_EQ(support::copy_checksum(from, to, 42), expected)
+          << words << " words, " << workers << " workers";
+      EXPECT_TRUE(std::equal(from.begin(), from.end(), to.begin(),
+                             [](float a, float b) {
+                               return std::bit_cast<std::uint32_t>(a) ==
+                                      std::bit_cast<std::uint32_t>(b);
+                             }))
+          << words << " words, " << workers << " workers";
+      EXPECT_EQ(to.back(), 0.0f) << "wrote past the source extent";
+    }
+  }
+  support::set_worker_count(0);
+  std::vector<float> from(8, 1.0f), shorter(7);
+  EXPECT_THROW(support::copy_checksum(from, shorter), std::length_error);
 }
 
 // -------------------------------------------------- observability & traces
