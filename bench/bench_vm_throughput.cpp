@@ -34,8 +34,12 @@
 //     team must be at least 3x faster;
 //   * a 16 MB CommandQueue write + read round trip against the same round
 //     trip as hash, serial std::copy, hash per direction; in a full run
-//     the queue's one-pass, team-parallel transfers must be at least 1.4x
-//     faster.
+//     the queue's one-pass, team-parallel transfers (copy, then a bitwise
+//     compare per block) must be at least 1.4x faster. Each pair also
+//     times a control, the same round trip as a team memcpy with no
+//     check, and prints its bandwidth next to the ratio: a host whose
+//     memory bandwidth is squeezed by other tenants shows a low control,
+//     a regression in the queue does not.
 // The last two gates read the median of dfgbench::kGatePairs interleaved
 // per-pair ratios (dfgbench::time_pairs).
 //
@@ -368,10 +372,31 @@ void reference_transfer(std::span<const float> from, std::span<float> to) {
   }
 }
 
+/// Copies `from` into `to` block by block on the worker team, unchecked.
+void team_copy(std::span<const float> from, std::span<float> to) {
+  constexpr std::size_t kBlock = dfg::vcl::kTransferBlockWords;
+  dfg::support::parallel_for(
+      (from.size() + kBlock - 1) / kBlock,
+      [&](std::size_t begin, std::size_t end) {
+        const std::size_t first = begin * kBlock;
+        std::memcpy(to.data() + first, from.data() + first,
+                    (std::min(end * kBlock, from.size()) - first) *
+                        sizeof(float));
+      },
+      /*grain=*/1);
+}
+
 struct RoundTripResult {
   double megabytes = 0.0;
   /// Arm a is the reference round trip, arm b the queue's.
   dfgbench::PairedTiming timing;
+  /// Median seconds of the team memcpy control, timed after arm b in
+  /// every pair.
+  double memcpy_median_seconds = 0.0;
+  /// Bytes the control moves (both directions) per second, in GB/s.
+  double memcpy_gbps() const {
+    return 2.0 * megabytes * 1.0e-3 / memcpy_median_seconds;
+  }
 };
 
 RoundTripResult run_round_trip_study(int pairs) {
@@ -389,6 +414,7 @@ RoundTripResult run_round_trip_study(int pairs) {
 
   RoundTripResult result;
   result.megabytes = static_cast<double>(kWords * sizeof(float)) / 1.0e6;
+  std::vector<double> control_seconds;
   result.timing = dfgbench::time_pairs(
       pairs,
       [&] {
@@ -398,11 +424,17 @@ RoundTripResult run_round_trip_study(int pairs) {
         });
       },
       [&] {
-        return seconds_of([&] {
+        const double queue_seconds = seconds_of([&] {
           queue.write(buffer, host, "in");
           queue.read(buffer, back, "out");
         });
+        control_seconds.push_back(seconds_of([&] {
+          team_copy(host, reference_device);
+          team_copy(reference_device, reference_back);
+        }));
+        return queue_seconds;
       });
+  result.memcpy_median_seconds = dfgbench::median(control_seconds);
   if (back != host || reference_back != host) {
     std::fprintf(stderr, "FAIL: 16 MB round trip is not bit-exact\n");
     std::exit(1);
@@ -454,7 +486,8 @@ void write_json(const std::vector<ExprResult>& exprs, const CacheResult& cache,
       "  \"parallel_for\": {\"pairs\": %d, \"team_us\": %.2f,\n"
       "    \"spawn_per_call_us\": %.2f, \"speedup\": %.2f},\n"
       "  \"round_trip\": {\"megabytes\": %.2f, \"pairs\": %d,\n"
-      "    \"queue_ms\": %.3f, \"reference_ms\": %.3f, \"speedup\": %.2f}\n"
+      "    \"queue_ms\": %.3f, \"reference_ms\": %.3f, \"speedup\": %.2f,\n"
+      "    \"memcpy_ms\": %.3f, \"memcpy_gbps\": %.2f}\n"
       "}\n",
       cache.engine_evaluations, cache.engine_hits, cache.engine_misses,
       cache.distributed_hits, cache.distributed_misses,
@@ -464,7 +497,8 @@ void write_json(const std::vector<ExprResult>& exprs, const CacheResult& cache,
       team.a_median_seconds * 1.0e6, team.median_ratio, round_trip.megabytes,
       round_trip.timing.pairs, round_trip.timing.b_median_seconds * 1.0e3,
       round_trip.timing.a_median_seconds * 1.0e3,
-      round_trip.timing.median_ratio);
+      round_trip.timing.median_ratio,
+      round_trip.memcpy_median_seconds * 1.0e3, round_trip.memcpy_gbps());
   std::fclose(f);
 }
 
@@ -525,10 +559,12 @@ int main() {
   std::printf("\n=== Transfer round trip: %.1f MB write + read, %d pairs ===\n",
               round_trip.megabytes, pairs);
   std::printf("queue: %.3f ms (hash, serial copy, hash: %.3f ms), %.2fx "
-              "(median pair ratio)\n",
+              "(median pair ratio); team memcpy control %.3f ms, %.1f GB/s\n",
               round_trip.timing.b_median_seconds * 1.0e3,
               round_trip.timing.a_median_seconds * 1.0e3,
-              round_trip.timing.median_ratio);
+              round_trip.timing.median_ratio,
+              round_trip.memcpy_median_seconds * 1.0e3,
+              round_trip.memcpy_gbps());
 
   write_json(results, cache, checksum, team, round_trip, smoke);
   std::printf("\nwrote BENCH_vm.json\n");

@@ -97,7 +97,7 @@ struct EvaluationReport {
   std::size_t injected_faults = 0;
   /// Commands abandoned at their watchdog deadline (T-Out events).
   std::size_t command_timeouts = 0;
-  /// Transfers whose destination checksum disagreed with the source
+  /// Transfers whose destination differed from the source bit for bit
   /// (Chksum events); each was re-executed before values propagated.
   std::size_t checksum_mismatches = 0;
 

@@ -118,7 +118,7 @@ DeviceTarget::Value DeviceTarget::upload(std::span<const float> host,
       return resident;
     }
   }
-  vcl::Buffer buffer = device.allocate(host.size());
+  vcl::Buffer buffer = device.allocate(host.size(), /*zero_fill=*/false);
   queue_.write(buffer, host, label);
   return std::make_shared<const vcl::Buffer>(std::move(buffer));
 }

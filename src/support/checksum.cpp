@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "support/parallel.hpp"
@@ -51,39 +49,32 @@ std::uint64_t hash_block(const float* words, std::size_t n,
   return digest;
 }
 
-/// checksum_floats(values, seed), copying each block into `copy` (when
-/// not null) just before the block is hashed.
-std::uint64_t block_digest(std::span<const float> values, float* copy,
-                           std::uint64_t seed) {
+}  // namespace
+
+std::uint64_t checksum_floats(std::span<const float> values,
+                              std::uint64_t seed) {
   const std::uint64_t count = values.size();
   std::uint64_t hash = fnv1a(&count, sizeof(count), seed);
   const std::size_t n = values.size();
   if (n == 0) return hash;
-  const auto digest_of = [&](std::size_t first, std::size_t words) {
-    if (copy != nullptr) {
-      std::memcpy(copy + first, values.data() + first, words * sizeof(float));
-    }
-    return hash_block(values.data() + first, words, seed);
-  };
   const std::size_t blocks =
       (n + kChecksumBlockWords - 1) / kChecksumBlockWords;
-  if (blocks == 1) return fold(hash, digest_of(0, n));
+  if (blocks == 1) return fold(hash, hash_block(values.data(), n, seed));
   std::vector<std::uint64_t> digests(blocks);
   parallel_for(
       blocks,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t b = begin; b < end; ++b) {
           const std::size_t first = b * kChecksumBlockWords;
-          digests[b] =
-              digest_of(first, std::min(kChecksumBlockWords, n - first));
+          digests[b] = hash_block(values.data() + first,
+                                  std::min(kChecksumBlockWords, n - first),
+                                  seed);
         }
       },
       /*grain=*/1);
   for (const std::uint64_t digest : digests) hash = fold(hash, digest);
   return hash;
 }
-
-}  // namespace
 
 std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -94,21 +85,6 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed) {
 
 std::uint64_t fnv1a(std::string_view text, std::uint64_t seed) {
   return fnv1a(text.data(), text.size(), seed);
-}
-
-std::uint64_t checksum_floats(std::span<const float> values,
-                              std::uint64_t seed) {
-  return block_digest(values, nullptr, seed);
-}
-
-std::uint64_t copy_checksum(std::span<const float> from, std::span<float> to,
-                            std::uint64_t seed) {
-  if (to.size() < from.size()) {
-    throw std::length_error("copy_checksum: destination of " +
-                            std::to_string(to.size()) + " words, source of " +
-                            std::to_string(from.size()));
-  }
-  return block_digest(from, to.data(), seed);
 }
 
 }  // namespace dfg::support

@@ -1,18 +1,18 @@
-// Seeded FNV-1a checksums for end-to-end transfer integrity.
+// Seeded FNV-1a checksums.
 //
-// Real many-core deployments treat silent data corruption — a flipped bit
-// on a DMA transfer, a marginal memory module — as a first-class fault. The
-// command queue checksums every transfer's source as it copies it
-// (copy_checksum) and verifies the destination afterwards, so one
-// corrupted word is detected before it can propagate into a derived
-// field. FNV-1a is chosen for the same reason production transports use
-// cheap non-cryptographic checksums: one xor and one multiply per word.
+// The command queue does not use these: it verifies each transfer by
+// comparing the copy with its source bit for bit (vcl::copy_verified),
+// which needs no digest. checksum_floats stays for the benches and
+// perfbench, which time it as a block-parallel pass over a field, and
+// fnv1a hashes labels and keys. FNV-1a costs one xor and one multiply per
+// word, like the cheap non-cryptographic checksums production transports
+// use.
 //
 // `checksum_floats` covers every word and is laid out for throughput:
 //   * the words are split into fixed blocks of kChecksumBlockWords; the
 //     block size is a constant, so the digest never depends on how many
 //     workers hash the blocks (support::parallel_for, one block per
-//     grain; a transfer of one block or less is hashed inline);
+//     grain; an array of one block or less is hashed inline);
 //   * inside a block, word i feeds lane i % kChecksumLanes: eight
 //     independent FNV-1a accumulators, so the multiplies overlap instead
 //     of forming one serial dependency chain;
@@ -64,13 +64,5 @@ inline std::uint64_t fnv1a(const char* text,
 /// above). The digest depends only on the words, their count and `seed`.
 std::uint64_t checksum_floats(std::span<const float> values,
                               std::uint64_t seed = kFnvOffsetBasis);
-
-/// Copies `from` into the first from.size() words of `to` and returns
-/// checksum_floats(from, seed). One pass: each block is copied and then
-/// hashed while its source is still in cache, the blocks spread over
-/// support::parallel_for like checksum_floats'. `to` must hold at least
-/// from.size() words (else std::length_error) and must not overlap `from`.
-std::uint64_t copy_checksum(std::span<const float> from, std::span<float> to,
-                            std::uint64_t seed = kFnvOffsetBasis);
 
 }  // namespace dfg::support

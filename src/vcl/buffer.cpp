@@ -59,7 +59,8 @@ std::size_t SpareBlocks::size() const {
   return blocks_.size();
 }
 
-Buffer::Buffer(Device& device, std::size_t elements) : device_(&device) {
+Buffer::Buffer(Device& device, std::size_t elements, bool zero_fill)
+    : device_(&device) {
   const std::size_t bytes = elements * sizeof(float);
   // The fault injector sees the allocation before the tracker commits, so
   // an injected DeviceOutOfMemory (scheduled or synthetic-capacity) leaves
@@ -74,14 +75,16 @@ Buffer::Buffer(Device& device, std::size_t elements) : device_(&device) {
                   device_->memory().high_water());
   }
   // Reserve happened first: if it throws, no storage is taken and the
-  // tracker is untouched. A recycled block is zero-filled like a new one,
-  // on the worker team: its pages are already mapped, so the fill runs at
-  // memory speed. A fresh block's fill is dominated by page faults.
+  // tracker is untouched. A recycled block is zero-filled like a new one
+  // (unless it is an upload's, which its write overwrites), on the worker
+  // team: its pages are already mapped, so the fill runs at memory speed.
+  // A fresh block's fill is dominated by page faults.
   storage_ = device_->spares().take(elements);
   if (storage_.empty()) {
     storage_.assign(elements, 0.0f);
     return;
   }
+  if (!zero_fill) return;
   float* words = storage_.data();
   support::parallel_for(
       elements,
@@ -117,10 +120,10 @@ void Buffer::release() {
   }
 }
 
-Buffer Device::allocate(std::size_t elements) {
+Buffer Device::allocate(std::size_t elements, bool zero_fill) {
   for (;;) {
     try {
-      return Buffer(*this, elements);
+      return Buffer(*this, elements, zero_fill);
     } catch (const DeviceOutOfMemory&) {
       // Only genuine capacity pressure (real or synthetic) justifies
       // shrinking the resident pool. A scheduled alloc fault throws the

@@ -10,9 +10,12 @@
 // Storage is recycled per device: release() gives the host block to the
 // device's SpareBlocks (at most kMaxBlocks, oldest dropped first), and the
 // next buffer of the same element count takes it instead of faulting in
-// fresh pages. Accounting, high water and fault injection are unchanged,
-// and every buffer still starts zero-filled, so no evaluation's data can
-// show through in another's buffer.
+// fresh pages. Accounting, high water and fault injection are unchanged.
+// A buffer starts zero-filled, so no evaluation's data can show through
+// in another's buffer, except an upload's (zero_fill = false): the
+// CommandQueue::write that follows covers every word and compares each
+// with its source, so no stale word survives it, and a buffer whose write
+// throws is released unread.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +29,7 @@ class Device;
 class Buffer {
  public:
   Buffer() = default;
-  Buffer(Device& device, std::size_t elements);
+  Buffer(Device& device, std::size_t elements, bool zero_fill = true);
   ~Buffer();
 
   Buffer(Buffer&& other) noexcept;

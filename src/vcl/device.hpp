@@ -210,8 +210,11 @@ class Device {
   /// capacity wall is hit, resident buffers no caller holds are evicted
   /// LRU-first and the allocation retried, so pool occupancy can never
   /// fail an allocation the cold path would have satisfied. The resident
-  /// pool's own uploads allocate here too.
-  Buffer allocate(std::size_t elements);
+  /// pool's own uploads allocate here too. The buffer starts zeroed unless
+  /// `zero_fill` is false: only for an upload, whose write of exactly
+  /// `elements` words must land before anything reads the buffer
+  /// (vcl/buffer.hpp).
+  Buffer allocate(std::size_t elements, bool zero_fill = true);
 
   SpareBlocks& spares() { return spares_; }
 

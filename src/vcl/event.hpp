@@ -26,7 +26,7 @@ enum class EventKind : int {
   /// the simulated time the device was tied up before the abort. Never
   /// produced by a healthy run.
   timeout = 4,
-  /// A transfer's destination checksum did not match its source: silent
+  /// A transfer's destination did not match its source bit for bit: silent
   /// corruption detected (and the transfer re-executed). Never produced by
   /// a healthy run.
   integrity = 5,
@@ -55,7 +55,7 @@ struct Event {
   /// quantity the runtime study (Figure 5) reports.
   double sim_seconds = 0.0;
   /// Real host wall-clock duration of the virtual operation (seconds),
-  /// including a transfer's source and destination checksums.
+  /// including the comparison that verifies a transfer.
   double wall_seconds = 0.0;
 };
 

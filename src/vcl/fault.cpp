@@ -1,6 +1,5 @@
 #include "vcl/fault.hpp"
 
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -134,22 +133,18 @@ CommandPerturbation FaultInjector::on_enqueue(EventKind site,
   return perturbation;
 }
 
-void FaultInjector::corrupt_word(EventKind site, const std::string& label,
-                                 std::span<float> data) {
-  if (data.empty()) return;
+BitFlip FaultInjector::corrupt_word(EventKind site, const std::string& label,
+                                    std::size_t extent) {
   // Deterministic target: word and bit derived from the plan seed and the
   // extent. The flipped bit lands in the mantissa, so the corrupted value
-  // stays ordinary — exactly the silent kind of corruption checksums
-  // exist to catch.
-  const std::size_t word =
-      (static_cast<std::size_t>(plan_.seed) * 2654435761u + data.size()) %
-      data.size();
-  std::uint32_t bits;
-  std::memcpy(&bits, &data[word], sizeof(bits));
-  bits ^= 1u << (plan_.seed % 23u);
-  std::memcpy(&data[word], &bits, sizeof(bits));
+  // stays ordinary — exactly the silent kind of corruption the integrity
+  // check exists to catch.
+  const BitFlip flip{
+      (static_cast<std::size_t>(plan_.seed) * 2654435761u + extent) % extent,
+      1u << (plan_.seed % 23u)};
   record(std::string("fault:bit-flip:") + event_kind_name(site) + ":" +
-         label + "@" + std::to_string(word));
+         label + "@" + std::to_string(flip.word));
+  return flip;
 }
 
 double FaultInjector::backoff_seconds(int attempt, const RetryPolicy& policy) {

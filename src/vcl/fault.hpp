@@ -19,8 +19,8 @@
 //   * hang — the Nth command never completes (the watchdog abandons it at
 //     the deadline),
 //   * bit-flip — one word of the Nth host-to-device or device-to-host
-//     transfer is corrupted in flight (caught by the queue's end-to-end
-//     checksum).
+//     transfer is corrupted in flight (caught by the queue's bitwise
+//     comparison of each transfer with its source).
 // Every injected fault is recorded in the attached ProfilingLog as an
 // EventKind::fault event (and therefore in the Chrome trace), so
 // degradation decisions are observable. All behaviour is a pure function of
@@ -31,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -136,6 +135,12 @@ struct CommandPerturbation {
   bool corrupt = false;
 };
 
+/// One injected bit-flip in a transfer: the word index and the bits flipped.
+struct BitFlip {
+  std::size_t word = 0;
+  std::uint32_t mask = 0;
+};
+
 /// Owned by a Device; consulted by the allocator and the command queue.
 /// With no plan armed every hook is a no-op, so a fault-free run's command
 /// stream is byte-identical to a build without this layer.
@@ -185,11 +190,12 @@ class FaultInjector {
   /// persists.
   CommandPerturbation on_enqueue(EventKind site, const std::string& label);
 
-  /// Flips one word of `data` in place (deterministically chosen from the
-  /// plan seed and the extent) and records the injection. The queue calls
-  /// this when on_enqueue scheduled a corruption for the transfer.
-  void corrupt_word(EventKind site, const std::string& label,
-                    std::span<float> data);
+  /// The word and bit to flip in a transfer of `extent` words (derived from
+  /// the plan seed and the extent; `extent` must be non-zero), recording the
+  /// injection. The queue asks when on_enqueue scheduled a corruption for
+  /// the transfer and applies the flip to the copy before verifying it.
+  BitFlip corrupt_word(EventKind site, const std::string& label,
+                       std::size_t extent);
 
   /// A command completed; advances the device-loss countdown.
   void note_complete() { ++completed_commands_; }

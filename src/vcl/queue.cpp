@@ -1,17 +1,56 @@
 #include "vcl/queue.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstring>
+#include <stdexcept>
+
 #include "obs/span.hpp"
-#include "support/checksum.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/stopwatch.hpp"
 
 namespace dfg::vcl {
 
+bool copy_verified(std::span<const float> from, std::span<float> to,
+                   std::optional<BitFlip> flip) {
+  if (to.size() < from.size()) {
+    throw std::length_error("copy_verified: destination of " +
+                            std::to_string(to.size()) + " words, source of " +
+                            std::to_string(from.size()));
+  }
+  const std::size_t n = from.size();
+  const auto block_intact = [&](std::size_t first) {
+    const std::size_t words = std::min(kTransferBlockWords, n - first);
+    std::memcpy(to.data() + first, from.data() + first, words * sizeof(float));
+    if (flip && flip->word - first < words) {
+      float& word = to[flip->word];
+      word = std::bit_cast<float>(std::bit_cast<std::uint32_t>(word) ^
+                                  flip->mask);
+    }
+    return std::memcmp(to.data() + first, from.data() + first,
+                       words * sizeof(float)) == 0;
+  };
+  if (n <= kTransferBlockWords) return n == 0 || block_intact(0);
+  std::atomic<bool> intact{true};
+  support::parallel_for(
+      (n + kTransferBlockWords - 1) / kTransferBlockWords,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t b = begin; b < end; ++b) {
+          if (!block_intact(b * kTransferBlockWords)) {
+            intact.store(false, std::memory_order_relaxed);
+          }
+        }
+      },
+      /*grain=*/1);
+  return intact.load(std::memory_order_relaxed);
+}
+
 void CommandQueue::run_command(
     EventKind site, const std::string& label, std::size_t bytes,
-    std::uint64_t flops, double estimate_seconds,
-    const std::function<Landed()>& execute) {
+    std::uint64_t flops, double estimate_seconds, std::size_t extent,
+    const std::function<bool(std::optional<BitFlip>)>& execute) {
   FaultInjector& fault = device_->fault();
   const bool armed = fault.armed();
   const RetryPolicy& policy = device_->retry_policy();
@@ -69,18 +108,14 @@ void CommandQueue::run_command(
       continue;
     }
 
-    // The wall time covers the integrity work too: hashing the source as
-    // it is copied and hashing the destination are host time the command
-    // costs.
+    // The wall time covers the integrity work too: comparing each block
+    // with its source is host time the command costs.
     support::Stopwatch watch;
-    const Landed landed = execute();
-    if (armed && perturbation.corrupt && !landed.destination.empty()) {
-      fault.corrupt_word(site, label, landed.destination);
+    std::optional<BitFlip> flip;
+    if (armed && perturbation.corrupt && extent != 0) {
+      flip = fault.corrupt_word(site, label, extent);
     }
-    const bool intact =
-        !landed.source_digest ||
-        support::checksum_floats(landed.destination, integrity_seed_) ==
-            *landed.source_digest;
+    const bool intact = execute(flip);
     const double wall = watch.seconds();
 
     if (!intact) {
@@ -118,14 +153,11 @@ void CommandQueue::write(Buffer& buffer, std::span<const float> host,
                       std::to_string(buffer.size()));
   }
   const std::size_t bytes = host.size() * sizeof(float);
-  run_command(
-      EventKind::host_to_device, label, bytes, 0,
-      cost_.transfer_seconds(bytes), [&] {
-        const std::span<float> destination =
-            buffer.device_view().first(host.size());
-        return Landed{destination, support::copy_checksum(
-                                       host, destination, integrity_seed_)};
-      });
+  run_command(EventKind::host_to_device, label, bytes, 0,
+              cost_.transfer_seconds(bytes), host.size(),
+              [&](std::optional<BitFlip> flip) {
+                return copy_verified(host, buffer.device_view(), flip);
+              });
 }
 
 void CommandQueue::read(const Buffer& buffer, std::span<float> host,
@@ -136,14 +168,11 @@ void CommandQueue::read(const Buffer& buffer, std::span<float> host,
                       std::to_string(buffer.size()));
   }
   const std::size_t bytes = buffer.bytes();
-  run_command(
-      EventKind::device_to_host, label, bytes, 0,
-      cost_.transfer_seconds(bytes), [&] {
-        const std::span<float> destination = host.first(buffer.size());
-        return Landed{destination,
-                      support::copy_checksum(buffer.device_view(),
-                                             destination, integrity_seed_)};
-      });
+  run_command(EventKind::device_to_host, label, bytes, 0,
+              cost_.transfer_seconds(bytes), buffer.size(),
+              [&](std::optional<BitFlip> flip) {
+                return copy_verified(buffer.device_view(), host, flip);
+              });
 }
 
 void CommandQueue::launch(const KernelLaunch& launch) {
@@ -155,10 +184,10 @@ void CommandQueue::launch(const KernelLaunch& launch) {
       launch.flops,
       cost_.kernel_seconds(launch.flops, launch.global_bytes,
                            launch.registers_used, launch.compute_efficiency),
-      [&] {
+      0, [&](std::optional<BitFlip>) {
         support::parallel_for(launch.ndrange, launch.body, launch.grain);
         // Kernel output integrity is covered by the readback.
-        return Landed{};
+        return true;
       });
 }
 

@@ -17,15 +17,15 @@
 //     attempt probes the device); a slowdown escalates as DeviceTimeout
 //     immediately — it is a device-wide condition and re-probing would
 //     only burn another deadline;
-//   * end-to-end transfer integrity — every transfer's source is hashed
-//     as it is copied (support::copy_checksum: one pass, each 64 Ki-word
-//     block copied and then hashed while cache-hot, the blocks spread over
-//     the worker team), and the destination is hashed and compared after
-//     the copy, on every transfer whether or not a fault plan is armed; a
-//     mismatch (an injected bit-flip) is charged as a Chksum event and the
-//     transfer re-executed, then DataCorruption escapes. The checksum
-//     hashes each block as eight interleaved FNV-1a lanes and still covers
-//     every word: one changed word changes the digest with certainty.
+//   * end-to-end transfer integrity — every transfer is one pass over its
+//     data (copy_verified): each 64 Ki-word block is copied and then
+//     compared bit for bit (memcmp) with its source while both are still
+//     in cache, the blocks spread over the worker team, on every transfer
+//     whether or not a fault plan is armed. An injected bit-flip lands
+//     between a block's copy and its comparison; a mismatch is charged as
+//     a Chksum event and the transfer re-executed, then DataCorruption
+//     escapes. A comparison has no collisions and tells -0 from +0 and one
+//     NaN payload from another, which a float == would not.
 // Both layers are pure observers on a healthy device: the command stream,
 // event counts and simulated durations of a fault-free run are
 // byte-identical to a build without them.
@@ -38,7 +38,6 @@
 #include <span>
 #include <string>
 
-#include "support/checksum.hpp"
 #include "vcl/buffer.hpp"
 #include "vcl/cost_model.hpp"
 #include "vcl/device.hpp"
@@ -71,6 +70,20 @@ struct KernelLaunch {
   std::function<void(std::size_t, std::size_t)> body;
 };
 
+/// Words per block of a transfer's copy-and-compare pass (64 Ki words,
+/// 256 KiB): a block's source and copy are still in cache when compared.
+inline constexpr std::size_t kTransferBlockWords = std::size_t{1} << 16;
+
+/// Copies `from` into the first from.size() words of `to` and returns
+/// whether the copy matches the source bit for bit. Each block is copied,
+/// then `flip` (an injected corruption, if any) is applied to the copy
+/// when the block holds its word, then the block is compared; blocks run
+/// on support::parallel_for, and a transfer of one block or less runs
+/// inline. `to` must not overlap `from` and must hold at least
+/// from.size() words (else std::length_error).
+bool copy_verified(std::span<const float> from, std::span<float> to,
+                   std::optional<BitFlip> flip = std::nullopt);
+
 class CommandQueue {
  public:
   /// Injected faults during this queue's lifetime (including allocation
@@ -79,7 +92,6 @@ class CommandQueue {
       : device_(&device),
         log_(&log),
         cost_(device.spec()),
-        integrity_seed_(support::fnv1a(device.spec().name)),
         fault_sink_(device.fault(), &log) {}
 
   Device& device() { return *device_; }
@@ -99,24 +111,17 @@ class CommandQueue {
   void launch(const KernelLaunch& launch);
 
  private:
-  /// What one attempt of a command left behind: a transfer's destination
-  /// and the digest of the source it copied. A kernel leaves neither: its
-  /// output integrity is covered by the later readback checksum.
-  struct Landed {
-    std::span<float> destination;
-    std::optional<std::uint64_t> source_digest;
-  };
-
   /// Runs one command through the full defensive stack: fault-injection
   /// gate (transient retries with seeded backoff), watchdog deadline, the
   /// command body, integrity verification, and event recording. `execute`
-  /// performs the data movement / dispatch once per attempt; a transfer's
-  /// destination is then (under an armed plan) corrupted, hashed and
-  /// compared with the source digest.
+  /// performs the data movement / dispatch once per attempt and returns
+  /// whether what landed is intact; a transfer of `extent` words receives
+  /// the bit-flip an armed plan scheduled for the attempt. A kernel
+  /// (extent 0) returns true: its output is covered by the later readback.
   void run_command(EventKind site, const std::string& label,
                    std::size_t bytes, std::uint64_t flops,
-                   double estimate_seconds,
-                   const std::function<Landed()>& execute);
+                   double estimate_seconds, std::size_t extent,
+                   const std::function<bool(std::optional<BitFlip>)>& execute);
 
   /// Marks a command complete (advances the device-loss countdown).
   void complete();
@@ -124,9 +129,6 @@ class CommandQueue {
   Device* device_;
   ProfilingLog* log_;
   CostModel cost_;
-  /// Seed of the transfer checksums, derived from the device name so two
-  /// devices never share a digest stream.
-  std::uint64_t integrity_seed_;
   FaultInjector::SinkScope fault_sink_;
 };
 

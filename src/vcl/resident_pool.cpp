@@ -97,7 +97,7 @@ std::shared_ptr<const Buffer> ResidentPool::acquire(
   // every fault (allocation, transient, loss, corruption) propagates
   // exactly as it would there; the entry is only inserted once the write
   // succeeded.
-  Buffer buffer = device_->allocate(host.size());
+  Buffer buffer = device_->allocate(host.size(), /*zero_fill=*/false);
   queue.write(buffer, host, label);
   auto handle = std::make_shared<const Buffer>(std::move(buffer));
 

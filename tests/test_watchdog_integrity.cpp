@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -19,8 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "bitwise.hpp"
 #include "core/engine.hpp"
 #include "core/expressions.hpp"
+#include "kernels/backend.hpp"
 #include "mesh/generators.hpp"
 #include "runtime/fallback.hpp"
 #include "runtime/strategy.hpp"
@@ -29,6 +32,7 @@
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "vcl/catalog.hpp"
+#include "vcl/queue.hpp"
 #include "vcl/trace.hpp"
 
 namespace {
@@ -317,37 +321,95 @@ TEST(Integrity, MultiBlockChecksumCoversEveryWordAtAnyWorkerCount) {
   support::set_worker_count(0);
 }
 
-TEST(Integrity, CopyChecksumCopiesBitExactlyAndReturnsTheSourceDigest) {
-  constexpr std::size_t kBlock = support::kChecksumBlockWords;
+TEST(Integrity, CopyVerifiedCopiesBitExactlyAndReportsAnyFlip) {
+  constexpr std::size_t kBlock = vcl::kTransferBlockWords;
+  const auto bits = [](float x) { return std::bit_cast<std::uint32_t>(x); };
   for (const std::size_t words :
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
         kBlock - 1, kBlock, kBlock + 1, 3 * kBlock + 5}) {
     std::vector<float> from(words);
     for (std::size_t i = 0; i < words; ++i) {
       // Arbitrary bit patterns, NaN payloads included: the copy moves bits.
-      const std::uint32_t bits =
+      const std::uint32_t pattern =
           static_cast<std::uint32_t>(i * 2654435761u) ^ 0x7fc00000u;
-      std::memcpy(&from[i], &bits, sizeof(bits));
+      from[i] = std::bit_cast<float>(pattern);
     }
-    const std::uint64_t expected = support::checksum_floats(from, 42);
+    // The first and the last word of every block.
+    std::vector<std::size_t> flips;
+    for (std::size_t first = 0; first < words; first += kBlock) {
+      flips.push_back(first);
+      flips.push_back(std::min(first + kBlock, words) - 1);
+    }
     for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE(std::to_string(words) + " words, " +
+                   std::to_string(workers) + " workers");
       support::set_worker_count(workers);
       // One word longer than the source: the tail must stay untouched.
       std::vector<float> to(words + 1, 0.0f);
-      EXPECT_EQ(support::copy_checksum(from, to, 42), expected)
-          << words << " words, " << workers << " workers";
+      EXPECT_TRUE(vcl::copy_verified(from, to));
       EXPECT_TRUE(std::equal(from.begin(), from.end(), to.begin(),
-                             [](float a, float b) {
-                               return std::bit_cast<std::uint32_t>(a) ==
-                                      std::bit_cast<std::uint32_t>(b);
-                             }))
-          << words << " words, " << workers << " workers";
-      EXPECT_EQ(to.back(), 0.0f) << "wrote past the source extent";
+                             [&](float a, float b) {
+                               return bits(a) == bits(b);
+                             }));
+      EXPECT_EQ(bits(to.back()), 0u) << "wrote past the source extent";
+
+      // A flip in any block is reported, and lands in the copy only.
+      for (const std::size_t word : flips) {
+        std::vector<float> flipped(words);
+        EXPECT_FALSE(vcl::copy_verified(from, flipped, vcl::BitFlip{word, 8u}))
+            << "flip at word " << word << " went undetected";
+        EXPECT_EQ(bits(flipped[word]), bits(from[word]) ^ 8u);
+      }
+    }
+  }
+
+  // +0 and -0 compare equal as floats but not as bits.
+  const std::vector<float> zeros(3 * kBlock + 5, 0.0f);
+  for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
+    support::set_worker_count(workers);
+    for (const std::size_t word : {std::size_t{0}, zeros.size() - 1}) {
+      std::vector<float> to(zeros.size());
+      EXPECT_FALSE(vcl::copy_verified(zeros, to,
+                                      vcl::BitFlip{word, 0x80000000u}))
+          << "-0 at word " << word << ", " << workers << " workers";
+      EXPECT_TRUE(std::signbit(to[word]));
     }
   }
   support::set_worker_count(0);
   std::vector<float> from(8, 1.0f), shorter(7);
-  EXPECT_THROW(support::copy_checksum(from, shorter), std::length_error);
+  EXPECT_THROW(vcl::copy_verified(from, shorter), std::length_error);
+}
+
+TEST(Integrity, EvaluationAfterPersistentCorruptionIsBitExact) {
+  // The failed uploads' blocks, one holding a flipped word, go back to the
+  // device's spares; the next evaluation's uploads take them unfilled.
+  WatchdogFixture fx;
+  EngineOptions oracle_options;
+  oracle_options.strategy = StrategyKind::fusion;
+  oracle_options.backend = kernels::BackendKind::scalar;
+  vcl::Device oracle_device(vcl::xeon_x5660_scaled());
+  const std::vector<float> oracle =
+      fx.make(oracle_device, oracle_options)
+          .evaluate(expressions::kQCriterion)
+          .values;
+  for (const bool pool : {false, true}) {
+    SCOPED_TRACE(pool ? "resident pool" : "no pool");
+    vcl::Device device(vcl::xeon_x5660_scaled());
+    vcl::FaultPlan plan;
+    plan.corrupt_write_index = 1;
+    plan.corrupt_count = 3;  // every attempt of the first Dev-W
+    device.fault().arm(plan);
+    EngineOptions options = fx.resilient();
+    options.resident_pool = pool;
+    Engine engine = fx.make(device, options);
+    EXPECT_THROW(engine.evaluate(expressions::kQCriterion), DataCorruption);
+    EXPECT_GT(device.spares().size(), 0u);
+
+    device.fault().disarm();
+    const EvaluationReport report = engine.evaluate(expressions::kQCriterion);
+    EXPECT_EQ(report.checksum_mismatches, 0u);
+    test::expect_bits_equal(report.values, oracle, "after DataCorruption");
+  }
 }
 
 // -------------------------------------------------- observability & traces
